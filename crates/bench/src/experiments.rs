@@ -15,7 +15,7 @@ use crate::table::Table;
 
 /// An experiment entry: id, paper caption, and the function that runs it.
 pub struct Experiment {
-    /// Identifier matching the bench target name (e.g. `fig08`).
+    /// Identifier the `experiments` bench target selects by (e.g. `fig08`).
     pub id: &'static str,
     /// What the paper's table/figure shows.
     pub caption: &'static str,

@@ -1,9 +1,10 @@
 //! # uopcache-bench
 //!
 //! The experiment harness that regenerates every table and figure of the
-//! paper's evaluation. Each figure is a `harness = false` bench target (so
-//! `cargo bench` reproduces the whole evaluation) built on the shared
-//! machinery here:
+//! paper's evaluation. One `harness = false` bench target runs them all (so
+//! `cargo bench` reproduces the whole evaluation), or only the ids given
+//! after `--`: `cargo bench -p uopcache-bench --bench experiments -- fig08`.
+//! Every experiment is built on the shared machinery here:
 //!
 //! * [`apps`] — the standard application set, trace lengths and cached trace
 //!   construction;

@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-/// A simple column-aligned table with a title, printed by every bench target.
+/// A simple column-aligned table with a title, printed by every experiment.
 ///
 /// # Examples
 ///

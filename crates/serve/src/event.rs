@@ -7,21 +7,22 @@
 //! Thousands of connections cost a few kilobytes each instead of a thread
 //! each.
 //!
-//! What the loop serves is abstracted behind [`Service`]: the daemon answers
-//! `submit` by enqueueing onto a worker shard, the router by enqueueing onto
-//! a backend forwarder — everything else (ping/status/wait/stats/shutdown
-//! framing, idle and stall policing, drain sequencing) is identical and
-//! lives here once.
+//! Both services also share one job path, which lives here once:
+//! [`ServiceCore::admit`] parses, dedupes and places a `submit` onto a
+//! *lane* (a bounded queue plus one worker thread), and
+//! [`ServiceCore::lane_worker`] pops, times and runs each job. What differs
+//! is abstracted behind [`Service`]: which lanes a job may land on (the
+//! daemon's one shard, the router's healthy ring walk), what a lane does
+//! with a job (run it, forward it), and the per-lane stats fields.
 //!
 //! ## Waiting without blocking
 //!
-//! A `wait` (or `submit` with `"wait": true`) used to block its connection
-//! thread on the job table's condvar. Here the connection instead *parks*:
-//! it records the job id and a wait deadline, and the loop polls the table's
-//! change counter — a parked connection costs nothing until a job actually
-//! changes state. Frames that arrive while parked are buffered and served
-//! after the wait resolves, preserving the strict request→reply ordering of
-//! the blocking implementation.
+//! A `wait` (or `submit` with `"wait": true`) never blocks a thread: the
+//! connection *parks*, recording the job id and a wait deadline, and the
+//! loop polls the table's change counter — a parked connection costs nothing
+//! until a job actually changes state. Frames that arrive while parked are
+//! buffered and served after the wait resolves, so replies keep strict
+//! request→reply order.
 //!
 //! ## Bounded by construction
 //!
@@ -34,13 +35,14 @@
 //! [`MAX_FRAME_BYTES`]: crate::protocol::MAX_FRAME_BYTES
 
 use crate::config::ConnTuning;
-use crate::job::{JobState, JobTable};
+use crate::job::{job_id_for, BoundedQueue, JobState, JobTable, QueueError, QueuedJob};
 use crate::protocol::{encode_frame, frame, frame_type, FrameDecoder};
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+use uopcache_bench::sweep::SweepSpec;
 use uopcache_exec::{Clock, Deadline};
 use uopcache_model::json::Json;
 use uopcache_obs::{Histogram, MetricsRegistry};
@@ -53,26 +55,60 @@ const MAX_PIPELINED: usize = 64;
 /// of its requests (a slow reader cannot balloon the daemon).
 const MAX_OUTBUF_BYTES: usize = 4 << 20;
 
-/// State both services share: the job table, the metrics registry and the
-/// drain/connection gauges the event loop maintains.
+/// One job lane: a bounded queue drained by one worker thread — a daemon
+/// shard or a router backend's forwarder.
+pub(crate) struct Lane {
+    pub(crate) queue: BoundedQueue,
+    /// Set by the worker as it exits (queue closed and fully drained).
+    done: AtomicBool,
+}
+
+/// State both services share: the job table, the lanes, the metrics
+/// registry and the drain/connection gauges the event loop maintains.
 pub(crate) struct ServiceCore {
     /// Every known job, bounded by retention.
-    pub(crate) table: JobTable,
+    table: JobTable,
+    /// The job lanes, in index order.
+    pub(crate) lanes: Vec<Lane>,
     /// Counters and latency histograms surfaced by the `stats` frame.
-    pub(crate) metrics: Mutex<MetricsRegistry>,
+    metrics: Mutex<MetricsRegistry>,
     /// Set by a `shutdown` frame: stop accepting connections and work.
-    pub(crate) draining: AtomicBool,
+    draining: AtomicBool,
     /// Connections currently multiplexed (maintained by the event loop).
-    pub(crate) active_conns: AtomicUsize,
+    active_conns: AtomicUsize,
+    /// Default start deadline for a submit that names none.
+    job_timeout: Option<Duration>,
+    /// Tick source for queue waits, run times and start deadlines.
+    clock: Arc<dyn Clock>,
+    /// The histogram a lane's per-job time lands in (`run_ms`/`forward_ms`).
+    run_histogram: &'static str,
 }
 
 impl ServiceCore {
-    pub(crate) fn new(retention: usize) -> Self {
+    /// A core with `lanes` lanes of `lane_capacity` slots each, timing jobs
+    /// on the connection tuning's clock.
+    pub(crate) fn new(
+        lanes: usize,
+        lane_capacity: usize,
+        retention: usize,
+        job_timeout: Option<Duration>,
+        tuning: &ConnTuning,
+        run_histogram: &'static str,
+    ) -> Self {
         ServiceCore {
             table: JobTable::with_retention(retention),
+            lanes: (0..lanes)
+                .map(|_| Lane {
+                    queue: BoundedQueue::new(lane_capacity),
+                    done: AtomicBool::new(false),
+                })
+                .collect(),
             metrics: Mutex::new(MetricsRegistry::new()),
             draining: AtomicBool::new(false),
             active_conns: AtomicUsize::new(0),
+            job_timeout,
+            clock: Arc::clone(&tuning.clock),
+            run_histogram,
         }
     }
 
@@ -84,48 +120,284 @@ impl ServiceCore {
         lock_clean(&self.metrics).set_gauge(name, value);
     }
 
-    pub(crate) fn observe_ms(&self, name: &str, elapsed: Duration) {
+    fn observe_ms(&self, name: &str, elapsed: Duration) {
         let ms = u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX);
         lock_clean(&self.metrics)
             .histogram_with(name, || Histogram::log2(14))
             .observe(ms);
     }
 
-    pub(crate) fn draining(&self) -> bool {
+    /// Time elapsed on the service clock since tick `since`.
+    fn elapsed(&self, since: u64) -> Duration {
+        Duration::from_nanos(self.clock.now().saturating_sub(since))
+    }
+
+    fn draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
+    }
+
+    fn total_depth(&self) -> usize {
+        self.lanes.iter().map(|l| l.queue.depth()).sum()
+    }
+
+    pub(crate) fn total_capacity(&self) -> usize {
+        self.lanes.iter().map(|l| l.queue.capacity()).sum()
+    }
+
+    fn close_queues(&self) {
+        for lane in &self.lanes {
+            lane.queue.close();
+        }
+    }
+
+    fn busy(&self, id: &str, reason: &str) -> Json {
+        busy_frame(id, reason, self.total_depth(), self.total_capacity())
+    }
+
+    /// Handles one `submit` frame end to end: parse and validate the spec,
+    /// derive or check the id, register it for dedupe, then place a fresh
+    /// job on the first of `service`'s candidate lanes with room. Replies
+    /// `accepted`, `busy` or `error`.
+    fn admit(&self, req: &Json, service: &dyn Service) -> SubmitAction {
+        let reject = |reply: Json| SubmitAction {
+            reply,
+            wait_for: None,
+        };
+        let spec = match req
+            .field("job")
+            .map_err(|e| e.to_string())
+            .and_then(SweepSpec::from_json)
+        {
+            Ok(spec) => spec,
+            Err(message) => {
+                self.count("jobs_rejected_invalid");
+                return reject(error_frame(None, &format!("invalid job: {message}")));
+            }
+        };
+        let spec_json = spec.to_json().to_string();
+        let id = match req.field("id") {
+            Ok(v) => match v.as_str() {
+                Some(s) if !s.is_empty() => s.to_string(),
+                _ => {
+                    self.count("jobs_rejected_invalid");
+                    return reject(error_frame(
+                        None,
+                        "invalid job: \"id\" must be a non-empty string",
+                    ));
+                }
+            },
+            Err(_) => job_id_for(&spec),
+        };
+        let wait = req
+            .field("wait")
+            .ok()
+            .and_then(Json::as_bool)
+            .unwrap_or(false);
+        let wait_timeout = Duration::from_millis(req_u64(req, "timeout_ms").unwrap_or(600_000));
+
+        let deduped = match self.table.register(&id, &spec_json) {
+            Ok(()) => {
+                let queue_timeout = req_u64(req, "queue_timeout_ms")
+                    .map(Duration::from_millis)
+                    .or(self.job_timeout);
+                let job = QueuedJob {
+                    id: id.clone(),
+                    spec,
+                    enqueued: self.clock.now(),
+                    start_deadline: queue_timeout.map(|t| Deadline::after(&*self.clock, t)),
+                };
+                // A refused submission is forgotten entirely: a `busy` frame
+                // tells the client to retry later, so its id must stay free
+                // for that retry to re-enqueue — a terminal entry here would
+                // turn every retry into a dedupe onto a job that never ran.
+                if let Err(reason) = self.place(job, service) {
+                    self.count("jobs_rejected_busy");
+                    self.table.remove(&id);
+                    return reject(self.busy(&id, reason));
+                }
+                false
+            }
+            Err(Ok(_existing)) => {
+                // Idempotent retry: same id, same spec — adopt the original.
+                self.count("jobs_deduped");
+                true
+            }
+            Err(Err(message)) => {
+                self.count("jobs_rejected_invalid");
+                return reject(error_frame(Some(&id), &message));
+            }
+        };
+
+        let accepted = frame(
+            "accepted",
+            vec![
+                ("job_id".to_string(), Json::Str(id.clone())),
+                ("deduped".to_string(), Json::Bool(deduped)),
+                (
+                    "queue_depth".to_string(),
+                    Json::U64(self.total_depth() as u64),
+                ),
+            ],
+        );
+        SubmitAction {
+            reply: accepted,
+            wait_for: wait.then_some((id, wait_timeout)),
+        }
+    }
+
+    /// Pushes a fresh job onto the first candidate lane with room, spilling
+    /// past full ones; the `busy` reason when none takes it.
+    fn place(&self, mut job: QueuedJob, service: &dyn Service) -> Result<(), &'static str> {
+        if self.draining() {
+            return Err("draining");
+        }
+        let candidates = service.candidates(&job.id);
+        if candidates.is_empty() {
+            return Err("no healthy backend");
+        }
+        for idx in candidates {
+            match self.lanes[idx].queue.try_push(job) {
+                Ok(_depth) => {
+                    self.count("jobs_accepted");
+                    service.placed(idx);
+                    return Ok(());
+                }
+                Err((QueueError::Full, back)) => job = *back,
+                Err((QueueError::Closed, _)) => return Err("draining"),
+            }
+        }
+        Err("queue full")
+    }
+
+    /// One lane's worker: pops jobs one at a time, fails those whose start
+    /// deadline passed in the queue, and runs the rest through `run` (the
+    /// report, or the failure message), timing both halves on the service
+    /// clock. One job at a time per lane keeps thread count proportional to
+    /// lanes, not queue depth; determinism needs nothing more, since results
+    /// never depend on which job or lane ran first.
+    fn lane_worker(&self, idx: usize, mut run: impl FnMut(&QueuedJob) -> Result<String, String>) {
+        let lane = &self.lanes[idx];
+        loop {
+            let Some(job) = lane.queue.pop(Duration::from_millis(100)) else {
+                if lane.queue.is_closed() {
+                    break; // closed and empty: this lane's drain is complete
+                }
+                continue;
+            };
+            let waited = self.elapsed(job.enqueued);
+            self.observe_ms("queue_wait_ms", waited);
+            if job
+                .start_deadline
+                .is_some_and(|deadline| deadline.expired(&*self.clock))
+            {
+                self.count("jobs_timed_out");
+                self.count("jobs_failed");
+                self.table.set_state(
+                    &job.id,
+                    JobState::Failed(format!(
+                        "timed out after {}ms in the queue",
+                        waited.as_millis()
+                    )),
+                );
+                continue;
+            }
+            self.table.set_state(&job.id, JobState::Running);
+            let started = self.clock.now();
+            let outcome = run(&job);
+            self.observe_ms(self.run_histogram, self.elapsed(started));
+            let state = match outcome {
+                Ok(report) => {
+                    self.count("jobs_completed");
+                    JobState::Done(Arc::new(report))
+                }
+                Err(message) => {
+                    self.count("jobs_failed");
+                    JobState::Failed(message)
+                }
+            };
+            self.table.set_state(&job.id, state);
+        }
+        lane.done.store(true, Ordering::SeqCst);
+    }
+
+    /// Renders the `stats` frame: queue gauges, the service's per-lane field
+    /// (`shards`/`backends`) and the metrics registry.
+    fn stats_frame(&self, service: &dyn Service) -> Json {
+        // Refresh the instantaneous levels in the registry before rendering,
+        // so the embedded metrics carry per-lane gauges alongside counters.
+        let active = self.active_conns.load(Ordering::SeqCst) as u64;
+        self.set_gauge("active_connections", active);
+        let (lanes_name, lanes) = service.lane_stats();
+        frame(
+            "stats",
+            vec![
+                (
+                    "queue_depth".to_string(),
+                    Json::U64(self.total_depth() as u64),
+                ),
+                (
+                    "queue_capacity".to_string(),
+                    Json::U64(self.total_capacity() as u64),
+                ),
+                ("draining".to_string(), Json::Bool(self.draining())),
+                ("active_connections".to_string(), Json::U64(active)),
+                (lanes_name.to_string(), lanes),
+                ("metrics".to_string(), lock_clean(&self.metrics).to_json()),
+            ],
+        )
+    }
+
+    /// Begins the drain (closes the lanes, flips the flag); returns the
+    /// `shutdown_ack` frame.
+    fn begin_shutdown(&self) -> Json {
+        self.close_queues();
+        self.draining.store(true, Ordering::SeqCst);
+        frame(
+            "shutdown_ack",
+            vec![("queued".to_string(), Json::U64(self.total_depth() as u64))],
+        )
+    }
+
+    /// Whether every lane worker has finished after a drain began — parked
+    /// waits resolve to snapshots once true.
+    fn drained(&self) -> bool {
+        self.lanes.iter().all(|l| l.done.load(Ordering::SeqCst))
     }
 }
 
 /// The dispatch outcome of a `submit` frame.
-pub(crate) struct SubmitAction {
+struct SubmitAction {
     /// The immediate reply (`accepted`, `busy` or `error`).
-    pub(crate) reply: Json,
+    reply: Json,
     /// When set, the connection parks until this job id is terminal (the
     /// `"wait": true` path), with this server-side wait budget.
-    pub(crate) wait_for: Option<(String, Duration)>,
+    wait_for: Option<(String, Duration)>,
 }
 
-/// What the event loop asks of the daemon or the router: everything
-/// service-specific about a request. The generic halves of the protocol —
-/// framing, ping, status/wait mechanics, idle policing, drain sequencing —
-/// live in the loop itself.
+/// What a lane's worker does with each job: the report on success, the
+/// failure message otherwise.
+pub(crate) type LaneRunner<'a> = Box<dyn FnMut(&QueuedJob) -> Result<String, String> + 'a>;
+
+/// What differs between the daemon and the router. Everything else —
+/// admission, the lane worker, framing, ping/status/wait mechanics, idle
+/// policing, drain sequencing — lives in [`ServiceCore`] and the event loop.
 pub(crate) trait Service: Send + Sync {
-    /// The shared table/metrics/drain state.
+    /// The shared table/lanes/metrics/drain state.
     fn core(&self) -> &ServiceCore;
-    /// Handles one `submit` frame end to end (parse, dedupe, enqueue).
-    fn submit(&self, req: &Json) -> SubmitAction;
-    /// Renders the `stats` frame.
-    fn stats_frame(&self) -> Json;
-    /// Begins the drain (closes queues, flips the flag); returns the
-    /// `shutdown_ack` frame.
-    fn begin_shutdown(&self) -> Json;
-    /// Whether every executor/forwarder has finished after a drain began —
-    /// parked waits resolve to snapshots once true.
-    fn drained(&self) -> bool;
+    /// The lanes a fresh job may be placed on, in preference order; empty
+    /// when none can take work.
+    fn candidates(&self, id: &str) -> Vec<usize>;
+    /// Notes that admission placed a job on `lane`.
+    fn placed(&self, _lane: usize) {}
+    /// Lane `idx`'s runner; called once, on the lane worker's thread.
+    fn lane_runner(&self, idx: usize) -> LaneRunner<'_>;
+    /// The stats frame's per-lane field, name and value; refreshes the
+    /// per-lane gauges on the way.
+    fn lane_stats(&self) -> (&'static str, Json);
 }
 
 /// The observed state of one polled job.
-pub(crate) enum JobPoll {
+enum JobPoll {
     /// Not in the table (never submitted, evicted, or refused).
     Unknown,
     /// Still live; the wire label of its state.
@@ -136,7 +408,7 @@ pub(crate) enum JobPoll {
 
 /// Polls a job without blocking, rendering terminal states to their final
 /// wire frame exactly as the blocking `wait` path did.
-pub(crate) fn poll_job(core: &ServiceCore, id: &str) -> JobPoll {
+fn poll_job(core: &ServiceCore, id: &str) -> JobPoll {
     match core.table.get(id) {
         None => JobPoll::Unknown,
         Some(entry) => match entry.state {
@@ -159,7 +431,7 @@ pub(crate) fn poll_job(core: &ServiceCore, id: &str) -> JobPoll {
     }
 }
 
-pub(crate) fn status_frame(id: &str, state: &'static str) -> Json {
+fn status_frame(id: &str, state: &'static str) -> Json {
     frame(
         "status",
         vec![
@@ -169,7 +441,7 @@ pub(crate) fn status_frame(id: &str, state: &'static str) -> Json {
     )
 }
 
-pub(crate) fn error_frame(id: Option<&str>, message: &str) -> Json {
+fn error_frame(id: Option<&str>, message: &str) -> Json {
     let mut fields = Vec::with_capacity(2);
     if let Some(id) = id {
         fields.push(("job_id".to_string(), Json::Str(id.to_string())));
@@ -180,7 +452,7 @@ pub(crate) fn error_frame(id: Option<&str>, message: &str) -> Json {
 
 /// A `busy` rejection for one job: code 429, the reason, and the queue
 /// gauges the client can base its backoff on.
-pub(crate) fn busy_frame(id: &str, reason: &str, depth: usize, capacity: usize) -> Json {
+fn busy_frame(id: &str, reason: &str, depth: usize, capacity: usize) -> Json {
     frame(
         "busy",
         vec![
@@ -193,14 +465,14 @@ pub(crate) fn busy_frame(id: &str, reason: &str, depth: usize, capacity: usize) 
     )
 }
 
-pub(crate) fn req_job_id(req: &Json) -> Result<&str, String> {
+fn req_job_id(req: &Json) -> Result<&str, String> {
     req.field("job_id")
         .map_err(|e| e.to_string())?
         .as_str()
         .ok_or_else(|| "\"job_id\" must be a string".to_string())
 }
 
-pub(crate) fn req_u64(req: &Json, field: &str) -> Option<u64> {
+fn req_u64(req: &Json, field: &str) -> Option<u64> {
     req.field(field).ok().and_then(Json::as_u64)
 }
 
@@ -341,7 +613,7 @@ impl Conn {
     fn poll_wait(&mut self, service: &dyn Service, clock: &dyn Clock, table_changed: bool) {
         let Some(w) = &self.wait else { return };
         let expired = w.deadline.expired(clock);
-        let drained = service.drained();
+        let drained = service.core().drained();
         if !(table_changed || expired || drained) {
             return;
         }
@@ -396,7 +668,7 @@ impl Conn {
         match ty {
             "ping" => self.push_frame(&frame("pong", Vec::with_capacity(0))),
             "submit" => {
-                let action = service.submit(req);
+                let action = service.core().admit(req, service);
                 self.push_frame(&action.reply);
                 if let Some((id, budget)) = action.wait_for {
                     self.park(service, clock, id, budget);
@@ -434,11 +706,8 @@ impl Conn {
                     self.park(service, clock, id, budget);
                 }
             },
-            "stats" => self.push_frame(&service.stats_frame()),
-            "shutdown" => {
-                let ack = service.begin_shutdown();
-                self.push_frame(&ack);
-            }
+            "stats" => self.push_frame(&service.core().stats_frame(service)),
+            "shutdown" => self.push_frame(&service.core().begin_shutdown()),
             other => {
                 self.push_frame(&error_frame(None, &format!("unknown frame type {other:?}")));
             }
@@ -537,7 +806,7 @@ fn reject_connection(mut stream: TcpStream, reason: &str) {
 /// # Errors
 ///
 /// Any listener failure other than the nonblocking-poll `WouldBlock`.
-pub(crate) fn run_event_loop(
+fn run_event_loop(
     listener: &TcpListener,
     service: &dyn Service,
     tuning: &ConnTuning,
@@ -598,7 +867,7 @@ pub(crate) fn run_event_loop(
         conns.retain(|c| !c.dead);
         core.active_conns.store(conns.len(), Ordering::SeqCst);
 
-        if draining && service.drained() {
+        if draining && core.drained() {
             // Drained: every parked wait has resolved to a snapshot above;
             // flush the remaining bytes (grace-bounded) and exit.
             let all_flushed = conns.iter().all(|c| c.wait.is_none() && c.flushed());
@@ -615,4 +884,85 @@ pub(crate) fn run_event_loop(
     }
     core.active_conns.store(0, Ordering::SeqCst);
     Ok(())
+}
+
+/// Runs `service` on `listener` until a drain completes: one worker thread
+/// per lane (named `{worker_name}{idx}`), the event loop on the calling
+/// thread, then every worker joined.
+///
+/// # Errors
+///
+/// A worker spawn failure, or any listener failure other than the
+/// nonblocking-poll `WouldBlock`.
+// audit:spawn-site — one worker per lane; all joined after the event loop drains
+pub(crate) fn serve<S: Service + 'static>(
+    listener: &TcpListener,
+    service: &Arc<S>,
+    tuning: &ConnTuning,
+    worker_name: &str,
+) -> io::Result<()> {
+    let core = service.core();
+    let mut workers = Vec::with_capacity(core.lanes.len());
+    for idx in 0..core.lanes.len() {
+        let service = Arc::clone(service);
+        workers.push(
+            std::thread::Builder::new()
+                .name(format!("{worker_name}{idx}"))
+                .spawn(move || service.core().lane_worker(idx, service.lane_runner(idx)))?,
+        );
+    }
+    let result = run_event_loop(listener, service.as_ref(), tuning);
+    // On a clean exit the queues are already closed (the shutdown frame did
+    // it); after a listener error, close them so the workers exit too.
+    core.close_queues();
+    for handle in workers {
+        let _ = handle.join();
+    }
+    result
+}
+
+/// A running in-process daemon or router (see `Server::spawn` and
+/// `Router::spawn`); `ServerHandle` and `RouterHandle` name this type.
+#[derive(Debug)]
+pub struct ServiceHandle {
+    addr: SocketAddr,
+    thread: std::thread::JoinHandle<io::Result<()>>,
+}
+
+impl ServiceHandle {
+    /// Runs `run` (a service's blocking `run`) on a thread named `name`.
+    // audit:spawn-site — event-loop thread, joined by ServiceHandle::join_within after shutdown
+    pub(crate) fn launch(
+        name: &str,
+        addr: SocketAddr,
+        run: impl FnOnce() -> io::Result<()> + Send + 'static,
+    ) -> io::Result<ServiceHandle> {
+        let thread = std::thread::Builder::new()
+            .name(name.to_string())
+            .spawn(run)?;
+        Ok(ServiceHandle { addr, thread })
+    }
+
+    /// The bound address.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Waits up to `timeout` for the service thread to exit (it exits after
+    /// a completed drain). Returns `None` if it is still running.
+    pub fn join_within(self, timeout: Duration) -> Option<io::Result<()>> {
+        let deadline = Instant::now() + timeout;
+        while !self.thread.is_finished() {
+            if Instant::now() >= deadline {
+                return None;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        Some(self.thread.join().unwrap_or_else(|p| {
+            Err(io::Error::other(format!(
+                "service thread panicked: {}",
+                panic_message(p.as_ref())
+            )))
+        }))
+    }
 }

@@ -10,11 +10,13 @@
 //! `result` fetches); past that, the oldest finished entries are evicted, so
 //! a long-running daemon's memory does not grow with submission count.
 
+use crate::event::lock_clean;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use uopcache_bench::sweep::SweepSpec;
+use uopcache_exec::Deadline;
 
 /// FNV-1a 64: the repo's standard content hash (same constants as the exec
 /// crate's task seeding). Job ids, shard keying and the router's hash ring
@@ -96,8 +98,8 @@ struct TableInner {
     finished: VecDeque<String>,
 }
 
-/// The server's registry of jobs, with a condition variable that wakes
-/// waiters on any state change.
+/// The server's registry of jobs, with a version counter that moves on any
+/// state change.
 ///
 /// The table is **bounded**: live (queued/running) jobs are bounded by the
 /// queue capacity, and at most `retention` terminal jobs are kept for late
@@ -107,7 +109,6 @@ struct TableInner {
 #[derive(Debug)]
 pub struct JobTable {
     inner: Mutex<TableInner>,
-    changed: Condvar,
     retention: usize,
     /// Bumped on every state change/removal; the event loop re-polls parked
     /// waits only when this moves, instead of locking the table per tick.
@@ -135,7 +136,6 @@ impl JobTable {
                 entries: HashMap::with_capacity(retention.min(64)),
                 finished: VecDeque::with_capacity(retention.min(64)),
             }),
-            changed: Condvar::new(),
             retention,
             version: AtomicU64::new(0),
         }
@@ -174,7 +174,7 @@ impl JobTable {
         }
     }
 
-    /// Transitions a job to a new state and wakes every waiter. A transition
+    /// Transitions a job to a new state and bumps the version. A transition
     /// *into* a terminal state enrols the id in the eviction queue; once more
     /// than `retention` finished jobs accumulate, the oldest is dropped.
     pub fn set_state(&self, id: &str, state: JobState) {
@@ -207,19 +207,15 @@ impl JobTable {
         }
         drop(inner);
         self.version.fetch_add(1, Ordering::SeqCst);
-        self.changed.notify_all();
     }
 
     /// Forgets a job entirely — used when a submission is refused *after*
     /// registration (queue full, draining), so the id stays free for a retry
-    /// to re-enqueue instead of deduping onto a dead entry. Wakes waiters,
-    /// which then observe the id as unknown.
+    /// to re-enqueue instead of deduping onto a dead entry. Bumps the
+    /// version, so parked waiters then observe the id as unknown.
     pub fn remove(&self, id: &str) {
-        let mut inner = lock_clean(&self.inner);
-        inner.entries.remove(id);
-        drop(inner);
+        lock_clean(&self.inner).entries.remove(id);
         self.version.fetch_add(1, Ordering::SeqCst);
-        self.changed.notify_all();
     }
 
     /// The current entry of a job, if known.
@@ -235,38 +231,6 @@ impl JobTable {
     /// Whether the table holds no jobs at all.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Blocks until the job reaches a terminal state, `timeout` elapses, or
-    /// `keep_waiting` returns false (the drain/stop check). Returns the last
-    /// observed entry (`None` for an unknown id).
-    pub fn wait_terminal(
-        &self,
-        id: &str,
-        timeout: Duration,
-        keep_waiting: impl Fn() -> bool,
-    ) -> Option<JobEntry> {
-        let deadline = Instant::now() + timeout;
-        let mut inner = lock_clean(&self.inner);
-        loop {
-            match inner.entries.get(id) {
-                None => return None,
-                Some(e) if e.state.is_terminal() => return Some(e.clone()),
-                Some(e) => {
-                    let now = Instant::now();
-                    if now >= deadline || !keep_waiting() {
-                        return Some(e.clone());
-                    }
-                    // Wake at least every 200ms to re-check `keep_waiting`.
-                    let slice = (deadline - now).min(Duration::from_millis(200));
-                    let (guard, _timed_out) = self
-                        .changed
-                        .wait_timeout(inner, slice)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    inner = guard;
-                }
-            }
-        }
     }
 }
 
@@ -286,11 +250,12 @@ pub struct QueuedJob {
     pub id: String,
     /// The parsed spec to execute.
     pub spec: SweepSpec,
-    /// When the job entered the queue (queue-wait accounting).
-    pub enqueued: Instant,
-    /// When the job must have *started* by; expired jobs fail instead of
-    /// running (per-job timeout, applied to queue wait).
-    pub start_deadline: Option<Instant>,
+    /// The service clock's tick when the job entered the queue (queue-wait
+    /// accounting).
+    pub enqueued: u64,
+    /// When the job must have *started* by, on the service clock; expired
+    /// jobs fail instead of running (per-job timeout, applied to queue wait).
+    pub start_deadline: Option<Deadline>,
 }
 
 #[derive(Debug)]
@@ -331,23 +296,14 @@ impl BoundedQueue {
         lock_clean(&self.inner).items.len()
     }
 
-    /// Enqueues a job, refusing instead of growing past capacity.
+    /// Enqueues a job, refusing instead of growing past capacity. A refused
+    /// job is handed back alongside the error (boxed, to keep the `Err`
+    /// variant small) so admission can spill it to the next candidate lane.
     ///
     /// # Errors
     ///
     /// [`QueueError::Full`] at capacity, [`QueueError::Closed`] after
-    /// [`close`](Self::close).
-    pub fn push(&self, job: QueuedJob) -> Result<usize, QueueError> {
-        self.try_push(job).map_err(|(e, _job)| e)
-    }
-
-    /// Like [`push`](Self::push), but hands the job back alongside the error
-    /// (boxed, to keep the `Err` variant small) so the caller can spill it to
-    /// another queue (the router's busy-aware admission path).
-    ///
-    /// # Errors
-    ///
-    /// As [`push`](Self::push), with the refused job attached.
+    /// [`close`](Self::close), each with the refused job attached.
     pub fn try_push(&self, job: QueuedJob) -> Result<usize, (QueueError, Box<QueuedJob>)> {
         let mut inner = lock_clean(&self.inner);
         if inner.closed {
@@ -399,16 +355,6 @@ impl BoundedQueue {
     }
 }
 
-/// Locks a mutex, tolerating poisoning: queue and table state are plain
-/// bookkeeping, and the server isolates job panics before they can unwind
-/// through a held lock (mirrors the exec pool's policy).
-fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,7 +379,7 @@ mod tests {
         QueuedJob {
             id: id.to_string(),
             spec: spec(len),
-            enqueued: Instant::now(),
+            enqueued: 0,
             start_deadline: None,
         }
     }
@@ -478,12 +424,14 @@ mod tests {
     #[test]
     fn queue_applies_backpressure_and_preserves_order() {
         let q = BoundedQueue::new(2);
-        assert_eq!(q.push(queued("a", 1)).expect("fits"), 1);
-        assert_eq!(q.push(queued("b", 1)).expect("fits"), 2);
-        assert_eq!(q.push(queued("c", 1)).expect_err("full"), QueueError::Full);
+        assert_eq!(q.try_push(queued("a", 1)).expect("fits"), 1);
+        assert_eq!(q.try_push(queued("b", 1)).expect("fits"), 2);
+        let (err, back) = q.try_push(queued("c", 1)).expect_err("full");
+        assert_eq!(err, QueueError::Full);
+        assert_eq!(back.id, "c", "the refused job is handed back");
         assert_eq!(q.depth(), 2);
         assert_eq!(q.pop(Duration::from_millis(10)).expect("a").id, "a");
-        q.push(queued("c", 1)).expect("freed a slot");
+        q.try_push(*back).expect("freed a slot");
         assert_eq!(q.pop(Duration::from_millis(10)).expect("b").id, "b");
         assert_eq!(q.pop(Duration::from_millis(10)).expect("c").id, "c");
         assert!(
@@ -495,10 +443,10 @@ mod tests {
     #[test]
     fn closed_queue_rejects_pushes_but_drains() {
         let q = BoundedQueue::new(4);
-        q.push(queued("a", 1)).expect("accepted before close");
+        q.try_push(queued("a", 1)).expect("accepted before close");
         q.close();
         assert_eq!(
-            q.push(queued("b", 1)).expect_err("closed"),
+            q.try_push(queued("b", 1)).expect_err("closed").0,
             QueueError::Closed
         );
         assert_eq!(q.pop(Duration::from_millis(10)).expect("drains").id, "a");
@@ -512,7 +460,7 @@ mod tests {
     fn zero_capacity_clamps_to_one() {
         let q = BoundedQueue::new(0);
         assert_eq!(q.capacity(), 1);
-        q.push(queued("a", 1)).expect("one slot exists");
+        q.try_push(queued("a", 1)).expect("one slot exists");
     }
 
     #[test]
@@ -555,36 +503,7 @@ mod tests {
         t.register("j1", "{spec}").expect("fresh id");
         t.remove("j1");
         assert!(t.get("j1").is_none(), "removed job is unknown");
-        assert!(
-            t.wait_terminal("j1", Duration::from_millis(1), || true)
-                .is_none(),
-            "waiters observe a removed id as unknown"
-        );
         t.register("j1", "{other}")
             .expect("removed id accepts a fresh spec");
-    }
-
-    #[test]
-    fn wait_terminal_sees_completion_and_respects_timeout() {
-        let t = Arc::new(JobTable::new());
-        t.register("j1", "{spec}").expect("fresh id");
-        let entry = t
-            .wait_terminal("j1", Duration::from_millis(50), || true)
-            .expect("known job");
-        assert!(!entry.state.is_terminal(), "timed out while queued");
-        assert!(t
-            .wait_terminal("nope", Duration::from_millis(1), || true)
-            .is_none());
-
-        let t2 = Arc::clone(&t);
-        let done = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            t2.set_state("j1", JobState::Done(Arc::new("{}".to_string())));
-        });
-        let entry = t
-            .wait_terminal("j1", Duration::from_secs(5), || true)
-            .expect("known job");
-        assert!(matches!(entry.state, JobState::Done(_)));
-        done.join().expect("setter thread exits");
     }
 }

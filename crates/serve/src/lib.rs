@@ -8,7 +8,7 @@
 //! `uopcache sweep` for the same spec at any worker count.
 //!
 //! The daemon multiplexes every connection on a single nonblocking event
-//! loop ([`event`]) and shards job execution by content-derived FNV-1a job
+//! loop (`event`) and shards job execution by content-derived FNV-1a job
 //! id ([`job::shard_for`]); the [`router`] consistent-hashes jobs across
 //! several such daemons for multi-node serving. Both are configured through
 //! typed builders ([`ServerConfig::builder`], [`RouterConfig::builder`]) and
@@ -37,6 +37,7 @@ pub mod server;
 
 pub use client::{Client, ClientError, JobResult};
 pub use config::{RouterConfig, RouterConfigBuilder, ServerConfig, ServerConfigBuilder};
+pub use event::ServiceHandle;
 pub use job::{
     job_id_for, shard_for, BoundedQueue, JobState, JobTable, QueueError, DEFAULT_JOB_RETENTION,
 };

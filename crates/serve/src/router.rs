@@ -35,19 +35,17 @@
 
 use crate::client::{Client, ClientError};
 use crate::config::RouterConfig;
-use crate::event::{
-    busy_frame, error_frame, lock_clean, panic_message, req_u64, run_event_loop, Service,
-    ServiceCore, SubmitAction,
-};
-use crate::job::{fnv1a64, job_id_for, BoundedQueue, JobState, QueueError, QueuedJob};
-use crate::protocol::frame;
+use crate::event::{serve, LaneRunner, Service, ServiceCore, ServiceHandle};
+use crate::job::{fnv1a64, QueuedJob};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use uopcache_bench::sweep::SweepSpec;
+use std::time::Duration;
 use uopcache_model::json::Json;
+
+/// A running in-process router (see [`Router::spawn`]).
+pub type RouterHandle = ServiceHandle;
 
 /// The consistent-hash ring: sorted virtual nodes mapping hash points to
 /// backend indices. The backend set is fixed at startup; health flags decide
@@ -98,18 +96,15 @@ impl Ring {
     }
 }
 
-/// One backend daemon as the router sees it.
+/// One backend daemon as the router sees it; its pending forwards wait in
+/// the core's lane of the same index.
 struct Backend {
     addr: SocketAddr,
-    /// Pending forwards bound for this backend.
-    queue: BoundedQueue,
     /// Cleared when a probe or forward fails, set again when one succeeds.
     healthy: AtomicBool,
     /// Set when the backend reports `"draining": true` (or answers a submit
     /// with a draining `busy`): it finishes in-flight work, gets no new jobs.
     draining: AtomicBool,
-    /// Set by the forwarder as it exits (queue closed and fully drained).
-    done: AtomicBool,
 }
 
 struct RouterShared {
@@ -122,20 +117,6 @@ struct RouterShared {
 }
 
 impl RouterShared {
-    fn total_depth(&self) -> usize {
-        self.backends.iter().map(|b| b.queue.depth()).sum()
-    }
-
-    fn total_capacity(&self) -> usize {
-        self.backends.iter().map(|b| b.queue.capacity()).sum()
-    }
-
-    fn close_queues(&self) {
-        for backend in &self.backends {
-            backend.queue.close();
-        }
-    }
-
     /// Whether a backend may receive *new* work right now.
     fn placeable(&self, idx: usize) -> bool {
         let b = &self.backends[idx];
@@ -148,209 +129,47 @@ impl Service for RouterShared {
         &self.core
     }
 
-    fn submit(&self, req: &Json) -> SubmitAction {
-        let reject = |reply: Json| SubmitAction {
-            reply,
-            wait_for: None,
-        };
-        let spec = match req
-            .field("job")
-            .map_err(|e| e.to_string())
-            .and_then(SweepSpec::from_json)
-        {
-            Ok(spec) => spec,
-            Err(message) => {
-                self.core.count("jobs_rejected_invalid");
-                return reject(error_frame(None, &format!("invalid job: {message}")));
-            }
-        };
-        let spec_json = spec.to_json().to_string();
-        let id = match req.field("id") {
-            Ok(v) => match v.as_str() {
-                Some(s) if !s.is_empty() => s.to_string(),
-                _ => {
-                    self.core.count("jobs_rejected_invalid");
-                    return reject(error_frame(
-                        None,
-                        "invalid job: \"id\" must be a non-empty string",
-                    ));
-                }
-            },
-            Err(_) => job_id_for(&spec),
-        };
-        let wait = req
-            .field("wait")
-            .ok()
-            .and_then(Json::as_bool)
-            .unwrap_or(false);
-        let wait_timeout = Duration::from_millis(req_u64(req, "timeout_ms").unwrap_or(600_000));
-
-        let mut deduped = false;
-        match self.core.table.register(&id, &spec_json) {
-            Ok(()) => {
-                // Same contract as the daemon: a refused submission is
-                // forgotten entirely so the busy-frame retry re-enqueues.
-                if self.core.draining() {
-                    self.core.count("jobs_rejected_busy");
-                    self.core.table.remove(&id);
-                    return reject(self.busy(&id, "draining"));
-                }
-                let queue_timeout = req_u64(req, "queue_timeout_ms")
-                    .map(Duration::from_millis)
-                    .or(self.cfg.job_timeout);
-                let now = Instant::now();
-                let mut pending = Some(QueuedJob {
-                    id: id.clone(),
-                    spec,
-                    enqueued: now,
-                    start_deadline: queue_timeout.map(|t| now + t),
-                });
-                // Busy-aware spillover at admission: walk the ring from the
-                // owner, skipping unhealthy/draining backends and spilling
-                // past full queues.
-                let order = self.ring.order_for(fnv1a64(id.as_bytes()));
-                let mut any_placeable = false;
-                let mut closed = false;
-                for idx in order {
-                    if !self.placeable(idx) {
-                        continue;
-                    }
-                    any_placeable = true;
-                    let Some(job) = pending.take() else { break };
-                    match self.backends[idx].queue.try_push(job) {
-                        Ok(_depth) => {
-                            self.core.count("jobs_accepted");
-                            self.core.count(&format!("backend{idx}_routed"));
-                            break;
-                        }
-                        Err((QueueError::Full, back)) => pending = Some(*back),
-                        Err((QueueError::Closed, back)) => {
-                            pending = Some(*back);
-                            closed = true;
-                            break;
-                        }
-                    }
-                }
-                if closed {
-                    self.core.count("jobs_rejected_busy");
-                    self.core.table.remove(&id);
-                    return reject(self.busy(&id, "draining"));
-                }
-                if pending.is_some() {
-                    self.core.count("jobs_rejected_busy");
-                    self.core.table.remove(&id);
-                    let reason = if any_placeable {
-                        "queue full"
-                    } else {
-                        "no healthy backend"
-                    };
-                    return reject(self.busy(&id, reason));
-                }
-            }
-            Err(Ok(_existing)) => {
-                self.core.count("jobs_deduped");
-                deduped = true;
-            }
-            Err(Err(message)) => {
-                self.core.count("jobs_rejected_invalid");
-                return reject(error_frame(Some(&id), &message));
-            }
-        }
-
-        let accepted = frame(
-            "accepted",
-            vec![
-                ("job_id".to_string(), Json::Str(id.clone())),
-                ("deduped".to_string(), Json::Bool(deduped)),
-                (
-                    "queue_depth".to_string(),
-                    Json::U64(self.total_depth() as u64),
-                ),
-            ],
-        );
-        SubmitAction {
-            reply: accepted,
-            wait_for: wait.then_some((id, wait_timeout)),
-        }
+    /// Busy-aware spillover at admission: the ring walk from the owner,
+    /// minus unhealthy/draining backends (full queues spill to the next).
+    fn candidates(&self, id: &str) -> Vec<usize> {
+        let mut order = self.ring.order_for(fnv1a64(id.as_bytes()));
+        order.retain(|&idx| self.placeable(idx));
+        order
     }
 
-    fn stats_frame(&self) -> Json {
-        // Refresh the instantaneous levels before rendering, so the embedded
-        // metrics carry per-backend gauges alongside the routing counters.
-        self.core.set_gauge(
-            "active_connections",
-            self.core.active_conns.load(Ordering::SeqCst) as u64,
-        );
-        for (idx, backend) in self.backends.iter().enumerate() {
-            self.core.set_gauge(
-                &format!("backend{idx}_queue_depth"),
-                backend.queue.depth() as u64,
-            );
-            self.core.set_gauge(
-                &format!("backend{idx}_healthy"),
-                u64::from(backend.healthy.load(Ordering::SeqCst)),
-            );
-        }
+    fn placed(&self, lane: usize) {
+        self.core.count(&format!("backend{lane}_routed"));
+    }
+
+    fn lane_runner(&self, idx: usize) -> LaneRunner<'_> {
+        Box::new(move |job| forward_job(self, idx, job))
+    }
+
+    fn lane_stats(&self) -> (&'static str, Json) {
         let backends = self
             .backends
             .iter()
-            .map(|b| {
+            .zip(&self.core.lanes)
+            .enumerate()
+            .map(|(idx, (b, lane))| {
+                let depth = lane.queue.depth() as u64;
+                let healthy = b.healthy.load(Ordering::SeqCst);
+                self.core
+                    .set_gauge(&format!("backend{idx}_queue_depth"), depth);
+                self.core
+                    .set_gauge(&format!("backend{idx}_healthy"), u64::from(healthy));
                 Json::Obj(vec![
                     ("addr".to_string(), Json::Str(b.addr.to_string())),
-                    (
-                        "healthy".to_string(),
-                        Json::Bool(b.healthy.load(Ordering::SeqCst)),
-                    ),
+                    ("healthy".to_string(), Json::Bool(healthy)),
                     (
                         "draining".to_string(),
                         Json::Bool(b.draining.load(Ordering::SeqCst)),
                     ),
-                    ("queue_depth".to_string(), Json::U64(b.queue.depth() as u64)),
+                    ("queue_depth".to_string(), Json::U64(depth)),
                 ])
             })
             .collect();
-        frame(
-            "stats",
-            vec![
-                (
-                    "queue_depth".to_string(),
-                    Json::U64(self.total_depth() as u64),
-                ),
-                (
-                    "queue_capacity".to_string(),
-                    Json::U64(self.total_capacity() as u64),
-                ),
-                ("draining".to_string(), Json::Bool(self.core.draining())),
-                (
-                    "active_connections".to_string(),
-                    Json::U64(self.core.active_conns.load(Ordering::SeqCst) as u64),
-                ),
-                ("backends".to_string(), Json::Arr(backends)),
-                (
-                    "metrics".to_string(),
-                    lock_clean(&self.core.metrics).to_json(),
-                ),
-            ],
-        )
-    }
-
-    fn begin_shutdown(&self) -> Json {
-        self.close_queues();
-        self.core.draining.store(true, Ordering::SeqCst);
-        frame(
-            "shutdown_ack",
-            vec![("queued".to_string(), Json::U64(self.total_depth() as u64))],
-        )
-    }
-
-    fn drained(&self) -> bool {
-        self.backends.iter().all(|b| b.done.load(Ordering::SeqCst))
-    }
-}
-
-impl RouterShared {
-    fn busy(&self, id: &str, reason: &str) -> Json {
-        busy_frame(id, reason, self.total_depth(), self.total_capacity())
+        ("backends", Json::Arr(backends))
     }
 }
 
@@ -381,14 +200,19 @@ impl Router {
         for &addr in &cfg.backends {
             backends.push(Backend {
                 addr,
-                queue: BoundedQueue::new(cfg.queue_capacity),
                 // Optimistic until the first probe or forward says otherwise.
                 healthy: AtomicBool::new(true),
                 draining: AtomicBool::new(false),
-                done: AtomicBool::new(false),
             });
         }
-        let core = ServiceCore::new(cfg.job_retention);
+        let core = ServiceCore::new(
+            cfg.backends.len(),
+            cfg.queue_capacity,
+            cfg.job_retention,
+            cfg.job_timeout,
+            &cfg.tuning,
+            "forward_ms",
+        );
         Ok(Router {
             listener,
             shared: Arc::new(RouterShared {
@@ -422,7 +246,7 @@ impl Router {
     /// # Errors
     ///
     /// Any listener failure other than the nonblocking-poll `WouldBlock`.
-    // audit:spawn-site — health thread + one forwarder per backend; all joined after the event loop drains
+    // audit:spawn-site — health thread, joined after the lanes drain
     pub fn run(self) -> io::Result<()> {
         let health = {
             let shared = Arc::clone(&self.shared);
@@ -430,24 +254,12 @@ impl Router {
                 .name("uopcache-route-health".to_string())
                 .spawn(move || health_loop(&shared))?
         };
-        let mut forwarders = Vec::with_capacity(self.shared.backends.len());
-        for idx in 0..self.shared.backends.len() {
-            let shared = Arc::clone(&self.shared);
-            forwarders.push(
-                std::thread::Builder::new()
-                    .name(format!("uopcache-route-fwd{idx}"))
-                    .spawn(move || forwarder_loop(&shared, idx))?,
-            );
-        }
-        let result = run_event_loop(
+        let result = serve(
             &self.listener,
-            self.shared.as_ref(),
+            &self.shared,
             &self.shared.cfg.tuning,
+            "uopcache-route-fwd",
         );
-        self.shared.close_queues();
-        for handle in forwarders {
-            let _ = handle.join();
-        }
         self.shared.stop_health.store(true, Ordering::SeqCst);
         let _ = health.join();
         result
@@ -459,13 +271,9 @@ impl Router {
     /// # Errors
     ///
     /// Any socket introspection or thread-spawn failure.
-    // audit:spawn-site — event-loop thread, joined by RouterHandle::join_within after shutdown
     pub fn spawn(self) -> io::Result<RouterHandle> {
         let addr = self.local_addr()?;
-        let thread = std::thread::Builder::new()
-            .name("uopcache-route-accept".to_string())
-            .spawn(move || self.run())?;
-        Ok(RouterHandle { addr, thread })
+        ServiceHandle::launch("uopcache-route-accept", addr, move || self.run())
     }
 }
 
@@ -476,92 +284,6 @@ impl std::fmt::Debug for Router {
             .field("backends", &self.shared.backends.len())
             .finish()
     }
-}
-
-/// A running in-process router (see [`Router::spawn`]).
-#[derive(Debug)]
-pub struct RouterHandle {
-    addr: SocketAddr,
-    thread: std::thread::JoinHandle<io::Result<()>>,
-}
-
-impl RouterHandle {
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Waits up to `timeout` for the router thread to exit (it exits after a
-    /// completed drain). Returns `None` if it is still running.
-    pub fn join_within(self, timeout: Duration) -> Option<io::Result<()>> {
-        let deadline = Instant::now() + timeout;
-        while !self.thread.is_finished() {
-            if Instant::now() >= deadline {
-                return None;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        Some(self.thread.join().unwrap_or_else(|p| {
-            Err(io::Error::other(format!(
-                "router thread panicked: {}",
-                panic_message(p.as_ref())
-            )))
-        }))
-    }
-}
-
-/// One backend's forwarder: pops pending jobs and forwards each through the
-/// typed [`Client`], failing over along the ring when the backend refuses or
-/// dies. One forward at a time per backend mirrors the daemon's
-/// one-executor-per-shard model.
-fn forwarder_loop(shared: &RouterShared, idx: usize) {
-    let backend = &shared.backends[idx];
-    loop {
-        let Some(job) = backend.queue.pop(Duration::from_millis(100)) else {
-            if backend.queue.is_closed() {
-                break;
-            }
-            continue;
-        };
-        let waited = job.enqueued.elapsed();
-        shared.core.observe_ms("queue_wait_ms", waited);
-        if job
-            .start_deadline
-            .is_some_and(|deadline| Instant::now() > deadline)
-        {
-            shared.core.count("jobs_timed_out");
-            shared.core.count("jobs_failed");
-            shared.core.table.set_state(
-                &job.id,
-                JobState::Failed(format!(
-                    "timed out after {}ms in the queue",
-                    waited.as_millis()
-                )),
-            );
-            continue;
-        }
-        shared.core.table.set_state(&job.id, JobState::Running);
-        let started = Instant::now();
-        let outcome = forward_job(shared, idx, &job);
-        shared.core.observe_ms("forward_ms", started.elapsed());
-        match outcome {
-            Ok(report) => {
-                shared.core.count("jobs_completed");
-                shared
-                    .core
-                    .table
-                    .set_state(&job.id, JobState::Done(Arc::new(report)));
-            }
-            Err(message) => {
-                shared.core.count("jobs_failed");
-                shared
-                    .core
-                    .table
-                    .set_state(&job.id, JobState::Failed(message));
-            }
-        }
-    }
-    backend.done.store(true, Ordering::SeqCst);
 }
 
 /// Forwards one job, retrying along the ring: the queued owner first, then

@@ -2,17 +2,20 @@
 //!
 //! ## Architecture
 //!
-//! One acceptor thread runs the [`event`](crate::event) loop, multiplexing
-//! every client connection (`set_nonblocking` + readiness polling — no
-//! thread per connection). Accepted jobs are keyed by their content-derived
-//! FNV-1a id onto one of `shards` worker shards, each a bounded queue plus
-//! one executor thread; identical submissions share an id and therefore a
-//! shard, so dedupe is shard-local by construction.
+//! One acceptor thread runs the event loop, multiplexing every client
+//! connection (`set_nonblocking` + readiness polling — no thread per
+//! connection). Admission, the job lanes and their workers are shared with
+//! the router; what is the daemon's own is placement and execution.
+//! Accepted jobs are keyed by their content-derived FNV-1a id onto one of
+//! `shards` worker shards, each a lane (a bounded queue plus one executor
+//! thread); identical submissions share an id and therefore a shard, so
+//! dedupe is shard-local by construction.
 //!
 //! ## Robustness model
 //!
-//! * **Backpressure** — jobs land in per-shard [`BoundedQueue`]s; a full
-//!   shard answers with a `busy` frame (`"code": 429`) instead of buffering.
+//! * **Backpressure** — jobs land in per-shard
+//!   [`BoundedQueue`](crate::job::BoundedQueue)s; a full shard answers
+//!   with a `busy` frame (`"code": 429`) instead of buffering.
 //!   A rejected submission leaves no job-table entry, so the retry the busy
 //!   frame asks for re-enqueues instead of deduping onto a dead rejection.
 //!   The table itself retains at most `job_retention` finished jobs (oldest
@@ -25,8 +28,8 @@
 //!   report, exactly as the offline `sweep` does.)
 //! * **Timeouts** — the event loop polices per-connection idle and
 //!   frame-stall deadlines on the exec crate's clock seam; jobs that wait in
-//!   the queue past their start deadline fail with a timeout message instead
-//!   of running stale.
+//!   the queue past their start deadline, timed on the same clock, fail with
+//!   a timeout message instead of running stale.
 //! * **Graceful drain** — a `shutdown` frame closes every shard queue and
 //!   stops accepting; queued and running jobs finish, waiting clients
 //!   receive their results, and only then does [`Server::run`] return.
@@ -40,18 +43,12 @@
 //! `uopcache sweep` CLI at any `--jobs` value and any shard count.
 
 use crate::config::ServerConfig;
-use crate::event::{
-    busy_frame, error_frame, lock_clean, panic_message, req_u64, run_event_loop, Service,
-    ServiceCore, SubmitAction,
-};
-use crate::job::{job_id_for, shard_for, BoundedQueue, JobState, QueuedJob};
-use crate::protocol::frame;
+use crate::event::{panic_message, serve, LaneRunner, Service, ServiceCore, ServiceHandle};
+use crate::job::shard_for;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 use uopcache_bench::sweep::{run_sweep, SweepSpec};
 use uopcache_exec::Engine;
 use uopcache_model::json::Json;
@@ -62,34 +59,13 @@ use uopcache_model::json::Json;
 /// deterministically.
 pub type Runner = dyn Fn(&SweepSpec, &Engine) -> String + Send + Sync;
 
-/// One worker shard: a bounded queue drained by one executor thread.
-struct Shard {
-    queue: BoundedQueue,
-    /// Set by the executor as it exits (queue closed and fully drained).
-    done: AtomicBool,
-}
+/// A running in-process server (see [`Server::spawn`]).
+pub type ServerHandle = ServiceHandle;
 
 struct ServerShared {
     cfg: ServerConfig,
     core: ServiceCore,
-    shards: Vec<Shard>,
     runner: Box<Runner>,
-}
-
-impl ServerShared {
-    fn total_depth(&self) -> usize {
-        self.shards.iter().map(|s| s.queue.depth()).sum()
-    }
-
-    fn total_capacity(&self) -> usize {
-        self.shards.iter().map(|s| s.queue.capacity()).sum()
-    }
-
-    fn close_queues(&self) {
-        for shard in &self.shards {
-            shard.queue.close();
-        }
-    }
 }
 
 impl Service for ServerShared {
@@ -97,173 +73,53 @@ impl Service for ServerShared {
         &self.core
     }
 
-    fn submit(&self, req: &Json) -> SubmitAction {
-        let reject = |reply: Json| SubmitAction {
-            reply,
-            wait_for: None,
-        };
-        let spec = match req
-            .field("job")
-            .map_err(|e| e.to_string())
-            .and_then(SweepSpec::from_json)
-        {
-            Ok(spec) => spec,
-            Err(message) => {
-                self.core.count("jobs_rejected_invalid");
-                return reject(error_frame(None, &format!("invalid job: {message}")));
-            }
-        };
-        let spec_json = spec.to_json().to_string();
-        let id = match req.field("id") {
-            Ok(v) => match v.as_str() {
-                Some(s) if !s.is_empty() => s.to_string(),
-                _ => {
-                    self.core.count("jobs_rejected_invalid");
-                    return reject(error_frame(
-                        None,
-                        "invalid job: \"id\" must be a non-empty string",
-                    ));
-                }
-            },
-            Err(_) => job_id_for(&spec),
-        };
-        let wait = req
-            .field("wait")
-            .ok()
-            .and_then(Json::as_bool)
-            .unwrap_or(false);
-        let wait_timeout = Duration::from_millis(req_u64(req, "timeout_ms").unwrap_or(600_000));
-
-        let mut deduped = false;
-        match self.core.table.register(&id, &spec_json) {
-            Ok(()) => {
-                let queue_timeout = req_u64(req, "queue_timeout_ms")
-                    .map(Duration::from_millis)
-                    .or(self.cfg.job_timeout);
-                let now = Instant::now();
-                let job = QueuedJob {
-                    id: id.clone(),
-                    spec,
-                    enqueued: now,
-                    start_deadline: queue_timeout.map(|t| now + t),
-                };
-                // A refused submission is forgotten entirely: a `busy` frame
-                // tells the client to retry later, so its id must stay free
-                // for that retry to re-enqueue — a terminal entry here would
-                // turn every retry into a dedupe onto a job that never ran.
-                if self.core.draining() {
-                    self.core.count("jobs_rejected_busy");
-                    self.core.table.remove(&id);
-                    return reject(self.busy(&id, "draining"));
-                }
-                let shard = &self.shards[shard_for(&id, self.shards.len())];
-                match shard.queue.push(job) {
-                    Ok(_depth) => self.core.count("jobs_accepted"),
-                    Err(crate::job::QueueError::Full) => {
-                        self.core.count("jobs_rejected_busy");
-                        self.core.table.remove(&id);
-                        return reject(self.busy(&id, "queue full"));
-                    }
-                    Err(crate::job::QueueError::Closed) => {
-                        self.core.count("jobs_rejected_busy");
-                        self.core.table.remove(&id);
-                        return reject(self.busy(&id, "draining"));
-                    }
-                }
-            }
-            Err(Ok(_existing)) => {
-                // Idempotent retry: same id, same spec — adopt the original.
-                self.core.count("jobs_deduped");
-                deduped = true;
-            }
-            Err(Err(message)) => {
-                self.core.count("jobs_rejected_invalid");
-                return reject(error_frame(Some(&id), &message));
-            }
-        }
-
-        let accepted = frame(
-            "accepted",
-            vec![
-                ("job_id".to_string(), Json::Str(id.clone())),
-                ("deduped".to_string(), Json::Bool(deduped)),
-                (
-                    "queue_depth".to_string(),
-                    Json::U64(self.total_depth() as u64),
-                ),
-            ],
-        );
-        SubmitAction {
-            reply: accepted,
-            wait_for: wait.then_some((id, wait_timeout)),
-        }
+    fn candidates(&self, id: &str) -> Vec<usize> {
+        vec![shard_for(id, self.core.lanes.len())]
     }
 
-    fn stats_frame(&self) -> Json {
-        // Refresh the instantaneous levels in the registry before rendering,
-        // so the embedded metrics carry per-shard gauges alongside counters.
-        self.core.set_gauge(
-            "active_connections",
-            self.core.active_conns.load(Ordering::SeqCst) as u64,
-        );
-        for (idx, shard) in self.shards.iter().enumerate() {
-            self.core.set_gauge(
-                &format!("shard{idx}_queue_depth"),
-                shard.queue.depth() as u64,
-            );
-        }
+    /// Each shard executor owns an engine and wraps every job in
+    /// `catch_unwind`, so a panicking job fails alone.
+    fn lane_runner(&self, idx: usize) -> LaneRunner<'_> {
+        let jobs = if self.cfg.jobs == 0 {
+            Engine::default_parallelism()
+        } else {
+            self.cfg.jobs
+        };
+        let engine = Engine::new(jobs);
+        Box::new(move |job| {
+            match catch_unwind(AssertUnwindSafe(|| (self.runner)(&job.spec, &engine))) {
+                Ok(report) => {
+                    self.core.count(&format!("shard{idx}_jobs_completed"));
+                    Ok(report)
+                }
+                Err(payload) => {
+                    self.core.count(&format!("shard{idx}_jobs_failed"));
+                    Err(panic_message(payload.as_ref()))
+                }
+            }
+        })
+    }
+
+    fn lane_stats(&self) -> (&'static str, Json) {
         let shards = self
-            .shards
+            .core
+            .lanes
             .iter()
-            .map(|s| {
+            .enumerate()
+            .map(|(idx, lane)| {
+                let depth = lane.queue.depth() as u64;
+                self.core
+                    .set_gauge(&format!("shard{idx}_queue_depth"), depth);
                 Json::Obj(vec![
-                    ("depth".to_string(), Json::U64(s.queue.depth() as u64)),
-                    ("capacity".to_string(), Json::U64(s.queue.capacity() as u64)),
+                    ("depth".to_string(), Json::U64(depth)),
+                    (
+                        "capacity".to_string(),
+                        Json::U64(lane.queue.capacity() as u64),
+                    ),
                 ])
             })
             .collect();
-        frame(
-            "stats",
-            vec![
-                (
-                    "queue_depth".to_string(),
-                    Json::U64(self.total_depth() as u64),
-                ),
-                (
-                    "queue_capacity".to_string(),
-                    Json::U64(self.total_capacity() as u64),
-                ),
-                ("draining".to_string(), Json::Bool(self.core.draining())),
-                (
-                    "active_connections".to_string(),
-                    Json::U64(self.core.active_conns.load(Ordering::SeqCst) as u64),
-                ),
-                ("shards".to_string(), Json::Arr(shards)),
-                (
-                    "metrics".to_string(),
-                    lock_clean(&self.core.metrics).to_json(),
-                ),
-            ],
-        )
-    }
-
-    fn begin_shutdown(&self) -> Json {
-        self.close_queues();
-        self.core.draining.store(true, Ordering::SeqCst);
-        frame(
-            "shutdown_ack",
-            vec![("queued".to_string(), Json::U64(self.total_depth() as u64))],
-        )
-    }
-
-    fn drained(&self) -> bool {
-        self.shards.iter().all(|s| s.done.load(Ordering::SeqCst))
-    }
-}
-
-impl ServerShared {
-    fn busy(&self, id: &str, reason: &str) -> Json {
-        busy_frame(id, reason, self.total_depth(), self.total_capacity())
+        ("shards", Json::Arr(shards))
     }
 }
 
@@ -297,23 +153,17 @@ impl Server {
         listener.set_nonblocking(true)?;
         // The total queue bound splits evenly across shards (each clamped to
         // at least one slot); capacity gauges report the effective sum.
-        let per_shard = (cfg.queue_capacity / cfg.shards).max(1);
-        let mut shards = Vec::with_capacity(cfg.shards);
-        for _ in 0..cfg.shards {
-            shards.push(Shard {
-                queue: BoundedQueue::new(per_shard),
-                done: AtomicBool::new(false),
-            });
-        }
-        let core = ServiceCore::new(cfg.job_retention);
+        let core = ServiceCore::new(
+            cfg.shards,
+            (cfg.queue_capacity / cfg.shards).max(1),
+            cfg.job_retention,
+            cfg.job_timeout,
+            &cfg.tuning,
+            "run_ms",
+        );
         Ok(Server {
             listener,
-            shared: Arc::new(ServerShared {
-                cfg,
-                core,
-                shards,
-                runner,
-            }),
+            shared: Arc::new(ServerShared { cfg, core, runner }),
         })
     }
 
@@ -334,29 +184,13 @@ impl Server {
     /// # Errors
     ///
     /// Any listener failure other than the nonblocking-poll `WouldBlock`.
-    // audit:spawn-site — one executor thread per shard; all joined after the event loop drains
     pub fn run(self) -> io::Result<()> {
-        let mut executors = Vec::with_capacity(self.shared.shards.len());
-        for idx in 0..self.shared.shards.len() {
-            let shared = Arc::clone(&self.shared);
-            executors.push(
-                std::thread::Builder::new()
-                    .name(format!("uopcache-serve-exec{idx}"))
-                    .spawn(move || executor_loop(&shared, idx))?,
-            );
-        }
-        let result = run_event_loop(
+        serve(
             &self.listener,
-            self.shared.as_ref(),
+            &self.shared,
             &self.shared.cfg.tuning,
-        );
-        // On a clean exit the queues are already closed (the shutdown frame
-        // did it); after a listener error, close them so executors exit too.
-        self.shared.close_queues();
-        for handle in executors {
-            let _ = handle.join();
-        }
-        result
+            "uopcache-serve-exec",
+        )
     }
 
     /// Runs the server on a background thread, returning a handle with the
@@ -365,13 +199,9 @@ impl Server {
     /// # Errors
     ///
     /// Any socket introspection or thread-spawn failure.
-    // audit:spawn-site — event-loop thread, joined by ServerHandle::join_within after shutdown
     pub fn spawn(self) -> io::Result<ServerHandle> {
         let addr = self.local_addr()?;
-        let thread = std::thread::Builder::new()
-            .name("uopcache-serve-accept".to_string())
-            .spawn(move || self.run())?;
-        Ok(ServerHandle { addr, thread })
+        ServiceHandle::launch("uopcache-serve-accept", addr, move || self.run())
     }
 }
 
@@ -379,102 +209,8 @@ impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
             .field("addr", &self.listener.local_addr().ok())
-            .field("shards", &self.shared.shards.len())
-            .field("queue_capacity", &self.shared.total_capacity())
+            .field("shards", &self.shared.core.lanes.len())
+            .field("queue_capacity", &self.shared.core.total_capacity())
             .finish()
     }
-}
-
-/// A running in-process server (see [`Server::spawn`]).
-#[derive(Debug)]
-pub struct ServerHandle {
-    addr: SocketAddr,
-    thread: std::thread::JoinHandle<io::Result<()>>,
-}
-
-impl ServerHandle {
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Waits up to `timeout` for the server thread to exit (it exits after a
-    /// completed drain). Returns `None` if it is still running.
-    pub fn join_within(self, timeout: Duration) -> Option<io::Result<()>> {
-        let deadline = Instant::now() + timeout;
-        while !self.thread.is_finished() {
-            if Instant::now() >= deadline {
-                return None;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        Some(self.thread.join().unwrap_or_else(|p| {
-            Err(io::Error::other(format!(
-                "server thread panicked: {}",
-                panic_message(p.as_ref())
-            )))
-        }))
-    }
-}
-
-/// One shard's executor: one job at a time, each internally parallel through
-/// the exec engine. Serialising jobs per shard keeps thread count
-/// proportional to shards (not queue depth), and determinism needs nothing
-/// more — results never depend on which job or shard ran first.
-fn executor_loop(shared: &ServerShared, idx: usize) {
-    let jobs = if shared.cfg.jobs == 0 {
-        Engine::default_parallelism()
-    } else {
-        shared.cfg.jobs
-    };
-    let engine = Engine::new(jobs);
-    let shard = &shared.shards[idx];
-    loop {
-        let Some(job) = shard.queue.pop(Duration::from_millis(100)) else {
-            if shard.queue.is_closed() {
-                break; // closed and empty: this shard's drain is complete
-            }
-            continue;
-        };
-        let waited = job.enqueued.elapsed();
-        shared.core.observe_ms("queue_wait_ms", waited);
-        if job
-            .start_deadline
-            .is_some_and(|deadline| Instant::now() > deadline)
-        {
-            shared.core.count("jobs_timed_out");
-            shared.core.count("jobs_failed");
-            shared.core.table.set_state(
-                &job.id,
-                JobState::Failed(format!(
-                    "timed out after {}ms in the queue",
-                    waited.as_millis()
-                )),
-            );
-            continue;
-        }
-        shared.core.table.set_state(&job.id, JobState::Running);
-        let started = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| (shared.runner)(&job.spec, &engine)));
-        shared.core.observe_ms("run_ms", started.elapsed());
-        match outcome {
-            Ok(report) => {
-                shared.core.count("jobs_completed");
-                shared.core.count(&format!("shard{idx}_jobs_completed"));
-                shared
-                    .core
-                    .table
-                    .set_state(&job.id, JobState::Done(Arc::new(report)));
-            }
-            Err(payload) => {
-                shared.core.count("jobs_failed");
-                shared.core.count(&format!("shard{idx}_jobs_failed"));
-                shared
-                    .core
-                    .table
-                    .set_state(&job.id, JobState::Failed(panic_message(payload.as_ref())));
-            }
-        }
-    }
-    shard.done.store(true, Ordering::SeqCst);
 }

@@ -10,15 +10,23 @@
 //!    server keeps serving other clients;
 //! 4. `shutdown` drains in-flight jobs — waiting clients still receive their
 //!    results — and the server thread exits cleanly.
+//!
+//! It also pins the admission path the daemon shares with the router (one
+//! table of cases, identical replies and counters from both) and the per-job
+//! start deadline, timed on an injected manual clock.
 
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 use uopcache_bench::policies::PolicyRegistry;
 use uopcache_bench::sweep::{run_sweep, SweepSpec};
-use uopcache_exec::Engine;
+use uopcache_exec::{Clock, Engine, ManualClock};
+use uopcache_model::json::Json;
 use uopcache_model::FrontendConfig;
-use uopcache_serve::{Client, ClientError, Server, ServerConfig};
+use uopcache_serve::{
+    frame, Client, ClientError, Router, RouterConfig, Server, ServerConfig, ServiceHandle,
+};
 use uopcache_trace::AppId;
 
 fn spec(apps: &[AppId], len: usize) -> SweepSpec {
@@ -92,6 +100,32 @@ impl Gate {
     }
 }
 
+/// A server whose every job holds on `gate` until it is released.
+fn gated_server(cfg: ServerConfig, gate: &Arc<Gate>) -> ServiceHandle {
+    let runner_gate = Arc::clone(gate);
+    Server::bind_with_runner(
+        cfg,
+        Box::new(move |_spec, _engine| {
+            runner_gate.hold();
+            "{\"schema_version\":1}".to_string()
+        }),
+    )
+    .expect("loopback bind")
+    .spawn()
+    .expect("spawn")
+}
+
+fn counter(client: &mut Client, name: &str) -> u64 {
+    let stats = client.stats(Duration::from_secs(5)).expect("stats");
+    stats
+        .field("metrics")
+        .and_then(|m| m.field("counters"))
+        .ok()
+        .and_then(|c| c.field(name).ok())
+        .and_then(Json::as_u64)
+        .unwrap_or(0)
+}
+
 #[test]
 fn served_result_is_byte_identical_to_offline_sweep_at_any_worker_count() {
     let want = spec(&[AppId::Kafka], 1_500);
@@ -134,17 +168,7 @@ fn served_result_is_byte_identical_to_offline_sweep_at_any_worker_count() {
 #[test]
 fn full_queue_answers_with_a_structured_busy_frame() {
     let gate = Arc::new(Gate::default());
-    let runner_gate = Arc::clone(&gate);
-    let server = Server::bind_with_runner(
-        ServerConfig::builder().queue_capacity(1).build(),
-        Box::new(move |_spec, _engine| {
-            runner_gate.hold();
-            "{\"schema_version\":1}".to_string()
-        }),
-    )
-    .expect("loopback bind")
-    .spawn()
-    .expect("spawn");
+    let server = gated_server(ServerConfig::builder().queue_capacity(1).build(), &gate);
 
     let mut client = connect(&server);
     // First job occupies the executor; second fills the 1-slot queue.
@@ -209,17 +233,7 @@ fn full_queue_answers_with_a_structured_busy_frame() {
 #[test]
 fn busy_rejected_job_can_be_retried_once_the_queue_frees() {
     let gate = Arc::new(Gate::default());
-    let runner_gate = Arc::clone(&gate);
-    let server = Server::bind_with_runner(
-        ServerConfig::builder().queue_capacity(1).build(),
-        Box::new(move |_spec, _engine| {
-            runner_gate.hold();
-            "{\"schema_version\":1}".to_string()
-        }),
-    )
-    .expect("loopback bind")
-    .spawn()
-    .expect("spawn");
+    let server = gated_server(ServerConfig::builder().queue_capacity(1).build(), &gate);
 
     let mut client = connect(&server);
     // Occupy the executor and fill the 1-slot queue, then bounce a third job
@@ -362,5 +376,166 @@ fn shutdown_drains_in_flight_jobs_before_exit() {
     server
         .join_within(Duration::from_secs(30))
         .expect("server exits after the drain")
+        .expect("clean exit");
+}
+
+/// Runs one table of `submit` cases against `addr`, checking each reply's
+/// type and detail (message, busy reason or dedupe flag) and the counter
+/// that records it. The first accepted job holds on `gate`, so the service
+/// is still draining when the last case arrives.
+fn check_admission(addr: SocketAddr, gate: &Gate) {
+    let job = |app| ("job".to_string(), spec(&[app], 100).to_json());
+    let id = |id: &str| ("id".to_string(), Json::Str(id.to_string()));
+    let not_a_spec = ("job".to_string(), Json::Str("not a spec".to_string()));
+    let cases = [
+        (
+            vec![not_a_spec],
+            "error invalid job: ",
+            "jobs_rejected_invalid",
+            1,
+        ),
+        (
+            vec![job(AppId::Kafka), id("")],
+            "error invalid job: \"id\" must be a non-empty string",
+            "jobs_rejected_invalid",
+            2,
+        ),
+        (
+            vec![job(AppId::Kafka), id("a")],
+            "accepted deduped=false",
+            "jobs_accepted",
+            1,
+        ),
+        (
+            vec![job(AppId::Mysql), id("a")],
+            "error job id \"a\" was already submitted with a different spec",
+            "jobs_rejected_invalid",
+            3,
+        ),
+        (
+            vec![job(AppId::Kafka), id("a")],
+            "accepted deduped=true",
+            "jobs_deduped",
+            1,
+        ),
+        (
+            vec![job(AppId::Mysql)],
+            "busy draining",
+            "jobs_rejected_busy",
+            1,
+        ),
+    ];
+    let mut client = Client::connect(addr, Duration::from_secs(5)).expect("loopback connect");
+    for (fields, want, name, count) in cases {
+        if name == "jobs_rejected_busy" {
+            gate.wait_entered(1);
+            client.shutdown(Duration::from_secs(5)).expect("drain ack");
+        }
+        client.send(&frame("submit", fields)).expect("send");
+        let reply = client.recv(Duration::from_secs(5)).expect("reply");
+        let text = |f: &str| reply.field(f).ok().and_then(Json::as_str).unwrap_or("");
+        let detail = match text("type") {
+            "error" => text("message").to_string(),
+            "busy" => text("reason").to_string(),
+            _ => format!(
+                "deduped={}",
+                reply.field("deduped").ok().and_then(Json::as_bool) == Some(true)
+            ),
+        };
+        let got = format!("{} {detail}", text("type"));
+        assert!(got.starts_with(want), "{addr}: got {got:?}, want {want:?}");
+        assert_eq!(counter(&mut client, name), count, "{addr}: {want}");
+    }
+}
+
+#[test]
+fn server_and_router_share_one_admission_path() {
+    let gate = Arc::new(Gate::default());
+    let server = gated_server(ServerConfig::default(), &gate);
+    check_admission(server.addr(), &gate);
+
+    let backend_gate = Arc::new(Gate::default());
+    let backend = gated_server(ServerConfig::default(), &backend_gate);
+    let router = Router::bind(RouterConfig::builder().backend(backend.addr()).build())
+        .expect("router binds on loopback")
+        .spawn()
+        .expect("router spawns");
+    check_admission(router.addr(), &backend_gate);
+
+    gate.release();
+    backend_gate.release();
+    for handle in [server, router] {
+        handle
+            .join_within(Duration::from_secs(30))
+            .expect("drain completes")
+            .expect("clean exit");
+    }
+    let mut admin = Client::connect(backend.addr(), Duration::from_secs(5)).expect("connect");
+    admin.shutdown(Duration::from_secs(5)).expect("drain ack");
+    backend
+        .join_within(Duration::from_secs(30))
+        .expect("backend exits")
+        .expect("clean exit");
+}
+
+#[test]
+fn a_job_queued_past_its_start_deadline_fails_with_a_timeout() {
+    let clock = Arc::new(ManualClock::new());
+    let gate = Arc::new(Gate::default());
+    let server = gated_server(
+        ServerConfig::builder()
+            .clock(Arc::clone(&clock) as Arc<dyn Clock>)
+            .build(),
+        &gate,
+    );
+    let mut client = connect(&server);
+    // Hold shard 0 with one job, then queue a second behind it with a 1s
+    // start deadline.
+    client
+        .submit(
+            &spec(&[AppId::Kafka], 100),
+            Some("occupant"),
+            Duration::from_secs(5),
+        )
+        .expect("first job accepted");
+    gate.wait_entered(1);
+    client
+        .send(&frame(
+            "submit",
+            vec![
+                ("job".to_string(), spec(&[AppId::Mysql], 100).to_json()),
+                ("id".to_string(), Json::Str("late".to_string())),
+                ("queue_timeout_ms".to_string(), Json::U64(1_000)),
+            ],
+        ))
+        .expect("send");
+    let accepted = client.recv(Duration::from_secs(5)).expect("reply");
+    assert_eq!(
+        accepted.field("type").ok().and_then(Json::as_str),
+        Some("accepted")
+    );
+
+    // The queue wait runs on the injected clock: two seconds pass while the
+    // occupant holds the shard, then the shard frees.
+    clock.advance(Duration::from_secs(2));
+    gate.release();
+    match client.wait("late", Duration::from_secs(30)) {
+        Err(ClientError::Server(message)) => assert_eq!(
+            message, "timed out after 2000ms in the queue",
+            "a stale job fails instead of running"
+        ),
+        other => panic!("expected a timeout error frame, got {other:?}"),
+    }
+    assert_eq!(counter(&mut client, "jobs_timed_out"), 1);
+    assert_eq!(
+        gate.entered.load(Ordering::SeqCst),
+        1,
+        "the late job never ran"
+    );
+
+    client.shutdown(Duration::from_secs(5)).expect("drain ack");
+    server
+        .join_within(Duration::from_secs(30))
+        .expect("server exits")
         .expect("clean exit");
 }
