@@ -14,10 +14,18 @@ pub enum LineOutcome {
     },
 }
 
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, Default)]
 struct Way {
     line: LineAddr,
+    /// Access stamp of the last touch. Stamps start at 1, so 0 marks a way
+    /// that has never been filled.
     last_access: u64,
+}
+
+impl Way {
+    fn holds(&self, line: LineAddr) -> bool {
+        self.last_access != 0 && self.line == line
+    }
 }
 
 /// Set-associative LRU cache of lines, used for the 32 KiB L1i (Table I) and
@@ -36,9 +44,16 @@ struct Way {
 /// ```
 #[derive(Clone, Debug)]
 pub struct LineCache {
-    sets: Vec<Vec<Way>>,
-    ways: usize,
+    /// Every way, set-major: set `s` owns `ways[s * assoc..(s + 1) * assoc]`.
+    /// Allocated once at construction.
+    ways: Box<[Way]>,
+    assoc: usize,
     line_bytes: u64,
+    /// `log2(line_bytes)` — set indexing is a shift and a mask, not a
+    /// division.
+    set_shift: u32,
+    /// `sets - 1`.
+    set_mask: u64,
     stats: CacheStats,
     now: u64,
 }
@@ -49,9 +64,13 @@ impl LineCache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry does not divide evenly or the set count is not
-    /// a power of two.
+    /// Panics if the line size is not a power of two, the geometry does not
+    /// divide evenly or the set count is not a power of two.
     pub fn new(size_bytes: u32, ways: u32, line_bytes: u32) -> Self {
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
         let lines = size_bytes / line_bytes;
         assert!(
             ways > 0 && lines.is_multiple_of(ways),
@@ -60,9 +79,11 @@ impl LineCache {
         let sets = lines / ways;
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         LineCache {
-            sets: vec![Vec::new(); sets as usize],
-            ways: ways as usize,
+            ways: vec![Way::default(); lines as usize].into_boxed_slice(),
+            assoc: ways as usize,
             line_bytes: u64::from(line_bytes),
+            set_shift: line_bytes.trailing_zeros(),
+            set_mask: u64::from(sets - 1),
             stats: CacheStats::default(),
             now: 0,
         }
@@ -78,41 +99,44 @@ impl LineCache {
         Self::new(entries * line_bytes, ways, line_bytes)
     }
 
+    /// The ways of the set `line` maps to.
+    #[inline]
+    fn set_of(&self, line: LineAddr) -> std::ops::Range<usize> {
+        // Masked by `sets - 1`, so the value always fits in usize.
+        #[allow(clippy::cast_possible_truncation)]
+        let set = ((line.base().get() >> self.set_shift) & self.set_mask) as usize;
+        set * self.assoc..(set + 1) * self.assoc
+    }
+
     /// Accesses `line`, filling it on a miss. Returns what happened.
     pub fn access(&mut self, line: LineAddr) -> LineOutcome {
         self.now += 1;
         self.stats.accesses += 1;
-        let set_count = self.sets.len() as u64;
-        let idx = line.set_index(set_count, self.line_bytes);
-        let set = &mut self.sets[idx];
-        if let Some(way) = set.iter_mut().find(|w| w.line == line) {
+        let range = self.set_of(line);
+        let set = &mut self.ways[range];
+        if let Some(way) = set.iter_mut().find(|w| w.holds(line)) {
             way.last_access = self.now;
             self.stats.hits += 1;
             return LineOutcome::Hit;
         }
         self.stats.misses += 1;
         self.stats.fills += 1;
-        let evicted = if set.len() < self.ways {
-            set.push(Way {
+        // The first never-filled way (stamp 0) if any, else the LRU way.
+        let victim = set
+            .iter_mut()
+            .min_by_key(|w| w.last_access)
+            .expect("sets have at least one way");
+        let old = std::mem::replace(
+            victim,
+            Way {
                 line,
                 last_access: self.now,
-            });
-            None
-        } else {
-            let lru = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.last_access)
-                .map(|(i, _)| i)
-                .expect("non-empty set");
-            let old = set[lru].line;
-            set[lru] = Way {
-                line,
-                last_access: self.now,
-            };
+            },
+        );
+        let evicted = (old.last_access != 0).then_some(old.line);
+        if evicted.is_some() {
             self.stats.evictions += 1;
-            Some(old)
-        };
+        }
         LineOutcome::Miss { evicted }
     }
 
@@ -121,8 +145,8 @@ impl LineCache {
     /// Returns whether the line was present.
     pub fn touch(&mut self, line: LineAddr) -> bool {
         self.now += 1;
-        let idx = line.set_index(self.sets.len() as u64, self.line_bytes);
-        if let Some(way) = self.sets[idx].iter_mut().find(|w| w.line == line) {
+        let range = self.set_of(line);
+        if let Some(way) = self.ways[range].iter_mut().find(|w| w.holds(line)) {
             way.last_access = self.now;
             true
         } else {
@@ -132,8 +156,7 @@ impl LineCache {
 
     /// Whether `line` is present (does not update recency).
     pub fn contains(&self, line: LineAddr) -> bool {
-        let idx = line.set_index(self.sets.len() as u64, self.line_bytes);
-        self.sets[idx].iter().any(|w| w.line == line)
+        self.ways[self.set_of(line)].iter().any(|w| w.holds(line))
     }
 
     /// Accumulated statistics.
@@ -203,5 +226,24 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn bad_geometry_rejected() {
         let _ = LineCache::new(3 * 64, 1, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "line size must be a power of two")]
+    fn non_power_of_two_line_size_rejected_at_construction() {
+        // 16 lines of 48 bytes in 8 sets of 2 ways: the set geometry is
+        // valid, but a 48-byte line cannot be indexed by shift and mask.
+        let _ = LineCache::new(16 * 48, 2, 48);
+    }
+
+    #[test]
+    fn never_filled_line_zero_is_not_a_hit() {
+        let mut c = LineCache::new(4 * 64, 2, 64);
+        assert!(!c.contains(line(0)));
+        assert!(!c.touch(line(0)));
+        assert!(matches!(
+            c.access(line(0)),
+            LineOutcome::Miss { evicted: None }
+        ));
     }
 }

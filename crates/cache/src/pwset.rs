@@ -9,7 +9,7 @@
 //! instead of chasing per-way heap cells.
 
 use crate::meta::PwMeta;
-use uopcache_model::{Addr, PwDesc, PwTermination};
+use uopcache_model::{Addr, LineAddr, PwDesc, PwTermination};
 
 /// A single set of the micro-op cache.
 ///
@@ -127,6 +127,29 @@ impl PwSet {
             live &= live - 1;
         }
         None
+    }
+
+    /// The slots whose windows touch i-cache line `line`, as a bitmask
+    /// (bit `i` set ⇔ slot `i`'s `[start, start + bytes)` overlaps the
+    /// line). `line` must be aligned to `line_bytes`, as every [`LineAddr`]
+    /// made with that line size is.
+    // audit:hot-path — per-L1i-eviction inclusion probe
+    pub fn slots_touching(&self, line: LineAddr, line_bytes: u64) -> u64 {
+        let mask = !(line_bytes - 1);
+        let target = line.base().get();
+        let mut touching = 0;
+        let mut live = self.live;
+        while live != 0 {
+            let i = live.trailing_zeros() as usize;
+            let desc = &self.metas[i].desc;
+            let first = desc.start.get() & mask;
+            let last = (desc.end().get() - 1) & mask;
+            if first <= target && target <= last {
+                touching |= 1 << i;
+            }
+            live &= live - 1;
+        }
+        touching
     }
 
     /// Mutable variant of [`PwSet::find`].

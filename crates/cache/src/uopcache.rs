@@ -4,6 +4,7 @@ use crate::classify::{MissClass, MissClassifier};
 use crate::meta::PwMeta;
 use crate::policy::PwReplacementPolicy;
 use crate::pwset::PwSet;
+use std::ops::{Range, RangeInclusive};
 use uopcache_model::{Addr, LineAddr, PwDesc, UopCacheConfig, UopCacheStats};
 #[cfg(feature = "obs")]
 use uopcache_obs::{Event, EventKind, Recorder, Verdict};
@@ -110,6 +111,10 @@ pub struct UopCache {
     /// `sets - 1` when the set count is a power of two (the common
     /// geometries); `None` falls back to a modulo.
     set_mask: Option<u64>,
+    /// Largest `PwDesc::bytes` ever made resident (monotone, 0 while the
+    /// cache has never held a window). Bounds how many lines before an
+    /// evicted L1i line a window touching it can start in.
+    max_bytes: u32,
     /// Scratch buffer for the slot-ordered resident slice handed to the
     /// policy (capacity `ways`, reused across insertions — never grows).
     resident_scratch: Vec<PwMeta>,
@@ -162,6 +167,7 @@ impl UopCache {
             set_mask: u64::from(set_count)
                 .is_power_of_two()
                 .then(|| u64::from(set_count) - 1),
+            max_bytes: 0,
             resident_scratch: Vec::with_capacity(cfg.ways as usize),
             evicted_scratch: Vec::with_capacity(cfg.ways as usize),
             #[cfg(feature = "obs")]
@@ -449,6 +455,7 @@ impl UopCache {
             self.evicted_scratch.push(removed.desc); // audit:allow(hot-path-alloc) — scratch is cleared, never shrunk: warmed capacity absorbs every push
         }
         let meta = self.sets[set_idx].insert(*pw, entries, self.now);
+        self.max_bytes = self.max_bytes.max(pw.bytes);
         self.policy.on_insert(set_idx, &meta);
         self.stats.insertions += 1;
         self.stats.entries_written += u64::from(entries);
@@ -480,21 +487,31 @@ impl UopCache {
     /// Invalidates every resident PW that touches the given i-cache line
     /// (called on L1i evictions when the micro-op cache is inclusive).
     /// Returns the number of PWs invalidated.
+    ///
+    /// Only the sets such a window can live in are visited. A window is
+    /// indexed by its start line and no resident window ever spanned more
+    /// than `max_bytes` bytes, so one touching line `L` starts in a line in
+    /// `[L − ⌈(max_bytes − 1)/line_bytes⌉, L]`. Consecutive lines map to
+    /// consecutive sets, so those lines name a run of sets that may wrap
+    /// past the last one. The run is visited in ascending set order, and
+    /// each set's victims in slot order, so policy hooks, events and
+    /// statistics come out exactly as from a scan of every set. When the
+    /// run would cover every set, every set is scanned.
+    // audit:hot-path — per-L1i-eviction inclusion path; must stay allocation-free warmed
     pub fn invalidate_line(&mut self, line: LineAddr) -> u32 {
+        let base = line.base().get();
+        // A line not aligned to this cache's line size equals none of the
+        // lines a resident window touches.
+        if base & (self.line_bytes - 1) != 0 {
+            return 0;
+        }
+        let (low, high) = self.candidate_sets(base >> self.set_shift);
         let mut invalidated = 0;
-        for set_idx in 0..self.sets.len() {
-            // At most `ways` (≤ 64) victims per set: a stack buffer keeps
-            // the inclusion path allocation-free.
-            let mut victims = [0u8; 64];
-            let mut n = 0;
-            for m in self.sets[set_idx]
-                .residents()
-                .filter(|m| m.desc.lines(self.line_bytes).any(|l| l == line))
-            {
-                victims[n] = m.slot;
-                n += 1;
-            }
-            for &slot in &victims[..n] {
+        for set_idx in low.chain(high) {
+            let mut victims = self.sets[set_idx].slots_touching(line, self.line_bytes);
+            while victims != 0 {
+                let slot = u8::try_from(victims.trailing_zeros()).expect("slot ids are below 64");
+                victims &= victims - 1;
                 let removed = self.sets[set_idx].remove_slot(slot);
                 self.policy.on_invalidate(set_idx, &removed);
                 self.stats.inclusion_invalidations += 1;
@@ -512,6 +529,25 @@ impl UopCache {
             }
         }
         invalidated
+    }
+
+    /// The sets a window touching line number `line_idx` can be indexed
+    /// by, as two ascending runs of set indices: the second is empty unless
+    /// the run wraps past the last set, and the first is every set when the
+    /// run would cover them all.
+    fn candidate_sets(&self, line_idx: u64) -> (RangeInclusive<usize>, Range<usize>) {
+        let sets = self.sets.len();
+        let span = u64::from(self.max_bytes.saturating_sub(1)).div_ceil(self.line_bytes);
+        if span + 1 >= u64::from(self.cfg.sets()) {
+            return (0..=sets - 1, 0..0);
+        }
+        let first = self.set_of_line(line_idx.saturating_sub(span));
+        let last = self.set_of_line(line_idx);
+        if first <= last {
+            (first..=last, 0..0)
+        } else {
+            (0..=last, first..sets)
+        }
     }
 
     /// Removes a specific resident window (used by offline decision replay
@@ -550,11 +586,17 @@ impl UopCache {
     /// Produces identical indices to that method.
     #[inline]
     fn set_index(&self, start: Addr) -> usize {
-        let line = start.get() >> self.set_shift;
+        self.set_of_line(start.get() >> self.set_shift)
+    }
+
+    /// Set index for line number `line_idx` (a byte address shifted right
+    /// by `log2(line_bytes)`).
+    #[inline]
+    fn set_of_line(&self, line_idx: u64) -> usize {
         #[allow(clippy::cast_possible_truncation)]
         match self.set_mask {
-            Some(mask) => (line & mask) as usize,
-            None => (line % u64::from(self.cfg.sets())) as usize,
+            Some(mask) => (line_idx & mask) as usize,
+            None => (line_idx % u64::from(self.cfg.sets())) as usize,
         }
     }
 }
@@ -574,6 +616,9 @@ impl std::fmt::Debug for UopCache {
 mod tests {
     use super::*;
     use crate::lru::LruPolicy;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    use uopcache_model::rng::{Prng, Rng};
     use uopcache_model::PwTermination;
 
     fn pw(start: u64, uops: u32) -> PwDesc {
@@ -695,6 +740,156 @@ mod tests {
         let w = PwDesc::new(Addr::new(0x70), 6, 0x20, PwTermination::TakenBranch);
         c.insert(&w);
         assert_eq!(c.invalidate_line(Addr::new(0x80).line(64)), 1);
+    }
+
+    /// The inclusion walk `invalidate_line` replaced: every set in order,
+    /// every resident whose lines include `line`, in slot order. The
+    /// reference the candidate-set walk is checked against.
+    fn invalidate_line_full_scan(c: &mut UopCache, line: LineAddr) -> u32 {
+        let mut invalidated = 0;
+        for set_idx in 0..c.sets.len() {
+            let victims: Vec<u8> = c.sets[set_idx]
+                .residents()
+                .filter(|m| m.desc.lines(c.line_bytes).any(|l| l == line))
+                .map(|m| m.slot)
+                .collect();
+            for slot in victims {
+                let removed = c.sets[set_idx].remove_slot(slot);
+                c.policy.on_invalidate(set_idx, &removed);
+                c.stats.inclusion_invalidations += 1;
+                invalidated += 1;
+            }
+        }
+        invalidated
+    }
+
+    /// Every `on_invalidate` call, as `(set, slot, start)`.
+    type InvalidationLog = Rc<RefCell<Vec<(usize, u8, Addr)>>>;
+
+    /// LRU that logs its `on_invalidate` calls.
+    struct InvalidationRecorder {
+        log: InvalidationLog,
+    }
+
+    impl PwReplacementPolicy for InvalidationRecorder {
+        fn name(&self) -> &'static str {
+            "invalidation-recorder"
+        }
+
+        fn on_hit(&mut self, _set: usize, _meta: &PwMeta) {}
+
+        fn on_insert(&mut self, _set: usize, _meta: &PwMeta) {}
+
+        fn on_evict(&mut self, _set: usize, _meta: &PwMeta) {}
+
+        fn on_invalidate(&mut self, set: usize, meta: &PwMeta) {
+            self.log
+                .borrow_mut()
+                .push((set, meta.slot, meta.desc.start));
+        }
+
+        fn choose_victim(&mut self, set: usize, incoming: &PwDesc, resident: &[PwMeta]) -> usize {
+            LruPolicy::new().choose_victim(set, incoming, resident)
+        }
+    }
+
+    /// What one differential stream exercised.
+    #[derive(Default)]
+    struct Coverage {
+        /// Windows invalidated.
+        invalidated: u32,
+        /// Windows invalidated through a candidate run that wrapped past
+        /// the last set.
+        wrapped: u32,
+        /// Invalidations that fell back to scanning every set.
+        full_scans: u32,
+    }
+
+    /// Drives one seeded stream of lookups, insertions and invalidations
+    /// through twin caches — one invalidating through the candidate sets,
+    /// one through the full-scan reference — and asserts they agree.
+    fn differential(cfg: UopCacheConfig, seed: u64, ops: usize) -> Coverage {
+        let (fast_log, slow_log) = (InvalidationLog::default(), InvalidationLog::default());
+        let mut fast = UopCache::new(
+            cfg,
+            Box::new(InvalidationRecorder {
+                log: Rc::clone(&fast_log),
+            }),
+        );
+        let mut slow = UopCache::new(
+            cfg,
+            Box::new(InvalidationRecorder {
+                log: Rc::clone(&slow_log),
+            }),
+        );
+        let sets = fast.sets.len();
+        let mut rng = Prng::seed_from_u64(seed);
+        // Four laps of the set array: candidate runs wrap past set 0.
+        let bytes = 4 * u64::from(cfg.sets()) * 64;
+        let mut seen = Coverage::default();
+        for _ in 0..ops {
+            let start = rng.gen_range(0..bytes);
+            if rng.gen_bool(0.6) {
+                // Up to 193 bytes from any offset: windows span 1–4 lines.
+                let w = PwDesc::new(
+                    Addr::new(start),
+                    rng.gen_range(1..=24u32),
+                    rng.gen_range(1..=193u32),
+                    PwTermination::TakenBranch,
+                );
+                assert_eq!(fast.lookup(&w), slow.lookup(&w));
+                assert_eq!(fast.insert(&w), slow.insert(&w));
+            } else {
+                // Now and then a line not aligned to the cache's line size,
+                // which touches nothing.
+                let line = if rng.gen_bool(0.05) {
+                    Addr::new(start | 1).line(1)
+                } else {
+                    Addr::new(start).line(64)
+                };
+                let (low, high) = fast.candidate_sets(start >> 6);
+                let n = fast.invalidate_line(line);
+                assert_eq!(n, invalidate_line_full_scan(&mut slow, line), "{line}");
+                seen.invalidated += n;
+                if !high.is_empty() {
+                    seen.wrapped += n;
+                }
+                if low == (0..=sets - 1) {
+                    seen.full_scans += 1;
+                }
+            }
+        }
+        assert_eq!(*fast_log.borrow(), *slow_log.borrow());
+        assert_eq!(fast.stats(), slow.stats());
+        for (a, b) in fast.sets.iter().zip(&slow.sets) {
+            assert_eq!(a.resident_metas(), b.resident_metas());
+        }
+        seen
+    }
+
+    #[test]
+    fn candidate_set_invalidation_matches_a_full_scan() {
+        let two_sets = small_cache().cfg;
+        for (label, cfg) in [
+            ("zen3", UopCacheConfig::zen3()),
+            ("zen4", UopCacheConfig::zen4()),
+            ("two-set", two_sets),
+        ] {
+            let mut seen = Coverage::default();
+            for seed in 0..4 {
+                let s = differential(cfg, seed, 3_000);
+                seen.invalidated += s.invalidated;
+                seen.wrapped += s.wrapped;
+                seen.full_scans += s.full_scans;
+            }
+            assert!(seen.invalidated > 0, "{label}: nothing invalidated");
+            if cfg.sets() == 2 {
+                assert!(seen.full_scans > 0, "{label}: never fell back");
+            } else {
+                assert!(seen.wrapped > 0, "{label}: no wrapping run hit");
+                assert_eq!(seen.full_scans, 0, "{label}: fell back");
+            }
+        }
     }
 
     #[test]

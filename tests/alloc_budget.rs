@@ -6,11 +6,15 @@
 //! resident scratch live in reusable buffers, and every registered policy
 //! reserves its side tables at [`prepare`] time — the figure roster, the
 //! classic zoo (ghost rings included) and the set-dueling meta-policy all
-//! stay off the allocator on the lookup/insert path.
+//! stay off the allocator on the lookup/insert path. The same holds one
+//! layer up, for a warmed [`Frontend`]: its L1i and BTB are fixed arrays of
+//! ways, the asynchronous insertion queue and its drain batch are reused,
+//! and L1i evictions reach the micro-op cache's inclusion path.
 //!
 //! This test wires the bench harness's [`CountingAllocator`] in as the
 //! test binary's global allocator and pins the budget at exactly zero for
-//! a steady-state pass over **every policy in [`PolicyId::ALL`]**.
+//! a steady-state pass over **every policy in [`PolicyId::ALL`]**, both
+//! through the bare [`UopCache`] and through [`Frontend::run`].
 //! Everything is measured inside one `#[test]` so no concurrently running
 //! test can pollute the global counters.
 //!
@@ -18,8 +22,9 @@
 //! [`CountingAllocator`]: uopcache_bench::hotpath::CountingAllocator
 
 use uopcache::cache::UopCache;
-use uopcache::model::FrontendConfig;
+use uopcache::model::{FrontendConfig, LookupTrace};
 use uopcache::policies::run_trace;
+use uopcache::sim::Frontend;
 use uopcache::trace::{build_trace, AppId, InputVariant};
 use uopcache_bench::hotpath::CountingAllocator;
 use uopcache_bench::policies::{PolicyId, ProfileInputs};
@@ -33,16 +38,38 @@ const LEN: usize = 8_000;
 /// budget is about allocations, not decisions.
 const SEED: u64 = 7;
 
-/// Runs `trace` once more over a warmed cache and returns how many heap
-/// allocations the pass performed.
-fn steady_state_allocs(cache: &mut UopCache, trace: &uopcache::model::LookupTrace) -> (u64, u64) {
+/// Runs `pass` once and returns how many heap allocations it performed
+/// and how many bytes they asked for.
+fn allocs_during(pass: impl FnOnce()) -> (u64, u64) {
     let before_calls = CountingAllocator::allocations();
     let before_bytes = CountingAllocator::bytes_allocated();
-    let stats = run_trace(cache, trace);
+    pass();
     let calls = CountingAllocator::allocations() - before_calls;
     let bytes = CountingAllocator::bytes_allocated() - before_bytes;
-    assert_eq!(stats.lookups, LEN as u64, "the pass must cover the trace");
     (calls, bytes)
+}
+
+/// Runs `trace` once more over a warmed cache and returns how many heap
+/// allocations the pass performed.
+fn steady_state_allocs(cache: &mut UopCache, trace: &LookupTrace) -> (u64, u64) {
+    let mut lookups = 0;
+    let allocs = allocs_during(|| lookups = run_trace(cache, trace).lookups);
+    assert_eq!(lookups, LEN as u64, "the pass must cover the trace");
+    allocs
+}
+
+/// Runs `trace` once more through a warmed frontend and returns how many
+/// heap allocations the pass performed, with the inclusion invalidations
+/// it made (so the caller can check the inclusion path was exercised).
+fn frontend_steady_state_allocs(fe: &mut Frontend, trace: &LookupTrace) -> ((u64, u64), u64) {
+    let mut result = None;
+    let allocs = allocs_during(|| result = Some(fe.run(trace)));
+    let result = result.expect("the pass ran");
+    assert_eq!(
+        result.uopc.lookups, LEN as u64,
+        "the pass must cover the trace"
+    );
+    (allocs, result.uopc.inclusion_invalidations)
 }
 
 #[test]
@@ -71,6 +98,25 @@ fn steady_state_lookup_path_does_not_allocate_for_any_registered_policy() {
                 (calls, bytes),
                 (0, 0),
                 "{}/{}: steady-state pass allocated {calls} times ({bytes} bytes)",
+                id.name(),
+                app.name(),
+            );
+
+            let mut fe = Frontend::builder(cfg)
+                .policy(id.build(&cfg, &profiles, SEED))
+                .build();
+            fe.run(&trace);
+            let ((calls, bytes), invalidations) = frontend_steady_state_allocs(&mut fe, &trace);
+            assert_eq!(
+                (calls, bytes),
+                (0, 0),
+                "{}/{}: steady-state Frontend::run allocated {calls} times ({bytes} bytes)",
+                id.name(),
+                app.name(),
+            );
+            assert!(
+                invalidations > 0,
+                "{}/{}: the pass never reached the inclusion path",
                 id.name(),
                 app.name(),
             );
