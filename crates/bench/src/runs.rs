@@ -2,11 +2,9 @@
 
 use crate::apps::{trace_for, TRACE_LEN};
 use crate::policies::{PolicyId, ProfileInputs};
-use crate::sweep::{self, config_label};
-use std::sync::Arc;
+use crate::sweep::{self, config_label, SweepSpec};
 use uopcache_cache::UopCache;
 use uopcache_core::Flack;
-use uopcache_exec::TaskKey;
 use uopcache_model::hash::FastHashMap;
 use uopcache_model::{FrontendConfig, LookupTrace, SimResult, UopCacheStats};
 use uopcache_offline::BeladyPolicy;
@@ -78,82 +76,62 @@ impl Lab {
     }
 
     /// Pre-computes every missing `(app, policy)` online run for input
-    /// variant 0 in parallel, through the experiment engine, so subsequent
-    /// serial queries hit the memo. Results are bit-identical to the serial
-    /// path: each task is a pure function of `(cfg, len, app, policy)`, and
-    /// the memo is filled in submission order.
+    /// variant 0 in parallel, through the sweep path of
+    /// [`run_sweep`](crate::sweep::run_sweep) with this lab's simulation
+    /// options, so subsequent serial queries hit the memo. Cells already
+    /// memoised are skipped. Results are bit-identical to
+    /// [`run_online`](Self::run_online): both key and seed a cell by the
+    /// same [`SweepSpec`], and each cell is a pure function of its key.
     ///
     /// # Panics
     ///
     /// Panics with the full list of structured task failures if any task
     /// panicked (the experiment cannot render from partial results).
     pub fn prewarm_online(&mut self, policies: &[PolicyId], apps: &[AppId]) {
-        let engine = sweep::engine();
-        let variant = 0u32;
-        let cfg = self.cfg;
-        let len = self.len;
-        let label = config_label(&cfg);
-        let key_for = |app: AppId, stage: &str| {
-            TaskKey::new([
-                label.as_str(),
-                &format!("v{variant}"),
-                &format!("len{len}"),
-                app.name(),
-                stage,
-            ])
-        };
-
-        // Stage 1: prepare missing traces + profiles, one task per app.
-        let missing: Vec<(TaskKey, AppId)> = apps
+        let memo = &self.online;
+        let missing = |app: AppId, policy: PolicyId| !memo.contains_key(&(app, 0, policy));
+        let apps = apps
             .iter()
             .copied()
-            .filter(|&a| !self.profiles.contains_key(&(a, variant)))
-            .map(|a| (key_for(a, "prepare"), a))
+            .filter(|&a| policies.iter().any(|&p| missing(a, p)))
             .collect();
-        let prepared = engine
-            .run(missing, move |_key, _seed, app| {
-                let trace = trace_for(app, variant, len);
-                let profiles = ProfileInputs::build(&cfg, &trace);
-                (app, trace, profiles)
-            })
-            .expect_all("prewarm preparation");
-        for (app, trace, profiles) in prepared {
-            self.traces.entry((app, variant)).or_insert(trace);
-            self.profiles.insert((app, variant), profiles);
+        let spec = self.spec(0, apps, policies);
+        let (report, prepared) =
+            sweep::sweep_with(&spec, &sweep::engine(), self.sim_opts, |app, policy| {
+                policy.parse().is_ok_and(|p| !missing(app, p))
+            });
+        let failures: Vec<String> = report.failures.iter().map(ToString::to_string).collect();
+        assert!(
+            failures.is_empty(),
+            "prewarm simulation: {} task(s) failed:\n{}",
+            failures.len(),
+            failures.join("\n")
+        );
+        for (app, prep) in prepared {
+            self.traces.entry((app, 0)).or_insert(prep.trace);
+            self.profiles.entry((app, 0)).or_insert(prep.profiles);
         }
+        for cell in report.cells {
+            let policy = cell
+                .policy
+                .parse()
+                .expect("prewarm cells carry registered policy names");
+            self.online.insert((cell.app, 0, policy), cell.result);
+        }
+    }
 
-        // Stage 2: one task per missing (app, policy) simulation.
-        let mut tasks = Vec::new();
-        for &app in apps {
-            let shared = Arc::new((
-                self.traces[&(app, variant)].clone(),
-                self.profiles[&(app, variant)].clone(),
-            ));
-            for &policy in policies {
-                if self.online.contains_key(&(app, variant, policy)) {
-                    continue;
-                }
-                tasks.push((
-                    key_for(app, policy.name()),
-                    (app, policy, Arc::clone(&shared)),
-                ));
-            }
-        }
-        let opts = self.sim_opts;
-        let results = engine
-            .run(tasks, move |_key, seed, (app, policy, shared)| {
-                let (trace, profiles): &(LookupTrace, ProfileInputs) = &shared;
-                let policy_box = policy.build(&cfg, profiles, seed);
-                let result = Frontend::builder(cfg)
-                    .policy(policy_box)
-                    .options(opts)
-                    .build()
-                    .run(trace);
-                (app, policy, result)
-            })
-            .expect_all("prewarm simulation");
-        for (app, policy, result) in results {
-            self.online.insert((app, variant, policy), result);
+    /// The sweep spec whose task keys (and so seeds) name this lab's cells.
+    fn spec(&self, variant: u32, apps: Vec<AppId>, policies: &[PolicyId]) -> SweepSpec {
+        SweepSpec {
+            cfg: self.cfg,
+            config_name: config_label(&self.cfg),
+            apps,
+            policies: policies.iter().map(|p| p.name().to_string()).collect(),
+            variant,
+            len: self.len,
+            metrics: false,
+            sample: None,
+            scale: 1,
         }
     }
 
@@ -169,14 +147,10 @@ impl Lab {
         self.profiles(app, variant);
         let trace = self.traces[&(app, variant)].clone();
         let profiles = &self.profiles[&(app, variant)];
-        let seed = TaskKey::new([
-            config_label(&self.cfg).as_str(),
-            &format!("v{variant}"),
-            &format!("len{}", self.len),
-            app.name(),
-            policy.name(),
-        ])
-        .seed();
+        let seed = self
+            .spec(variant, Vec::new(), &[])
+            .task_key(app, policy.name())
+            .seed();
         let policy_box = policy.build(&self.cfg, profiles, seed);
         let mut frontend = Frontend::builder(self.cfg)
             .policy(policy_box)

@@ -13,7 +13,6 @@
 use crate::apps::trace_for_scaled;
 use crate::policies::{PolicyId, ProfileInputs};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 use uopcache_exec::{Engine, TaskFailure, TaskKey, TaskProfile};
 use uopcache_model::json::Json;
@@ -303,6 +302,7 @@ impl SweepSpec {
     }
 
     /// The key naming one `(app, policy)` simulation task of this sweep.
+    /// The app's preparation task is keyed as the cell of policy `prepare`.
     pub fn task_key(&self, app: AppId, policy: &str) -> TaskKey {
         TaskKey::new([
             self.config_name.as_str(),
@@ -310,17 +310,6 @@ impl SweepSpec {
             &self.len_segment(),
             app.name(),
             policy,
-        ])
-    }
-
-    /// The key naming the trace + profile preparation task for one app.
-    fn prep_key(&self, app: AppId) -> TaskKey {
-        TaskKey::new([
-            self.config_name.as_str(),
-            &format!("v{}", self.variant),
-            &self.len_segment(),
-            app.name(),
-            "prepare",
         ])
     }
 }
@@ -552,305 +541,226 @@ fn round6(x: f64) -> f64 {
 
 /// Runs an `(app × policy)` sweep through `engine`, in two stages:
 ///
-/// 1. one task per app prepares the trace and profile inputs (both pure
-///    functions of `(app, variant, len, cfg)`);
-/// 2. one task per `(app, policy)` runs the timed frontend, seeding any
-///    randomized policy from the task key.
+/// 1. one task per app prepares the trace, the sampling plan of a `--sample`
+///    sweep and the profile inputs (all pure functions of the spec and app);
+/// 2. one task per cell [`Segment`] simulates, seeding any randomized policy
+///    from the **cell** key. A full cell is one whole-trace segment keyed by
+///    the cell key itself; a sampled cell is one segment per sample point and
+///    probe, keyed as children of the cell key (`…/LRU/pt0.1`,
+///    `…/LRU/probe0`).
 ///
-/// Panics in stage 2 become structured [`SweepReport::failures`]; sibling
-/// cells are unaffected.
+/// Each cell then merges its segments (see [`merge_cell`]). A panicking
+/// segment becomes one structured [`SweepReport::failures`] entry for its
+/// cell; sibling cells are unaffected.
 ///
 /// # Panics
 ///
 /// Panics only if a *preparation* task fails (no cell of that app could be
 /// simulated).
 pub fn run_sweep(spec: &SweepSpec, engine: &Engine) -> SweepReport {
-    if let Some(interval_uops) = spec.sample {
-        return run_sampled_sweep(spec, engine, interval_uops);
-    }
-    let cfg = spec.cfg;
-    let variant = spec.variant;
-    let len = spec.len;
-    let scale = spec.scale;
-
-    let prep_tasks: Vec<(TaskKey, AppId)> = spec
-        .apps
-        .iter()
-        .map(|&app| (spec.prep_key(app), app))
-        .collect();
-    let prepared: Vec<(AppId, Arc<(LookupTrace, ProfileInputs)>)> = engine
-        .run(prep_tasks, move |_key, _seed, app| {
-            let trace = trace_for_scaled(app, variant, len, scale);
-            let profiles = ProfileInputs::build(&cfg, &trace);
-            (app, Arc::new((trace, profiles)))
-        })
-        .expect_all("sweep preparation");
-
-    let mut sim_tasks = Vec::new();
-    for (app, shared) in &prepared {
-        for policy in &spec.policies {
-            sim_tasks.push((
-                spec.task_key(*app, policy),
-                (*app, policy.clone(), Arc::clone(shared)),
-            ));
-        }
-    }
-    let metrics = spec.metrics;
-    let outcome = engine.run(sim_tasks, move |_key, seed, (app, policy, shared)| {
-        let (trace, profiles): &(LookupTrace, ProfileInputs) = &shared;
-        let id = policy.parse::<PolicyId>().unwrap_or_else(|e| panic!("{e}"));
-        let mut builder = Frontend::builder(cfg)
-            .policy(id.build(&cfg, profiles, seed))
-            .options(SimOptions::default());
-        if metrics {
-            builder = builder.recorder(MetricsRecorder::new(Box::new(SamplingRecorder::new(
-                seed,
-                SAMPLE_EVERY,
-            ))));
-        }
-        let mut frontend = builder.build();
-        let result = frontend.run(trace);
-        let obs = frontend.take_recorder().map(|r| CellObs {
-            events: r.events(),
-            metrics: r.metrics().cloned().unwrap_or_default(),
-        });
-        (app, policy, result, trace.total_uops(), obs)
-    });
-    let elapsed = outcome.elapsed;
-
-    let mut cells = Vec::new();
-    let mut failures = Vec::new();
-    for o in outcome.outcomes {
-        match o.result {
-            Ok((app, policy, result, trace_uops, obs)) => cells.push(SweepCell {
-                key: o.key,
-                seed: o.seed,
-                app,
-                policy,
-                result,
-                trace_uops,
-                obs,
-                sampled: None,
-            }),
-            Err(_) => {
-                if let Some(f) = o.failure() {
-                    failures.push(f);
-                }
-            }
-        }
-    }
-    // Merge by key, never by completion or submission order.
-    cells.sort_by(|a, b| a.key.cmp(&b.key));
-    failures.sort_by(|a, b| a.key.cmp(&b.key));
-    let mut profiles = outcome.profiles;
-    profiles.sort_by(|a, b| a.key.cmp(&b.key));
-
-    SweepReport {
-        spec: spec.clone(),
-        cells,
-        failures,
-        profiles,
-        elapsed,
-    }
+    sweep_with(spec, engine, SimOptions::default(), |_, _| false).0
 }
 
-/// One prepared app of a sampled sweep: the (possibly scaled) trace, its
-/// sampling plan, and profile inputs trained on the representative subset.
-struct SampledPrep {
-    trace: LookupTrace,
-    plan: SamplePlan,
-    profiles: ProfileInputs,
+/// One prepared app: the (possibly scaled) trace, its sampling plan on a
+/// `--sample` sweep, and the profile inputs its policies train on.
+pub(crate) struct Prep {
+    pub(crate) trace: LookupTrace,
+    plan: Option<SamplePlan>,
+    pub(crate) profiles: ProfileInputs,
 }
 
-/// Which cluster member a sampled segment task simulates.
+/// What one simulation task of a cell runs.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 enum Segment {
-    /// The j-th stratified sample point; its result feeds the cluster's
+    /// The whole trace: the one segment of a full cell.
+    Whole,
+    /// Sample point `j` of cluster `c`; its result feeds the cluster's
     /// reconstructed average.
-    Point(usize),
-    /// The farthest member of a single-point cluster; its disagreement with
-    /// the point feeds the reported error bound.
-    Probe,
+    Point(usize, usize),
+    /// The probe of single-point cluster `c`; its disagreement with the
+    /// point feeds the reported error bound.
+    Probe(usize),
 }
 
-/// The sampled variant of [`run_sweep`]: per app, slice + fingerprint +
-/// cluster the trace once (stage 1), then simulate one task per
-/// `(app, policy, cluster segment)` (stage 2) and reconstruct each cell
-/// from its representatives by cluster weight.
-///
-/// Keys: segment tasks are children of the cell key (`…/LRU/rep0`,
-/// `…/LRU/probe0`), and any randomized policy is seeded from the **cell**
-/// key — so the cell is a pure function of the sweep request, and the
-/// merged report is byte-identical at any worker count.
-fn run_sampled_sweep(spec: &SweepSpec, engine: &Engine, interval_uops: u64) -> SweepReport {
-    let cfg = spec.cfg;
-    let variant = spec.variant;
-    let len = spec.len;
-    let scale = spec.scale;
+impl Segment {
+    /// The segments of every cell of an app, in submission order.
+    fn all(plan: Option<&SamplePlan>) -> Vec<Segment> {
+        let Some(plan) = plan else {
+            return vec![Segment::Whole];
+        };
+        let mut segments = Vec::new();
+        for (c, cluster) in plan.clusters.iter().enumerate() {
+            segments.extend((0..cluster.points.len()).map(|j| Segment::Point(c, j)));
+            segments.extend(cluster.probe.map(|_| Segment::Probe(c)));
+        }
+        segments
+    }
 
-    let prep_tasks: Vec<(TaskKey, AppId)> = spec
-        .apps
-        .iter()
-        .map(|&app| (spec.prep_key(app), app))
-        .collect();
-    let prepared: Vec<(AppId, Arc<SampledPrep>)> = engine
-        .run(prep_tasks, move |_key, seed, app| {
-            let trace = trace_for_scaled(app, variant, len, scale);
-            let plan = SamplePlan::build(&trace, &SampleConfig::new(interval_uops, seed));
-            // Profile-guided policies train on the representative subset,
-            // keeping sampled preparation O(k · interval) instead of
-            // O(trace) — the whole point at scale 100.
-            let train = plan.representative_trace(&trace);
-            let profiles = ProfileInputs::build(&cfg, &train);
+    /// The segment's task key: the cell key itself, or a child of it.
+    fn key(self, cell: &TaskKey) -> TaskKey {
+        match self {
+            Segment::Whole => cell.clone(),
+            Segment::Point(c, j) => cell.child(format!("pt{c}.{j}")),
+            Segment::Probe(c) => cell.child(format!("probe{c}")),
+        }
+    }
+}
+
+/// One simulated segment, with the cell's `--metrics` observability when it
+/// is a whole-trace segment.
+type SegmentRun = (Segment, SimResult, Option<CellObs>);
+
+/// [`run_sweep`] with the simulation options of whole-trace segments and a
+/// cell filter: cells for which `skip(app, policy)` holds are neither
+/// simulated nor reported. Also hands back the prepared apps.
+pub(crate) fn sweep_with(
+    spec: &SweepSpec,
+    engine: &Engine,
+    opts: SimOptions,
+    skip: impl Fn(AppId, &str) -> bool,
+) -> (SweepReport, Vec<(AppId, Prep)>) {
+    let cfg = spec.cfg;
+    let prep_tasks = (spec.apps.iter()).map(|&a| (spec.task_key(a, "prepare"), a));
+    let prepared: Vec<(AppId, Prep)> = engine
+        .run(prep_tasks.collect(), |_key, seed, app| {
+            let trace = trace_for_scaled(app, spec.variant, spec.len, spec.scale);
+            let plan = (spec.sample)
+                .map(|interval| SamplePlan::build(&trace, &SampleConfig::new(interval, seed)));
+            // Sampled apps train profile-guided policies on the sample points
+            // only, keeping preparation O(k · interval) instead of O(trace).
+            let train = plan.as_ref().map(|plan| plan.representative_trace(&trace));
+            let profiles = ProfileInputs::build(&cfg, train.as_ref().unwrap_or(&trace));
             (
                 app,
-                Arc::new(SampledPrep {
+                Prep {
                     trace,
                     plan,
                     profiles,
-                }),
+                },
             )
         })
-        .expect_all("sampled sweep preparation");
+        .expect_all("sweep preparation");
 
-    type SegInput = (String, Arc<SampledPrep>, usize, Segment, u64);
-    let mut seg_tasks: Vec<(TaskKey, SegInput)> = Vec::new();
-    for (app, shared) in &prepared {
-        for policy in &spec.policies {
-            let cell_key = spec.task_key(*app, policy);
-            let cell_seed = cell_key.seed();
-            for (c, cluster) in shared.plan.clusters.iter().enumerate() {
-                for j in 0..cluster.points.len() {
-                    seg_tasks.push((
-                        cell_key.child(format!("pt{c}.{j}")),
-                        (
-                            policy.clone(),
-                            Arc::clone(shared),
-                            c,
-                            Segment::Point(j),
-                            cell_seed,
-                        ),
-                    ));
-                }
-                if cluster.probe.is_some() {
-                    seg_tasks.push((
-                        cell_key.child(format!("probe{c}")),
-                        (
-                            policy.clone(),
-                            Arc::clone(shared),
-                            c,
-                            Segment::Probe,
-                            cell_seed,
-                        ),
-                    ));
-                }
-            }
+    let mut cells = Vec::new();
+    let mut tasks = Vec::new();
+    for (app, prep) in &prepared {
+        let segments = Segment::all(prep.plan.as_ref());
+        for policy in spec.policies.iter().filter(|p| !skip(*app, p)) {
+            let key = spec.task_key(*app, policy);
+            tasks.extend(
+                segments
+                    .iter()
+                    .map(|&s| (s.key(&key), (prep, policy, s, key.seed()))),
+            );
+            cells.push((*app, policy, key, prep, segments.len()));
         }
     }
-
-    let outcome = engine.run(
-        seg_tasks,
-        move |_key, _seed, (policy, shared, cluster, segment, cell_seed): SegInput| {
-            let id = policy.parse::<PolicyId>().unwrap_or_else(|e| panic!("{e}"));
-            let plan = &shared.plan;
-            let member = match segment {
-                Segment::Point(j) => plan.clusters[cluster].points[j],
-                Segment::Probe => plan.clusters[cluster]
+    let outcome = engine.run(tasks, |_key, _seed, (prep, policy, segment, seed)| {
+        let id = policy.parse::<PolicyId>().unwrap_or_else(|e| panic!("{e}"));
+        let policy = id.build(&cfg, &prep.profiles, seed);
+        let (plan, member) = match (segment, &prep.plan) {
+            (Segment::Point(c, j), Some(plan)) => (plan, plan.clusters[c].points[j]),
+            (Segment::Probe(c), Some(plan)) => (
+                plan,
+                plan.clusters[c]
                     .probe
-                    .unwrap_or(plan.clusters[cluster].representative),
-            };
-            let result = simulate_interval(
-                &cfg,
-                id.build(&cfg, &shared.profiles, cell_seed),
-                &shared.trace,
-                plan.warmup_range(member),
-                plan.intervals[member].range(),
-            );
-            (cluster, segment, result)
-        },
-    );
-    let elapsed = outcome.elapsed;
-
-    // Merge: drain segment outcomes cell by cell, in the same nested order
-    // they were submitted (the engine returns outcomes in submission order).
-    let mut cells = Vec::new();
-    let mut failures = Vec::new();
-    let mut outcomes = outcome.outcomes.into_iter();
-    for (app, shared) in &prepared {
-        let plan = &shared.plan;
-        let segments_per_cell: usize = plan
-            .clusters
-            .iter()
-            .map(|c| c.points.len() + usize::from(c.probe.is_some()))
-            .sum();
-        for policy in &spec.policies {
-            let cell_key = spec.task_key(*app, policy);
-            let cell_seed = cell_key.seed();
-            let mut points: Vec<Vec<Option<SimResult>>> = plan
-                .clusters
-                .iter()
-                .map(|c| vec![None; c.points.len()])
-                .collect();
-            let mut probes: Vec<Option<SimResult>> = vec![None; plan.clusters.len()];
-            let mut first_error: Option<String> = None;
-            for _ in 0..segments_per_cell {
-                let o = outcomes.next().expect("one outcome per submitted segment");
-                match o.result {
-                    Ok((cluster, Segment::Point(j), result)) => {
-                        points[cluster][j] = Some(result);
-                    }
-                    Ok((cluster, Segment::Probe, result)) => probes[cluster] = Some(result),
-                    Err(message) => {
-                        if first_error.is_none() {
-                            first_error = Some(message);
-                        }
-                    }
+                    .expect("probe segments are planned only for clusters with a probe"),
+            ),
+            _ => {
+                let mut builder = Frontend::builder(cfg).policy(policy).options(opts);
+                if spec.metrics {
+                    builder = builder.recorder(MetricsRecorder::new(Box::new(
+                        SamplingRecorder::new(seed, SAMPLE_EVERY),
+                    )));
                 }
-            }
-            if let Some(message) = first_error {
-                // One structured failure per *cell* (not per segment), keyed
-                // like a full-sweep cell so downstream tooling needs no
-                // special casing.
-                failures.push(TaskFailure {
-                    key: cell_key,
-                    seed: cell_seed,
-                    message,
+                let mut frontend = builder.build();
+                let result = frontend.run(&prep.trace);
+                let obs = frontend.take_recorder().map(|r| CellObs {
+                    events: r.events(),
+                    metrics: r.metrics().cloned().unwrap_or_default(),
                 });
-                continue;
+                return (segment, result, obs);
             }
-            let points: Vec<Vec<SimResult>> = points
-                .into_iter()
-                .map(|pts| {
-                    pts.into_iter()
-                        .map(|r| r.expect("every sample point was submitted"))
-                        .collect()
-                })
-                .collect();
-            let (result, sampled) = reconstruct_cell(plan, &points, &probes);
-            cells.push(SweepCell {
-                key: cell_key,
-                seed: cell_seed,
-                app: *app,
+        };
+        let (warmup, measure) = (plan.warmup_range(member), plan.intervals[member].range());
+        let result = simulate_interval(&cfg, policy, &prep.trace, warmup, measure);
+        (segment, result, None)
+    });
+
+    // The engine returns outcomes in submission order, so each cell drains
+    // exactly its own segments.
+    let mut outcomes = outcome.outcomes.into_iter();
+    let mut merged = Vec::new();
+    let mut failures = Vec::new();
+    for (app, policy, key, prep, segments) in cells {
+        let runs = outcomes.by_ref().take(segments).map(|o| o.result).collect();
+        match merge_cell(prep.plan.as_ref(), &key, runs) {
+            Ok((result, obs, sampled)) => merged.push(SweepCell {
+                seed: key.seed(),
+                key,
+                app,
                 policy: policy.clone(),
                 result,
-                trace_uops: plan.total_uops,
-                obs: None,
-                sampled: Some(sampled),
-            });
+                trace_uops: prep.trace.total_uops(),
+                obs,
+                sampled,
+            }),
+            Err(failure) => failures.push(failure),
         }
     }
-    cells.sort_by(|a, b| a.key.cmp(&b.key));
+    // Merge by key, never by completion or submission order.
+    merged.sort_by(|a, b| a.key.cmp(&b.key));
     failures.sort_by(|a, b| a.key.cmp(&b.key));
     let mut profiles = outcome.profiles;
     profiles.sort_by(|a, b| a.key.cmp(&b.key));
-
-    SweepReport {
-        spec: spec.clone(),
+    let (cells, elapsed) = (merged, outcome.elapsed);
+    let spec = spec.clone();
+    let report = SweepReport {
+        spec,
         cells,
         failures,
         profiles,
         elapsed,
+    };
+    (report, prepared)
+}
+
+/// Folds one cell's segment outcomes, in submission order, into its result,
+/// `--metrics` observability and sampling metadata: a whole-trace result
+/// passes through, and sampled cells are reconstructed by cluster weight.
+/// The first segment error becomes the cell's one failure, keyed by the
+/// cell key with the cell seed.
+fn merge_cell(
+    plan: Option<&SamplePlan>,
+    key: &TaskKey,
+    runs: Vec<Result<SegmentRun, String>>,
+) -> Result<(SimResult, Option<CellObs>, Option<SampledCell>), TaskFailure> {
+    let runs = runs
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|message| TaskFailure {
+            key: key.clone(),
+            seed: key.seed(),
+            message,
+        })?;
+    let Some(plan) = plan else {
+        let (_, result, obs) = runs
+            .into_iter()
+            .next()
+            .expect("a full cell runs one whole-trace segment");
+        return Ok((result, obs, None));
+    };
+    let mut points: Vec<Vec<SimResult>> = vec![Vec::new(); plan.clusters.len()];
+    let mut probes = vec![None; plan.clusters.len()];
+    for (segment, result, _) in runs {
+        match segment {
+            Segment::Point(c, _) => points[c].push(result),
+            Segment::Probe(c) => probes[c] = Some(result),
+            Segment::Whole => unreachable!("a sampled cell has no whole-trace segment"),
+        }
     }
+    let (result, sampled) = reconstruct_cell(plan, &points, &probes);
+    Ok((result, None, Some(sampled)))
 }
 
 /// Reconstructs a whole-trace [`SimResult`] from per-point results: every
@@ -971,21 +881,23 @@ mod tests {
 
     #[test]
     fn sweep_is_jobs_invariant() {
-        let spec = tiny_spec();
-        let serial = run_sweep(&spec, &Engine::new(1)).to_json();
-        let parallel = run_sweep(&spec, &Engine::new(4)).to_json();
-        assert_eq!(serial, parallel);
+        for spec in [tiny_spec(), sampled_spec()] {
+            let serial = run_sweep(&spec, &Engine::new(1)).to_json();
+            for jobs in [2, 8] {
+                assert_eq!(serial, run_sweep(&spec, &Engine::new(jobs)).to_json());
+            }
+        }
     }
 
     #[test]
-    fn unknown_policy_becomes_a_structured_failure() {
-        let mut spec = tiny_spec();
-        spec.policies.push("NoSuchPolicy".to_string());
-        let report = run_sweep(&spec, &Engine::new(2));
-        assert_eq!(report.failures.len(), 2, "one per app");
-        assert!(report.failures[0].message.contains("NoSuchPolicy"));
-        // Sibling cells are unaffected.
-        assert_eq!(report.cells.len(), 4);
+    fn unknown_policy_becomes_one_structured_failure_per_cell() {
+        for mut spec in [tiny_spec(), sampled_spec()] {
+            spec.policies.push("NoSuchPolicy".to_string());
+            let report = run_sweep(&spec, &Engine::new(2));
+            assert_eq!(report.failures.len(), 2, "one per app, not per segment");
+            assert!(report.failures[0].message.contains("NoSuchPolicy"));
+            assert_eq!(report.cells.len(), 4, "sibling cells are unaffected");
+        }
     }
 
     #[test]
@@ -1102,16 +1014,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_sweep_is_jobs_invariant() {
-        let spec = sampled_spec();
-        let serial = run_sweep(&spec, &Engine::new(1)).to_json();
-        let two = run_sweep(&spec, &Engine::new(2)).to_json();
-        let eight = run_sweep(&spec, &Engine::new(8)).to_json();
-        assert_eq!(serial, two);
-        assert_eq!(serial, eight);
-    }
-
-    #[test]
     fn sampled_cells_carry_plan_and_exact_uop_totals() {
         let spec = sampled_spec();
         let report = run_sweep(&spec, &Engine::new(2));
@@ -1170,14 +1072,97 @@ mod tests {
         }
     }
 
+    /// A hand-built plan over five 100-uop intervals: cluster 0 measures
+    /// two points, cluster 1 one point backed by a probe.
+    fn probe_plan() -> SamplePlan {
+        use uopcache_sample::{ClusterPlan, Interval};
+        let cluster = |representative, points: Vec<usize>, probe, members: usize| ClusterPlan {
+            representative,
+            points,
+            probe,
+            members,
+            uops: 100 * members as u64,
+            weight: members as f64 / 5.0,
+        };
+        SamplePlan {
+            interval_uops: 100,
+            k: 2,
+            intervals: (0..5)
+                .map(|i| Interval {
+                    index: i,
+                    start_access: 10 * i,
+                    end_access: 10 * (i + 1),
+                    uops: 100,
+                })
+                .collect(),
+            assignments: vec![0, 0, 0, 1, 1],
+            clusters: vec![
+                cluster(1, vec![0, 2], None, 3),
+                cluster(3, vec![3], Some(4), 2),
+            ],
+            total_uops: 500,
+            warmup_intervals: 1,
+        }
+    }
+
+    /// One cell's segment outcomes under [`probe_plan`]: synthetic results
+    /// over 100 requested uops each, the probe's hits given by `probe`.
+    fn probe_cell(probe: Result<u64, &str>) -> Vec<Result<SegmentRun, String>> {
+        let run = |segment, hit, cycles| {
+            let mut r = SimResult::default();
+            r.uopc.uops_requested = 100;
+            r.uopc.uops_hit = hit;
+            r.uopc.uops_missed = 100 - hit;
+            r.events.cycles = cycles;
+            (segment, r, None)
+        };
+        vec![
+            Ok(run(Segment::Point(0, 0), 80, 1_000)),
+            Ok(run(Segment::Point(0, 1), 60, 1_200)),
+            Ok(run(Segment::Point(1, 0), 90, 500)),
+            probe
+                .map(|hit| run(Segment::Probe(1), hit, 9_999))
+                .map_err(str::to_string),
+        ]
+    }
+
     #[test]
-    fn sampled_failures_dedup_to_one_per_cell() {
-        let mut spec = sampled_spec();
-        spec.policies.push("NoSuchPolicy".to_string());
-        let report = run_sweep(&spec, &Engine::new(2));
-        assert_eq!(report.failures.len(), 2, "one per app, not per segment");
-        assert!(report.failures[0].message.contains("NoSuchPolicy"));
-        assert_eq!(report.cells.len(), 4, "sibling cells are unaffected");
+    fn probe_segments_merge_into_the_error_bound_only() {
+        let (plan, key) = (probe_plan(), tiny_spec().task_key(AppId::Kafka, "LRU"));
+        let (result, obs, sampled) = merge_cell(Some(&plan), &key, probe_cell(Ok(50))).expect("ok");
+        assert!(obs.is_none());
+        // Per-uop extrapolation over the points only: cluster 0 hits
+        // 140/200 of its 300 uops, cluster 1 90/100 of its 200.
+        assert_eq!(result.uopc.uops_requested, 500);
+        assert_eq!(result.uopc.uops_hit, 210 + 180);
+        assert_eq!(result.uopc.uops_missed, 110);
+        assert_eq!(result.events.cycles, 2_200 * 3 / 2 + 500 * 2);
+        let sampled = sampled.expect("sampled cell");
+        assert_eq!((sampled.k, sampled.intervals), (2, 5));
+        assert_eq!(sampled.weights, vec![0.6, 0.4]);
+        // Dispersion: cluster 0's standard error (0.1) at weight 0.6, and
+        // cluster 1's point↔probe disagreement |0.9 − 0.5| at weight 0.4.
+        let floor = uopcache_sample::EST_ERROR_FLOOR;
+        let margin = uopcache_sample::EST_ERROR_MARGIN;
+        assert!((sampled.est_error - (floor + margin * (0.06 + 0.16))).abs() < 1e-12);
+        // An agreeing probe leaves only cluster 0's dispersion, and the
+        // counters do not move.
+        let (agreeing, _, tight) = merge_cell(Some(&plan), &key, probe_cell(Ok(90))).expect("ok");
+        assert_eq!(agreeing, result);
+        let tight = tight.expect("sampled cell").est_error;
+        assert!((tight - (floor + margin * 0.06)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_failing_probe_fails_its_cell_once() {
+        let (plan, key) = (probe_plan(), tiny_spec().task_key(AppId::Kafka, "LRU"));
+        let mut runs = probe_cell(Err("probe panicked"));
+        let failure = merge_cell(Some(&plan), &key, runs.clone()).expect_err("cell fails");
+        assert_eq!((&failure.key, failure.seed), (&key, key.seed()));
+        assert_eq!(failure.message, "probe panicked");
+        runs[1] = Err("point panicked".to_string());
+        let failure = merge_cell(Some(&plan), &key, runs).expect_err("cell fails");
+        assert_eq!(failure.message, "point panicked", "the first error wins");
     }
 
     #[test]

@@ -44,14 +44,15 @@ commands:
                                     --sample N switches every cell to
                                     representative-interval sampling with
                                     N-uop intervals (see `sample`)
-  sample     [sweep flags] [--interval N] [--scale N] [--check] [--gate X]
+  sample     [sweep flags] [--sample N] [--scale N] [--check] [--gate X]
              [--jobs N] [--json FILE]
                                     run a representative-interval (SimPoint
                                     style) sampled sweep: slice the trace
-                                    into N-uop intervals, cluster their BBV
-                                    fingerprints, simulate one interval per
-                                    cluster and reconstruct every cell with
-                                    a reported error bound; --check reruns
+                                    into N-uop intervals (default 20000),
+                                    cluster their BBV fingerprints, simulate
+                                    one interval per cluster and reconstruct
+                                    every cell with a reported error bound;
+                                    --check reruns
                                     the full simulation and gates the true
                                     error against the bound and --gate
                                     (default 0.02); --scale stretches the
@@ -532,16 +533,7 @@ fn cmd_sweep(args: &Args) -> Result<(), Box<dyn Error>> {
 /// absolute), reporting the wall-clock speedup alongside.
 fn cmd_sample(args: &Args) -> Result<(), Box<dyn Error>> {
     let mut spec = spec_from_args(args)?;
-    let interval = match args.get("interval") {
-        Some(_) => args.get_parse("interval", 0u64)?,
-        None => spec.sample.unwrap_or(20_000),
-    };
-    if interval == 0 {
-        return Err(Box::new(ArgError(
-            "--interval must be at least 1 micro-op".into(),
-        )));
-    }
-    spec.sample = Some(interval);
+    let interval = *spec.sample.get_or_insert(20_000);
     if let Some(jobs) = args.get("jobs") {
         sweep::set_jobs(
             jobs.parse()

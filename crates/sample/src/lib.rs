@@ -21,9 +21,10 @@
 //!    the *probe*; cluster weights are micro-op shares.
 //! 5. **Simulate** ([`simulate_interval`]) — run each representative (and
 //!    probe) with functional warmup from its preceding interval.
-//! 6. **Reconstruct** ([`SamplePlan::estimate`]) — whole-trace metrics as
-//!    the weighted average of representative metrics, with an error bound
-//!    ([`SamplePlan::error_bound`]) from representative↔probe dispersion.
+//! 6. **Reconstruct** (the sweep harness, by [`SamplePlan::weights`]) —
+//!    whole-trace metrics as the weighted average of sample-point metrics,
+//!    with an error bound ([`SamplePlan::error_bound`]) from within-cluster
+//!    dispersion.
 //!
 //! Determinism contract: nothing here reads a clock, thread id, or
 //! iteration order of an unordered container; a sampled sweep is therefore

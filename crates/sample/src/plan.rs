@@ -21,6 +21,21 @@ pub const EST_ERROR_FLOOR: f64 = 0.01;
 /// Error-bound margin over the observed representative↔probe dispersion.
 pub const EST_ERROR_MARGIN: f64 = 1.5;
 
+/// Functional-warmup length, in micro-ops simulated (unmeasured) before each
+/// sample point — converted to whole intervals at plan build. Too short and
+/// every point re-pays misses the continuously-simulated cache would have hit
+/// (front-end structures hold history far beyond the micro-op cache itself),
+/// biasing hit rates down; the cost of a point grows linearly with it.
+/// Specified in uops, not intervals, so the warm state is equally deep
+/// whatever the interval size.
+const WARMUP_UOPS: u64 = 20_000;
+/// Target number of measured sample points across all clusters, distributed
+/// proportionally to cluster weight (at least one per cluster). One point per
+/// cluster is the textbook SimPoint setting; it is only accurate when clusters
+/// are internally homogeneous. Multiple stratified points per cluster average
+/// residual within-cluster variance away at a cost linear in the point count.
+const TARGET_POINTS: u64 = 24;
+
 /// Tuning knobs for plan construction.
 #[derive(Copy, Clone, Debug)]
 pub struct SampleConfig {
@@ -32,36 +47,19 @@ pub struct SampleConfig {
     pub max_k: usize,
     /// k-means iteration cap.
     pub kmeans_iters: usize,
-    /// Functional-warmup length, in micro-ops simulated (unmeasured) before
-    /// each sample point — converted to whole intervals at plan build. Too
-    /// short and every point re-pays misses the continuously-simulated
-    /// cache would have hit (front-end structures hold history far beyond
-    /// the micro-op cache itself), biasing hit rates down; the cost of a
-    /// point grows linearly with it. Specified in uops, not intervals, so
-    /// the warm state is equally deep whatever the interval size.
-    pub warmup_uops: u64,
-    /// Target number of measured sample points across all clusters,
-    /// distributed proportionally to cluster weight (at least one per
-    /// cluster). One point per cluster is the textbook SimPoint setting; it
-    /// is only accurate when clusters are internally homogeneous. Multiple
-    /// stratified points per cluster average residual within-cluster
-    /// variance away at a cost linear in the point count.
-    pub target_points: usize,
     /// Seed for projection and centroid initialisation.
     pub seed: u64,
 }
 
 impl SampleConfig {
-    /// Defaults (dim 32, k ≤ 8, 40 iterations, 20K-uop warmup, 16 sample
-    /// points) for a given interval size and seed.
+    /// Defaults (dim 32, k ≤ 8, 40 iterations) for a given interval size
+    /// and seed.
     pub fn new(interval_uops: u64, seed: u64) -> Self {
         SampleConfig {
             interval_uops,
             dim: 32,
             max_k: 8,
             kmeans_iters: 40,
-            warmup_uops: 20_000,
-            target_points: 24,
             seed,
         }
     }
@@ -106,8 +104,8 @@ pub struct SamplePlan {
     pub clusters: Vec<ClusterPlan>,
     /// Micro-ops in the whole trace (the weight denominator).
     pub total_uops: u64,
-    /// Functional-warmup length in intervals: [`SampleConfig::warmup_uops`]
-    /// rounded up to whole intervals (at least one).
+    /// Functional-warmup length in intervals: the fixed 20 000-uop warmup
+    /// (`WARMUP_UOPS`) rounded up to whole intervals (at least one).
     pub warmup_intervals: usize,
 }
 
@@ -176,8 +174,7 @@ impl SamplePlan {
             let share = if total_uops == 0 {
                 1
             } else {
-                let rounded =
-                    (cfg.target_points as u64 * p.uops * 2 + total_uops) / (2 * total_uops);
+                let rounded = (TARGET_POINTS * p.uops * 2 + total_uops) / (2 * total_uops);
                 usize::try_from(rounded).unwrap_or(usize::MAX)
             };
             let count = share.clamp(1, m);
@@ -206,7 +203,7 @@ impl SamplePlan {
             assignments,
             clusters,
             total_uops,
-            warmup_intervals: usize::try_from(cfg.warmup_uops.div_ceil(cfg.interval_uops.max(1)))
+            warmup_intervals: usize::try_from(WARMUP_UOPS.div_ceil(cfg.interval_uops.max(1)))
                 .unwrap_or(usize::MAX)
                 .max(1),
         }
@@ -215,26 +212,6 @@ impl SamplePlan {
     /// Per-cluster reconstruction weights (sum to 1 for a non-empty trace).
     pub fn weights(&self) -> Vec<f64> {
         self.clusters.iter().map(|c| c.weight).collect()
-    }
-
-    /// Weighted reconstruction of a per-uop metric: `Σ weight_c · value_c`,
-    /// where `value_c` was measured on cluster `c`'s representative. Exact
-    /// for any metric that is constant within each cluster.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `per_cluster` does not have one value per cluster.
-    pub fn estimate(&self, per_cluster: &[f64]) -> f64 {
-        assert_eq!(
-            per_cluster.len(),
-            self.clusters.len(),
-            "one value per cluster"
-        );
-        self.clusters
-            .iter()
-            .zip(per_cluster)
-            .map(|(c, v)| c.weight * v)
-            .sum()
     }
 
     /// The reported error bound for a rate metric: the floor plus a margin
@@ -364,24 +341,6 @@ mod tests {
         for w in plan.clusters.windows(2) {
             assert!(w[0].representative < w[1].representative);
         }
-    }
-
-    #[test]
-    fn piecewise_constant_metrics_reconstruct_exactly() {
-        let (_, plan) = plan_for(AppId::Clang, 10_000, 2_500);
-        // Invent a metric constant within each cluster: its cluster index.
-        let per_cluster: Vec<f64> = (0..plan.clusters.len()).map(|c| c as f64).collect();
-        let est = plan.estimate(&per_cluster);
-        // Ground truth: uop-weighted mean over intervals of their cluster's
-        // value — identical by construction.
-        let truth: f64 = plan
-            .intervals
-            .iter()
-            .enumerate()
-            .map(|(i, iv)| plan.assignments[i] as f64 * iv.uops as f64)
-            .sum::<f64>()
-            / plan.total_uops as f64;
-        assert!((est - truth).abs() < 1e-9, "est {est} vs truth {truth}");
     }
 
     #[test]
