@@ -12,11 +12,8 @@
 pub enum TokKind {
     /// An identifier or keyword (`unwrap`, `as`, `impl`, ...).
     Ident,
-    /// An integer literal.
-    Int,
-    /// A floating-point literal (contains `.`, an exponent, or an `f32`/`f64`
-    /// suffix).
-    Float,
+    /// A numeric literal, integer or float, with any suffix.
+    Num,
     /// A string literal (normal or raw); `text` holds the *contents*.
     Str,
     /// A char literal.
@@ -67,15 +64,11 @@ pub struct Lexed {
     pub comments: Vec<(u32, String)>,
 }
 
-/// Tokenizes `src`, skipping comments and whitespace.
+/// Tokenizes `src`, skipping whitespace and collecting the comments
+/// separately (see [`Lexed`]).
 ///
 /// Unterminated strings or comments end the token stream early rather than
 /// erroring: the audit lints best-effort rather than refusing a file.
-pub fn tokenize(src: &str) -> Vec<Tok> {
-    tokenize_full(src).toks
-}
-
-/// Tokenizes `src`, also collecting the comments (see [`Lexed`]).
 pub fn tokenize_full(src: &str) -> Lexed {
     let b: Vec<char> = src.chars().collect();
     let mut toks = Vec::new();
@@ -235,55 +228,30 @@ pub fn tokenize_full(src: &str) -> Lexed {
             i = (j + 1).min(n);
             continue;
         }
-        // Numbers.
+        // Numbers: digits, radix prefixes, suffixes and exponents, plus a
+        // fractional `.` only when a digit follows (`1..x` is a range and
+        // `1.max(..)` a method call).
         if c.is_ascii_digit() {
-            let mut j = i;
-            let mut saw_dot = false;
-            let mut saw_exp = false;
-            let hex = c == '0' && matches!(b.get(i + 1), Some('x' | 'X' | 'o' | 'b'));
-            if hex {
-                j += 2;
-                while j < n && (b[j].is_ascii_alphanumeric() || b[j] == '_') {
+            let mut j = i + 1;
+            while j < n {
+                let d = b[j];
+                // `1e-9`, but not `0x1e - 3` or `2usize - 1`.
+                let exp_sign = (d == '+' || d == '-')
+                    && matches!(b[j - 1], 'e' | 'E')
+                    && b[j - 2].is_ascii_digit()
+                    && !matches!(b.get(i + 1), Some('x' | 'X'));
+                let fraction = d == '.' && b.get(j + 1).is_some_and(char::is_ascii_digit);
+                if d.is_ascii_alphanumeric() || d == '_' || exp_sign || fraction {
                     j += 1;
-                }
-            } else {
-                while j < n {
-                    let d = b[j];
-                    if d.is_ascii_digit() || d == '_' {
-                        j += 1;
-                    } else if d == '.' && !saw_dot && b.get(j + 1).is_none_or(|&x| x != '.') {
-                        // `1..x` is a range, not a float.
-                        if b.get(j + 1).is_some_and(|x| x.is_alphabetic()) {
-                            break; // method call on an integer: `1.max(..)`
-                        }
-                        saw_dot = true;
-                        j += 1;
-                    } else if (d == 'e' || d == 'E')
-                        && !saw_exp
-                        && b.get(j + 1)
-                            .is_some_and(|&x| x.is_ascii_digit() || x == '+' || x == '-')
-                    {
-                        saw_exp = true;
-                        j += 2;
-                    } else if d.is_alphabetic() {
-                        // Suffix (u32, f64, ...).
-                        while j < n && (b[j].is_ascii_alphanumeric() || b[j] == '_') {
-                            j += 1;
-                        }
-                        break;
-                    } else {
-                        break;
-                    }
+                } else {
+                    break;
                 }
             }
-            let text: String = b[i..j].iter().collect();
-            let kind =
-                if !hex && (saw_dot || saw_exp || text.ends_with("f32") || text.ends_with("f64")) {
-                    TokKind::Float
-                } else {
-                    TokKind::Int
-                };
-            toks.push(Tok { kind, text, line });
+            toks.push(Tok {
+                kind: TokKind::Num,
+                text: b[i..j].iter().collect(),
+                line,
+            });
             i = j;
             continue;
         }
@@ -342,6 +310,10 @@ pub fn tokenize_full(src: &str) -> Lexed {
 mod tests {
     use super::*;
 
+    fn tokenize(src: &str) -> Vec<Tok> {
+        tokenize_full(src).toks
+    }
+
     fn kinds(src: &str) -> Vec<(TokKind, String)> {
         tokenize(src)
             .into_iter()
@@ -384,16 +356,19 @@ mod tests {
     }
 
     #[test]
-    fn float_vs_int_vs_range() {
-        let toks = kinds("1.5 + 2 + 0x1f + 3f64 + 1e9 + (0..4) + 1.max(2)");
-        let floats: Vec<_> = toks
+    fn numbers_ranges_and_method_calls() {
+        let toks = kinds("1.5 + 2 + 0x1f + 3f64 + 1e-9 + (0..4) + 1.max(2) + 2usize-1");
+        let nums: Vec<_> = toks
             .iter()
-            .filter(|(k, _)| *k == TokKind::Float)
-            .map(|(_, t)| t.clone())
+            .filter(|(k, _)| *k == TokKind::Num)
+            .map(|(_, t)| t.as_str())
             .collect();
-        assert_eq!(floats, ["1.5", "3f64", "1e9"]);
-        assert!(toks.iter().any(|(k, t)| *k == TokKind::Int && t == "0x1f"));
+        assert_eq!(
+            nums,
+            ["1.5", "2", "0x1f", "3f64", "1e-9", "0", "4", "1", "2", "2usize", "1"]
+        );
         assert!(toks.iter().any(|(k, t)| *k == TokKind::Punct && t == ".."));
+        assert!(toks.iter().any(|(k, t)| *k == TokKind::Ident && t == "max"));
     }
 
     #[test]

@@ -13,15 +13,15 @@
 //!
 //! * **Lint pass** ([`run_lint`]): a hand-rolled tokenizer ([`lexer`]) and
 //!   item parser ([`parser`]) walk every workspace `.rs` file, build a
-//!   workspace-wide call graph ([`callgraph`]), and run three graph
-//!   analyses ([`reach`]) on top of the token-pattern rules:
-//!   alloc-reachability from the hot-path roots, hash-order-dependence of
-//!   canonical output, and lock/spawn discipline in the concurrent crates.
-//!   Violations print `file:line` diagnostics with call-path traces; an
-//!   [`Allowlist`] file (entries carry a mandatory `reason:` and optional
-//!   `expires:`) or an inline `audit:allow(rule)` comment suppresses
-//!   justified exceptions, and stale suppressions are themselves
-//!   diagnostics.
+//!   workspace-wide call graph ([`callgraph`]), and run the graph analyses
+//!   ([`reach`]) clippy cannot express: alloc-reachability from the hot-path
+//!   roots, hash-order-dependence of canonical output, and lock/spawn
+//!   discipline in the concurrent crates. Violations print `file:line`
+//!   diagnostics with call-path traces; an inline `audit:allow(rule)`
+//!   comment suppresses a justified exception. Token-level rules (unwrap,
+//!   float equality, narrowing casts, std hash maps, ambient time,
+//!   unbounded channels) are clippy's job: see the workspace lint table and
+//!   `clippy.toml`.
 //! * **Conformance harness** ([`run_conformance`]): drives all online
 //!   replacement policies through seeded random PW streams under
 //!   [`uopcache_cache::CheckedPolicy`] (feature `strict-invariants`), so any
@@ -43,6 +43,6 @@ pub mod rules;
 
 pub use conformance::{run_conformance, ConformanceResult};
 pub use rules::{
-    callgraph_json, diagnostics_json, run_lint, run_lint_sources, today_utc, Allowlist,
-    AuditReport, Diagnostic,
+    callgraph_json, diagnostics_json, read_sources, run_lint, run_lint_sources, AuditReport,
+    Diagnostic,
 };

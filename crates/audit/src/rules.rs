@@ -1,12 +1,13 @@
-//! The audit's lint rules, the allowlist that configures them, and the
-//! workspace walker that applies them.
+//! The audit's lint rules and the workspace walker that applies them.
 //!
-//! v2 layers a call-graph analysis (see [`crate::callgraph`] and
-//! [`crate::reach`]) on top of the original token-pattern rules, and adds
-//! two determinism rules (`no-std-hashmap`, `no-ambient-time`). All
-//! diagnostics flow through the same [`Allowlist`] + inline-comment
-//! suppression machinery and come back in canonical order (file, line,
-//! rule), ready for byte-stable JSON emission.
+//! Token-level rules that clippy can express (unwrap, float equality,
+//! narrowing casts, std hash maps, ambient time, unbounded channels) live in
+//! the workspace lint table and `clippy.toml`. What remains here are the
+//! call-graph analyses (see [`crate::callgraph`] and [`crate::reach`]) plus
+//! two token rules clippy cannot express: `no-unbounded-queue` in the serve
+//! crate and `unique-policy-names`. Diagnostics pass through inline
+//! `audit:allow(rule)` suppression and come back in canonical order (file,
+//! line, rule), ready for byte-stable JSON emission.
 
 use crate::callgraph::{self, FileView};
 use crate::lexer::{tokenize_full, Tok, TokKind};
@@ -23,13 +24,10 @@ pub struct Diagnostic {
     pub file: PathBuf,
     /// 1-indexed line.
     pub line: u32,
-    /// Rule identifier: token rules (`no-unwrap`, `no-float-eq`,
-    /// `no-narrowing-cast`, `no-unbounded-queue`, `unique-policy-names`,
-    /// `no-std-hashmap`, `no-ambient-time`), graph rules
-    /// (`hot-path-alloc`, `unordered-emission`, `lock-order`,
-    /// `lock-across-channel`, `blocking-under-lock`, `unaccounted-spawn`),
-    /// and the allowlist's own
-    /// hygiene rule (`stale-allowlist`).
+    /// Rule identifier: token rules (`no-unbounded-queue`,
+    /// `unique-policy-names`) or graph rules (`hot-path-alloc`,
+    /// `unordered-emission`, `lock-order`, `lock-across-channel`,
+    /// `blocking-under-lock`, `unaccounted-spawn`).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -47,235 +45,6 @@ impl std::fmt::Display for Diagnostic {
         )
     }
 }
-
-/// One allowlist entry.
-#[derive(Clone, Debug)]
-struct AllowEntry {
-    rule: String,
-    suffix: String,
-    line: Option<u32>,
-    /// Mandatory justification (kept for documentation; its presence is
-    /// what the parser enforces).
-    #[allow(dead_code)]
-    reason: String,
-    /// Optional `YYYY-MM-DD` expiry; past it the entry stops suppressing.
-    expires: Option<String>,
-    /// Line in the allowlist file (for `stale-allowlist` diagnostics).
-    src_line: u32,
-}
-
-/// Rule suppressions parsed from an allowlist file.
-///
-/// Format, one entry per line (full-line `#` comments and blanks allowed):
-///
-/// ```text
-/// <rule> <path-suffix>[:<line>] reason: <why this is justified> [expires: YYYY-MM-DD]
-/// ```
-///
-/// The `reason:` field is mandatory — an unexplained suppression is a
-/// future foot-gun. `expires:` makes a suppression temporary: past the
-/// date the entry stops suppressing and is itself reported
-/// (`stale-allowlist`), as is any entry that no longer matches any
-/// diagnostic.
-///
-/// In addition, a source **comment** containing `audit:allow(<rule>)`
-/// suppresses that rule on that line without an allowlist entry. Only real
-/// comments count — the marker inside a string literal does nothing.
-#[derive(Clone, Debug, Default)]
-pub struct Allowlist {
-    entries: Vec<AllowEntry>,
-    /// Where the entries came from, for `stale-allowlist` spans.
-    source: PathBuf,
-}
-
-impl Allowlist {
-    /// Parses the allowlist text.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first malformed line (bad shape,
-    /// missing `reason:`, or malformed `expires:` date).
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut entries = Vec::new();
-        for (i, raw) in text.lines().enumerate() {
-            let line_no = u32::try_from(i).unwrap_or(u32::MAX).saturating_add(1);
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let Some((rule, rest)) = line.split_once(char::is_whitespace) else {
-                return Err(format!(
-                    "allowlist line {line_no}: expected `<rule> <path> reason: ...`"
-                ));
-            };
-            let rest = rest.trim_start();
-            let Some((path, rest)) = rest.split_once(char::is_whitespace) else {
-                return Err(format!(
-                    "allowlist line {line_no}: missing mandatory `reason:` field"
-                ));
-            };
-            let rest = rest.trim_start();
-            let Some(after_kw) = rest.strip_prefix("reason:") else {
-                return Err(format!(
-                    "allowlist line {line_no}: expected `reason:` after the path, got `{rest}`"
-                ));
-            };
-            let (reason, expires) = match after_kw.rsplit_once("expires:") {
-                Some((r, d)) => {
-                    let d = d.trim();
-                    let ok = d.len() == 10
-                        && d.bytes().enumerate().all(|(k, b)| {
-                            if k == 4 || k == 7 {
-                                b == b'-'
-                            } else {
-                                b.is_ascii_digit()
-                            }
-                        });
-                    if !ok {
-                        return Err(format!(
-                            "allowlist line {line_no}: `expires:` wants YYYY-MM-DD, got `{d}`"
-                        ));
-                    }
-                    (r.trim(), Some(d.to_string()))
-                }
-                None => (after_kw.trim(), None),
-            };
-            if reason.is_empty() {
-                return Err(format!(
-                    "allowlist line {line_no}: `reason:` must not be empty"
-                ));
-            }
-            let (suffix, entry_line) = match path.rsplit_once(':') {
-                Some((p, l)) if !l.is_empty() && l.chars().all(|c| c.is_ascii_digit()) => {
-                    let n = l
-                        .parse()
-                        .map_err(|e| format!("allowlist line {line_no}: bad line number: {e}"))?;
-                    (p, Some(n))
-                }
-                _ => (path, None),
-            };
-            entries.push(AllowEntry {
-                rule: rule.to_string(),
-                suffix: suffix.to_string(),
-                line: entry_line,
-                reason: reason.to_string(),
-                expires,
-                src_line: line_no,
-            });
-        }
-        Ok(Allowlist {
-            entries,
-            source: PathBuf::from("audit.allowlist"),
-        })
-    }
-
-    /// Loads the allowlist from `path`; a missing file is an empty allowlist.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if the file exists but cannot be read or parsed.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        match std::fs::read_to_string(path) {
-            Ok(text) => {
-                let mut al = Self::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-                al.source = path.to_path_buf();
-                Ok(al)
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Self::default()),
-            Err(e) => Err(format!("cannot read allowlist {}: {e}", path.display())),
-        }
-    }
-
-    /// Filters `diags` through the allowlist and appends `stale-allowlist`
-    /// diagnostics for entries that are expired or matched nothing.
-    /// `today` is an ISO `YYYY-MM-DD` date (see [`today_utc`]).
-    fn apply(&self, mut diags: Vec<Diagnostic>, today: &str) -> Vec<Diagnostic> {
-        let mut matched = vec![false; self.entries.len()];
-        diags.retain(|d| {
-            let file = d.file.to_string_lossy().replace('\\', "/");
-            let mut suppressed = false;
-            for (i, e) in self.entries.iter().enumerate() {
-                if e.rule == d.rule
-                    && file.ends_with(e.suffix.as_str())
-                    && e.line.is_none_or(|n| n == d.line)
-                {
-                    matched[i] = true;
-                    if e.expires.as_deref().is_none_or(|x| today <= x) {
-                        suppressed = true;
-                    }
-                }
-            }
-            !suppressed
-        });
-        for (i, e) in self.entries.iter().enumerate() {
-            let expired = e.expires.as_deref().is_some_and(|x| today > x);
-            if expired {
-                diags.push(Diagnostic {
-                    file: self.source.clone(),
-                    line: e.src_line,
-                    rule: "stale-allowlist",
-                    message: format!(
-                        "entry `{} {}` expired on {}; fix the finding or renew the date",
-                        e.rule,
-                        e.suffix,
-                        e.expires.as_deref().unwrap_or("?")
-                    ),
-                });
-            } else if !matched[i] {
-                diags.push(Diagnostic {
-                    file: self.source.clone(),
-                    line: e.src_line,
-                    rule: "stale-allowlist",
-                    message: format!(
-                        "entry `{} {}` no longer matches any diagnostic; delete it",
-                        e.rule, e.suffix
-                    ),
-                });
-            }
-        }
-        diags
-    }
-}
-
-/// Today's date in UTC as `YYYY-MM-DD` (civil-from-days, no deps).
-pub fn today_utc() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let days = i64::try_from(secs / 86_400).unwrap_or(0);
-    let z = days + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = yoe + era * 400 + i64::from(m <= 2);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
-/// Crates whose non-test code must not call `unwrap()` (or undocumented
-/// `expect()`): the simulation-correctness core.
-const NO_UNWRAP_CRATES: [&str; 5] = ["cache", "policies", "offline", "core", "sim"];
-
-/// Crates whose observable behaviour must be bit-deterministic: bare std
-/// `HashMap`/`HashSet` (randomly seeded SipHash → run-dependent iteration
-/// order) are forbidden in favour of `uopcache_model::hash::FastHashMap`.
-/// `serve` is deliberately absent: it hashes *externally supplied* job ids,
-/// where the DoS-resistant std hasher is the right tool.
-const DETERMINISTIC_CRATES: [&str; 14] = [
-    "model", "cache", "policies", "offline", "core", "sim", "trace", "flow", "power", "obs",
-    "bench", "cli", "exec", "audit",
-];
-
-/// Crates that must not read ambient time (`Instant::now`,
-/// `SystemTime::now`) outside the `exec::Clock` seam. `serve` is exempt:
-/// wall-clock deadlines against real clients are its job.
-const NO_AMBIENT_TIME_CRATES: [&str; 11] = [
-    "model", "cache", "policies", "offline", "core", "sim", "trace", "flow", "power", "obs", "exec",
-];
 
 /// A parsed source file ready for linting.
 struct SourceFile {
@@ -314,6 +83,15 @@ impl SourceFile {
         }
     }
 
+    fn view(&self) -> FileView<'_> {
+        FileView {
+            path: &self.path,
+            toks: &self.toks,
+            items: &self.items,
+            test_ranges: &self.test_ranges,
+        }
+    }
+
     fn in_test_code(&self, tok_idx: usize) -> bool {
         self.test_ranges
             .iter()
@@ -325,6 +103,13 @@ impl SourceFile {
             .iter()
             .any(|(l, r)| *l == line && r == rule)
     }
+}
+
+fn parse_sources(sources: Vec<(PathBuf, String)>) -> Vec<SourceFile> {
+    sources
+        .into_iter()
+        .map(|(p, s)| SourceFile::parse(p, &s))
+        .collect()
 }
 
 /// Finds token ranges covered by `#[cfg(test)]`-annotated items: from the
@@ -370,139 +155,16 @@ fn find_test_ranges(toks: &[Tok]) -> Vec<(usize, usize)> {
     ranges
 }
 
-fn path_in_crates(path: &Path, crates: &[&str]) -> bool {
-    let p = path.to_string_lossy().replace('\\', "/");
-    crates
-        .iter()
-        .any(|c| p.contains(&format!("crates/{c}/src/")))
-}
-
-/// Rule `no-unwrap`: `.unwrap()` is forbidden in the non-test code of the
-/// correctness-core crates; `.expect(...)` must document its invariant with
-/// a non-empty string literal.
-fn rule_no_unwrap(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if !path_in_crates(&f.path, &NO_UNWRAP_CRATES) {
-        return;
-    }
-    for (i, w) in f.toks.windows(3).enumerate() {
-        if f.in_test_code(i) || !w[0].is_punct(".") || !w[2].is_punct("(") {
-            continue;
-        }
-        if w[1].is_ident("unwrap") {
-            out.push(Diagnostic {
-                file: f.path.clone(),
-                line: w[1].line,
-                rule: "no-unwrap",
-                message: "unwrap() in correctness-core library code; use \
-                          expect(\"invariant\") or propagate the error"
-                    .into(),
-            });
-        } else if w[1].is_ident("expect") {
-            let documented = f
-                .toks
-                .get(i + 3)
-                .is_some_and(|t| t.kind == TokKind::Str && !t.text.trim().is_empty());
-            if !documented {
-                out.push(Diagnostic {
-                    file: f.path.clone(),
-                    line: w[1].line,
-                    rule: "no-unwrap",
-                    message: "expect() without a literal invariant message in \
-                              correctness-core library code"
-                        .into(),
-                });
-            }
-        }
-    }
-}
-
-/// Rule `no-float-eq`: `==`/`!=` with a floating-point literal operand, in
-/// any non-test workspace code (metrics must use tolerant comparisons).
-fn rule_no_float_eq(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for i in 0..f.toks.len() {
-        let t = &f.toks[i];
-        if t.kind != TokKind::Punct || (t.text != "==" && t.text != "!=") || f.in_test_code(i) {
-            continue;
-        }
-        let float_adjacent = (i > 0 && f.toks[i - 1].kind == TokKind::Float)
-            || f.toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Float);
-        if float_adjacent {
-            out.push(Diagnostic {
-                file: f.path.clone(),
-                line: t.line,
-                rule: "no-float-eq",
-                message: format!(
-                    "exact float comparison `{}` against a float literal; \
-                     compare with a tolerance or restructure the guard",
-                    t.text
-                ),
-            });
-        }
-    }
-}
-
-/// Rule `no-narrowing-cast`: `as u8` / `as u16` in the cache crate's non-test
-/// code — slot ids and entry counts must use `try_from` with a documented
-/// invariant so silent truncation can't corrupt set indexing.
-fn rule_no_narrowing_cast(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if !path_in_crates(&f.path, &["cache"]) {
-        return;
-    }
-    for (i, w) in f.toks.windows(2).enumerate() {
-        if f.in_test_code(i) {
-            continue;
-        }
-        if w[0].is_ident("as") && (w[1].is_ident("u8") || w[1].is_ident("u16")) {
-            out.push(Diagnostic {
-                file: f.path.clone(),
-                line: w[0].line,
-                rule: "no-narrowing-cast",
-                message: format!(
-                    "unchecked narrowing `as {}` in slot/set arithmetic; use \
-                     `{}::try_from(..).expect(\"invariant\")`",
-                    w[1].text, w[1].text
-                ),
-            });
-        }
-    }
-}
-
-/// Crates whose non-test code must not grow queues or buffers without a
-/// capacity bound: the long-running daemon, where unbounded growth under
-/// client pressure is an OOM waiting to happen.
-const BOUNDED_QUEUE_CRATES: [&str; 1] = ["serve"];
-
-/// Rule `no-unbounded-queue`: two patterns.
-///
-/// 1. `mpsc::channel(..)` anywhere in non-test workspace code — the std
-///    unbounded channel buffers without limit; use `sync_channel(cap)` or a
-///    capacity-checked structure.
-/// 2. `Vec::new()` / `VecDeque::new()` / `String::new()` / `HashMap::new()`
-///    / `HashSet::new()` in the serve crate's non-test code — daemon-side
-///    collections must be created with `with_capacity` (and guarded by an
-///    explicit capacity check or eviction policy before growth) so
-///    backpressure, not the allocator, absorbs load spikes.
+/// Rule `no-unbounded-queue`: `Vec::new()` / `VecDeque::new()` /
+/// `String::new()` / `HashMap::new()` / `HashSet::new()` in the serve
+/// crate's non-test code. The daemon is long-running, so its collections
+/// must be created with `with_capacity` (and guarded by an explicit capacity
+/// check or eviction policy before growth): backpressure, not the allocator,
+/// absorbs load spikes. Clippy's `disallowed-methods` list is global, so it
+/// cannot ban `Vec::new` in one crate only.
 fn rule_no_unbounded_queue(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for (i, w) in f.toks.windows(4).enumerate() {
-        if f.in_test_code(i) {
-            continue;
-        }
-        if w[0].is_ident("mpsc")
-            && w[1].is_punct("::")
-            && w[2].is_ident("channel")
-            && w[3].is_punct("(")
-        {
-            out.push(Diagnostic {
-                file: f.path.clone(),
-                line: w[2].line,
-                rule: "no-unbounded-queue",
-                message: "mpsc::channel() buffers without bound; use \
-                          sync_channel(capacity) or a capacity-checked queue"
-                    .into(),
-            });
-        }
-    }
-    if !path_in_crates(&f.path, &BOUNDED_QUEUE_CRATES) {
+    let p = f.path.to_string_lossy().replace('\\', "/");
+    if !p.contains("crates/serve/src/") {
         return;
     }
     for (i, w) in f.toks.windows(3).enumerate() {
@@ -522,71 +184,6 @@ fn rule_no_unbounded_queue(f: &SourceFile, out: &mut Vec<Diagnostic>) {
                 message: format!(
                     "{}::new() in daemon code; size it with with_capacity and \
                      refuse growth past the bound (backpressure, not OOM)",
-                    w[0].text
-                ),
-            });
-        }
-    }
-}
-
-/// Rule `no-std-hashmap`: bare `HashMap`/`HashSet` identifiers in the
-/// deterministic crates' non-test code. Std's default hasher is seeded per
-/// process, so iteration order varies run to run; every map whose contents
-/// can reach output must be a `FastHashMap`/`FastHashSet`
-/// (`uopcache_model::hash`), which hashes deterministically.
-fn rule_no_std_hashmap(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if !path_in_crates(&f.path, &DETERMINISTIC_CRATES) {
-        return;
-    }
-    for i in 0..f.toks.len() {
-        let t = &f.toks[i];
-        if f.in_test_code(i) || t.kind != TokKind::Ident {
-            continue;
-        }
-        if t.text == "HashMap" || t.text == "HashSet" {
-            out.push(Diagnostic {
-                file: f.path.clone(),
-                line: t.line,
-                rule: "no-std-hashmap",
-                message: format!(
-                    "std `{}` is randomly seeded (iteration order varies per \
-                     run); use `uopcache_model::hash::Fast{}` in deterministic \
-                     simulation code",
-                    t.text, t.text
-                ),
-            });
-        }
-    }
-}
-
-/// Rule `no-ambient-time`: `Instant::now()` / `SystemTime::now()` outside
-/// the `exec::Clock` seam (`crates/exec/src/clock.rs`), in the simulation
-/// crates' non-test code. Ambient time reads make behaviour untestable and
-/// non-reproducible; route them through a `Clock` implementation.
-fn rule_no_ambient_time(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if !path_in_crates(&f.path, &NO_AMBIENT_TIME_CRATES) {
-        return;
-    }
-    let p = f.path.to_string_lossy().replace('\\', "/");
-    if p.ends_with("crates/exec/src/clock.rs") {
-        return; // the seam itself
-    }
-    for (i, w) in f.toks.windows(4).enumerate() {
-        if f.in_test_code(i) {
-            continue;
-        }
-        if (w[0].is_ident("Instant") || w[0].is_ident("SystemTime"))
-            && w[1].is_punct("::")
-            && w[2].is_ident("now")
-            && w[3].is_punct("(")
-        {
-            out.push(Diagnostic {
-                file: f.path.clone(),
-                line: w[2].line,
-                rule: "no-ambient-time",
-                message: format!(
-                    "`{}::now()` outside the `exec::Clock` seam; inject a \
-                     `Clock` (or justify wall-clock use with an inline allow)",
                     w[0].text
                 ),
             });
@@ -716,8 +313,14 @@ fn collect_rs_files(root: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Reads all lintable sources under `root`, workspace-relative.
-fn read_sources(root: &Path) -> Result<Vec<(PathBuf, String)>, String> {
+/// Reads all lintable sources under `root`, workspace-relative: every `.rs`
+/// file outside `target/`, dot-directories, tests, benches, examples and
+/// build scripts, in path order.
+///
+/// # Errors
+///
+/// Returns a message if `root` contains no `.rs` files.
+pub fn read_sources(root: &Path) -> Result<Vec<(PathBuf, String)>, String> {
     let mut paths = Vec::new();
     collect_rs_files(root, &mut paths);
     if paths.is_empty() {
@@ -749,51 +352,28 @@ pub struct AuditReport {
     pub edges: usize,
 }
 
-/// Runs the full lint pass — token rules, call-graph passes, allowlist —
-/// over every workspace `.rs` file under `root`. `today` (ISO
-/// `YYYY-MM-DD`) drives `expires:` handling; see [`today_utc`].
+/// Runs the full lint pass (token rules, then call-graph passes) over every
+/// workspace `.rs` file under `root`.
 ///
 /// # Errors
 ///
 /// Returns a message if `root` contains no `.rs` files (almost certainly a
 /// wrong `--root`).
-pub fn run_lint(root: &Path, allowlist: &Allowlist, today: &str) -> Result<AuditReport, String> {
-    let sources = read_sources(root)?;
-    Ok(run_lint_sources(sources, allowlist, today))
+pub fn run_lint(root: &Path) -> Result<AuditReport, String> {
+    Ok(run_lint_sources(read_sources(root)?))
 }
 
 /// [`run_lint`] over in-memory sources — the seam fixture tests use to
 /// assert each rule fires (and stays quiet) on known snippets.
-pub fn run_lint_sources(
-    sources: Vec<(PathBuf, String)>,
-    allowlist: &Allowlist,
-    today: &str,
-) -> AuditReport {
-    let files: Vec<SourceFile> = sources
-        .into_iter()
-        .map(|(p, s)| SourceFile::parse(p, &s))
-        .collect();
-
+pub fn run_lint_sources(sources: Vec<(PathBuf, String)>) -> AuditReport {
+    let files = parse_sources(sources);
     let mut diags = Vec::new();
     for f in &files {
-        rule_no_unwrap(f, &mut diags);
-        rule_no_float_eq(f, &mut diags);
-        rule_no_narrowing_cast(f, &mut diags);
         rule_no_unbounded_queue(f, &mut diags);
-        rule_no_std_hashmap(f, &mut diags);
-        rule_no_ambient_time(f, &mut diags);
     }
     rule_unique_policy_names(&files, &mut diags);
 
-    let views: Vec<FileView> = files
-        .iter()
-        .map(|f| FileView {
-            path: &f.path,
-            toks: &f.toks,
-            items: &f.items,
-            test_ranges: &f.test_ranges,
-        })
-        .collect();
+    let views: Vec<FileView> = files.iter().map(SourceFile::view).collect();
     let graph = callgraph::build(&views);
     diags.extend(reach::analyze(&graph, &views));
 
@@ -804,7 +384,6 @@ pub fn run_lint_sources(
             .get(&d.file)
             .is_some_and(|f| f.allowed_inline(d.rule, d.line))
     });
-    let mut diags = allowlist.apply(diags, today);
     diags.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
     });
@@ -875,20 +454,8 @@ pub fn diagnostics_json(diags: &[Diagnostic]) -> String {
 ///
 /// Returns a message if `root` contains no `.rs` files.
 pub fn callgraph_json(root: &Path) -> Result<String, String> {
-    let sources = read_sources(root)?;
-    let files: Vec<SourceFile> = sources
-        .into_iter()
-        .map(|(p, s)| SourceFile::parse(p, &s))
-        .collect();
-    let views: Vec<FileView> = files
-        .iter()
-        .map(|f| FileView {
-            path: &f.path,
-            toks: &f.toks,
-            items: &f.items,
-            test_ranges: &f.test_ranges,
-        })
-        .collect();
+    let files = parse_sources(read_sources(root)?);
+    let views: Vec<FileView> = files.iter().map(SourceFile::view).collect();
     let g = callgraph::build(&views);
     let mut out = String::from("{\n  \"schema_version\": 1,\n  \"nodes\": [");
     for (i, n) in g.nodes.iter().enumerate() {
@@ -933,84 +500,13 @@ mod tests {
     fn lint_one(path: &str, src: &str) -> Vec<Diagnostic> {
         let f = SourceFile::parse(PathBuf::from(path), src);
         let mut out = Vec::new();
-        rule_no_unwrap(&f, &mut out);
-        rule_no_float_eq(&f, &mut out);
-        rule_no_narrowing_cast(&f, &mut out);
         rule_no_unbounded_queue(&f, &mut out);
-        rule_no_std_hashmap(&f, &mut out);
-        rule_no_ambient_time(&f, &mut out);
         out
     }
 
     #[test]
-    fn unwrap_flagged_only_in_core_crates() {
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }";
-        assert_eq!(lint_one("crates/cache/src/a.rs", src).len(), 1);
-        assert_eq!(lint_one("crates/serve/src/a.rs", src).len(), 0);
-    }
-
-    #[test]
-    fn documented_expect_passes_bare_expect_fails() {
-        let ok = "fn f(x: Option<u8>) -> u8 { x.expect(\"always set by new()\") }";
-        assert_eq!(lint_one("crates/sim/src/a.rs", ok).len(), 0);
-        let bare = "fn f(x: Option<u8>, m: &str) -> u8 { x.expect(m) }";
-        assert_eq!(lint_one("crates/sim/src/a.rs", bare).len(), 1);
-    }
-
-    #[test]
-    fn test_code_is_exempt() {
-        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n fn f(x: Option<u8>) { x.unwrap(); }\n}";
-        assert_eq!(lint_one("crates/core/src/a.rs", src).len(), 0);
-    }
-
-    #[test]
-    fn float_eq_flagged_everywhere() {
-        let src = "fn f(x: f64) -> bool { x == 0.0 }";
-        let d = lint_one("crates/power/src/a.rs", src);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "no-float-eq");
-        assert_eq!(
-            lint_one("crates/power/src/a.rs", "fn f(x: u32) -> bool { x == 0 }").len(),
-            0
-        );
-    }
-
-    #[test]
-    fn narrowing_cast_flagged_in_cache_only() {
-        let src = "fn f(x: u32) -> u8 { x as u8 }";
-        assert_eq!(lint_one("crates/cache/src/a.rs", src).len(), 1);
-        assert_eq!(lint_one("crates/model/src/a.rs", src).len(), 0);
-        // usize casts for indexing are fine.
-        assert_eq!(
-            lint_one(
-                "crates/cache/src/a.rs",
-                "fn f(x: u32) -> usize { x as usize }"
-            )
-            .len(),
-            0
-        );
-    }
-
-    #[test]
-    fn unbounded_channel_flagged_everywhere() {
-        let src = "fn f() { let (tx, rx) = mpsc::channel(); }";
-        let d = lint_one("crates/exec/src/a.rs", src);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "no-unbounded-queue");
-        // The bounded variant passes.
-        assert_eq!(
-            lint_one(
-                "crates/exec/src/a.rs",
-                "fn f() { let (tx, rx) = mpsc::sync_channel(8); }"
-            )
-            .len(),
-            0
-        );
-    }
-
-    #[test]
     fn uncapacitated_collections_flagged_in_serve_only() {
-        for ty in ["Vec", "VecDeque", "String"] {
+        for ty in ["Vec", "VecDeque", "String", "HashMap", "HashSet"] {
             let src = format!("fn f() {{ let q = {ty}::new(); }}");
             assert_eq!(
                 lint_one("crates/serve/src/a.rs", &src).len(),
@@ -1043,39 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn std_hashmap_flagged_in_deterministic_crates() {
-        let src =
-            "use std::collections::HashMap;\nfn f() { let m: HashMap<u32, u32> = HashMap::new(); }";
-        let d = lint_one("crates/policies/src/a.rs", src);
-        assert!(d.iter().all(|d| d.rule == "no-std-hashmap"));
-        assert_eq!(d.len(), 3);
-        // serve is excluded: it hashes untrusted input. (Vec::new absent so
-        // no-unbounded-queue stays quiet; HashMap::new still trips it.)
-        let d = lint_one("crates/serve/src/a.rs", src);
-        assert!(d.iter().all(|d| d.rule == "no-unbounded-queue"));
-        // The blessed alias does not trip the rule.
-        assert_eq!(
-            lint_one(
-                "crates/policies/src/a.rs",
-                "use uopcache_model::hash::FastHashMap;\nfn f() { let m: FastHashMap<u32, u32> = FastHashMap::default(); }"
-            )
-            .len(),
-            0
-        );
-    }
-
-    #[test]
-    fn ambient_time_flagged_outside_clock_seam() {
-        let src = "fn f() -> std::time::Instant { Instant::now() }";
-        let d = lint_one("crates/core/src/a.rs", src);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "no-ambient-time");
-        // The seam file and the serve crate are exempt.
-        assert_eq!(lint_one("crates/exec/src/clock.rs", src).len(), 0);
-        assert_eq!(lint_one("crates/serve/src/a.rs", src).len(), 0);
-    }
-
-    #[test]
     fn duplicate_policy_names_reported() {
         let a = SourceFile::parse(
             PathBuf::from("crates/policies/src/a.rs"),
@@ -1104,70 +567,17 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    fn diag(rule: &'static str, file: &str, line: u32) -> Diagnostic {
-        Diagnostic {
-            file: PathBuf::from(file),
-            line,
-            rule,
-            message: String::new(),
-        }
-    }
-
-    #[test]
-    fn allowlist_v2_suffix_line_reason_and_expiry() {
-        let al = Allowlist::parse(
-            "# comment\n\
-             no-unwrap crates/cache/src/a.rs reason: legacy seam, tracked in DESIGN.md\n\
-             no-float-eq b.rs:17 reason: tolerance checked one line above expires: 2099-01-01\n",
-        )
-        .expect("parses");
-        let out = al.apply(
-            vec![
-                diag("no-unwrap", "crates/cache/src/a.rs", 3),
-                diag("no-float-eq", "x/b.rs", 17),
-                diag("no-float-eq", "x/b.rs", 18),
-            ],
-            "2026-01-01",
-        );
-        // Line 18 survives; the two matches are suppressed; nothing stale.
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].line, 18);
-    }
-
-    #[test]
-    fn allowlist_requires_reason() {
-        assert!(Allowlist::parse("no-unwrap crates/cache/src/a.rs\n").is_err());
-        assert!(Allowlist::parse("no-unwrap a.rs reason:\n").is_err());
-        assert!(Allowlist::parse("no-unwrap a.rs reason: ok expires: soon\n").is_err());
-    }
-
-    #[test]
-    fn expired_and_unmatched_entries_are_stale() {
-        let al = Allowlist::parse(
-            "no-unwrap a.rs reason: short-lived expires: 2020-01-01\n\
-             no-float-eq never.rs reason: obsolete\n",
-        )
-        .expect("parses");
-        let out = al.apply(vec![diag("no-unwrap", "x/a.rs", 1)], "2026-01-01");
-        // The expired entry no longer suppresses, and both entries are
-        // reported stale.
-        assert_eq!(out.len(), 3);
-        let stale: Vec<_> = out.iter().filter(|d| d.rule == "stale-allowlist").collect();
-        assert_eq!(stale.len(), 2);
-        assert!(stale[0].message.contains("expired") || stale[1].message.contains("expired"));
-    }
-
     #[test]
     fn inline_allow_comment_suppresses_but_string_contents_do_not() {
         let f = SourceFile::parse(
             PathBuf::from("crates/cache/src/a.rs"),
-            "fn f(x: Option<u8>) -> u8 { x.unwrap() } // audit:allow(no-unwrap)\n\
-             fn g() -> &'static str { \"audit:allow(no-unwrap)\" }",
+            "fn f(v: &mut Vec<u8>) { v.push(1) } // audit:allow(hot-path-alloc)\n\
+             fn g() -> &'static str { \"audit:allow(hot-path-alloc)\" }",
         );
-        assert!(f.allowed_inline("no-unwrap", 1));
-        assert!(!f.allowed_inline("no-float-eq", 1));
+        assert!(f.allowed_inline("hot-path-alloc", 1));
+        assert!(!f.allowed_inline("unordered-emission", 1));
         // The marker inside a string literal is data, not a suppression.
-        assert!(!f.allowed_inline("no-unwrap", 2));
+        assert!(!f.allowed_inline("hot-path-alloc", 2));
     }
 
     #[test]
@@ -1176,18 +586,15 @@ mod tests {
             diagnostics_json(&[]),
             "{\n  \"schema_version\": 1,\n  \"diagnostics\": []\n}\n"
         );
-        let js = diagnostics_json(&[diag("no-unwrap", "crates/cache/src/a.rs", 3)]);
+        let js = diagnostics_json(&[Diagnostic {
+            file: PathBuf::from("crates/cache/src/a.rs"),
+            line: 3,
+            rule: "hot-path-alloc",
+            message: String::new(),
+        }]);
         assert!(js.contains("\"schema_version\": 1"));
-        assert!(js
-            .contains("\"file\": \"crates/cache/src/a.rs\", \"line\": 3, \"rule\": \"no-unwrap\""));
-    }
-
-    #[test]
-    fn today_utc_is_iso_shaped() {
-        let t = today_utc();
-        assert_eq!(t.len(), 10);
-        assert_eq!(t.as_bytes()[4], b'-');
-        assert_eq!(t.as_bytes()[7], b'-');
-        assert!(t.as_str() >= "2024-01-01", "{t}");
+        assert!(js.contains(
+            "\"file\": \"crates/cache/src/a.rs\", \"line\": 3, \"rule\": \"hot-path-alloc\""
+        ));
     }
 }

@@ -25,6 +25,10 @@ fn measure<T>(iters: usize, mut f: impl FnMut() -> T) -> Duration {
     std::hint::black_box(f()); // warm-up
     let mut samples: Vec<Duration> = (0..iters.max(1))
         .map(|_| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-clock timing is what this benchmark measures"
+            )]
             let t0 = Instant::now();
             std::hint::black_box(f());
             t0.elapsed()

@@ -19,6 +19,10 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(60_000);
     let mut lab = Lab::with_len(FrontendConfig::zen3(), len);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the elapsed-time footer is informational"
+    )]
     let t0 = Instant::now();
     println!("app          LRUmiss%  SRRIP  SHiP++  Mockj   GHRP  Thermo FURBYS |  Belady    FOO      A   A+VC  FLACK");
     let mut cols: Vec<Vec<f64>> = vec![Vec::new(); PolicyId::ONLINE.len() - 1 + 5];

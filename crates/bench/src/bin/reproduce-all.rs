@@ -83,12 +83,20 @@ fn main() {
          `{{A, I}}^n` thrash the detector exists to break.\n"
     );
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "runtime annotations for the human reader"
+    )]
     let total = Instant::now();
     let mut completed = 0usize;
     let mut failures: Vec<(String, String)> = Vec::new();
     let all = experiments::all();
     let count = all.len();
     for exp in all {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "runtime annotations for the human reader"
+        )]
         let t0 = Instant::now();
         eprintln!(
             "running {} — {} [{} jobs]",

@@ -405,6 +405,10 @@ fn run_cell(
     let mut allocs = 0u64;
     for _ in 0..spec.measured_passes {
         let alloc_before = CountingAllocator::allocations();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock timing is what this benchmark measures"
+        )]
         let t0 = Instant::now();
         let stats = run_trace(&mut cache, &trace);
         let dt = t0.elapsed();

@@ -225,6 +225,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "the empty mean is exactly 0.0")]
     fn mean_of_empty_is_zero() {
         assert_eq!(mean(&[]), 0.0);
         assert!((mean(&[1.0, 3.0]) - 2.0).abs() < 1e-12);

@@ -83,10 +83,10 @@ commands:
   experiment ID [--quick] [--jobs N]
                                     regenerate one paper table/figure
   list-experiments                  show all experiment ids
-  audit      [--root DIR] [--allowlist FILE] [--lint-only] [--json] [--graph]
-                                    run the workspace lint pass (token rules
-                                    plus call-graph alloc-reachability,
-                                    determinism, and concurrency analyses)
+  audit      [--root DIR] [--lint-only] [--json] [--graph]
+                                    run the workspace lint pass (call-graph
+                                    alloc-reachability, determinism, and
+                                    concurrency analyses)
                                     and the policy-conformance checks;
                                     --json emits canonical diagnostics,
                                     --graph dumps the call graph
@@ -977,15 +977,7 @@ fn cmd_audit(args: &Args) -> Result<(), Box<dyn Error>> {
         return Ok(());
     }
 
-    let allowlist_path = args
-        .get("allowlist")
-        .unwrap_or("audit.allowlist")
-        .to_string();
-    let allowlist =
-        uopcache_audit::Allowlist::load(Path::new(&allowlist_path)).map_err(ArgError)?;
-    let today = uopcache_audit::today_utc();
-    let report =
-        uopcache_audit::run_lint(Path::new(&root), &allowlist, &today).map_err(ArgError)?;
+    let report = uopcache_audit::run_lint(Path::new(&root)).map_err(ArgError)?;
     let diags = report.diagnostics;
 
     // `--json`: canonical machine output (lint only), byte-stable for CI

@@ -272,7 +272,11 @@ impl Engine {
         R: Send,
         F: Fn(&TaskKey, u64, I) -> R + Sync,
     {
-        let started = Instant::now(); // audit:allow(no-ambient-time) — elapsed feeds human throughput display only; documented wall-clock noise excluded from Eq
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "elapsed feeds the human throughput display only; wall-clock noise is excluded from Eq"
+        )]
+        let started = Instant::now();
         let total = tasks.len();
         let done = AtomicUsize::new(0);
         let clock = &self.clock;

@@ -92,6 +92,10 @@ impl FlowGraph {
     ///
     /// Panics if either endpoint is out of range, if `from == to`, or if
     /// `cap` is negative.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "node and edge ids fit in u32 by construction; `as` keeps the FOO solve's code unchanged"
+    )]
     pub fn add_edge(&mut self, from: usize, to: usize, cap: i64, cost: i64) -> EdgeId {
         assert!(
             from < self.adj.len() && to < self.adj.len(),
@@ -139,6 +143,10 @@ impl FlowGraph {
     /// # Panics
     ///
     /// Panics if `source == sink` or either is out of range.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "node and edge ids fit in u32 by construction; `as` keeps the FOO solve's code unchanged"
+    )]
     pub fn min_cost_flow(&mut self, source: usize, sink: usize, max_flow: i64) -> McmfResult {
         assert!(
             source < self.adj.len() && sink < self.adj.len(),

@@ -83,13 +83,20 @@ pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
 
 /// A `HashMap` keyed with [`FastHasher`].
 ///
-/// This alias is the blessed deterministic map: the audit's `no-std-hashmap`
-/// rule forbids bare `std::collections::HashMap` in simulation code and
-/// points here instead.
-pub type FastHashMap<K, V> = std::collections::HashMap<K, V, FastBuildHasher>; // audit:allow(no-std-hashmap) — the definition site of the blessed alias
+/// This alias is the blessed deterministic map: `clippy.toml` disallows bare
+/// `std::collections::HashMap` and points here instead.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the definition site of the blessed alias"
+)]
+pub type FastHashMap<K, V> = std::collections::HashMap<K, V, FastBuildHasher>;
 
 /// A `HashSet` keyed with [`FastHasher`] (see [`FastHashMap`]).
-pub type FastHashSet<T> = std::collections::HashSet<T, FastBuildHasher>; // audit:allow(no-std-hashmap) — the definition site of the blessed alias
+#[expect(
+    clippy::disallowed_types,
+    reason = "the definition site of the blessed alias"
+)]
+pub type FastHashSet<T> = std::collections::HashSet<T, FastBuildHasher>;
 
 #[cfg(test)]
 mod tests {
@@ -106,8 +113,7 @@ mod tests {
         assert_eq!(hash_of(0x40), hash_of(0x40));
         // Aligned addresses (the common key shape) must not collapse into
         // the same buckets: check the low bits differ across a small run.
-        let lows: std::collections::HashSet<u64> =
-            (0..64u64).map(|i| hash_of(i * 64) & 0xff).collect();
+        let lows: FastHashSet<u64> = (0..64u64).map(|i| hash_of(i * 64) & 0xff).collect();
         assert!(
             lows.len() > 32,
             "low bits collapse: {} distinct",

@@ -239,6 +239,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "the zero guards return exactly 0.0")]
     fn zero_guards() {
         assert_eq!(EnergyBreakdown::default().ppw(), 0.0);
         assert_eq!(EnergyBreakdown::default().fraction_percent(1.0), 0.0);
@@ -250,6 +251,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::float_cmp,
+        reason = "the per-uop decode cost does not depend on geometry"
+    )]
     fn geometry_scaling_is_monotone() {
         let zen3 = EnergyModel::zen3_22nm(&FrontendConfig::zen3());
         let zen4 = EnergyModel::zen3_22nm(&FrontendConfig::zen4());

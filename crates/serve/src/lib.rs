@@ -27,6 +27,13 @@
 //!
 //! [`SweepSpec`]: uopcache_bench::sweep::SweepSpec
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "job ids are untrusted input, so the daemon keeps std's SipHash maps; \
+              its idle, stall and start deadlines are real wall-clock time"
+)]
+
 pub mod client;
 pub mod config;
 mod event;

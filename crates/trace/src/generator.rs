@@ -80,7 +80,8 @@ pub fn build_trace_scaled_with_spec(
 ) -> LookupTrace {
     assert!(scale >= 1, "scale must be at least 1");
     let program = Program::synthesize(spec);
-    let mut out = LookupTrace::with_capacity(accesses.saturating_mul(scale as usize));
+    let scale_hint = usize::try_from(scale).unwrap_or(usize::MAX);
+    let mut out = LookupTrace::with_capacity(accesses.saturating_mul(scale_hint));
     for epoch in 0..scale {
         let espec = drifted_spec(spec, epoch);
         let walker = Walker::with_epoch(&program, &espec, variant, epoch);
@@ -111,6 +112,7 @@ fn drifted_spec(spec: &WorkloadSpec, epoch: u64) -> WorkloadSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uopcache_model::hash::FastHashSet;
 
     #[test]
     fn exact_length() {
@@ -127,7 +129,7 @@ mod tests {
         // ...but the bulk of variant-b *accesses* go to addresses variant-a
         // also touched (same binary, shared hot code; the cold Zipf tail may
         // differ by sampling).
-        let sa: std::collections::HashSet<u64> = a.iter().map(|x| x.pw.start.get()).collect();
+        let sa: FastHashSet<u64> = a.iter().map(|x| x.pw.start.get()).collect();
         let shared_accesses = b.iter().filter(|x| sa.contains(&x.pw.start.get())).count();
         assert!(
             shared_accesses * 10 > b.len() * 6,
@@ -148,7 +150,7 @@ mod tests {
         assert_ne!(scaled.slice(n..2 * n), base);
         assert_ne!(scaled.slice(2 * n..3 * n), scaled.slice(n..2 * n));
         // ...yet they mostly revisit the same (hot) code.
-        let first: std::collections::HashSet<u64> = base.iter().map(|a| a.pw.start.get()).collect();
+        let first: FastHashSet<u64> = base.iter().map(|a| a.pw.start.get()).collect();
         let revisits = scaled
             .slice(n..2 * n)
             .iter()

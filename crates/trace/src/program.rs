@@ -88,6 +88,10 @@ pub struct Program {
 impl Program {
     /// Synthesizes the static program for a workload. Deterministic in the
     /// spec's application (see [`WorkloadSpec::program_seed`]).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "instruction and uop counts are clamped far below u32::MAX"
+    )]
     pub fn synthesize(spec: &WorkloadSpec) -> Self {
         let mut rng = Prng::seed_from_u64(spec.program_seed());
         let mut regions = Vec::with_capacity(spec.regions as usize);
@@ -164,6 +168,10 @@ impl Program {
 }
 
 /// Samples a count around `mean` (geometric-ish), clamped to `[lo, hi]`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the float-to-int cast saturates, and the result is clamped"
+)]
 fn sample_count(rng: &mut Prng, mean: f64, lo: usize, hi: usize) -> usize {
     // Exponential around the mean gives a long tail like real code.
     let u: f64 = rng.gen_range(1e-9..1.0f64);

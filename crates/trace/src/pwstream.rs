@@ -182,7 +182,7 @@ mod tests {
     use super::*;
     use crate::walker::Walker;
     use crate::workload::{AppId, InputVariant};
-    use std::collections::HashMap;
+    use uopcache_model::hash::{FastHashMap, FastHashSet};
 
     fn trace(app: AppId, n: usize) -> LookupTrace {
         let spec = app.spec();
@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn overlapping_windows_exist() {
         let t = trace(AppId::Tomcat, 30_000);
-        let mut lens: HashMap<u64, std::collections::HashSet<u32>> = HashMap::new();
+        let mut lens: FastHashMap<u64, FastHashSet<u32>> = FastHashMap::default();
         for a in t.iter() {
             lens.entry(a.pw.start.get()).or_default().insert(a.pw.uops);
         }
@@ -220,7 +220,7 @@ mod tests {
     #[test]
     fn variable_costs_exist() {
         let t = trace(AppId::Clang, 20_000);
-        let mut sizes = std::collections::HashSet::new();
+        let mut sizes = FastHashSet::default();
         for a in t.iter() {
             sizes.insert(a.pw.entries(8));
         }

@@ -131,6 +131,7 @@ mod tests {
     use crate::workload::{AppId, InputVariant};
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "an empty trace's means are exactly 0.0")]
     fn empty_trace_is_all_zero() {
         let s = TraceStats::from_trace(&LookupTrace::new(), 8);
         assert_eq!(s.accesses, 0);

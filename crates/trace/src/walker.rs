@@ -19,6 +19,12 @@ pub struct BlockExec {
     pub mispredicted: bool,
 }
 
+/// Regions per call chain.
+const CHAIN_LEN: usize = 4;
+/// Ranking stride between consecutive chains (< CHAIN_LEN, so chains overlap
+/// and the same region is reachable through differently-ranked chains).
+const CHAIN_STRIDE: usize = 2;
+
 /// An infinite iterator over executed basic blocks.
 ///
 /// Popularity structure:
@@ -47,12 +53,6 @@ pub struct BlockExec {
 /// let exec = walker.next().unwrap();
 /// assert!((exec.region as usize) < program.regions.len());
 /// ```
-/// Regions per call chain.
-const CHAIN_LEN: usize = 4;
-/// Ranking stride between consecutive chains (< CHAIN_LEN, so chains overlap
-/// and the same region is reachable through differently-ranked chains).
-const CHAIN_STRIDE: usize = 2;
-
 pub struct Walker<'a> {
     program: &'a Program,
     rng: Prng,
@@ -88,6 +88,10 @@ impl<'a> Walker<'a> {
     /// # Panics
     ///
     /// Panics if the program has no regions.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "region counts fit in u32, float-to-int casts saturate, and the phase index is below `phases`"
+    )]
     pub fn with_epoch(
         program: &'a Program,
         spec: &WorkloadSpec,
@@ -183,6 +187,10 @@ impl<'a> Walker<'a> {
 impl Iterator for Walker<'_> {
     type Item = BlockExec;
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "region and block indices fit in u32 by construction"
+    )]
     fn next(&mut self) -> Option<BlockExec> {
         let (region_idx, bb_idx) = match self.cursor.take() {
             Some(c) => c,
@@ -238,7 +246,7 @@ fn shuffle(v: &mut [u32], rng: &mut Prng) {
 mod tests {
     use super::*;
     use crate::workload::AppId;
-    use std::collections::HashMap;
+    use uopcache_model::hash::{FastHashMap, FastHashSet};
 
     fn walk(app: AppId, variant: u32, n: usize) -> Vec<BlockExec> {
         let spec = app.spec();
@@ -257,7 +265,7 @@ mod tests {
     #[test]
     fn popularity_is_skewed() {
         let execs = walk(AppId::Python, 0, 50_000);
-        let mut counts: HashMap<u32, u64> = HashMap::new();
+        let mut counts: FastHashMap<u32, u64> = FastHashMap::default();
         for e in &execs {
             *counts.entry(e.region).or_insert(0) += 1;
         }
@@ -294,7 +302,7 @@ mod tests {
         // property Fig. 18's cross-validation depends on.
         let top_regions = |variant| {
             let execs = walk(AppId::Clang, variant, 40_000);
-            let mut counts: HashMap<u32, u64> = HashMap::new();
+            let mut counts: FastHashMap<u32, u64> = FastHashMap::default();
             for e in &execs {
                 *counts.entry(e.region).or_insert(0) += 1;
             }
@@ -303,7 +311,7 @@ mod tests {
             v.into_iter()
                 .take(50)
                 .map(|(_, r)| r)
-                .collect::<std::collections::HashSet<_>>()
+                .collect::<FastHashSet<_>>()
         };
         let a = top_regions(0);
         let b = top_regions(1);

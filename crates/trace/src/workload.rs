@@ -291,6 +291,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::float_cmp,
+        reason = "the table constants are stored as written"
+    )]
     fn table_ii_mpki_values() {
         assert_eq!(AppId::Postgres.branch_mpki(), 0.41);
         assert_eq!(AppId::Wordpress.branch_mpki(), 5.64);

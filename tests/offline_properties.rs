@@ -40,18 +40,18 @@ fn random_trace(rng: &mut Prng, max_len: usize) -> LookupTrace {
 /// Per-set occupancy implied by the keep decisions must never exceed the
 /// set's capacity at any point in time.
 fn check_feasible(trace: &LookupTrace, cfg: &UopCacheConfig, sol: &foo::FooSolution) -> bool {
-    use std::collections::HashMap;
+    use uopcache::model::hash::FastHashMap;
     // For each kept interval [i, j): the window of access i occupies
     // entries(i) in its set from i to the next access of the same start.
     let accesses = trace.accesses();
     let mut next_same: Vec<Option<usize>> = vec![None; accesses.len()];
-    let mut last: HashMap<Addr, usize> = HashMap::new();
+    let mut last: FastHashMap<Addr, usize> = FastHashMap::default();
     for (i, a) in accesses.iter().enumerate().rev() {
         next_same[i] = last.get(&a.pw.start).copied();
         last.insert(a.pw.start, i);
     }
     // Sweep: per set, track active kept intervals.
-    let mut load_delta: HashMap<(usize, usize), i64> = HashMap::new(); // (set, time) -> delta
+    let mut load_delta: FastHashMap<(usize, usize), i64> = FastHashMap::default(); // (set, time) -> delta
     for (i, a) in accesses.iter().enumerate() {
         if sol.keep[i] {
             if let Some(j) = next_same[i] {
@@ -112,7 +112,7 @@ fn expected_hits_never_precede_a_keep() {
             "round {round}"
         );
         // The first access of any start address can never be an expected hit.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = uopcache::model::hash::FastHashSet::default();
         for (i, a) in trace.iter().enumerate() {
             if seen.insert(a.pw.start) {
                 assert!(

@@ -133,7 +133,7 @@ fn resident_window_is_always_the_largest_seen_since_eviction() {
             cfg,
             Box::new(CheckedPolicy::new(LruPolicy::new(), cfg.ways)),
         );
-        let mut max_seen: std::collections::HashMap<Addr, u32> = Default::default();
+        let mut max_seen: uopcache::model::hash::FastHashMap<Addr, u32> = Default::default();
         for access in trace.iter() {
             let result = cache.lookup(&access.pw);
             if !result.is_full_hit() {

@@ -11,6 +11,11 @@
 //! 3. `shutdown` drains in-flight forwards — waiting clients still get their
 //!    results — refuses new work, and exits without touching the backends.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "these tests time real socket waits on loopback"
+)]
+
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 use uopcache_bench::policies::PolicyRegistry;

@@ -15,6 +15,11 @@
 //! table of cases, identical replies and counters from both) and the per-job
 //! start deadline, timed on an injected manual clock.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "these tests time real socket waits on loopback"
+)]
+
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};

@@ -159,7 +159,7 @@ fn pw_lengths_order_by_calibrated_block_size() {
 /// under a deterministically drifted spec, so no two epochs are identical.
 #[test]
 fn scaled_traces_repeat_phase_structure_without_tiling() {
-    use std::collections::HashSet;
+    use uopcache::model::hash::FastHashSet;
     use uopcache::trace::{build_trace_scaled, Program};
 
     for app in [AppId::Kafka, AppId::Postgres] {
@@ -181,7 +181,7 @@ fn scaled_traces_repeat_phase_structure_without_tiling() {
         assert_eq!(build_trace_scaled(app, InputVariant(0), 3_000, 1), base);
         assert_eq!(scaled.slice(0..base.len()), base, "{}", app.name());
 
-        let starts: HashSet<_> = base.iter().map(|a| a.pw.start).collect();
+        let starts: FastHashSet<_> = base.iter().map(|a| a.pw.start).collect();
         for e in 1..4 {
             let epoch = scaled.slice(e * base.len()..(e + 1) * base.len());
             assert_ne!(
