@@ -16,6 +16,11 @@ pub struct McmfResult {
     pub flow: i64,
     /// Total cost of the routed flow.
     pub cost: i64,
+    /// Shortest-path searches run: one per augmentation plus the one that
+    /// finds the sink unreachable, minus the first search when the initial
+    /// potential pass already yields its shortest-path tree. An exact work
+    /// counter.
+    pub searches: u64,
 }
 
 #[derive(Clone, Debug)]
@@ -50,6 +55,12 @@ pub struct FlowGraph {
     /// Whether every added edge goes from a lower to a higher node index
     /// (lets the solver seed potentials with one topological pass).
     is_forward_dag: bool,
+    /// Solver scratch, kept across [`FlowGraph::reset`] so a loop of solves
+    /// allocates only while the largest network seen so far grows.
+    potential: Vec<i64>,
+    dist: Vec<i64>,
+    par_edge: Vec<u32>,
+    queue: SearchQueue,
 }
 
 impl FlowGraph {
@@ -59,6 +70,10 @@ impl FlowGraph {
             edges: Vec::new(),
             adj: vec![Vec::new(); nodes],
             is_forward_dag: true,
+            potential: Vec::new(),
+            dist: Vec::new(),
+            par_edge: Vec::new(),
+            queue: SearchQueue::default(),
         }
     }
 
@@ -68,9 +83,9 @@ impl FlowGraph {
     }
 
     /// Clears all edges and resizes the network to `nodes` nodes, retaining
-    /// the edge and adjacency allocations, so a solver loop building one
-    /// network per problem instance (e.g. FOO's per-set solves) can reuse a
-    /// single graph instead of reallocating each time.
+    /// the edge, adjacency and solver allocations, so a solver loop building
+    /// one network per problem instance (e.g. FOO's per-set solves) can reuse
+    /// a single graph instead of reallocating each time.
     pub fn reset(&mut self, nodes: usize) {
         self.edges.clear();
         for row in &mut self.adj {
@@ -136,17 +151,48 @@ impl FlowGraph {
     /// Routes up to `max_flow` units from `source` to `sink` at minimum total
     /// cost, mutating the network's residual capacities.
     ///
-    /// Negative edge costs are supported. When the network (as constructed)
-    /// is a forward DAG, initial potentials come from a linear relaxation
-    /// pass; otherwise Bellman–Ford is used.
+    /// Negative edge costs are supported. When every residual cost is
+    /// non-negative (every edge costs 0, as a twin's cost is negated) the
+    /// initial potentials are 0; otherwise, when the network (as
+    /// constructed) is a forward DAG, they come from one relaxation pass in
+    /// node order, and else from Bellman–Ford.
+    ///
+    /// # Exactness
+    ///
+    /// Which augmenting path is chosen among equally cheap ones decides which
+    /// optimal flow comes out, and FOO reads its keep bits off that flow. So
+    /// the path choice is part of the contract, pinned against the plain
+    /// successive-shortest-path loop in the crate's differential test:
+    ///
+    /// * Each Dijkstra step pops the smallest `(reduced distance, node
+    ///   index)` key in its queue, relaxes that node's residual edges in
+    ///   insertion order, and updates a node's parent only on a strict
+    ///   improvement.
+    /// * Potentials grow by each reached node's reduced distance after every
+    ///   search; the bottleneck and the path walk follow the parent edges
+    ///   back from the sink.
+    /// * A search pushes a given `(d, v)` key at most once (a push needs a
+    ///   strict improvement of `d` for `v`), so the smallest key is always
+    ///   unique and any exact priority queue reproduces the same paths. The
+    ///   internal `SearchQueue` is one: keys at the distance being settled
+    ///   sit in a bitset over nodes, the rest in a heap of packed `u64`
+    ///   keys, `d << b | v` with `b` the bits a node index needs. That
+    ///   packing is exact because every pushed `d` stays below `2^(64 - b)`
+    ///   (the proof is on the internal `KeyPack`).
+    /// * On a forward DAG with negative costs the initial potentials are
+    ///   exact shortest distances, so the first search would find every
+    ///   reached node at reduced distance 0 and settle them in index order;
+    ///   each node's parent would be its first tight in-edge in (node,
+    ///   adjacency) order. That is the last strict improver of the
+    ///   potential pass, which records it, and the first search is skipped.
+    ///   The other two branches run their first search in full.
     ///
     /// # Panics
     ///
-    /// Panics if `source == sink` or either is out of range.
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "node and edge ids fit in u32 by construction; `as` keeps the FOO solve's code unchanged"
-    )]
+    /// Panics if `source == sink` or either is out of range, or if the sum of
+    /// absolute edge costs reaches `2^(62 - b)`, `b` being the bits a node
+    /// index needs (`2^46` at 65 536 nodes): the heap key could not hold
+    /// every reduced distance.
     pub fn min_cost_flow(&mut self, source: usize, sink: usize, max_flow: i64) -> McmfResult {
         assert!(
             source < self.adj.len() && sink < self.adj.len(),
@@ -154,64 +200,45 @@ impl FlowGraph {
         );
         assert_ne!(source, sink, "source and sink must differ");
         let n = self.adj.len();
-        let mut potential = if self.edges.iter().all(|e| e.cost >= 0) {
-            vec![0i64; n]
+        let keys = KeyPack::new(n, self.edges.iter().step_by(2).map(|e| e.cost));
+        self.potential.clear();
+        self.par_edge.clear();
+        self.par_edge.resize(n, u32::MAX);
+        // Whether `par_edge` already holds the first search's tree.
+        let mut seeded = false;
+        if self.edges.iter().all(|e| e.cost >= 0) {
+            self.potential.resize(n, 0);
         } else if self.is_forward_dag {
-            self.dag_potentials(source)
+            self.dag_potentials(source);
+            seeded = true;
         } else {
-            self.bellman_ford_potentials(source)
-        };
+            self.bellman_ford_potentials(source);
+        }
 
         let mut total = McmfResult::default();
-        let mut dist = vec![i64::MAX; n];
-        let mut par_edge = vec![u32::MAX; n];
-
         while total.flow < max_flow {
-            // Dijkstra on reduced costs.
-            dist.fill(i64::MAX);
-            par_edge.fill(u32::MAX);
-            dist[source] = 0;
-            let mut heap: BinaryHeap<Reverse<(i64, u32)>> = BinaryHeap::new();
-            heap.push(Reverse((0, source as u32)));
-            while let Some(Reverse((d, u))) = heap.pop() {
-                let u = u as usize;
-                if d > dist[u] {
-                    continue;
+            if seeded {
+                seeded = false;
+                if self.potential[sink] == i64::MAX {
+                    break; // unreachable from the start
                 }
-                for &eid in &self.adj[u] {
-                    let e = &self.edges[eid as usize];
-                    if e.cap <= 0 {
-                        continue;
-                    }
-                    let v = e.to as usize;
-                    if potential[u] == i64::MAX || potential[v] == i64::MAX {
-                        continue;
-                    }
-                    let nd = d + e.cost + potential[u] - potential[v];
-                    debug_assert!(
-                        e.cost + potential[u] - potential[v] >= 0,
-                        "reduced cost must be non-negative"
-                    );
-                    if nd < dist[v] {
-                        dist[v] = nd;
-                        par_edge[v] = eid;
-                        heap.push(Reverse((nd, v as u32)));
-                    }
+            } else {
+                total.searches += 1;
+                self.dijkstra(source, keys);
+                if self.dist[sink] == i64::MAX {
+                    break; // saturated
                 }
-            }
-            if dist[sink] == i64::MAX {
-                break; // saturated
-            }
-            for v in 0..n {
-                if dist[v] != i64::MAX {
-                    potential[v] = potential[v].saturating_add(dist[v]);
+                for (p, &d) in self.potential.iter_mut().zip(&self.dist) {
+                    if d != i64::MAX {
+                        *p = p.saturating_add(d);
+                    }
                 }
             }
             // Find bottleneck along the shortest path.
             let mut push = max_flow - total.flow;
             let mut v = sink;
             while v != source {
-                let eid = par_edge[v] as usize;
+                let eid = self.par_edge[v] as usize;
                 push = push.min(self.edges[eid].cap);
                 v = self.edges[eid ^ 1].to as usize;
             }
@@ -219,7 +246,7 @@ impl FlowGraph {
             let mut v = sink;
             let mut path_cost = 0;
             while v != source {
-                let eid = par_edge[v] as usize;
+                let eid = self.par_edge[v] as usize;
                 self.edges[eid].cap -= push;
                 self.edges[eid ^ 1].cap += push;
                 path_cost += self.edges[eid].cost;
@@ -231,11 +258,54 @@ impl FlowGraph {
         total
     }
 
+    /// One Dijkstra search on reduced costs from `source`, filling `dist` and
+    /// `par_edge` (see the exactness rules on [`FlowGraph::min_cost_flow`]).
+    fn dijkstra(&mut self, source: usize, keys: KeyPack) {
+        let potential = &self.potential;
+        let dist = &mut self.dist;
+        let par_edge = &mut self.par_edge;
+        let queue = &mut self.queue;
+        dist.clear();
+        dist.resize(potential.len(), i64::MAX);
+        par_edge.fill(u32::MAX);
+        queue.start(potential.len(), keys);
+        dist[source] = 0;
+        queue.push(0, source);
+        while let Some((d, u)) = queue.pop() {
+            if d > dist[u] {
+                continue;
+            }
+            for &eid in &self.adj[u] {
+                let e = &self.edges[eid as usize];
+                if e.cap <= 0 {
+                    continue;
+                }
+                let v = e.to as usize;
+                if potential[u] == i64::MAX || potential[v] == i64::MAX {
+                    continue;
+                }
+                let nd = d + e.cost + potential[u] - potential[v];
+                debug_assert!(
+                    e.cost + potential[u] - potential[v] >= 0,
+                    "reduced cost must be non-negative"
+                );
+                if nd < dist[v] {
+                    dist[v] = nd;
+                    par_edge[v] = eid;
+                    queue.push(nd, v);
+                }
+            }
+        }
+    }
+
     /// Shortest distances from `source` via one pass in node order — exact for
-    /// forward DAGs (every edge goes from a lower to a higher index).
-    fn dag_potentials(&self, source: usize) -> Vec<i64> {
+    /// forward DAGs (every edge goes from a lower to a higher index) — into
+    /// `potential`, with each reached node's last strict improver in
+    /// `par_edge`: the first search's shortest-path tree.
+    fn dag_potentials(&mut self, source: usize) {
         let n = self.adj.len();
-        let mut dist = vec![i64::MAX; n];
+        let dist = &mut self.potential;
+        dist.resize(n, i64::MAX);
         dist[source] = 0;
         for u in 0..n {
             if dist[u] == i64::MAX {
@@ -255,19 +325,20 @@ impl FlowGraph {
                 let nd = dist[u] + e.cost;
                 if nd < dist[v] {
                     dist[v] = nd;
+                    self.par_edge[v] = eid;
                 }
             }
         }
         // Unreachable nodes keep MAX; Dijkstra skips them via the potential
         // check.
-        dist
     }
 
     /// Bellman–Ford (queue-based) potentials for general graphs with negative
-    /// costs.
-    fn bellman_ford_potentials(&self, source: usize) -> Vec<i64> {
+    /// costs, into `potential`.
+    fn bellman_ford_potentials(&mut self, source: usize) {
         let n = self.adj.len();
-        let mut dist = vec![i64::MAX; n];
+        let dist = &mut self.potential;
+        dist.resize(n, i64::MAX);
         let mut in_queue = vec![false; n];
         dist[source] = 0;
         let mut queue = std::collections::VecDeque::new();
@@ -295,7 +366,134 @@ impl FlowGraph {
                 }
             }
         }
-        dist
+    }
+}
+
+/// Dijkstra's priority queue: each pop takes the smallest `(d, v)` key.
+///
+/// Popped distances never decrease (reduced costs are non-negative), and in
+/// FOO networks about nine in ten settled nodes share the distance of the
+/// node settled before them. So keys at the current distance `level` go to
+/// a bitset over nodes, which pops its lowest node in a word scan, and only
+/// keys at larger distances go through the heap. When the level empties,
+/// the heap's smallest distance becomes the new level and every key at it
+/// moves into the bitset. No node is queued twice in the bitset, because a
+/// search pushes each `(d, v)` key at most once.
+#[derive(Clone, Debug, Default)]
+struct SearchQueue {
+    keys: KeyPack,
+    level: i64,
+    /// Nodes queued at `level`, one bit each.
+    bits: Vec<u64>,
+    /// No bit below this word is set.
+    low_word: usize,
+    /// Bits set.
+    queued: usize,
+    /// Keys at distances above `level`, packed by `keys`.
+    heap: BinaryHeap<Reverse<u64>>,
+}
+
+impl SearchQueue {
+    /// Empties the queue for a search over `nodes` nodes.
+    fn start(&mut self, nodes: usize, keys: KeyPack) {
+        self.keys = keys;
+        self.level = 0;
+        self.bits.clear();
+        self.bits.resize(nodes.div_ceil(64), 0);
+        self.low_word = self.bits.len();
+        self.queued = 0;
+        self.heap.clear();
+    }
+
+    fn push(&mut self, d: i64, v: usize) {
+        debug_assert!(d >= self.level, "Dijkstra distances never decrease");
+        if d == self.level {
+            self.queue_at_level(v);
+        } else {
+            self.heap.push(Reverse(self.keys.pack(d, v)));
+        }
+    }
+
+    fn queue_at_level(&mut self, v: usize) {
+        let word = v / 64;
+        debug_assert!(self.bits[word] & 1 << (v % 64) == 0, "key pushed twice");
+        self.bits[word] |= 1 << (v % 64);
+        self.queued += 1;
+        self.low_word = self.low_word.min(word);
+    }
+
+    fn pop(&mut self) -> Option<(i64, usize)> {
+        if self.queued == 0 {
+            let Reverse(key) = self.heap.pop()?;
+            let (d, v) = self.keys.unpack(key);
+            self.level = d;
+            self.queue_at_level(v);
+            while let Some(&Reverse(key)) = self.heap.peek() {
+                let (d, v) = self.keys.unpack(key);
+                if d != self.level {
+                    break;
+                }
+                self.heap.pop();
+                self.queue_at_level(v);
+            }
+        }
+        while self.bits[self.low_word] == 0 {
+            self.low_word += 1;
+        }
+        let word = self.bits[self.low_word];
+        self.bits[self.low_word] = word & (word - 1);
+        self.queued -= 1;
+        let v = self.low_word * 64 + word.trailing_zeros() as usize;
+        Some((self.level, v))
+    }
+}
+
+/// Packs a Dijkstra heap key into one `u64`: the reduced distance in the
+/// high bits, the node index in the low `shift`, so one integer comparison
+/// orders by `(d, v)`.
+///
+/// The range is proven per solve. With `C` the sum of absolute edge costs,
+/// every simple residual path costs at most `C` in absolute value, and so
+/// does every potential (each is a shortest distance of some earlier
+/// residual network, or 0). A pushed distance is `D(u) + c(u, v) − p(v)`
+/// for a settled `u`, hence at most `3C`. [`KeyPack::new`] requires
+/// `C < 2^(62 - shift)`, so `3C` fits in the `64 − shift` high bits.
+#[derive(Copy, Clone, Debug, Default)]
+struct KeyPack {
+    shift: u32,
+}
+
+impl KeyPack {
+    /// The packing for `nodes` nodes and the given (forward) edge costs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the absolute costs sum to `2^(62 - shift)` or more.
+    fn new(nodes: usize, costs: impl Iterator<Item = i64>) -> KeyPack {
+        let shift = usize::BITS - nodes.saturating_sub(1).leading_zeros();
+        let total = costs.fold(0u64, |sum, c| sum.saturating_add(c.unsigned_abs()));
+        assert!(
+            total < 1 << (62 - shift),
+            "edge costs sum to {total}, too large for {nodes} nodes' heap keys"
+        );
+        KeyPack { shift }
+    }
+
+    fn pack(self, d: i64, v: usize) -> u64 {
+        debug_assert!(
+            d >= 0 && d.leading_zeros() > self.shift,
+            "reduced distance {d} outside the heap key's range"
+        );
+        (d as u64) << self.shift | v as u64
+    }
+
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the low bits hold a node index, which came from a usize"
+    )]
+    fn unpack(self, key: u64) -> (i64, usize) {
+        let node = key & ((1 << self.shift) - 1);
+        ((key >> self.shift) as i64, node as usize)
     }
 }
 
@@ -318,7 +516,14 @@ mod tests {
         let e = g.add_edge(0, 1, 5, -2);
         g.add_edge(1, 2, 5, 0);
         let r = g.min_cost_flow(0, 2, 5);
-        assert_eq!(r, McmfResult { flow: 5, cost: -10 });
+        assert_eq!(
+            r,
+            McmfResult {
+                flow: 5,
+                cost: -10,
+                searches: 0
+            }
+        );
         assert_eq!(g.flow_on(e), 5);
     }
 
@@ -327,7 +532,14 @@ mod tests {
         let mut g = FlowGraph::new(2);
         let e = g.add_edge(0, 1, 4, 7);
         let r = g.min_cost_flow(0, 1, 10);
-        assert_eq!(r, McmfResult { flow: 4, cost: 28 });
+        assert_eq!(
+            r,
+            McmfResult {
+                flow: 4,
+                cost: 28,
+                searches: 1
+            }
+        );
         assert_eq!(g.flow_on(e), 4);
         assert_eq!(g.residual_on(e), 0);
     }
@@ -386,7 +598,14 @@ mod tests {
         let mut g = FlowGraph::new(3);
         g.add_edge(0, 1, 5, 1);
         let r = g.min_cost_flow(0, 2, 5);
-        assert_eq!(r, McmfResult::default());
+        assert_eq!(
+            r,
+            McmfResult {
+                flow: 0,
+                cost: 0,
+                searches: 0
+            }
+        );
     }
 
     #[test]

@@ -7,7 +7,11 @@
 //! after an initial potential computation (a single topological-order
 //! relaxation when the graph is a DAG with edges from lower to higher node
 //! indices — which the FOO interval network always is — or Bellman–Ford
-//! otherwise), every augmentation runs Dijkstra on reduced costs.
+//! otherwise), every augmentation runs Dijkstra on reduced costs, except
+//! that on a DAG the first augmenting path comes straight from the potential
+//! pass. Which of several equally cheap paths is taken is fixed by a
+//! documented contract (see [`FlowGraph::min_cost_flow`]), so the returned
+//! flow, and FOO's decisions read off it, never depend on solver internals.
 //!
 //! Costs may be negative (FOO rewards caching an interval with a negative
 //! cost); capacities must be non-negative.

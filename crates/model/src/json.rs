@@ -46,6 +46,11 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. Real
+/// documents nest fewer than 10 levels; the bound keeps the recursive parser
+/// from overflowing the stack on hostile input such as 50 000 `[`.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse or conversion failure, with a human-readable message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JsonError(pub String);
@@ -69,11 +74,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] describing the first malformed construct.
+    /// Returns a [`JsonError`] describing the first malformed construct,
+    /// including arrays and objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(s: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -157,6 +164,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -206,8 +215,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             other => Err(JsonError::new(format!(
                 "unexpected {:?} at byte {}",
@@ -215,6 +224,24 @@ impl Parser<'_> {
                 self.pos
             ))),
         }
+    }
+
+    /// Parses one array or object, one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -699,6 +726,25 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\"}", "tru", "1 2", "\"\\q\"", "{a:1}"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize, open: &str, close: &str| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let edge = nested(MAX_DEPTH, open, close).replace("{\"a\":}", "{}");
+            assert!(Json::parse(&edge).is_ok(), "depth {MAX_DEPTH} parses");
+        }
+        let err = Json::parse(&nested(MAX_DEPTH + 1, "[", "]")).expect_err("too deep");
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        // Far past the limit: an error at the first level too many, before
+        // the recursion can run out of stack.
+        let err = Json::parse(&"[".repeat(50_000)).expect_err("too deep");
+        assert!(err.to_string().contains("at byte 128"), "{err}");
+        let mixed = format!("{}{}", "{\"k\":[".repeat(40_000), "1");
+        assert!(Json::parse(&mixed).is_err());
     }
 
     #[test]

@@ -105,6 +105,10 @@ pub struct FooSolution {
     pub expected_hit: Vec<bool>,
     /// Total benefit of the kept intervals, in scaled objective units.
     pub objective_value: i64,
+    /// Shortest-path searches the per-set flow solves ran, summed (see
+    /// [`McmfResult::searches`](uopcache_flow::McmfResult::searches)): an
+    /// exact count of the solver's work, independent of machine and timing.
+    pub searches: u64,
 }
 
 impl FooSolution {
@@ -135,6 +139,7 @@ pub fn solve(trace: &LookupTrace, cfg: &UopCacheConfig, foo_cfg: &FooConfig) -> 
     let mut keep = vec![false; n];
     let mut expected_hit = vec![false; n];
     let mut objective_value = 0i64;
+    let mut searches = 0u64;
 
     // Partition access indices by set.
     let sets = cfg.sets() as usize;
@@ -150,7 +155,7 @@ pub fn solve(trace: &LookupTrace, cfg: &UopCacheConfig, foo_cfg: &FooConfig) -> 
     // once the largest set has been visited.
     let mut scratch = SetScratch::default();
     for indices in &per_set {
-        solve_set(
+        searches += solve_set(
             trace,
             cfg,
             foo_cfg,
@@ -166,6 +171,7 @@ pub fn solve(trace: &LookupTrace, cfg: &UopCacheConfig, foo_cfg: &FooConfig) -> 
         keep,
         expected_hit,
         objective_value,
+        searches,
     }
 }
 
@@ -201,6 +207,8 @@ impl Default for SetScratch {
     }
 }
 
+/// Solves one set's network into `keep`/`expected_hit`/`objective_value` and
+/// returns the shortest-path searches it ran.
 #[allow(clippy::too_many_arguments)]
 fn solve_set(
     trace: &LookupTrace,
@@ -211,10 +219,10 @@ fn solve_set(
     keep: &mut [bool],
     expected_hit: &mut [bool],
     objective_value: &mut i64,
-) {
+) -> u64 {
     let m = indices.len();
     if m < 2 {
-        return;
+        return 0;
     }
     let accesses = trace.accesses();
     // Build intervals between consecutive same-key accesses.
@@ -254,7 +262,7 @@ fn solve_set(
         last_seen.insert(key, local);
     }
     if intervals.is_empty() {
-        return;
+        return 0;
     }
 
     // Flow network: node per local access; route `ways` units end to end.
@@ -272,7 +280,7 @@ fn solve_set(
         let per_unit = -(iv.benefit / iv.size);
         edge_ids.push(graph.add_edge(iv.from, iv.to, iv.size, per_unit));
     }
-    graph.min_cost_flow(0, m - 1, capacity);
+    let searches = graph.min_cost_flow(0, m - 1, capacity).searches;
 
     for (iv, &eid) in intervals.iter().zip(edge_ids.iter()) {
         if graph.flow_on(eid) == iv.size {
@@ -281,6 +289,7 @@ fn solve_set(
             *objective_value += iv.benefit;
         }
     }
+    searches
 }
 
 #[cfg(test)]

@@ -72,11 +72,11 @@ impl Default for ConnTuning {
 pub struct ServerConfig {
     /// Bind address (port 0 picks an ephemeral port).
     pub(crate) addr: SocketAddr,
-    /// Total queued-job bound, split evenly across shards; pushes beyond a
-    /// shard's slice get `busy` frames.
+    /// Total queued-job bound, split evenly across shards; a job that finds
+    /// every shard's slice full gets a `busy` frame.
     pub(crate) queue_capacity: usize,
-    /// Worker shards: independent executors with shard-local queues, keyed
-    /// by the FNV-1a job id so identical submissions land together.
+    /// Worker shards: independent executors with shard-local queues; each
+    /// fresh job goes to the one with the fewest jobs in flight.
     pub(crate) shards: usize,
     /// Engine worker count per job (`0` = the machine's parallelism).
     pub(crate) jobs: usize,

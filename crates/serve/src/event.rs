@@ -11,9 +11,12 @@
 //! [`ServiceCore::admit`] parses, dedupes and places a `submit` onto a
 //! *lane* (a bounded queue plus one worker thread), and
 //! [`ServiceCore::lane_worker`] pops, times and runs each job. What differs
-//! is abstracted behind [`Service`]: which lanes a job may land on (the
-//! daemon's one shard, the router's healthy ring walk), what a lane does
-//! with a job (run it, forward it), and the per-lane stats fields.
+//! is abstracted behind [`Service`]: which lanes a job may land on and in
+//! what order of preference (the daemon's shards from the id's home shard
+//! on, the router's healthy ring walk), what a lane does with a job (run
+//! it, forward it), and the per-lane stats fields. Placement itself is
+//! shared and work-conserving: a fresh job goes to the candidate lane with
+//! the fewest jobs in flight, and the preference order only breaks ties.
 //!
 //! ## Waiting without blocking
 //!
@@ -59,6 +62,8 @@ const MAX_OUTBUF_BYTES: usize = 4 << 20;
 /// shard or a router backend's forwarder.
 pub(crate) struct Lane {
     pub(crate) queue: BoundedQueue,
+    /// Jobs placed here and not yet finished: queued plus running.
+    in_flight: AtomicUsize,
     /// Set by the worker as it exits (queue closed and fully drained).
     done: AtomicBool,
 }
@@ -100,6 +105,7 @@ impl ServiceCore {
             lanes: (0..lanes)
                 .map(|_| Lane {
                     queue: BoundedQueue::new(lane_capacity),
+                    in_flight: AtomicUsize::new(0),
                     done: AtomicBool::new(false),
                 })
                 .collect(),
@@ -156,8 +162,8 @@ impl ServiceCore {
 
     /// Handles one `submit` frame end to end: parse and validate the spec,
     /// derive or check the id, register it for dedupe, then place a fresh
-    /// job on the first of `service`'s candidate lanes with room. Replies
-    /// `accepted`, `busy` or `error`.
+    /// job on the least-loaded of `service`'s candidate lanes with room.
+    /// Replies `accepted`, `busy` or `error`.
     fn admit(&self, req: &Json, service: &dyn Service) -> SubmitAction {
         let reject = |reply: Json| SubmitAction {
             reply,
@@ -245,25 +251,42 @@ impl ServiceCore {
         }
     }
 
-    /// Pushes a fresh job onto the first candidate lane with room, spilling
-    /// past full ones; the `busy` reason when none takes it.
+    /// Pushes a fresh job onto the candidate lane with the fewest jobs in
+    /// flight (queued plus running), spilling past full ones; ties keep the
+    /// service's preference order. The `busy` reason when none takes it.
+    ///
+    /// Least-loaded placement keeps every lane busy while work waits: two
+    /// jobs whose ids prefer the same lane run side by side when another
+    /// lane is idle. Dedupe is unaffected, as the job table dedupes before
+    /// placement.
     fn place(&self, mut job: QueuedJob, service: &dyn Service) -> Result<(), &'static str> {
         if self.draining() {
             return Err("draining");
         }
-        let candidates = service.candidates(&job.id);
+        let mut candidates = service.candidates(&job.id);
         if candidates.is_empty() {
             return Err("no healthy backend");
         }
+        // A stable sort: equally loaded lanes stay in preference order.
+        candidates.sort_by_key(|&idx| self.lanes[idx].in_flight.load(Ordering::SeqCst));
         for idx in candidates {
-            match self.lanes[idx].queue.try_push(job) {
+            let lane = &self.lanes[idx];
+            // Counted before the push, so the worker's decrement can never
+            // run first.
+            lane.in_flight.fetch_add(1, Ordering::SeqCst);
+            match lane.queue.try_push(job) {
                 Ok(_depth) => {
                     self.count("jobs_accepted");
                     service.placed(idx);
                     return Ok(());
                 }
-                Err((QueueError::Full, back)) => job = *back,
-                Err((QueueError::Closed, _)) => return Err("draining"),
+                Err((error, back)) => {
+                    lane.in_flight.fetch_sub(1, Ordering::SeqCst);
+                    match error {
+                        QueueError::Full => job = *back,
+                        QueueError::Closed => return Err("draining"),
+                    }
+                }
             }
         }
         Err("queue full")
@@ -286,35 +309,35 @@ impl ServiceCore {
             };
             let waited = self.elapsed(job.enqueued);
             self.observe_ms("queue_wait_ms", waited);
-            if job
+            let state = if job
                 .start_deadline
                 .is_some_and(|deadline| deadline.expired(&*self.clock))
             {
                 self.count("jobs_timed_out");
                 self.count("jobs_failed");
-                self.table.set_state(
-                    &job.id,
-                    JobState::Failed(format!(
-                        "timed out after {}ms in the queue",
-                        waited.as_millis()
-                    )),
-                );
-                continue;
-            }
-            self.table.set_state(&job.id, JobState::Running);
-            let started = self.clock.now();
-            let outcome = run(&job);
-            self.observe_ms(self.run_histogram, self.elapsed(started));
-            let state = match outcome {
-                Ok(report) => {
-                    self.count("jobs_completed");
-                    JobState::Done(Arc::new(report))
-                }
-                Err(message) => {
-                    self.count("jobs_failed");
-                    JobState::Failed(message)
+                JobState::Failed(format!(
+                    "timed out after {}ms in the queue",
+                    waited.as_millis()
+                ))
+            } else {
+                self.table.set_state(&job.id, JobState::Running);
+                let started = self.clock.now();
+                let outcome = run(&job);
+                self.observe_ms(self.run_histogram, self.elapsed(started));
+                match outcome {
+                    Ok(report) => {
+                        self.count("jobs_completed");
+                        JobState::Done(Arc::new(report))
+                    }
+                    Err(message) => {
+                        self.count("jobs_failed");
+                        JobState::Failed(message)
+                    }
                 }
             };
+            // Freed before the state is published, so a client that sees
+            // this job finish never finds its lane still counted busy.
+            lane.in_flight.fetch_sub(1, Ordering::SeqCst);
             self.table.set_state(&job.id, state);
         }
         lane.done.store(true, Ordering::SeqCst);
@@ -384,8 +407,9 @@ pub(crate) type LaneRunner<'a> = Box<dyn FnMut(&QueuedJob) -> Result<String, Str
 pub(crate) trait Service: Send + Sync {
     /// The shared table/lanes/metrics/drain state.
     fn core(&self) -> &ServiceCore;
-    /// The lanes a fresh job may be placed on, in preference order; empty
-    /// when none can take work.
+    /// The lanes a fresh job may be placed on, in preference order (which
+    /// breaks ties between equally loaded lanes); empty when none can take
+    /// work.
     fn candidates(&self, id: &str) -> Vec<usize>;
     /// Notes that admission placed a job on `lane`.
     fn placed(&self, _lane: usize) {}

@@ -38,9 +38,9 @@ pub fn job_id_for(spec: &SweepSpec) -> String {
     format!("{h:016x}")
 }
 
-/// Maps a job id onto one of `shards` worker shards by FNV-1a. Identical
-/// submissions share an id and therefore a shard, so dedupe stays
-/// shard-local; distinct jobs spread uniformly.
+/// Maps a job id onto its home shard, one of `shards`, by FNV-1a: the first
+/// shard the daemon's least-loaded placement prefers among equally loaded
+/// ones. Distinct jobs spread uniformly.
 pub fn shard_for(id: &str, shards: usize) -> usize {
     if shards <= 1 {
         return 0;

@@ -8,9 +8,10 @@
 //! `uopcache sweep` for the same spec at any worker count.
 //!
 //! The daemon multiplexes every connection on a single nonblocking event
-//! loop (`event`) and shards job execution by content-derived FNV-1a job
-//! id ([`job::shard_for`]); the [`router`] consistent-hashes jobs across
-//! several such daemons for multi-node serving. Both are configured through
+//! loop (`event`) and places each job on its least-loaded shard, ties going
+//! in order from the home shard of its content-derived FNV-1a id
+//! ([`job::shard_for`]); the [`router`] places jobs the same way across
+//! several such daemons, ties following a consistent-hash ring. Both are configured through
 //! typed builders ([`ServerConfig::builder`], [`RouterConfig::builder`]) and
 //! spoken to through the typed [`Client`].
 //!

@@ -411,4 +411,22 @@ mod tests {
             .expect("frame");
         assert!(frame_type(&back).is_err());
     }
+
+    #[test]
+    fn deeply_nested_bodies_are_malformed_not_a_crash() {
+        let err = decode_body("[".repeat(50_000).as_bytes()).expect_err("too deep");
+        assert!(
+            matches!(&err, FrameError::Malformed(m) if m.contains("nesting deeper")),
+            "{err}"
+        );
+        // The same through the framing layer, as a socket would deliver it.
+        let body = format!("{{\"schema_version\":1,\"x\":{}", "[".repeat(50_000));
+        let mut wire = u32::try_from(body.len())
+            .expect("fits")
+            .to_le_bytes()
+            .to_vec();
+        wire.extend_from_slice(body.as_bytes());
+        let err = read_frame(wire.as_slice(), Duration::from_secs(1)).expect_err("too deep");
+        assert!(matches!(err, FrameError::Malformed(_)), "{err}");
+    }
 }

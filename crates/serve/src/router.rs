@@ -2,10 +2,11 @@
 //!
 //! `uopcache route` runs the same nonblocking event loop and speaks the same
 //! wire protocol as `uopcache serve` — clients cannot tell them apart — but
-//! owns no engine. Each accepted job is placed on a consistent-hash ring of
-//! backend daemons keyed by the job's content-derived FNV-1a id, then
-//! forwarded through the typed [`Client`] and its report stored in the
-//! router's own job table. Because backends produce byte-identical reports
+//! owns no engine. Each accepted job goes to the healthy backend with the
+//! fewest jobs in flight through this router, ties broken by a
+//! consistent-hash ring of backend daemons keyed by the job's
+//! content-derived FNV-1a id; it is then forwarded through the typed
+//! [`Client`] and its report stored in the router's own job table. Because backends produce byte-identical reports
 //! for a spec regardless of worker count, *which* backend runs a job never
 //! shows in the bytes — placement is purely a load/locality decision.
 //!
@@ -14,9 +15,11 @@
 //! Every backend contributes `replicas` virtual nodes (FNV-1a of
 //! `"{addr}#{replica}"`). A job maps to the first virtual node clockwise
 //! from its id hash; the walk continues to the next *distinct* backend for
-//! failover order. Identical jobs therefore dedupe twice — once at the
-//! router's table, and again shard-locally at the owning backend, which sees
-//! the same id.
+//! failover order. Placement reads the walk as a preference order: the
+//! least-loaded healthy backend wins, and among equally loaded ones the
+//! earliest on the walk. Identical jobs dedupe at the router's table before
+//! placement, and again in the table of whichever backend runs them, which
+//! sees the same id.
 //!
 //! ## Health, spillover, failover
 //!
@@ -129,8 +132,9 @@ impl Service for RouterShared {
         &self.core
     }
 
-    /// Busy-aware spillover at admission: the ring walk from the owner,
-    /// minus unhealthy/draining backends (full queues spill to the next).
+    /// The ring walk from the owner, minus unhealthy/draining backends:
+    /// the tie-break order for least-loaded placement (full queues spill to
+    /// the next).
     fn candidates(&self, id: &str) -> Vec<usize> {
         let mut order = self.ring.order_for(fnv1a64(id.as_bytes()));
         order.retain(|&idx| self.placeable(idx));

@@ -6,16 +6,21 @@
 //! connection (`set_nonblocking` + readiness polling — no thread per
 //! connection). Admission, the job lanes and their workers are shared with
 //! the router; what is the daemon's own is placement and execution.
-//! Accepted jobs are keyed by their content-derived FNV-1a id onto one of
-//! `shards` worker shards, each a lane (a bounded queue plus one executor
-//! thread); identical submissions share an id and therefore a shard, so
-//! dedupe is shard-local by construction.
+//! Accepted jobs land on one of `shards` worker shards, each a lane (a
+//! bounded queue plus one executor thread). Placement is least-loaded: a
+//! fresh job goes to the shard with the fewest jobs queued or running,
+//! ties going to the first in order from the home shard its content-derived
+//! FNV-1a id hashes to, so a job never waits behind another while a shard
+//! sits idle. Dedupe happens before placement, in the daemon-wide job table:
+//! identical submissions share an id and therefore one job, whichever shard
+//! runs it.
 //!
 //! ## Robustness model
 //!
 //! * **Backpressure** — jobs land in per-shard
-//!   [`BoundedQueue`](crate::job::BoundedQueue)s; a full shard answers
-//!   with a `busy` frame (`"code": 429`) instead of buffering.
+//!   [`BoundedQueue`](crate::job::BoundedQueue)s; a full shard spills to
+//!   the next, and when every shard is full the daemon answers with a
+//!   `busy` frame (`"code": 429`) instead of buffering.
 //!   A rejected submission leaves no job-table entry, so the retry the busy
 //!   frame asks for re-enqueues instead of deduping onto a dead rejection.
 //!   The table itself retains at most `job_retention` finished jobs (oldest
@@ -73,8 +78,11 @@ impl Service for ServerShared {
         &self.core
     }
 
+    /// Every shard, starting at the id's home shard.
     fn candidates(&self, id: &str) -> Vec<usize> {
-        vec![shard_for(id, self.core.lanes.len())]
+        let shards = self.core.lanes.len();
+        let home = shard_for(id, shards);
+        (0..shards).map(|k| (home + k) % shards).collect()
     }
 
     /// Each shard executor owns an engine and wraps every job in

@@ -1,6 +1,8 @@
 //! Property-style checks of the offline machinery: the FOO flow solution is
 //! feasible and consistent, replay honours it, and Jenks natural breaks is
-//! optimal against brute force on small inputs.
+//! optimal against brute force on small inputs. Two pins guard the flow
+//! solver: digests of the FOO/FLACK decisions on real traces, and the exact
+//! number of shortest-path searches on the benchmark's `sweep-full` input.
 //!
 //! Random inputs come from the workspace's deterministic seeded [`Prng`], so
 //! any failure reproduces exactly from the printed round number.
@@ -230,4 +232,81 @@ fn jenks_matches_brute_force_on_small_inputs() {
             "round {round}: jenks {total} vs optimal {optimal}"
         );
     }
+}
+
+/// FNV-1a over one FOO solution's decisions: every `keep` and
+/// `expected_hit` bit in access order, then the objective value.
+fn fnv1a_solution(h: &mut u64, sol: &foo::FooSolution) {
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    for (&k, &e) in sol.keep.iter().zip(&sol.expected_hit) {
+        eat(&[u8::from(k) | u8::from(e) << 1]);
+    }
+    eat(&sol.objective_value.to_le_bytes());
+}
+
+/// Pins the FOO/FLACK decisions on realistic traces, so a solver rework
+/// that picks a different (equally optimal) augmenting path, and with it
+/// different keep bits and FURBYS profiles, fails here first.
+#[test]
+fn foo_decisions_match_pinned_digests() {
+    use uopcache::trace::{build_trace, AppId, InputVariant};
+    let cases: [(&str, UopCacheConfig, &[AppId]); 2] = [
+        ("zen3", UopCacheConfig::zen3(), &AppId::ALL),
+        (
+            "zen4",
+            UopCacheConfig::zen4(),
+            &[AppId::Kafka, AppId::Postgres, AppId::Clang],
+        ),
+    ];
+    let mut got = Vec::new();
+    for (name, cfg, apps) in &cases {
+        for foo_cfg in [
+            FooConfig::foo_ohr(),
+            FooConfig::foo_bhr(),
+            FooConfig::flack(),
+        ] {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for &app in *apps {
+                let trace = build_trace(app, InputVariant::new(3), 8_000);
+                fnv1a_solution(&mut h, &foo::solve(&trace, cfg, &foo_cfg));
+            }
+            got.push(format!(
+                "{name}/{:?}/{:?}={h:016x}",
+                foo_cfg.objective, foo_cfg.interval_mode
+            ));
+        }
+    }
+    // Recorded with the plain successive-shortest-path loop.
+    let want = [
+        "zen3/ObjectHitRatio/ExactWindow=82f66c98e2ffaf47",
+        "zen3/ByteHitRatio/ExactWindow=00935255342006e0",
+        "zen3/CostAware/Coverage=4e086cf0f91ae472",
+        "zen4/ObjectHitRatio/ExactWindow=79df045ea55d4339",
+        "zen4/ByteHitRatio/ExactWindow=6175aa878b2b6a61",
+        "zen4/CostAware/Coverage=dc7e88eab9f7baa0",
+    ];
+    assert_eq!(got, want);
+}
+
+/// Pins the FLACK solve's exact work on the benchmark's `sweep-full` input
+/// (11 apps × 30 000 accesses, zen3, the seed-1 variant). Its 704 per-set
+/// solves augment 5 618 times in all. Each takes its first augmenting path
+/// from the potential pass, so each runs one Dijkstra search fewer than it
+/// augments: 5 618 − 704 = 4 914.
+#[test]
+fn flack_search_count_is_pinned() {
+    use uopcache::trace::{build_trace, AppId, InputVariant};
+    let searches: u64 = AppId::ALL
+        .iter()
+        .map(|&app| {
+            let trace = build_trace(app, InputVariant::new(9_505_325), 30_000);
+            foo::solve(&trace, &UopCacheConfig::zen3(), &FooConfig::flack()).searches
+        })
+        .sum();
+    assert_eq!(searches, 4_914);
 }

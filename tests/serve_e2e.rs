@@ -12,15 +12,18 @@
 //!    results — and the server thread exits cleanly.
 //!
 //! It also pins the admission path the daemon shares with the router (one
-//! table of cases, identical replies and counters from both) and the per-job
-//! start deadline, timed on an injected manual clock.
+//! table of cases, identical replies and counters from both), least-loaded
+//! placement in both, the per-job start deadline, timed on an injected
+//! manual clock, and a hostile deeply nested frame that must not take the
+//! daemon down.
 
 #![expect(
     clippy::disallowed_methods,
     reason = "these tests time real socket waits on loopback"
 )]
 
-use std::net::SocketAddr;
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -30,7 +33,8 @@ use uopcache_exec::{Clock, Engine, ManualClock};
 use uopcache_model::json::Json;
 use uopcache_model::FrontendConfig;
 use uopcache_serve::{
-    frame, Client, ClientError, Router, RouterConfig, Server, ServerConfig, ServiceHandle,
+    frame, read_frame, shard_for, Client, ClientError, Router, RouterConfig, Server, ServerConfig,
+    ServiceHandle,
 };
 use uopcache_trace::AppId;
 
@@ -538,6 +542,171 @@ fn a_job_queued_past_its_start_deadline_fails_with_a_timeout() {
         "the late job never ran"
     );
 
+    client.shutdown(Duration::from_secs(5)).expect("drain ack");
+    server
+        .join_within(Duration::from_secs(30))
+        .expect("server exits")
+        .expect("clean exit");
+}
+
+/// A barrier for job runners that gives up after a timeout: `meet` returns
+/// whether `parties` runners were inside it at once. A placement that
+/// serialises the jobs then fails the test instead of hanging it.
+#[derive(Default)]
+struct Rendezvous {
+    arrived: Mutex<usize>,
+    bell: Condvar,
+}
+
+impl Rendezvous {
+    fn meet(&self, parties: usize) -> bool {
+        let mut arrived = self.arrived.lock().expect("rendezvous lock");
+        *arrived += 1;
+        self.bell.notify_all();
+        let (arrived, _) = self
+            .bell
+            .wait_timeout_while(arrived, Duration::from_secs(10), |n| *n < parties)
+            .expect("rendezvous wait");
+        *arrived >= parties
+    }
+
+    /// A runner that meets one partner and reports whether it did.
+    fn runner(self: &Arc<Self>) -> Box<uopcache_serve::server::Runner> {
+        let meet = Arc::clone(self);
+        Box::new(move |_spec, _engine| {
+            let met = meet.meet(2);
+            format!("{{\"schema_version\":1,\"met\":{met}}}")
+        })
+    }
+
+    fn reset(&self) {
+        *self.arrived.lock().expect("rendezvous lock") = 0;
+    }
+}
+
+fn met(report: &Json) -> bool {
+    report.field("met").ok().and_then(Json::as_bool) == Some(true)
+}
+
+#[test]
+fn jobs_sharing_a_home_shard_run_side_by_side_on_a_two_shard_daemon() {
+    let meet = Arc::new(Rendezvous::default());
+    let server = Server::bind_with_runner(ServerConfig::builder().shards(2).build(), meet.runner())
+        .expect("loopback bind")
+        .spawn()
+        .expect("spawn");
+    // Two ids that hash to the same home shard: shard-keyed placement would
+    // queue the second behind the first while the other shard idles.
+    let first = "side-0".to_string();
+    let second = (1..)
+        .map(|k| format!("side-{k}"))
+        .find(|id| shard_for(id, 2) == shard_for(&first, 2))
+        .expect("some id shares the home shard");
+    let mut client = connect(&server);
+    for (app, id) in [(AppId::Kafka, &first), (AppId::Mysql, &second)] {
+        client
+            .submit(&spec(&[app], 100), Some(id), Duration::from_secs(5))
+            .expect("accepted");
+    }
+    for id in [&first, &second] {
+        let report = client.wait(id, Duration::from_secs(30)).expect("result");
+        assert!(met(&report), "{id} ran alone: {report}");
+    }
+    client.shutdown(Duration::from_secs(5)).expect("drain ack");
+    server
+        .join_within(Duration::from_secs(30))
+        .expect("server exits")
+        .expect("clean exit");
+}
+
+#[test]
+fn the_router_places_a_job_on_the_idle_backend() {
+    // Both single-shard backends run jobs through one rendezvous: a pair
+    // of jobs meets only if the router sends them to different backends.
+    let meet = Arc::new(Rendezvous::default());
+    let backends: Vec<ServiceHandle> = (0..2)
+        .map(|_| {
+            Server::bind_with_runner(ServerConfig::default(), meet.runner())
+                .expect("backend binds on loopback")
+                .spawn()
+                .expect("backend spawns")
+        })
+        .collect();
+    let router = Router::bind(
+        RouterConfig::builder()
+            .backends(backends.iter().map(ServiceHandle::addr))
+            .build(),
+    )
+    .expect("router binds on loopback")
+    .spawn()
+    .expect("router spawns");
+    let mut client = Client::connect(router.addr(), Duration::from_secs(5)).expect("connect");
+    // The first job of each pair goes to its ring owner; the second must
+    // take the other, idle backend whatever its own ring owner is. Across
+    // several pairs, ring placement alone would put some pair on one
+    // backend.
+    for pair in 0..6 {
+        meet.reset();
+        let ids = [format!("pair{pair}-a"), format!("pair{pair}-b")];
+        for (app, id) in [AppId::Kafka, AppId::Mysql].into_iter().zip(&ids) {
+            client
+                .submit(&spec(&[app], 100), Some(id), Duration::from_secs(5))
+                .expect("accepted");
+        }
+        for id in &ids {
+            let report = client.wait(id, Duration::from_secs(30)).expect("result");
+            assert!(met(&report), "{id} ran alone: {report}");
+        }
+    }
+    client.shutdown(Duration::from_secs(5)).expect("drain ack");
+    router
+        .join_within(Duration::from_secs(30))
+        .expect("router exits")
+        .expect("clean exit");
+    for backend in backends {
+        let mut admin = Client::connect(backend.addr(), Duration::from_secs(5)).expect("connect");
+        admin.shutdown(Duration::from_secs(5)).expect("drain ack");
+        backend
+            .join_within(Duration::from_secs(30))
+            .expect("backend exits")
+            .expect("clean exit");
+    }
+}
+
+#[test]
+fn a_deeply_nested_frame_gets_an_error_while_other_clients_get_their_bytes() {
+    let want = spec(&[AppId::Kafka], 1_000);
+    let offline = run_sweep(&want, &Engine::new(2)).to_json();
+    let server = server_with(ServerConfig::builder().shards(2).build())
+        .spawn()
+        .expect("spawn");
+    let mut client = connect(&server);
+    let (id, _) = client
+        .submit(&want, None, Duration::from_secs(5))
+        .expect("accepted");
+
+    // 50 000 nested `[` in one well-formed frame: a recursive parser without
+    // a depth bound overflows its stack and aborts the whole process.
+    let body = "[".repeat(50_000);
+    let mut hostile = TcpStream::connect(server.addr()).expect("connect");
+    let len = u32::try_from(body.len()).expect("fits").to_le_bytes();
+    hostile.write_all(&len).expect("prefix");
+    hostile.write_all(body.as_bytes()).expect("body");
+    let reply = read_frame(&hostile, Duration::from_secs(10))
+        .expect("a reply frame")
+        .expect("not idle");
+    assert_eq!(
+        reply.field("type").ok().and_then(Json::as_str),
+        Some("error")
+    );
+    let message = reply.field("message").ok().and_then(Json::as_str);
+    assert!(
+        message.is_some_and(|m| m.contains("nesting deeper")),
+        "{reply}"
+    );
+
+    let report = client.wait(&id, Duration::from_secs(120)).expect("result");
+    assert_eq!(report.to_string(), offline, "the other client's bytes");
     client.shutdown(Duration::from_secs(5)).expect("drain ack");
     server
         .join_within(Duration::from_secs(30))
