@@ -95,6 +95,12 @@ pub fn app_key(stage: &str, app: AppId) -> TaskKey {
     TaskKey::new([stage, app.name()])
 }
 
+/// The most accesses per app (`len × scale`) that [`SweepSpec::from_json`]
+/// accepts: 10^8, ten times the `len 100000 --scale 100` sweep. A served
+/// spec beyond it is refused before any trace is built; building it would
+/// need about 3.2 GB per app and could abort the daemon on allocation.
+pub const MAX_SPEC_ACCESSES: u64 = 100_000_000;
+
 /// One `(app × policy)` sweep request.
 #[derive(Clone, Debug)]
 pub struct SweepSpec {
@@ -181,7 +187,8 @@ impl SweepSpec {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first missing or unresolvable field.
+    /// Returns a message naming the first missing or unresolvable field, or
+    /// the sizes when `len × scale` exceeds [`MAX_SPEC_ACCESSES`].
     pub fn from_json(j: &Json) -> Result<SweepSpec, String> {
         let text = |field: &str| -> Result<String, String> {
             j.field(field)
@@ -264,6 +271,14 @@ impl SweepSpec {
         let scale = uint("scale", 1)?;
         if scale == 0 {
             return Err("field \"scale\" must be at least 1".to_string());
+        }
+        match (len as u64).checked_mul(scale) {
+            Some(accesses) if accesses <= MAX_SPEC_ACCESSES => {}
+            _ => {
+                return Err(format!(
+                    "len {len} x scale {scale} exceeds {MAX_SPEC_ACCESSES} accesses per app"
+                ))
+            }
         }
         let sample = match j.field("sample") {
             Err(_) => None,
@@ -1189,6 +1204,32 @@ mod tests {
                 SweepSpec::from_json(&j).is_err(),
                 "{bad} should be rejected"
             );
+        }
+    }
+
+    #[test]
+    fn spec_json_bounds_the_trace_size() {
+        let spec = |len: u64, scale: u64| {
+            let text = format!(
+                r#"{{"config":"zen3","apps":["kafka"],"policies":["lru"],"len":{len},"scale":{scale}}}"#
+            );
+            SweepSpec::from_json(&Json::parse(&text).expect("valid JSON"))
+        };
+        let ok = spec(100_000, 100).expect("the largest documented sweep");
+        assert_eq!((ok.len, ok.scale), (100_000, 100));
+        assert!(spec(MAX_SPEC_ACCESSES, 1).is_ok());
+        assert!(spec(1, MAX_SPEC_ACCESSES).is_ok());
+        for (len, scale) in [
+            (1_000_000_000_000, 1),
+            (1, 1_000_000_000_000),
+            (MAX_SPEC_ACCESSES + 1, 1),
+            (MAX_SPEC_ACCESSES / 2 + 1, 2),
+            // The product overflows u64.
+            (1 << 33, 1 << 33),
+            (u64::MAX, u64::MAX),
+        ] {
+            let err = spec(len, scale).expect_err("over the bound");
+            assert!(err.contains("exceeds"), "{len} x {scale}: {err}");
         }
     }
 }

@@ -183,16 +183,20 @@ impl BbvRecorder {
 /// Adds `count` with a seeded ±1 sign per lane — the sparse-to-dense random
 /// projection. Signs come from a `Prng` keyed by (seed, start), one bit per
 /// lane, so the projection is stable across runs and map iteration orders.
+///
+/// The sign is selected without a branch (the bits are random, so a branch
+/// would mispredict half the time): `m` is 0 for a set bit and all ones for
+/// a clear one, and `(c ^ m) - m` is then `c` or `-c`. The arithmetic wraps,
+/// so it is exact two's complement at any count.
 fn project_into(seed: u64, start: u64, count: u64, row: &mut [i64]) {
     let mut rng = Prng::seed_from_u64(seed ^ splitmix64(start));
     let c = count as i64;
-    let mut bits = 0u64;
-    for (j, lane) in row.iter_mut().enumerate() {
-        if j % 64 == 0 {
-            bits = rng.next_u64();
+    for lanes in row.chunks_mut(64) {
+        let bits = rng.next_u64();
+        for (j, lane) in lanes.iter_mut().enumerate() {
+            let m = ((bits >> j) & 1).wrapping_sub(1) as i64;
+            *lane = lane.wrapping_add((c ^ m).wrapping_sub(m));
         }
-        *lane += if bits & 1 == 1 { c } else { -c };
-        bits >>= 1;
     }
 }
 

@@ -1,11 +1,16 @@
 //! Top-level trace generation entry points.
 
 use crate::program::Program;
-use crate::pwstream::collect_trace;
+use crate::pwstream::PwBuilder;
 use crate::walker::Walker;
 use crate::workload::{AppId, InputVariant, WorkloadSpec};
 use uopcache_model::rng::{Prng, Rng};
 use uopcache_model::LookupTrace;
+
+/// The most accesses a build reserves up front (2^21, 64 MiB of windows).
+/// A longer trace grows past it as windows arrive, so an absurd length
+/// fails on memory it really uses, never on one giant reservation.
+const RESERVE_CHUNK: usize = 1 << 21;
 
 /// Generates `accesses` micro-op cache lookups for an application and input
 /// variant. Deterministic: the same arguments always produce the same trace.
@@ -29,9 +34,7 @@ pub fn build_trace_with_spec(
     variant: InputVariant,
     accesses: usize,
 ) -> LookupTrace {
-    let program = Program::synthesize(spec);
-    let walker = Walker::new(&program, spec, variant);
-    collect_trace(&program, walker, 64, accesses)
+    build_trace_scaled_with_spec(spec, variant, accesses, 1)
 }
 
 /// Generates `accesses * scale` lookups as `scale` consecutive execution
@@ -81,13 +84,19 @@ pub fn build_trace_scaled_with_spec(
     assert!(scale >= 1, "scale must be at least 1");
     let program = Program::synthesize(spec);
     let scale_hint = usize::try_from(scale).unwrap_or(usize::MAX);
-    let mut out = LookupTrace::with_capacity(accesses.saturating_mul(scale_hint));
+    // A few windows past the target: the last block may overshoot it.
+    let reserve = accesses.saturating_mul(scale_hint).saturating_add(8);
+    let mut out = Vec::with_capacity(reserve.min(RESERVE_CHUNK));
+    let mut builder = PwBuilder::new(&program, 64);
     for epoch in 0..scale {
         let espec = drifted_spec(spec, epoch);
-        let walker = Walker::with_epoch(&program, &espec, variant, epoch);
-        out.extend(collect_trace(&program, walker, 64, accesses));
+        builder.collect(
+            Walker::with_epoch(&program, &espec, variant, epoch),
+            accesses,
+            &mut out,
+        );
     }
-    out
+    out.into_iter().collect()
 }
 
 /// The workload spec as observed during execution epoch `epoch`: popularity

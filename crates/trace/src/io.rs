@@ -13,6 +13,11 @@
 //!   bytes  u32 LE
 //!   flags  u8      bit0 = mispredicted, bit1 = line-boundary termination
 //! ```
+//!
+//! The reader accepts exactly what the writer produces: other flag bits,
+//! zero-sized windows and bytes after the last record are errors. It never
+//! trusts the header's count for memory: it reserves at most
+//! `RESERVE_RECORDS` up front and grows as records actually arrive.
 
 use std::fmt;
 use std::io::{Read, Write};
@@ -21,6 +26,8 @@ use uopcache_model::{Addr, LookupTrace, PwAccess, PwDesc, PwTermination};
 
 const MAGIC: &[u8; 4] = b"UOPT";
 const VERSION: u32 = 1;
+/// Records reserved before any is read (128 KiB of windows).
+const RESERVE_RECORDS: usize = 4096;
 
 /// Errors arising while reading or writing trace files.
 #[derive(Debug)]
@@ -109,7 +116,8 @@ pub fn read_binary<R: Read>(mut r: R) -> Result<LookupTrace, TraceIoError> {
         return Err(TraceIoError::UnsupportedVersion(version));
     }
     let count = read_u64(&mut r)?;
-    let mut trace = LookupTrace::with_capacity(count.min(1 << 24) as usize);
+    let reserve = usize::try_from(count).map_or(RESERVE_RECORDS, |c| c.min(RESERVE_RECORDS));
+    let mut trace = LookupTrace::with_capacity(reserve);
     for _ in 0..count {
         let start = read_u64(&mut r)?;
         let uops = read_u32(&mut r)?;
@@ -122,6 +130,12 @@ pub fn read_binary<R: Read>(mut r: R) -> Result<LookupTrace, TraceIoError> {
                 "window at {start:#x} has uops={uops}, bytes={bytes}"
             )));
         }
+        if flags[0] & !3 != 0 {
+            return Err(TraceIoError::InvalidRecord(format!(
+                "window at {start:#x} has unknown flags {:#04x}",
+                flags[0]
+            )));
+        }
         let term = if flags[0] & 2 != 0 {
             PwTermination::LineBoundary
         } else {
@@ -131,6 +145,12 @@ pub fn read_binary<R: Read>(mut r: R) -> Result<LookupTrace, TraceIoError> {
             pw: PwDesc::new(Addr::new(start), uops, bytes, term),
             mispredicted: flags[0] & 1 != 0,
         });
+    }
+    let mut rest = [0u8; 1];
+    if r.read(&mut rest)? != 0 {
+        return Err(TraceIoError::InvalidRecord(format!(
+            "bytes follow the last of {count} records"
+        )));
     }
     Ok(trace)
 }

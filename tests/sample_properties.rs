@@ -135,3 +135,30 @@ fn bbv_recorder_is_observationally_neutral() {
         assert!(rec.offered() > 0, "{}: recorder saw no events", app.name());
     }
 }
+
+/// Pins the interval fingerprints bit for bit: the `f64` bit patterns of
+/// every `fingerprint_intervals` vector for kafka and postgres (12 000
+/// accesses × 10 epochs) at the default sampling configuration of a
+/// 20 000-uop interval. Recorded with the branching projection.
+#[test]
+fn interval_fingerprints_match_pinned_digests() {
+    use uopcache::sample::fingerprint_intervals;
+    use uopcache::trace::build_trace_scaled;
+    let mut got = Vec::new();
+    for app in [AppId::Kafka, AppId::Postgres] {
+        let trace = build_trace_scaled(app, InputVariant(9_505_325), 12_000, 10);
+        let cfg = SampleConfig::new(20_000, 0x5eed_0017);
+        let (intervals, vectors) =
+            fingerprint_intervals(&trace, cfg.interval_uops, cfg.dim, cfg.seed);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for v in vectors.iter().flatten() {
+            for b in v.to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        got.push(format!("{}/{}={h:016x}", app.name(), intervals.len()));
+    }
+    let want = ["kafka/42=1d21e5a8d9fd9bbe", "postgres/47=316ca665f2ba37dd"];
+    assert_eq!(got, want);
+}

@@ -713,3 +713,39 @@ fn a_deeply_nested_frame_gets_an_error_while_other_clients_get_their_bytes() {
         .expect("server exits")
         .expect("clean exit");
 }
+
+#[test]
+fn an_oversized_spec_gets_an_error_while_other_clients_get_their_bytes() {
+    let want = spec(&[AppId::Kafka], 1_000);
+    let offline = run_sweep(&want, &Engine::new(2)).to_json();
+    let server = server_with(ServerConfig::builder().shards(2).build())
+        .spawn()
+        .expect("spawn");
+    let mut client = connect(&server);
+    let (id, _) = client
+        .submit(&want, None, Duration::from_secs(5))
+        .expect("accepted");
+
+    // 10^12 accesses, by length or by scale: admitting either would try to
+    // build a trace far larger than memory and abort the whole process.
+    let by_len = spec(&[AppId::Kafka], 1_000_000_000_000);
+    let mut by_scale = spec(&[AppId::Kafka], 1_000);
+    by_scale.scale = 1_000_000_000_000;
+    for hostile in [by_len, by_scale] {
+        let err = connect(&server)
+            .submit(&hostile, None, Duration::from_secs(5))
+            .expect_err("refused at admission");
+        assert!(
+            matches!(&err, ClientError::Server(m) if m.contains("exceeds")),
+            "{err}"
+        );
+    }
+
+    let report = client.wait(&id, Duration::from_secs(120)).expect("result");
+    assert_eq!(report.to_string(), offline, "the other client's bytes");
+    client.shutdown(Duration::from_secs(5)).expect("drain ack");
+    server
+        .join_within(Duration::from_secs(30))
+        .expect("server exits")
+        .expect("clean exit");
+}

@@ -216,3 +216,67 @@ fn scaled_traces_repeat_phase_structure_without_tiling() {
         }
     }
 }
+
+/// FNV-1a over every access of a trace: start, uops, bytes, termination and
+/// the mispredict flag, in stream order.
+fn fnv1a_trace(h: &mut u64, trace: &uopcache::model::LookupTrace) {
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    for a in trace.iter() {
+        eat(&a.pw.start.get().to_le_bytes());
+        eat(&a.pw.uops.to_le_bytes());
+        eat(&a.pw.bytes.to_le_bytes());
+        eat(&[u8::from(a.pw.term == PwTermination::LineBoundary) | u8::from(a.mispredicted) << 1]);
+    }
+}
+
+/// Pins the generator's bytes: every access of `build_trace_scaled` for all
+/// 11 apps at lengths 1, 1 000, 8 000 and 30 000 (scale 1) and 12 000 × 5,
+/// at variant 0 and the benchmark's seed-1 variant. Recorded with the
+/// per-instruction window builder, so a faster builder must reproduce it.
+#[test]
+fn generated_traces_match_pinned_digests() {
+    use uopcache::trace::build_trace_scaled;
+    let mut got = Vec::new();
+    for app in AppId::ALL {
+        for variant in [0u32, 9_505_325] {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for (len, scale) in [(1, 1), (1_000, 1), (8_000, 1), (30_000, 1), (12_000, 5)] {
+                fnv1a_trace(
+                    &mut h,
+                    &build_trace_scaled(app, InputVariant(variant), len, scale),
+                );
+            }
+            got.push(format!("{}/v{variant}={h:016x}", app.name()));
+        }
+    }
+    let want = [
+        "cassandra/v0=39dd6014a5ffd220",
+        "cassandra/v9505325=c3a4d68efa5530e1",
+        "kafka/v0=1843c7b9498b6993",
+        "kafka/v9505325=99fad1a7a4b1eacb",
+        "tomcat/v0=5bc32a3bffc2a117",
+        "tomcat/v9505325=10478af543cc5b81",
+        "drupal/v0=4ac7965d0b19b0cd",
+        "drupal/v9505325=c4f5cb37f210c124",
+        "mediawiki/v0=4ba1869996c45d78",
+        "mediawiki/v9505325=f1ebaf92841a3783",
+        "wordpress/v0=fefa9c8ab47e6226",
+        "wordpress/v9505325=f3d618afeed900df",
+        "postgres/v0=35361c2659bef957",
+        "postgres/v9505325=c2a14cbb0bfb10c1",
+        "mysql/v0=dbffa1f62be1ef36",
+        "mysql/v9505325=501678adddfbbd0a",
+        "python/v0=1eaeab56fd5afefe",
+        "python/v9505325=5a7f1735d7d9e518",
+        "finagle/v0=6236de0e449c3790",
+        "finagle/v9505325=1a0232440f7840ff",
+        "clang/v0=f91ab35854d87305",
+        "clang/v9505325=f0dc470bb216e79b",
+    ];
+    assert_eq!(got, want);
+}
