@@ -12,6 +12,7 @@
 
 use crate::apps::trace_for_scaled;
 use crate::policies::{PolicyId, ProfileInputs};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 use uopcache_exec::{Engine, TaskFailure, TaskKey, TaskProfile};
@@ -20,8 +21,8 @@ use uopcache_model::{
     CacheStats, EventCounts, FrontendConfig, LookupTrace, SimResult, UopCacheStats,
 };
 use uopcache_obs::{Event, MetricsRecorder, MetricsRegistry, SamplingRecorder};
-use uopcache_sample::{simulate_interval, SampleConfig, SamplePlan};
-use uopcache_sim::{Frontend, SimOptions};
+use uopcache_sample::{interval_stream, simulate_interval_with, SampleConfig, SamplePlan};
+use uopcache_sim::{BranchStream, Frontend, SimOptions};
 use uopcache_trace::AppId;
 
 /// The canonical-JSON schema version stamped on every report this crate
@@ -100,6 +101,14 @@ pub fn app_key(stage: &str, app: AppId) -> TaskKey {
 /// spec beyond it is refused before any trace is built; building it would
 /// need about 3.2 GB per app and could abort the daemon on allocation.
 pub const MAX_SPEC_ACCESSES: u64 = 100_000_000;
+
+/// The most micro-op cache sets a spec's `entries`/`ways` geometry may
+/// name in [`SweepSpec::from_json`]: 8 192, sixteen times the 512 sets of
+/// the largest geometry the experiments use (4 096 entries, 8 ways) and
+/// twice that geometry direct-mapped. With at most 64 ways a cache then
+/// holds at most 2^19 entries, so a hostile geometry cannot ask the daemon
+/// for an allocation it would abort on.
+pub const MAX_SPEC_SETS: u32 = 8_192;
 
 /// One `(app × policy)` sweep request.
 #[derive(Clone, Debug)]
@@ -187,8 +196,10 @@ impl SweepSpec {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first missing or unresolvable field, or
-    /// the sizes when `len × scale` exceeds [`MAX_SPEC_ACCESSES`].
+    /// Returns a message naming the first missing or unresolvable field, the
+    /// sizes when `len × scale` exceeds [`MAX_SPEC_ACCESSES`], or the
+    /// geometry when `ways` is outside 1..=64, `entries` is not a positive
+    /// multiple of `ways`, or the set count exceeds [`MAX_SPEC_SETS`].
     pub fn from_json(j: &Json) -> Result<SweepSpec, String> {
         let text = |field: &str| -> Result<String, String> {
             j.field(field)
@@ -213,10 +224,24 @@ impl SweepSpec {
                 .map_err(|_| format!("field {field:?} out of range")),
             }
         };
-        cfg.uop_cache = cfg
-            .uop_cache
-            .with_entries(geometry("entries", cfg.uop_cache.entries)?)
-            .with_ways(geometry("ways", cfg.uop_cache.ways)?);
+        let (entries, ways) = (
+            geometry("entries", cfg.uop_cache.entries)?,
+            geometry("ways", cfg.uop_cache.ways)?,
+        );
+        if !(1..=64).contains(&ways) {
+            return Err(format!("ways {ways} outside 1..=64"));
+        }
+        if entries == 0 || !entries.is_multiple_of(ways) {
+            return Err(format!(
+                "entries {entries} is not a positive multiple of ways {ways}"
+            ));
+        }
+        if entries / ways > MAX_SPEC_SETS {
+            return Err(format!(
+                "entries {entries} / ways {ways} exceeds {MAX_SPEC_SETS} sets"
+            ));
+        }
+        cfg.uop_cache = cfg.uop_cache.with_entries(entries).with_ways(ways);
         let names = |field: &str| -> Result<Vec<String>, String> {
             j.field(field)
                 .map_err(|e| e.to_string())?
@@ -412,6 +437,10 @@ pub struct SweepReport {
     pub profiles: Vec<TaskProfile>,
     /// Wall-clock time of the simulation stage.
     pub elapsed: Duration,
+    /// Branch streams simulated: one per segment of each app (one per app
+    /// on a full sweep), each shared by every policy's cell. Not rendered
+    /// to JSON.
+    pub branch_streams: usize,
 }
 
 impl SweepReport {
@@ -577,11 +606,17 @@ pub fn run_sweep(spec: &SweepSpec, engine: &Engine) -> SweepReport {
 }
 
 /// One prepared app: the (possibly scaled) trace, its sampling plan on a
-/// `--sample` sweep, and the profile inputs its policies train on.
+/// `--sample` sweep, the profile inputs its policies train on, and the
+/// segments every cell of the app simulates, each with its branch stream.
 pub(crate) struct Prep {
     pub(crate) trace: LookupTrace,
     plan: Option<SamplePlan>,
     pub(crate) profiles: ProfileInputs,
+    /// The cell segments in submission order. The branch side of a segment
+    /// (BTB, misprediction penalty, backend absorption) does not depend on
+    /// the policy, so its stream is simulated once here and shared by
+    /// every policy's task.
+    segments: Vec<(Segment, BranchStream)>,
 }
 
 /// What one simulation task of a cell runs.
@@ -609,6 +644,26 @@ impl Segment {
             segments.extend(cluster.probe.map(|_| Segment::Probe(c)));
         }
         segments
+    }
+
+    /// The accesses the segment simulates, as a warmup range and a measured
+    /// range.
+    fn ranges(
+        self,
+        trace: &LookupTrace,
+        plan: Option<&SamplePlan>,
+    ) -> (Range<usize>, Range<usize>) {
+        let (plan, member) = match (self, plan) {
+            (Segment::Point(c, j), Some(plan)) => (plan, plan.clusters[c].points[j]),
+            (Segment::Probe(c), Some(plan)) => (
+                plan,
+                plan.clusters[c]
+                    .probe
+                    .expect("probe segments are planned only for clusters with a probe"),
+            ),
+            _ => return (0..0, 0..trace.len()),
+        };
+        (plan.warmup_range(member), plan.intervals[member].range())
     }
 
     /// The segment's task key: the cell key itself, or a child of it.
@@ -645,12 +700,20 @@ pub(crate) fn sweep_with(
             // only, keeping preparation O(k · interval) instead of O(trace).
             let train = plan.as_ref().map(|plan| plan.representative_trace(&trace));
             let profiles = ProfileInputs::build(&cfg, train.as_ref().unwrap_or(&trace));
+            let segments = Segment::all(plan.as_ref())
+                .into_iter()
+                .map(|s| {
+                    let (warmup, measure) = s.ranges(&trace, plan.as_ref());
+                    (s, interval_stream(&cfg, &trace, warmup, measure))
+                })
+                .collect();
             (
                 app,
                 Prep {
                     trace,
                     plan,
                     profiles,
+                    segments,
                 },
             )
         })
@@ -659,48 +722,42 @@ pub(crate) fn sweep_with(
     let mut cells = Vec::new();
     let mut tasks = Vec::new();
     for (app, prep) in &prepared {
-        let segments = Segment::all(prep.plan.as_ref());
         for policy in spec.policies.iter().filter(|p| !skip(*app, p)) {
             let key = spec.task_key(*app, policy);
             tasks.extend(
-                segments
-                    .iter()
-                    .map(|&s| (s.key(&key), (prep, policy, s, key.seed()))),
+                (prep.segments.iter())
+                    .map(|(s, branch)| (s.key(&key), (prep, policy, *s, branch, key.seed()))),
             );
-            cells.push((*app, policy, key, prep, segments.len()));
+            cells.push((*app, policy, key, prep, prep.segments.len()));
         }
     }
-    let outcome = engine.run(tasks, |_key, _seed, (prep, policy, segment, seed)| {
-        let id = policy.parse::<PolicyId>().unwrap_or_else(|e| panic!("{e}"));
-        let policy = id.build(&cfg, &prep.profiles, seed);
-        let (plan, member) = match (segment, &prep.plan) {
-            (Segment::Point(c, j), Some(plan)) => (plan, plan.clusters[c].points[j]),
-            (Segment::Probe(c), Some(plan)) => (
-                plan,
-                plan.clusters[c]
-                    .probe
-                    .expect("probe segments are planned only for clusters with a probe"),
-            ),
-            _ => {
-                let mut builder = Frontend::builder(cfg).policy(policy).options(opts);
-                if spec.metrics {
-                    builder = builder.recorder(MetricsRecorder::new(Box::new(
-                        SamplingRecorder::new(seed, SAMPLE_EVERY),
-                    )));
-                }
-                let mut frontend = builder.build();
-                let result = frontend.run(&prep.trace);
-                let obs = frontend.take_recorder().map(|r| CellObs {
-                    events: r.events(),
-                    metrics: r.metrics().cloned().unwrap_or_default(),
-                });
-                return (segment, result, obs);
+    let outcome = engine.run(
+        tasks,
+        |_key, _seed, (prep, policy, segment, branch, seed)| {
+            let id = policy.parse::<PolicyId>().unwrap_or_else(|e| panic!("{e}"));
+            let policy = id.build(&cfg, &prep.profiles, seed);
+            let (warmup, measure) = segment.ranges(&prep.trace, prep.plan.as_ref());
+            if segment != Segment::Whole {
+                let result =
+                    simulate_interval_with(&cfg, policy, &prep.trace, warmup, measure, branch);
+                return (segment, result, None);
             }
-        };
-        let (warmup, measure) = (plan.warmup_range(member), plan.intervals[member].range());
-        let result = simulate_interval(&cfg, policy, &prep.trace, warmup, measure);
-        (segment, result, None)
-    });
+            let mut builder = Frontend::builder(cfg).policy(policy).options(opts);
+            if spec.metrics {
+                builder = builder.recorder(MetricsRecorder::new(Box::new(SamplingRecorder::new(
+                    seed,
+                    SAMPLE_EVERY,
+                ))));
+            }
+            let mut frontend = builder.build();
+            let result = frontend.run_stream(prep.trace.accesses(), branch.slice(measure));
+            let obs = frontend.take_recorder().map(|r| CellObs {
+                events: r.events(),
+                metrics: r.metrics().cloned().unwrap_or_default(),
+            });
+            (segment, result, obs)
+        },
+    );
 
     // The engine returns outcomes in submission order, so each cell drains
     // exactly its own segments.
@@ -730,12 +787,14 @@ pub(crate) fn sweep_with(
     profiles.sort_by(|a, b| a.key.cmp(&b.key));
     let (cells, elapsed) = (merged, outcome.elapsed);
     let spec = spec.clone();
+    let branch_streams = prepared.iter().map(|(_, p)| p.segments.len()).sum();
     let report = SweepReport {
         spec,
         cells,
         failures,
         profiles,
         elapsed,
+        branch_streams,
     };
     (report, prepared)
 }
@@ -1205,6 +1264,37 @@ mod tests {
                 "{bad} should be rejected"
             );
         }
+    }
+
+    #[test]
+    fn spec_json_bounds_the_cache_geometry() {
+        let spec = |entries: u64, ways: u64| {
+            let text = format!(
+                r#"{{"config":"zen3","apps":["kafka"],"policies":["lru"],"len":1000,"entries":{entries},"ways":{ways}}}"#
+            );
+            SweepSpec::from_json(&Json::parse(&text).expect("valid JSON"))
+        };
+        let largest = spec(4_096, 8).expect("the largest geometry the experiments use");
+        assert_eq!(largest.cfg.uop_cache.sets(), 512);
+        assert!(spec(4_096, 1).is_ok());
+        assert!(spec(u64::from(MAX_SPEC_SETS) * 64, 64).is_ok());
+        assert!(spec(u64::from(MAX_SPEC_SETS), 1).is_ok());
+        for (entries, ways, what) in [
+            (4_000_000_000, 1, "sets"),
+            (u64::from(MAX_SPEC_SETS) + 1, 1, "sets"),
+            (u64::from(MAX_SPEC_SETS) * 64 + 64, 64, "sets"),
+            (512, 0, "1..=64"),
+            (6_400, 100, "1..=64"),
+            (512, u64::from(u32::MAX), "1..=64"),
+            (0, 8, "multiple"),
+            (513, 8, "multiple"),
+            (7, 8, "multiple"),
+        ] {
+            let err = spec(entries, ways).expect_err("a hostile geometry");
+            assert!(err.contains(what), "{entries} x {ways}: {err}");
+        }
+        // Out of u32 range is refused before the geometry is read.
+        assert!(spec(u64::MAX, 8).is_err());
     }
 
     #[test]

@@ -109,6 +109,7 @@ impl LineCache {
     }
 
     /// Accesses `line`, filling it on a miss. Returns what happened.
+    #[inline]
     pub fn access(&mut self, line: LineAddr) -> LineOutcome {
         self.now += 1;
         self.stats.accesses += 1;
@@ -143,6 +144,7 @@ impl LineCache {
     /// Refreshes `line`'s recency without counting an access (used to keep
     /// the L1i's LRU state coupled to micro-op cache hits under inclusion).
     /// Returns whether the line was present.
+    #[inline]
     pub fn touch(&mut self, line: LineAddr) -> bool {
         self.now += 1;
         let range = self.set_of(line);

@@ -3,7 +3,8 @@
 //!
 //! Storage is a struct-of-arrays arena sized at construction: a `live`
 //! bitmask of occupied slots, a dense array of start addresses (the lookup
-//! key — one cache line covers eight ways), and a parallel array of
+//! key — one cache line covers eight ways), a parallel array of end
+//! addresses (the inclusion probe's other bound), and a parallel array of
 //! [`PwMeta`] records. Nothing allocates after [`PwSet::new`]; the hot
 //! [`find`](PwSet::find) walks the start-address array guided by the bitmask
 //! instead of chasing per-way heap cells.
@@ -29,6 +30,9 @@ pub struct PwSet {
     mask: u64,
     /// Start address per slot (valid only where `live` has the bit set).
     starts: Box<[Addr]>,
+    /// One past the last byte per slot, `start + bytes` (valid only where
+    /// `live` has the bit set).
+    ends: Box<[u64]>,
     /// Full metadata per slot (valid only where `live` has the bit set).
     metas: Box<[PwMeta]>,
 }
@@ -64,6 +68,7 @@ impl PwSet {
             live: 0,
             mask: u64::MAX >> (64 - u32::from(ways)),
             starts: vec![Addr::new(0); usize::from(ways)].into_boxed_slice(),
+            ends: vec![0; usize::from(ways)].into_boxed_slice(),
             metas: vec![DEAD; usize::from(ways)].into_boxed_slice(),
         }
     }
@@ -137,19 +142,15 @@ impl PwSet {
     pub fn slots_touching(&self, line: LineAddr, line_bytes: u64) -> u64 {
         let mask = !(line_bytes - 1);
         let target = line.base().get();
+        // Every slot is tested without branching, dead ones (whose end may
+        // be 0, hence the wrapping subtraction) masked out after.
         let mut touching = 0;
-        let mut live = self.live;
-        while live != 0 {
-            let i = live.trailing_zeros() as usize;
-            let desc = &self.metas[i].desc;
-            let first = desc.start.get() & mask;
-            let last = (desc.end().get() - 1) & mask;
-            if first <= target && target <= last {
-                touching |= 1 << i;
-            }
-            live &= live - 1;
+        for (i, (start, end)) in self.starts.iter().zip(&self.ends[..]).enumerate() {
+            let first = start.get() & mask;
+            let last = end.wrapping_sub(1) & mask;
+            touching |= u64::from((first <= target) & (target <= last)) << i;
         }
-        touching
+        touching & self.live
     }
 
     /// Mutable variant of [`PwSet::find`].
@@ -199,6 +200,7 @@ impl PwSet {
         };
         self.live |= 1 << slot;
         self.starts[slot] = desc.start;
+        self.ends[slot] = desc.end().get();
         self.metas[slot] = meta;
         self.used_entries += u8::try_from(entries).expect("entries checked against ways <= 64");
         meta

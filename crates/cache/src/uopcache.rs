@@ -109,7 +109,7 @@ pub struct UopCache {
     /// `log2(line_bytes)` — set indexing is a shift, not a division.
     set_shift: u32,
     /// `sets - 1` when the set count is a power of two (the common
-    /// geometries); `None` falls back to a modulo.
+    /// geometries); `None` falls back to a modulo by the set count.
     set_mask: Option<u64>,
     /// Largest `PwDesc::bytes` ever made resident (monotone, 0 while the
     /// cache has never held a window). Bounds how many lines before an
@@ -319,8 +319,9 @@ impl UopCache {
                 self.stats.uops_missed += u64::from(pw.uops);
             }
         }
+        // Checked here so an unrecorded lookup skips the entry division.
         #[cfg(feature = "obs")]
-        {
+        if self.recorder.is_some() {
             let kind = match result {
                 LookupResult::Hit { .. } => EventKind::Hit,
                 LookupResult::PartialHit { .. } => EventKind::PartialHit,
@@ -418,8 +419,10 @@ impl UopCache {
             return InsertOutcome::Bypassed;
         }
 
+        // The snapshot stays in step with the set: each victim's element is
+        // removed from it, which keeps the rest in slot order, exactly as a
+        // refill would.
         while self.sets[set_idx].free_entries() < entries {
-            self.sets[set_idx].fill_residents(&mut self.resident_scratch);
             debug_assert!(
                 !self.resident_scratch.is_empty(),
                 "no residents but set is full"
@@ -433,7 +436,7 @@ impl UopCache {
             } else {
                 self.stats.primary_victim_selections += 1;
             }
-            let victim = self.resident_scratch[victim_idx];
+            let victim = self.resident_scratch.remove(victim_idx);
             let removed = self.sets[set_idx].remove_slot(victim.slot);
             self.policy.on_evict(set_idx, &removed);
             self.stats.evicted_pws += 1;
@@ -537,8 +540,11 @@ impl UopCache {
     /// run would cover them all.
     fn candidate_sets(&self, line_idx: u64) -> (RangeInclusive<usize>, Range<usize>) {
         let sets = self.sets.len();
-        let span = u64::from(self.max_bytes.saturating_sub(1)).div_ceil(self.line_bytes);
-        if span + 1 >= u64::from(self.cfg.sets()) {
+        // `⌈(max_bytes − 1) / line_bytes⌉` with a shift: the line size is
+        // a power of two.
+        let reach = u64::from(self.max_bytes.saturating_sub(1));
+        let span = (reach >> self.set_shift) + u64::from(reach & (self.line_bytes - 1) != 0);
+        if span + 1 >= sets as u64 {
             return (0..=sets - 1, 0..0);
         }
         let first = self.set_of_line(line_idx.saturating_sub(span));
@@ -596,7 +602,7 @@ impl UopCache {
         #[allow(clippy::cast_possible_truncation)]
         match self.set_mask {
             Some(mask) => (line_idx & mask) as usize,
-            None => (line_idx % u64::from(self.cfg.sets())) as usize,
+            None => (line_idx % self.sets.len() as u64) as usize,
         }
     }
 }

@@ -36,6 +36,7 @@ impl Addr {
     /// # Panics
     ///
     /// Panics if `line_bytes` is not a power of two.
+    #[inline]
     pub fn line(self, line_bytes: u64) -> LineAddr {
         assert!(
             line_bytes.is_power_of_two(),

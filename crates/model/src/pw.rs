@@ -89,6 +89,7 @@ impl PwDesc {
     /// # Panics
     ///
     /// Panics if `uops_per_entry` is zero.
+    #[inline]
     pub fn entries(&self, uops_per_entry: u32) -> u32 {
         assert!(
             uops_per_entry > 0,
@@ -115,6 +116,7 @@ impl PwDesc {
     /// # Panics
     ///
     /// Panics if `line_bytes` is not a power of two.
+    #[inline]
     pub fn lines(&self, line_bytes: u64) -> impl Iterator<Item = LineAddr> + '_ {
         let first = self.start.line(line_bytes);
         let last = Addr::new(self.end().get() - 1).line(line_bytes);

@@ -20,7 +20,10 @@
 //!    to the centroid becomes the *representative* and the farthest member
 //!    the *probe*; cluster weights are micro-op shares.
 //! 5. **Simulate** ([`simulate_interval`]) — run each representative (and
-//!    probe) with functional warmup from its preceding interval.
+//!    probe) with functional warmup from its preceding interval. The
+//!    interval's branch side does not depend on the policy, so a sweep
+//!    builds its [`interval_stream`] once and every policy shares it
+//!    through [`simulate_interval_with`].
 //! 6. **Reconstruct** (the sweep harness, by [`SamplePlan::weights`]) —
 //!    whole-trace metrics as the weighted average of sample-point metrics,
 //!    with an error bound ([`SamplePlan::error_bound`]) from within-cluster
@@ -38,4 +41,4 @@ pub mod sim;
 pub use interval::{fingerprint_intervals, slice_intervals, Interval};
 pub use kmeans::{choose_k, kmeans, Clustering};
 pub use plan::{ClusterPlan, SampleConfig, SamplePlan, EST_ERROR_FLOOR, EST_ERROR_MARGIN};
-pub use sim::simulate_interval;
+pub use sim::{interval_stream, simulate_interval, simulate_interval_with};

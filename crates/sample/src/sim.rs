@@ -4,14 +4,14 @@ use std::ops::Range;
 
 use uopcache_cache::PwReplacementPolicy;
 use uopcache_model::{FrontendConfig, LookupTrace, SimResult};
-use uopcache_sim::Frontend;
+use uopcache_sim::{BranchStream, Frontend};
 
 /// Simulates one interval of `trace` and returns its isolated result:
 /// the frontend first replays the `warmup` accesses (typically the
 /// preceding interval — functional warmup, so the measured interval starts
 /// from a realistically warm cache instead of a cold one), then runs
-/// `measure`. [`Frontend::run`] reports per-run deltas, so the returned
-/// result charges only the measured accesses.
+/// `measure`. The frontend reports per-run deltas, so the returned result
+/// charges only the measured accesses.
 ///
 /// An empty `warmup` skips warmup (used for intervals at the trace start).
 pub fn simulate_interval(
@@ -21,11 +21,52 @@ pub fn simulate_interval(
     warmup: Range<usize>,
     measure: Range<usize>,
 ) -> SimResult {
+    let branch = interval_stream(cfg, trace, warmup.clone(), measure.clone());
+    simulate_interval_with(cfg, policy, trace, warmup, measure, &branch)
+}
+
+/// The branch stream of one interval: `warmup` followed by `measure`,
+/// simulated from a fresh branch state. It does not depend on the policy,
+/// so every policy simulating the interval can share it
+/// ([`simulate_interval_with`]).
+pub fn interval_stream(
+    cfg: &FrontendConfig,
+    trace: &LookupTrace,
+    warmup: Range<usize>,
+    measure: Range<usize>,
+) -> BranchStream {
+    let accesses = trace.accesses();
+    BranchStream::build(cfg, &[&accesses[warmup], &accesses[measure]])
+}
+
+/// [`simulate_interval`] with the interval's branch side read from
+/// `branch`, the [`interval_stream`] of the same `cfg`, `trace`, `warmup`
+/// and `measure`. Returns the same result.
+///
+/// # Panics
+///
+/// Panics if `branch` does not hold exactly `warmup.len() + measure.len()`
+/// entries or was built for another branch configuration.
+pub fn simulate_interval_with(
+    cfg: &FrontendConfig,
+    policy: Box<dyn PwReplacementPolicy>,
+    trace: &LookupTrace,
+    warmup: Range<usize>,
+    measure: Range<usize>,
+    branch: &BranchStream,
+) -> SimResult {
+    assert_eq!(
+        branch.len(),
+        warmup.len() + measure.len(),
+        "the stream covers the warmup and the measured interval"
+    );
+    let accesses = trace.accesses();
     let mut fe = Frontend::builder(*cfg).policy(policy).build();
+    let split = warmup.len();
     if !warmup.is_empty() {
-        let _ = fe.run(&trace.slice(warmup));
+        let _ = fe.run_stream(&accesses[warmup], branch.slice(0..split));
     }
-    fe.run(&trace.slice(measure))
+    fe.run_stream(&accesses[measure], branch.slice(split..branch.len()))
 }
 
 #[cfg(test)]

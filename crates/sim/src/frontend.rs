@@ -1,8 +1,11 @@
 //! The frontend simulation loop.
 
+use crate::branch::{BranchSlice, BranchState, BranchStream};
 use std::collections::VecDeque;
 use uopcache_cache::{LineCache, LineOutcome, LookupResult, PwReplacementPolicy, UopCache};
-use uopcache_model::{FrontendConfig, LookupTrace, PwDesc, SimResult};
+use uopcache_model::{
+    CacheStats, FrontendConfig, LookupTrace, PwAccess, PwDesc, SimResult, UopCacheStats,
+};
 #[cfg(feature = "obs")]
 use uopcache_obs::Recorder;
 
@@ -10,18 +13,19 @@ use uopcache_obs::Recorder;
 /// decoupled frontends hide roughly half of it with fetch-ahead (the paper
 /// leaves FDIP unmodelled, §VII); we charge the exposed portion.
 const L2_LATENCY: u64 = 8;
-/// Re-steer penalty on a BTB miss for a taken branch.
-const BTB_MISS_PENALTY: u64 = 2;
 /// Micro-ops the micro-op cache path can deliver per cycle (8 per entry, one
 /// entry per cycle — the paper notes only one PW is released per cycle).
 const UOPC_DELIVERY_PER_CYCLE: u64 = 8;
 /// Assumed micro-ops per x86 instruction for instruction-count reporting.
 const UOPS_PER_INST: f64 = 1.12;
-/// Initial capacity of the asynchronous-insertion queue and its drain batch
-/// buffer. In-flight insertions are bounded by the insertion latency (a few
-/// tens of cycles) times one insertion per access, so this comfortably
-/// covers steady state; pathological bursts merely grow the buffers once.
+/// Initial capacity of the asynchronous-insertion queue. In-flight
+/// insertions are bounded by the insertion latency (a few tens of cycles)
+/// times one insertion per access, so this comfortably covers steady state;
+/// pathological bursts merely grow the queue once.
 const INSERT_QUEUE_CAPACITY: usize = 256;
+/// Accesses per chunk of [`Frontend::run`]: the frontend's own branch
+/// stream buffer holds one chunk, so its size does not grow with the trace.
+const STREAM_CHUNK: usize = 4_096;
 
 /// Non-architectural simulation switches.
 #[derive(Copy, Clone, Eq, PartialEq, Hash, Debug, Default)]
@@ -121,18 +125,15 @@ impl FrontendBuilder {
             cfg.icache.ways,
             cfg.icache.line_bytes,
         );
-        // BTB: tagged at 4-byte granularity.
-        let btb = LineCache::with_entries(cfg.bpu.btb_entries, cfg.bpu.btb_ways, 4);
         Frontend {
             cfg,
             uopc,
             l1i,
-            btb,
+            own_branch: None,
+            driven: 0,
             insert_queue: VecDeque::with_capacity(INSERT_QUEUE_CAPACITY),
-            insert_batch: Vec::with_capacity(INSERT_QUEUE_CAPACITY),
             uopc_mode: false,
             cycle: 0,
-            backend_debt: 0.0,
         }
     }
 }
@@ -158,19 +159,20 @@ pub struct Frontend {
     cfg: FrontendConfig,
     uopc: UopCache,
     l1i: LineCache,
-    btb: LineCache,
-    /// Pending asynchronous insertions: (ready_cycle, window).
+    /// The BTB and backend state [`Frontend::run`] continues from, with
+    /// the reusable buffer for one chunk of its branch stream. Built on the
+    /// first `run`, so a frontend fed a shared stream never allocates a BTB.
+    own_branch: Option<(BranchState, BranchStream)>,
+    /// Accesses driven through the kernel so far.
+    driven: usize,
+    /// Pending asynchronous insertions: (ready_cycle, window). Drained in
+    /// place, so the per-access drain never allocates (the queue is
+    /// preallocated and only ever refilled).
     insert_queue: VecDeque<(u64, PwDesc)>,
-    /// Reusable batch buffer: insertions due this cycle are staged here
-    /// before being driven into the cache, so the per-access drain never
-    /// allocates (both buffers are preallocated and only ever refilled).
-    insert_batch: Vec<PwDesc>,
     /// Whether the previous window was served by the micro-op cache.
     uopc_mode: bool,
     /// Frontend cycle counter.
     cycle: u64,
-    /// Fractional backend-absorption accumulator.
-    backend_debt: f64,
 }
 
 impl Frontend {
@@ -204,16 +206,88 @@ impl Frontend {
 
     /// Drives the lookup trace through the frontend and returns the
     /// statistics of this run.
+    ///
+    /// The branch side continues from this frontend's own BTB and backend
+    /// state: the trace is cut into chunks, and each chunk's branch stream
+    /// is filled into a buffer the frontend reuses before the kernel runs
+    /// over it.
     pub fn run(&mut self, trace: &LookupTrace) -> SimResult {
-        let uopc_before = *self.uopc.stats();
-        let l1i_before = *self.l1i.stats();
-        let btb_before = *self.btb.stats();
-        let cycle_before = self.cycle;
+        assert!(
+            self.own_branch.is_some() || self.driven == 0,
+            "a frontend driven by a shared branch stream has no branch state of its own"
+        );
+        let before = self.snapshot();
         let mut result = SimResult::default();
+        let cfg = self.cfg;
+        let (mut state, mut stream) = self.own_branch.take().unwrap_or_else(|| {
+            let state = BranchState::new(&cfg);
+            let stream = state.empty_stream(STREAM_CHUNK);
+            (state, stream)
+        });
+        for chunk in trace.accesses().chunks(STREAM_CHUNK) {
+            stream.clear();
+            state.extend(&mut stream, chunk);
+            self.kernel(chunk, stream.slice(0..chunk.len()), &mut result);
+        }
+        self.own_branch = Some((state, stream));
+        self.finish(before, result)
+    }
 
-        for access in trace.iter() {
+    /// Drives `accesses` through the frontend with their branch side read
+    /// from a shared [`BranchStream`] instead of simulated, and returns the
+    /// statistics of this run, equal to what [`run`] returns for the same
+    /// accesses.
+    ///
+    /// A frontend fed this way starts fresh and takes consecutive slices of
+    /// one stream from its start, one per call, each over the accesses the
+    /// stream was built from at those positions (for a warmed interval: the
+    /// warmup slice, then the measured one).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice does not continue where the previous call ended,
+    /// was built for another branch or backend configuration, differs in
+    /// length from `accesses`, or this frontend already ran on its own
+    /// branch state.
+    ///
+    /// [`run`]: Frontend::run
+    pub fn run_stream(&mut self, accesses: &[PwAccess], branch: BranchSlice<'_>) -> SimResult {
+        assert_eq!(accesses.len(), branch.len(), "one stream entry per access");
+        assert!(
+            branch.built_for(&self.cfg),
+            "the stream was built for another branch or backend configuration"
+        );
+        assert!(
+            branch.start == self.driven && self.own_branch.is_none(),
+            "a shared stream is fed in order from its start to a fresh frontend"
+        );
+        let before = self.snapshot();
+        let mut result = SimResult::default();
+        self.kernel(accesses, branch, &mut result);
+        self.finish(before, result)
+    }
+
+    /// The counters a run reports as deltas.
+    fn snapshot(&self) -> (UopCacheStats, CacheStats, u64) {
+        (*self.uopc.stats(), *self.l1i.stats(), self.cycle)
+    }
+
+    /// The frontend kernel: drives `accesses` through the micro-op cache,
+    /// L1i and decoder, taking each access's branch penalty and backend
+    /// cycles from `branch`, and accumulates the run's counters.
+    fn kernel(&mut self, accesses: &[PwAccess], branch: BranchSlice<'_>, result: &mut SimResult) {
+        let n = accesses.len() as u64;
+        result.events.bp_accesses += n;
+        result.events.btb_accesses += n;
+        result.events.uopc_lookups += n;
+        let (btb, mispredictions) = branch.tally();
+        result.btb += btb;
+        result.mispredictions += mispredictions;
+        let outcomes = branch.outcomes(u64::from(self.cfg.bpu.mispredict_penalty));
+        for (access, (penalty, backend_cycles)) in accesses.iter().zip(outcomes) {
             let pw = access.pw;
-            let mut add: u64 = 0;
+            // Branch prediction for the branch that produced this window.
+            let mut add = penalty;
 
             // Stamp this access's events with the frontend cycle.
             #[cfg(feature = "obs")]
@@ -222,33 +296,17 @@ impl Frontend {
             // Retire pending asynchronous insertions that are now ready.
             self.drain_insertions();
 
-            // Branch prediction for the branch that produced this window.
-            result.events.bp_accesses += 1;
-            result.events.btb_accesses += 1;
-            if !self.cfg.perfect.btb {
-                if let LineOutcome::Miss { .. } = self
-                    .btb
-                    .access(uopcache_model::Addr::new(pw.start.get()).line(4))
-                {
-                    add += BTB_MISS_PENALTY;
-                }
-            }
-            if access.mispredicted && !self.cfg.perfect.branch_predictor {
-                result.mispredictions += 1;
-                add += u64::from(self.cfg.bpu.mispredict_penalty);
-            }
-
             // Micro-op cache lookup.
-            result.events.uopc_lookups += 1;
             let lookup = if self.cfg.perfect.uop_cache {
                 LookupResult::Hit { uops: pw.uops }
             } else {
                 self.uopc.lookup(&pw)
             };
-            let hit_uops = u64::from(lookup.hit_uops());
-            let miss_uops = u64::from(lookup.miss_uops(pw.uops));
+            // Divisions in u32, where they are cheaper; the counts fit.
+            let (hit, miss) = (lookup.hit_uops(), lookup.miss_uops(pw.uops));
+            let (hit_uops, miss_uops) = (u64::from(hit), u64::from(miss));
             result.events.uopc_entry_reads +=
-                hit_uops.div_ceil(u64::from(self.cfg.uop_cache.uops_per_entry));
+                u64::from(hit.div_ceil(self.cfg.uop_cache.uops_per_entry));
 
             if miss_uops == 0 {
                 // Served entirely by the micro-op cache.
@@ -300,7 +358,7 @@ impl Frontend {
                     }
                 }
                 // Decode the missed micro-ops.
-                let decode_cycles = miss_uops.div_ceil(u64::from(self.cfg.decoder.width)).max(1);
+                let decode_cycles = u64::from(miss.div_ceil(self.cfg.decoder.width).max(1));
                 add += decode_cycles;
                 result.events.decoded_uops += miss_uops;
                 result.events.decoder_active_cycles += decode_cycles;
@@ -313,16 +371,20 @@ impl Frontend {
 
             // The backend absorbs micro-ops at its IPC ceiling; the frontend
             // only dents IPC when it under-supplies.
-            self.backend_debt += f64::from(pw.uops) / self.cfg.backend.uop_ipc_ceiling;
-            // Debt is non-negative and bounded by one window's worth of
-            // micro-ops, so the floored value fits in u64.
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            let backend_cycles = self.backend_debt.floor() as u64;
-            self.backend_debt -= backend_cycles as f64;
             self.cycle += add.max(backend_cycles);
-
             result.events.retired_uops += u64::from(pw.uops);
         }
+        self.driven += accesses.len();
+    }
+
+    /// Closes a run begun at `before`: flushes pending insertions and fills
+    /// in the counters that are deltas or totals.
+    fn finish(
+        &mut self,
+        before: (UopCacheStats, CacheStats, u64),
+        mut result: SimResult,
+    ) -> SimResult {
+        let (uopc_before, l1i_before, cycle_before) = before;
         // Flush remaining insertions so repeated runs start clean.
         self.flush_insertions();
 
@@ -330,10 +392,10 @@ impl Frontend {
         if self.cfg.perfect.uop_cache {
             // The perfect micro-op cache bypasses the real structure: credit
             // its hits directly.
-            result.uopc.lookups = trace.len() as u64;
-            result.uopc.pw_hits = trace.len() as u64;
-            result.uopc.uops_requested = trace.total_uops();
-            result.uopc.uops_hit = trace.total_uops();
+            result.uopc.lookups = result.events.uopc_lookups;
+            result.uopc.pw_hits = result.events.uopc_lookups;
+            result.uopc.uops_requested = result.events.retired_uops;
+            result.uopc.uops_hit = result.events.retired_uops;
         }
         let mut l1i_stats = *self.l1i.stats();
         l1i_stats.accesses -= l1i_before.accesses;
@@ -342,13 +404,6 @@ impl Frontend {
         l1i_stats.evictions -= l1i_before.evictions;
         l1i_stats.fills -= l1i_before.fills;
         result.icache = l1i_stats;
-        let mut btb_stats = *self.btb.stats();
-        btb_stats.accesses -= btb_before.accesses;
-        btb_stats.hits -= btb_before.hits;
-        btb_stats.misses -= btb_before.misses;
-        btb_stats.evictions -= btb_before.evictions;
-        btb_stats.fills -= btb_before.fills;
-        result.btb = btb_stats;
         result.events.cycles = self.cycle - cycle_before;
         result.events.uopc_entry_writes = result.uopc.entries_written;
         // Retired-uop counts are far below 2^53, so the f64 round-trip and
@@ -366,27 +421,17 @@ impl Frontend {
     }
 
     fn drain_insertions(&mut self) {
-        self.insert_batch.clear();
         while let Some(&(ready, pw)) = self.insert_queue.front() {
             if ready > self.cycle {
                 break;
             }
             self.insert_queue.pop_front();
-            self.insert_batch.push(pw);
-        }
-        for i in 0..self.insert_batch.len() {
-            let pw = self.insert_batch[i];
             self.uopc.insert(&pw);
         }
     }
 
     fn flush_insertions(&mut self) {
-        self.insert_batch.clear();
         while let Some((_, pw)) = self.insert_queue.pop_front() {
-            self.insert_batch.push(pw);
-        }
-        for i in 0..self.insert_batch.len() {
-            let pw = self.insert_batch[i];
             self.uopc.insert(&pw);
         }
     }

@@ -8,8 +8,9 @@
 //! classic zoo (ghost rings included) and the set-dueling meta-policy all
 //! stay off the allocator on the lookup/insert path. The same holds one
 //! layer up, for a warmed [`Frontend`]: its L1i and BTB are fixed arrays of
-//! ways, the asynchronous insertion queue and its drain batch are reused,
-//! and L1i evictions reach the micro-op cache's inclusion path.
+//! ways, the asynchronous insertion queue and the branch stream's chunk
+//! buffer are reused, and L1i evictions reach the micro-op cache's
+//! inclusion path.
 //!
 //! This test wires the bench harness's [`CountingAllocator`] in as the
 //! test binary's global allocator and pins the budget at exactly zero for

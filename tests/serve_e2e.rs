@@ -749,3 +749,42 @@ fn an_oversized_spec_gets_an_error_while_other_clients_get_their_bytes() {
         .expect("server exits")
         .expect("clean exit");
 }
+
+#[test]
+fn a_hostile_cache_geometry_gets_an_error_while_other_clients_get_their_bytes() {
+    let want = spec(&[AppId::Kafka], 1_000);
+    let offline = run_sweep(&want, &Engine::new(2)).to_json();
+    let server = server_with(ServerConfig::builder().shards(2).build())
+        .spawn()
+        .expect("spawn");
+    let mut client = connect(&server);
+    let (id, _) = client
+        .submit(&want, None, Duration::from_secs(5))
+        .expect("accepted");
+
+    // 4·10^9 direct-mapped sets would ask for a 224 GB set array and abort
+    // the whole process; zero or 100 ways would panic in the cache.
+    for (entries, ways, why) in [
+        (4_000_000_000, 1, "sets"),
+        (512, 0, "1..=64"),
+        (6_400, 100, "1..=64"),
+    ] {
+        let mut hostile = spec(&[AppId::Kafka], 1_000);
+        hostile.cfg.uop_cache = hostile.cfg.uop_cache.with_entries(entries).with_ways(ways);
+        let err = connect(&server)
+            .submit(&hostile, None, Duration::from_secs(5))
+            .expect_err("refused at admission");
+        assert!(
+            matches!(&err, ClientError::Server(m) if m.contains(why)),
+            "{entries} x {ways}: {err}"
+        );
+    }
+
+    let report = client.wait(&id, Duration::from_secs(120)).expect("result");
+    assert_eq!(report.to_string(), offline, "the other client's bytes");
+    client.shutdown(Duration::from_secs(5)).expect("drain ack");
+    server
+        .join_within(Duration::from_secs(30))
+        .expect("server exits")
+        .expect("clean exit");
+}
