@@ -19,7 +19,6 @@
 
 pub mod apps;
 pub mod experiments;
-pub mod hotpath;
 pub mod policies;
 pub mod runs;
 pub mod sweep;

@@ -70,16 +70,6 @@ commands:
                                     name the policy that produced the
                                     captured stream (ambiguity is reported,
                                     never guessed away)
-  bench-hotpath [--quick] [--config zen3|zen4] [--entries N] [--ways N]
-             [--apps A,B] [--policies P,Q] [--variant N] [--len N]
-             [--warmup N] [--passes N] [--json FILE] [--baseline FILE]
-             [--gate X]
-                                    measure kernel throughput (lookups/sec)
-                                    and allocations-per-lookup per app x
-                                    policy; --baseline gates against a
-                                    committed BENCH_hotpath.json (default
-                                    gate 3x); UPDATE_BENCH=1 rewrites the
-                                    baseline instead of gating
   experiment ID [--quick] [--jobs N]
                                     regenerate one paper table/figure
   list-experiments                  show all experiment ids
@@ -139,7 +129,6 @@ pub fn dispatch(argv: &[String]) -> Result<(), Box<dyn Error>> {
         Some("sample") => cmd_sample(&args),
         Some("inspect") => cmd_inspect(&args),
         Some("identify") => cmd_identify(&args),
-        Some("bench-hotpath") => cmd_bench_hotpath(&args),
         Some("experiment") => cmd_experiment(&args),
         Some("list-experiments") => cmd_list_experiments(),
         Some("audit") => cmd_audit(&args),
@@ -638,85 +627,6 @@ fn cmd_sample(args: &Args) -> Result<(), Box<dyn Error>> {
             report.failures.len()
         ))))
     }
-}
-
-/// Runs the hot-path benchmark harness: kernel throughput (lookups/sec) and
-/// allocations-per-lookup per `(app, policy)` cell, with warmup and variance
-/// reporting. With `--baseline FILE` the run gates against a committed
-/// baseline (generously — default 3x — since timing is machine-dependent);
-/// with `UPDATE_BENCH=1` in the environment it rewrites that baseline
-/// instead.
-fn cmd_bench_hotpath(args: &Args) -> Result<(), Box<dyn Error>> {
-    use uopcache_bench::hotpath::{self, HotpathSpec};
-
-    let mut spec = if args.has("quick") {
-        HotpathSpec::quick()
-    } else {
-        HotpathSpec::full()
-    };
-    spec.cfg = parse_config(args)?;
-    spec.config_name = args.get("config").unwrap_or("zen3").to_string();
-    if let Some(list) = args.get("apps") {
-        spec.apps = list
-            .split(',')
-            .map(parse_app)
-            .collect::<Result<Vec<_>, _>>()?;
-    }
-    if let Some(list) = args.get("policies") {
-        let registry = PolicyRegistry::all();
-        spec.policies = list
-            .split(',')
-            .map(|p| {
-                registry
-                    .resolve(p)
-                    .map(|id| id.name().to_string())
-                    .map_err(ArgError)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-    }
-    spec.variant = args.get_parse("variant", spec.variant)?;
-    spec.len = args.get_parse("len", spec.len)?;
-    spec.warmup_passes = args.get_parse("warmup", spec.warmup_passes)?;
-    spec.measured_passes = args.get_parse("passes", spec.measured_passes)?;
-    if spec.measured_passes == 0 {
-        return Err(Box::new(ArgError("--passes must be at least 1".into())));
-    }
-
-    let report = hotpath::run_hotpath(&spec);
-    report.table().print();
-    if !report.alloc_counting {
-        eprintln!("note: counting allocator not installed; allocs/lookup unavailable");
-    }
-    let json = report.to_json();
-    if let Some(path) = args.get("json") {
-        std::fs::write(path, &json)?;
-        println!("wrote canonical JSON to {path}");
-    }
-
-    if let Some(path) = args.get("baseline") {
-        if std::env::var("UPDATE_BENCH").is_ok() {
-            std::fs::write(path, &json)?;
-            println!("updated baseline {path}");
-            return Ok(());
-        }
-        let gate: f64 = args.get_parse("gate", 3.0f64)?;
-        let baseline = std::fs::read_to_string(path)
-            .map_err(|e| ArgError(format!("cannot read baseline {path}: {e}")))?;
-        let regressions =
-            hotpath::gate_against_baseline(&json, &baseline, gate).map_err(ArgError)?;
-        if regressions.is_empty() {
-            println!("baseline gate passed ({gate}x, {path})");
-        } else {
-            for r in &regressions {
-                eprintln!("regression: {r}");
-            }
-            return Err(Box::new(ArgError(format!(
-                "{} cell(s) regressed past the {gate}x gate",
-                regressions.len()
-            ))));
-        }
-    }
-    Ok(())
 }
 
 /// Replays exactly one sweep cell — same task key, same seed — with a

@@ -15,14 +15,6 @@ mod commands;
 
 use std::process::ExitCode;
 
-/// The binary counts heap allocations so `bench-hotpath` can report
-/// allocations-per-lookup (the kernel's headline zero-allocation property).
-/// The wrapper delegates straight to `System` with two relaxed atomic
-/// increments per call — unobservable next to the allocation itself.
-#[global_allocator]
-static ALLOC: uopcache_bench::hotpath::CountingAllocator =
-    uopcache_bench::hotpath::CountingAllocator::new();
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match commands::dispatch(&argv) {

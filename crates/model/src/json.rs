@@ -75,9 +75,11 @@ impl Json {
     /// # Errors
     ///
     /// Returns a [`JsonError`] describing the first malformed construct,
-    /// including arrays and objects nested deeper than [`MAX_DEPTH`].
+    /// including arrays and objects nested deeper than [`MAX_DEPTH`],
+    /// unpaired surrogate escapes, and numbers beyond the `f64` range.
     pub fn parse(s: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text: s,
             bytes: s.as_bytes(),
             pos: 0,
             depth: 0,
@@ -162,6 +164,7 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open around the current position.
@@ -309,66 +312,83 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(JsonError::new("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| JsonError::new("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| JsonError::new("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| JsonError::new("invalid \\u escape"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| JsonError::new("non-scalar \\u escape"))?,
-                            );
-                        }
-                        other => {
-                            return Err(JsonError::new(format!(
-                                "invalid escape '\\{}'",
-                                other as char
-                            )))
-                        }
-                    }
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar (multi-byte sequences pass through).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| JsonError::new("invalid UTF-8 in string"))?;
-                    let ch = s
-                        .chars()
-                        .next()
-                        .ok_or_else(|| JsonError::new("unterminated string"))?;
-                    if ch.is_control() {
-                        return Err(JsonError::new("unescaped control character in string"));
-                    }
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+            // Copy the run of bytes up to the next quote or backslash in one
+            // step. Both are ASCII, so the run ends on a character boundary
+            // of the (already UTF-8) input.
+            let run_len = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| JsonError::new("unterminated string"))?;
+            let run = &self.text[self.pos..self.pos + run_len];
+            if run.chars().any(char::is_control) {
+                return Err(JsonError::new("unescaped control character in string"));
+            }
+            out.push_str(run);
+            self.pos += run_len + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
+            }
+            let esc = self
+                .peek()
+                .ok_or_else(|| JsonError::new("unterminated escape"))?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => out.push(self.unicode_escape()?),
+                other => {
+                    return Err(JsonError::new(format!(
+                        "invalid escape '\\{}'",
+                        other as char
+                    )))
                 }
             }
         }
+    }
+
+    /// The character of a `\u` escape whose `\u` was just consumed: one
+    /// scalar, or a high surrogate joined with the low-surrogate escape that
+    /// must follow it.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let high = self.hex4()?;
+        let code = match high {
+            0xD800..=0xDBFF => {
+                if !self.bytes[self.pos..].starts_with(b"\\u") {
+                    return Err(JsonError::new("unpaired surrogate in \\u escape"));
+                }
+                self.pos += 2;
+                let low = self.hex4()?;
+                if !(0xDC00..=0xDFFF).contains(&low) {
+                    return Err(JsonError::new("unpaired surrogate in \\u escape"));
+                }
+                0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+            }
+            code => code,
+        };
+        char::from_u32(code).ok_or_else(|| JsonError::new("unpaired surrogate in \\u escape"))
+    }
+
+    /// Four hex digits, exactly (no sign, no fewer digits).
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let hex = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| JsonError::new("truncated \\u escape"))?;
+        let mut code = 0;
+        for &b in hex {
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| JsonError::new("invalid \\u escape"))?;
+            code = code * 16 + digit;
+        }
+        self.pos += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -387,8 +407,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| JsonError::new("invalid number"))?;
+        let text = &self.text[start..self.pos];
         if !fractional {
             if let Ok(v) = text.parse::<u64>() {
                 return Ok(Json::U64(v));
@@ -397,9 +416,11 @@ impl Parser<'_> {
                 return Ok(Json::I64(v));
             }
         }
-        text.parse::<f64>()
-            .map(Json::F64)
-            .map_err(|_| JsonError::new(format!("invalid number {text:?}")))
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Json::F64(v)),
+            Ok(_) => Err(JsonError::new(format!("number {text:?} is out of range"))),
+            Err(_) => Err(JsonError::new(format!("invalid number {text:?}"))),
+        }
     }
 }
 
@@ -760,6 +781,44 @@ mod tests {
         let s = to_string(&original);
         let back: String = from_str(&s).expect("roundtrip");
         assert_eq!(back, original);
+    }
+
+    #[test]
+    fn a_16_mb_string_parses_in_one_pass() {
+        // A parser that re-validates the rest of the input per character
+        // takes seconds at 400 KB and hours here.
+        let body = format!("{}\\n€{}", "x".repeat(8 << 20), "y".repeat(8 << 20));
+        let back = Json::parse(&format!("\"{body}\"")).expect("long string");
+        let s = back.as_str().expect("a string");
+        assert_eq!(s.len(), (16 << 20) + 1 + '€'.len_utf8());
+        assert!(s[8 << 20..].starts_with("\n€y"));
+    }
+
+    #[test]
+    fn unicode_escapes_decode_surrogate_pairs_and_nothing_looser() {
+        let pair = Json::parse(r#""\ud83d\ude00 \u00e9\u0041""#).expect("surrogate pair");
+        assert_eq!(pair.as_str(), Some("😀 éA"));
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u04""#,
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83dA""#,
+            r#""\ude00""#,
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad} should fail");
+        }
+    }
+
+    #[test]
+    fn numbers_that_overflow_to_infinity_are_rejected() {
+        for bad in ["1e400", "-1e400", "[1e309]", &"9".repeat(400)] {
+            let err = Json::parse(bad).expect_err("out of range");
+            assert!(err.to_string().contains("out of range"), "{bad}: {err}");
+        }
+        assert!(Json::parse("1e308").is_ok());
     }
 
     #[test]

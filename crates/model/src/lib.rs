@@ -23,6 +23,7 @@
 
 pub mod access;
 pub mod addr;
+pub mod alloc;
 pub mod config;
 pub mod hash;
 pub mod json;

@@ -140,11 +140,15 @@ fn decode_body(body: &[u8]) -> Result<Json, FrameError> {
     Ok(json)
 }
 
+/// The most body bytes [`FrameDecoder`] reserves when a length prefix
+/// arrives; a longer body grows with the bytes that actually come.
+const BODY_RESERVE: usize = 64 << 10;
+
 /// An incremental frame parser for nonblocking sockets: bytes go in as they
-/// arrive, complete frames come out. Memory is bounded by construction — the
-/// body buffer is only allocated once a length prefix has been validated
-/// against [`MAX_FRAME_BYTES`], so a hostile prefix can never trigger an
-/// oversized allocation, exactly as in the blocking [`read_frame`] path.
+/// arrive, complete frames come out. Memory is bounded by construction — a
+/// length prefix is validated against [`MAX_FRAME_BYTES`], and the body
+/// buffer reserves at most [`BODY_RESERVE`] up front, so a prefix that
+/// claims 64 MB and sends 10 bytes holds kilobytes, not the claim.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     header: [u8; 4],
@@ -194,7 +198,7 @@ impl FrameDecoder {
                 }
                 self.body_want = len;
                 self.body.clear();
-                self.body.reserve(len);
+                self.body.reserve(len.min(BODY_RESERVE));
             }
             let take = (self.body_want - self.body.len()).min(bytes.len());
             self.body.extend_from_slice(&bytes[..take]);

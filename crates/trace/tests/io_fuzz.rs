@@ -3,44 +3,22 @@
 //! and the reader's memory must stay bounded by what the input backs, not
 //! by what its header claims.
 //!
-//! One test function runs every case in turn, so the peak-tracking global
-//! allocator below measures one read at a time.
+//! One test function runs every case in turn, so the counting global
+//! allocator measures one read at a time.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use uopcache_model::alloc::CountingAllocator;
 use uopcache_model::rng::{Prng, Rng};
 use uopcache_trace::io::{read_binary, write_binary};
 use uopcache_trace::{build_trace, AppId, InputVariant, TraceIoError};
 
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-/// The system allocator, tracking live bytes and their high-water mark.
-struct PeakAllocator;
-
-unsafe impl GlobalAlloc for PeakAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-        PEAK.fetch_max(live, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: PeakAllocator = PeakAllocator;
+static ALLOC: CountingAllocator = CountingAllocator;
 
 /// Reads `bytes` and returns the result with the bytes the read held live
 /// at its peak.
 fn read_measured(bytes: &[u8]) -> (Result<uopcache_model::LookupTrace, TraceIoError>, usize) {
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
-    let result = read_binary(bytes);
-    (result, PEAK.load(Ordering::Relaxed) - base)
+    let (result, stats) = CountingAllocator::measure(|| read_binary(bytes));
+    (result, stats.peak)
 }
 
 /// Every read here backs at most a few dozen records, so it may hold only

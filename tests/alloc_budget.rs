@@ -12,26 +12,26 @@
 //! buffer are reused, and L1i evictions reach the micro-op cache's
 //! inclusion path.
 //!
-//! This test wires the bench harness's [`CountingAllocator`] in as the
-//! test binary's global allocator and pins the budget at exactly zero for
+//! This test installs the model crate's [`CountingAllocator`] as the test
+//! binary's global allocator and pins the budget at exactly zero for
 //! a steady-state pass over **every policy in [`PolicyId::ALL`]**, both
 //! through the bare [`UopCache`] and through [`Frontend::run`].
 //! Everything is measured inside one `#[test]` so no concurrently running
 //! test can pollute the global counters.
 //!
 //! [`prepare`]: uopcache::cache::PwReplacementPolicy::prepare
-//! [`CountingAllocator`]: uopcache_bench::hotpath::CountingAllocator
+//! [`CountingAllocator`]: uopcache::model::alloc::CountingAllocator
 
 use uopcache::cache::UopCache;
+use uopcache::model::alloc::CountingAllocator;
 use uopcache::model::{FrontendConfig, LookupTrace};
 use uopcache::policies::run_trace;
 use uopcache::sim::Frontend;
 use uopcache::trace::{build_trace, AppId, InputVariant};
-use uopcache_bench::hotpath::CountingAllocator;
 use uopcache_bench::policies::{PolicyId, ProfileInputs};
 
 #[global_allocator]
-static ALLOC: CountingAllocator = CountingAllocator::new();
+static ALLOC: CountingAllocator = CountingAllocator;
 
 const LEN: usize = 8_000;
 
@@ -42,12 +42,8 @@ const SEED: u64 = 7;
 /// Runs `pass` once and returns how many heap allocations it performed
 /// and how many bytes they asked for.
 fn allocs_during(pass: impl FnOnce()) -> (u64, u64) {
-    let before_calls = CountingAllocator::allocations();
-    let before_bytes = CountingAllocator::bytes_allocated();
-    pass();
-    let calls = CountingAllocator::allocations() - before_calls;
-    let bytes = CountingAllocator::bytes_allocated() - before_bytes;
-    (calls, bytes)
+    let ((), stats) = CountingAllocator::measure(pass);
+    (stats.calls, stats.bytes)
 }
 
 /// Runs `trace` once more over a warmed cache and returns how many heap
@@ -78,7 +74,7 @@ fn steady_state_lookup_path_does_not_allocate_for_any_registered_policy() {
     // The counter must actually be live in this binary, or the zero
     // assertions below would be vacuous.
     assert!(
-        CountingAllocator::is_active(),
+        CountingAllocator::is_installed(),
         "CountingAllocator is not installed as the global allocator"
     );
 

@@ -9,14 +9,19 @@
 //! 2. a backend killed mid-stream is evicted by the health prober and fresh
 //!    jobs land on the survivors with identical bytes (failover);
 //! 3. `shutdown` drains in-flight forwards — waiting clients still get their
-//!    results — refuses new work, and exits without touching the backends.
+//!    results — refuses new work, and exits without touching the backends;
+//! 4. a backend that answers a forward with a truncated frame, or stalls
+//!    mid-frame, costs a retry on a healthy backend, never a wrong byte.
 
 #![expect(
     clippy::disallowed_methods,
     reason = "these tests time real socket waits on loopback"
 )]
 
-use std::net::{SocketAddr, TcpStream};
+use std::io::Write;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uopcache_bench::policies::PolicyRegistry;
 use uopcache_bench::sweep::{run_sweep, SweepSpec};
@@ -334,4 +339,141 @@ fn router_shutdown_drains_in_flight_forwards_and_leaves_backends_serving() {
         .join_within(Duration::from_secs(30))
         .expect("backend exits")
         .expect("clean exit");
+}
+
+/// How a faulty backend botches the one forward it is armed for.
+#[derive(Clone, Copy, Debug)]
+enum Fault {
+    /// Sends the result frame's prefix and half its body, then closes.
+    Truncate,
+    /// Sends the result frame's prefix and half its body, then goes silent
+    /// until the router hangs up.
+    Stall,
+}
+
+/// A backend in front of the daemon at `upstream`: it relays every
+/// connection byte for byte, except that the first `submit` reaching any
+/// proxy sharing `armed` is answered with `fault` instead.
+fn faulty_backend(upstream: SocketAddr, fault: Fault, armed: &Arc<AtomicBool>) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("proxy binds on loopback");
+    let addr = listener.local_addr().expect("proxy address");
+    let armed = Arc::clone(armed);
+    std::thread::spawn(move || {
+        for conn in listener.incoming().flatten() {
+            let armed = Arc::clone(&armed);
+            std::thread::spawn(move || relay(conn, upstream, fault, &armed));
+        }
+    });
+    addr
+}
+
+/// Serves one proxied connection; every failure just drops it.
+fn relay(mut client: TcpStream, upstream: SocketAddr, fault: Fault, armed: &AtomicBool) {
+    let Ok(Some(first)) = read_frame(&client, Duration::from_secs(10)) else {
+        return;
+    };
+    if frame_type(&first) == "submit" && armed.swap(false, Ordering::SeqCst) {
+        let id = first.field("id").cloned().unwrap_or(Json::Null);
+        let accepted = frame(
+            "accepted",
+            vec![
+                ("job_id".to_string(), id.clone()),
+                ("deduped".to_string(), Json::Bool(false)),
+            ],
+        );
+        let result = frame(
+            "result",
+            vec![
+                ("job_id".to_string(), id),
+                ("result".to_string(), Json::Obj(Vec::new())),
+            ],
+        )
+        .to_string();
+        let len = u32::try_from(result.len()).expect("fits").to_le_bytes();
+        let _ = write_frame(&mut client, &accepted);
+        let _ = client.write_all(&len);
+        let _ = client.write_all(&result.as_bytes()[..result.len() / 2]);
+        if let Fault::Stall = fault {
+            // Silent until the router gives up on the frame and hangs up.
+            let _ = std::io::copy(&mut client, &mut std::io::sink());
+        }
+        return;
+    }
+    let Ok(mut server) = TcpStream::connect(upstream) else {
+        return;
+    };
+    if write_frame(&mut server, &first).is_err() {
+        return;
+    }
+    let (Ok(mut from_client), Ok(mut to_server)) = (client.try_clone(), server.try_clone()) else {
+        return;
+    };
+    let upward = std::thread::spawn(move || {
+        let _ = std::io::copy(&mut from_client, &mut to_server);
+        let _ = to_server.shutdown(Shutdown::Write);
+    });
+    let _ = std::io::copy(&mut server, &mut client);
+    let _ = client.shutdown(Shutdown::Both);
+    let _ = upward.join();
+}
+
+/// Two daemons behind faulty proxies that share one armed fault: whichever
+/// the ring prefers botches the job, and the client must still get the
+/// offline bytes, from the other.
+fn a_botched_forward_is_retried_on_the_healthy_backend(fault: Fault) {
+    let want = spec(AppId::Kafka, 800);
+    let offline = run_sweep(&want, &Engine::new(2)).to_json();
+    let backends = [spawn_backend(), spawn_backend()];
+    let armed = Arc::new(AtomicBool::new(true));
+    let proxies = [
+        faulty_backend(backends[0].addr(), fault, &armed),
+        faulty_backend(backends[1].addr(), fault, &armed),
+    ];
+    let router = spawn_router(&proxies);
+
+    let mut client = connect(router.addr());
+    let outcome = client
+        .submit_and_wait(&want, None, Duration::from_secs(120))
+        .expect("the retry lands the job on the healthy backend");
+    assert_eq!(
+        outcome.report.to_string(),
+        offline,
+        "{fault:?}: a botched forward must not change a byte"
+    );
+    assert!(
+        !armed.load(Ordering::SeqCst),
+        "{fault:?} was never injected"
+    );
+    let stats = client.stats(Duration::from_secs(5)).expect("stats");
+    let counters = stats
+        .field("metrics")
+        .and_then(|m| m.field("counters"))
+        .expect("metrics counters");
+    let errors: u64 = ["backend0_errors", "backend1_errors"]
+        .iter()
+        .filter_map(|name| counters.field(name).ok().and_then(Json::as_u64))
+        .sum();
+    assert_eq!(
+        errors, 1,
+        "{fault:?}: one failed forward, then a retry: {stats}"
+    );
+
+    client.shutdown(Duration::from_secs(5)).expect("drain ack");
+    router
+        .join_within(Duration::from_secs(30))
+        .expect("router exits after drain")
+        .expect("clean exit");
+    for backend in backends {
+        drain(backend);
+    }
+}
+
+#[test]
+fn a_truncated_result_frame_is_retried_on_the_healthy_backend_byte_identically() {
+    a_botched_forward_is_retried_on_the_healthy_backend(Fault::Truncate);
+}
+
+#[test]
+fn a_backend_stalling_mid_frame_is_retried_on_the_healthy_backend_byte_identically() {
+    a_botched_forward_is_retried_on_the_healthy_backend(Fault::Stall);
 }

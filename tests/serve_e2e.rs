@@ -14,8 +14,8 @@
 //! It also pins the admission path the daemon shares with the router (one
 //! table of cases, identical replies and counters from both), least-loaded
 //! placement in both, the per-job start deadline, timed on an injected
-//! manual clock, and a hostile deeply nested frame that must not take the
-//! daemon down.
+//! manual clock, and hostile frames (deeply nested, or carrying an 8 MB
+//! string) that must neither take the daemon down nor stall other clients.
 
 #![expect(
     clippy::disallowed_methods,
@@ -33,8 +33,8 @@ use uopcache_exec::{Clock, Engine, ManualClock};
 use uopcache_model::json::Json;
 use uopcache_model::FrontendConfig;
 use uopcache_serve::{
-    frame, read_frame, shard_for, Client, ClientError, Router, RouterConfig, Server, ServerConfig,
-    ServiceHandle,
+    frame, read_frame, shard_for, write_frame, Client, ClientError, Router, RouterConfig, Server,
+    ServerConfig, ServiceHandle,
 };
 use uopcache_trace::AppId;
 
@@ -783,6 +783,45 @@ fn a_hostile_cache_geometry_gets_an_error_while_other_clients_get_their_bytes() 
     let report = client.wait(&id, Duration::from_secs(120)).expect("result");
     assert_eq!(report.to_string(), offline, "the other client's bytes");
     client.shutdown(Duration::from_secs(5)).expect("drain ack");
+    server
+        .join_within(Duration::from_secs(30))
+        .expect("server exits")
+        .expect("clean exit");
+}
+
+#[test]
+fn an_8_mb_string_frame_is_answered_while_other_clients_get_their_bytes() {
+    let want = spec(&[AppId::Kafka], 1_000);
+    let offline = run_sweep(&want, &Engine::new(2)).to_json();
+    let server = server_with(ServerConfig::builder().shards(2).build())
+        .spawn()
+        .expect("spawn");
+
+    // One frame carrying an 8 MB string. The event loop decodes frames
+    // inline, so a parser quadratic in string length would stall every
+    // client for hours on it.
+    let ping = frame(
+        "ping",
+        vec![("pad".to_string(), Json::Str("x".repeat(8 << 20)))],
+    );
+    let mut hostile = TcpStream::connect(server.addr()).expect("connect");
+    write_frame(&mut hostile, &ping).expect("frame sent");
+
+    let got = connect(&server)
+        .submit_and_wait(&want, None, Duration::from_secs(60))
+        .expect("the other client's job runs");
+    assert_eq!(got.report.to_string(), offline, "the other client's bytes");
+    let reply = read_frame(&hostile, Duration::from_secs(10))
+        .expect("a reply frame")
+        .expect("not idle");
+    assert_eq!(
+        reply.field("type").ok().and_then(Json::as_str),
+        Some("pong")
+    );
+
+    connect(&server)
+        .shutdown(Duration::from_secs(5))
+        .expect("drain ack");
     server
         .join_within(Duration::from_secs(30))
         .expect("server exits")

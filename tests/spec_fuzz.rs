@@ -5,13 +5,12 @@
 //! `Ok` must name a micro-op cache that builds, for each of its policies,
 //! under a peak-live-bytes bound.
 //!
-//! One test function runs every case in turn, so the peak-tracking global
-//! allocator below measures one construction at a time.
+//! One test function runs every case in turn, so the counting global
+//! allocator measures one construction at a time.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use uopcache::cache::UopCache;
+use uopcache::model::alloc::CountingAllocator;
 use uopcache::model::json::Json;
 use uopcache::model::rng::{Prng, Rng};
 use uopcache::model::FrontendConfig;
@@ -19,27 +18,8 @@ use uopcache::trace::{build_trace, AppId, InputVariant};
 use uopcache_bench::policies::{PolicyId, ProfileInputs};
 use uopcache_bench::sweep::{SweepSpec, MAX_SPEC_ACCESSES, MAX_SPEC_SETS};
 
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-/// The system allocator, tracking live bytes and their high-water mark.
-struct PeakAllocator;
-
-unsafe impl GlobalAlloc for PeakAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-        PEAK.fetch_max(live, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: PeakAllocator = PeakAllocator;
+static ALLOC: CountingAllocator = CountingAllocator;
 
 /// Fuzz cases per run.
 const CASES: usize = 4_000;
@@ -177,12 +157,10 @@ fn mutate(rng: &mut Prng, spec: &mut Vec<(String, Json)>) {
 
 /// Live bytes at the peak of building `policy`'s cache for `cfg`.
 fn build_peak(cfg: &FrontendConfig, profiles: &ProfileInputs, policy: PolicyId) -> usize {
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
-    let cache = UopCache::new(cfg.uop_cache, policy.build(cfg, profiles, 7));
-    let peak = PEAK.load(Ordering::Relaxed) - base;
+    let (cache, stats) =
+        CountingAllocator::measure(|| UopCache::new(cfg.uop_cache, policy.build(cfg, profiles, 7)));
     assert_eq!(cache.occupied_entries(), 0);
-    peak
+    stats.peak
 }
 
 #[test]
