@@ -1,155 +1,62 @@
-//! Runs every experiment in the registry and rewrites `EXPERIMENTS.md` with
+//! Runs every experiment in the registry and writes `EXPERIMENTS.md` with
 //! the paper-vs-measured results.
 //!
 //! ```text
-//! cargo run -p uopcache-bench --release --bin reproduce-all [-- quick] [--jobs N] [out.md]
+//! cargo run -p uopcache-bench --release --bin reproduce-all -- [--quick] [--jobs N] [OUT]
 //! ```
 //!
-//! Experiments run serially (their tables are ordered), but each one fans
-//! its per-(app, policy) simulation tasks out through the `uopcache-exec`
-//! engine; `--jobs N` (default: available parallelism, or `UOPCACHE_JOBS`)
-//! sets the worker count. Results are bit-identical for every `--jobs`
-//! value — `--jobs 1` reproduces the serial path exactly. A panicking
-//! experiment is reported as a failure row instead of aborting the run.
+//! `--quick` runs the two-app, short-trace mode; `--jobs N` (default:
+//! available parallelism, or `UOPCACHE_JOBS`) sets the worker count; `OUT`
+//! (default `EXPERIMENTS.md`) names the file to write. Any other argument is
+//! refused. The document is byte-identical for every `--jobs` value;
+//! progress and runtimes go to stderr. A panicking experiment is reported as
+//! a failure line instead of aborting the run, and makes the exit status
+//! non-zero.
 
-use std::fmt::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
-use uopcache_bench::experiments;
-use uopcache_bench::sweep;
+use std::process::ExitCode;
+use uopcache_bench::{experiments, sweep};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "quick") || std::env::var("UOPCACHE_QUICK").is_ok();
-    let jobs = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok());
-    if let Some(n) = jobs {
-        sweep::set_jobs(n);
-    }
-    let out_path = args
-        .iter()
-        .find(|a| a.ends_with(".md"))
-        .cloned()
-        .unwrap_or_else(|| "EXPERIMENTS.md".to_string());
+const USAGE: &str = "usage: reproduce-all [--quick] [--jobs N] [OUT]";
 
-    let mut md = String::new();
-    let _ = writeln!(md, "# EXPERIMENTS — paper vs. measured\n");
-    let _ = writeln!(
-        md,
-        "Reproduction of every table and figure of *From Optimal to Practical: \
-         Efficient Micro-op Cache Replacement Policies for Data Center Applications* \
-         (HPCA 2025) on the synthetic workload substrate described in `DESIGN.md`. \
-         Absolute numbers differ from the paper (different traces, simplified \
-         simulator); the *shapes* — orderings, ratios, crossovers — are the \
-         reproduction target. Regenerate with \
-         `cargo run -p uopcache-bench --release --bin reproduce-all`{}.\n",
-        if quick {
-            " (this file was produced in QUICK mode)"
-        } else {
-            ""
-        }
-    );
-    let _ = writeln!(
-        md,
-        "## Known deviations\n\n\
-         1. **GHRP does not replicate as the strongest prior policy.** On the \
-         synthetic traces its history-indexed dead-block predictor lands between \
-         SRRIP and SHiP++ rather than at the paper's 7.81 %; the strongest prior \
-         policy here is Thermometer. The headline ratio \"FURBYS vs. best \
-         existing\" is therefore computed against Thermometer and comes out \
-         smaller than the paper's 1.84x while preserving the claim that FURBYS \
-         clearly beats every prior policy. Likely cause: the path-history \
-         correlation GHRP exploits is weaker in our call-chain workload model \
-         than in real server binaries.\n\
-         2. **Mockingjay is slightly negative** (the paper shows it small but \
-         positive); its sampled reuse-distance prediction degenerates when every \
-         PC maps to a single PW, which the paper itself observes in SIII-E.\n\
-         3. **Fig. 2's perfect-uop-cache bound is larger than the paper's 7.41 %** \
-         because the synthetic traces run at a higher baseline miss rate \
-         (calibrated to reproduce the replacement-policy headroom of Figs. 8/10); \
-         the qualitative claim — the micro-op cache is the largest PPW lever — \
-         holds.\n\
-         4. **Offline-policy miss reductions are measured against a synchronous \
-         LRU baseline** (no asynchronous-insertion races), mirroring the paper's \
-         perfect-setup methodology for bound studies; online policies run \
-         through the full timed frontend.\n\
-         5. **The pitfall detector is roughly neutral here** (Fig. 20: depth 0 \
-         and depth 2 within ~0.1 %), while the paper finds depth 2 best. Its \
-         replacement coverage at depth 2 (~95 %) is close to the paper's \
-         88.68 %, but the synthetic phase structure produces less of the \
-         `{{A, I}}^n` thrash the detector exists to break.\n"
-    );
-
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "runtime annotations for the human reader"
-    )]
-    let total = Instant::now();
-    let mut completed = 0usize;
-    let mut failures: Vec<(String, String)> = Vec::new();
-    let all = experiments::all();
-    let count = all.len();
-    for exp in all {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "runtime annotations for the human reader"
-        )]
-        let t0 = Instant::now();
-        eprintln!(
-            "running {} — {} [{} jobs]",
-            exp.id,
-            exp.caption,
-            sweep::current_jobs()
-        );
-        println!("\n################ {} — {}\n", exp.id, exp.caption);
-        let _ = writeln!(md, "## {} — {}\n", exp.id, exp.caption);
-        // An experiment that panics becomes a failure row, not an abort:
-        // the remaining experiments still run and the report still renders.
-        match catch_unwind(AssertUnwindSafe(|| (exp.run)(quick))) {
-            Ok(tables) => {
-                for table in tables {
-                    table.print();
-                    md.push_str(&table.render_markdown());
-                    md.push('\n');
+fn main() -> ExitCode {
+    let mut quick = false;
+    let mut out_path = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--jobs" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
+                Some(n) if n > 0 => sweep::set_jobs(n),
+                _ => {
+                    eprintln!("--jobs needs a positive worker count\n{USAGE}");
+                    return ExitCode::FAILURE;
                 }
-                completed += 1;
+            },
+            path if !path.starts_with('-') && out_path.is_none() => {
+                out_path = Some(path.to_string());
             }
-            Err(payload) => {
-                let message = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                eprintln!("FAILED {}: {message}", exp.id);
-                let _ = writeln!(md, "**FAILED**: `{message}`\n");
-                failures.push((exp.id.to_string(), message));
+            other => {
+                eprintln!("unexpected argument {other:?}\n{USAGE}");
+                return ExitCode::FAILURE;
             }
         }
-        let elapsed = t0.elapsed();
-        eprintln!(
-            "finished {} in {elapsed:.1?} ({completed}/{count} done, {:.2} experiments/min)",
-            exp.id,
-            completed as f64 / (total.elapsed().as_secs_f64() / 60.0).max(1e-9)
-        );
-        let _ = writeln!(md, "_runtime: {elapsed:.1?}_\n");
     }
-    let _ = writeln!(md, "---\n\nTotal runtime: {:.1?}.", total.elapsed());
-    if !failures.is_empty() {
-        let _ = writeln!(md, "\n## Failed experiments\n");
-        for (id, message) in &failures {
-            let _ = writeln!(md, "- `{id}`: {message}");
-        }
-    }
+    let out_path = out_path.unwrap_or_else(|| "EXPERIMENTS.md".to_string());
 
-    std::fs::write(&out_path, md).expect("write experiments file");
+    eprintln!("[{} jobs]", sweep::current_jobs());
+    let run = experiments::reproduce(quick);
+    if let Err(e) = std::fs::write(&out_path, &run.markdown) {
+        eprintln!("cannot write {out_path}: {e}");
+        return ExitCode::FAILURE;
+    }
+    let count = experiments::all().len();
     eprintln!(
-        "wrote {out_path} in {:?} ({completed}/{count} experiments ok)",
-        total.elapsed()
+        "wrote {out_path} ({}/{count} experiments ok)",
+        count - run.failures.len()
     );
-    if !failures.is_empty() {
-        std::process::exit(1);
+    if run.failures.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

@@ -1,8 +1,9 @@
 //! One function per paper table/figure.
 //!
 //! Every experiment takes a `quick` flag (shorter traces, fewer apps — used
-//! by tests and smoke runs) and returns the tables it produces. Bench targets
-//! print them; `reproduce-all` collects them into `EXPERIMENTS.md`.
+//! by tests and smoke runs) and returns the tables it produces. The CLI's
+//! `experiment` command prints them; [`reproduce`] collects them into
+//! `EXPERIMENTS.md`.
 
 pub mod discussion;
 pub mod misses;
@@ -12,6 +13,9 @@ pub mod tables;
 pub mod timing;
 
 use crate::table::Table;
+use std::fmt::Write as _;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Instant;
 
 /// An experiment entry: id, paper caption, and the function that runs it.
 pub struct Experiment {
@@ -153,6 +157,129 @@ pub fn all() -> Vec<Experiment> {
 pub fn by_id(id: &str) -> Option<Experiment> {
     all().into_iter().find(|e| e.id == id)
 }
+
+/// The `EXPERIMENTS.md` text of one run of every experiment, and the
+/// experiments that panicked.
+#[derive(Clone, Debug)]
+pub struct Reproduction {
+    /// The rendered document.
+    pub markdown: String,
+    /// `(id, panic message)` of each failed experiment, in paper order.
+    pub failures: Vec<(String, String)>,
+}
+
+/// Runs every experiment in paper order and renders `EXPERIMENTS.md`.
+///
+/// Progress and each experiment's runtime go to stderr, so the document is
+/// a pure function of `quick`: byte-identical for every worker count. A
+/// panicking experiment becomes a failure line in the document instead of
+/// aborting the run.
+pub fn reproduce(quick: bool) -> Reproduction {
+    let mut md = String::new();
+    let _ = writeln!(md, "# EXPERIMENTS — paper vs. measured\n");
+    let _ = writeln!(
+        md,
+        "Reproduction of every table and figure of *From Optimal to Practical: \
+         Efficient Micro-op Cache Replacement Policies for Data Center Applications* \
+         (HPCA 2025) on the synthetic workload substrate described in `DESIGN.md`. \
+         Absolute numbers differ from the paper (different traces, simplified \
+         simulator); the *shapes* — orderings, ratios, crossovers — are the \
+         reproduction target. Regenerate with \
+         `cargo run -p uopcache-bench --release --bin reproduce-all`{}.\n",
+        if quick {
+            " (this file was produced in QUICK mode)"
+        } else {
+            ""
+        }
+    );
+    md.push_str(KNOWN_DEVIATIONS);
+
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "runtimes go to stderr, never into the document"
+    )]
+    let total = Instant::now();
+    let mut failures = Vec::new();
+    let all = all();
+    let count = all.len();
+    for (done, exp) in all.into_iter().enumerate() {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "runtimes go to stderr, never into the document"
+        )]
+        let t0 = Instant::now();
+        eprintln!("running {} — {}", exp.id, exp.caption);
+        let _ = writeln!(md, "## {} — {}\n", exp.id, exp.caption);
+        match catch_unwind(AssertUnwindSafe(|| (exp.run)(quick))) {
+            Ok(tables) => {
+                for table in tables {
+                    md.push_str(&table.render_markdown());
+                    md.push('\n');
+                }
+            }
+            Err(payload) => {
+                let message = payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                eprintln!("FAILED {}: {message}", exp.id);
+                let _ = writeln!(md, "**FAILED**: `{message}`\n");
+                failures.push((exp.id.to_string(), message));
+            }
+        }
+        eprintln!(
+            "finished {} in {:.1?} ({}/{count})",
+            exp.id,
+            t0.elapsed(),
+            done + 1
+        );
+    }
+    eprintln!("total runtime: {:.1?}", total.elapsed());
+    if !failures.is_empty() {
+        let _ = writeln!(md, "---\n\n## Failed experiments\n");
+        for (id, message) in &failures {
+            let _ = writeln!(md, "- `{id}`: {message}");
+        }
+    }
+    Reproduction {
+        markdown: md,
+        failures,
+    }
+}
+
+/// Where the measured shapes knowingly differ from the paper's, and why.
+/// Each item cites a number the regenerated tables print.
+const KNOWN_DEVIATIONS: &str = "## Known deviations\n\n\
+The numbers quoted here are those of the full run.\n\n\
+1. **GHRP does not replicate as the strongest prior policy.** On the \
+synthetic traces its history-indexed dead-block predictor lands between \
+SRRIP and SHiP++ (Fig. 8: SRRIP 3.60 %, GHRP 3.81 %, SHiP++ 5.96 %) \
+rather than at the paper's 7.81 %; the strongest prior policy here is \
+Thermometer (11.37 %). The headline ratio \"FURBYS vs. best existing\" \
+is therefore computed against Thermometer and comes out at 1.35x, smaller \
+than the paper's 1.84x, while preserving the claim that FURBYS clearly \
+beats every prior policy. Likely cause: the path-history correlation GHRP \
+exploits is weaker in our call-chain workload model than in real server \
+binaries.\n\
+2. **Mockingjay is slightly negative** (Fig. 8: -1.89 %; the paper shows \
+it small but positive); its sampled reuse-distance prediction degenerates \
+when every PC maps to a single PW, which the paper itself observes in \
+SIII-E.\n\
+3. **Fig. 2's perfect-uop-cache bound (25.64 %) is larger than the \
+paper's 7.41 %** because the synthetic traces run at a higher baseline \
+miss rate (calibrated to reproduce the replacement-policy headroom of \
+Figs. 8/10); the qualitative claim — the micro-op cache is the largest \
+PPW lever — holds.\n\
+4. **Offline-policy miss reductions are measured against a synchronous \
+LRU baseline** (no asynchronous-insertion races), mirroring the paper's \
+perfect-setup methodology for bound studies; online policies run \
+through the full timed frontend.\n\
+5. **The pitfall detector is roughly neutral here** (Fig. 20: depth 0 at \
+15.41 % and depth 2 at 15.32 %, within ~0.1 %), while the paper finds \
+depth 2 best. Its replacement coverage at depth 2 (95.0 %) is close to \
+the paper's 88.68 %, but the synthetic phase structure produces less of \
+the `{A, I}^n` thrash the detector exists to break.\n\n";
 
 /// The apps used in quick mode.
 pub(crate) fn quick_apps() -> Vec<uopcache_trace::AppId> {

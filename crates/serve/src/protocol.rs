@@ -140,8 +140,9 @@ fn decode_body(body: &[u8]) -> Result<Json, FrameError> {
     Ok(json)
 }
 
-/// The most body bytes [`FrameDecoder`] reserves when a length prefix
-/// arrives; a longer body grows with the bytes that actually come.
+/// The most body bytes [`FrameDecoder`] and [`read_frame`] hold beyond
+/// those that arrived; a longer body grows with the bytes that actually
+/// come.
 const BODY_RESERVE: usize = 64 << 10;
 
 /// An incremental frame parser for nonblocking sockets: bytes go in as they
@@ -279,12 +280,17 @@ pub fn read_frame<R: Read>(mut r: R, stall_limit: Duration) -> Result<Option<Jso
     if len > MAX_FRAME_BYTES {
         return Err(FrameError::TooLarge(len));
     }
-    let mut body = vec![0u8; len];
+    // The buffer grows with the bytes that arrive, at most `BODY_RESERVE`
+    // ahead of them, so a prefix that claims 64 MB and sends 10 bytes holds
+    // kilobytes, not the claim.
+    let mut body = Vec::new();
     let mut filled = 0usize;
-    while !read_full(&mut r, &mut body, &mut filled, deadline)? {
+    while filled < len {
+        let end = len.min(filled + BODY_RESERVE);
+        body.resize(end, 0);
         // The header arrived, so the body counts as started: keep reading
         // until the stall deadline trips inside `read_full`.
-        if Instant::now() >= deadline {
+        if !read_full(&mut r, &mut body, &mut filled, deadline)? && Instant::now() >= deadline {
             return Err(FrameError::Malformed(
                 "frame stalled past the read deadline".to_string(),
             ));

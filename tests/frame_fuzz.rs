@@ -1,5 +1,6 @@
 //! Seeded fuzz wall for `FrameDecoder`, which every byte a client sends to
-//! `serve` or `route` passes through: split, truncated, oversized,
+//! `serve` or `route` passes through, and for the blocking `read_frame` the
+//! client and the router read replies with: split, truncated, oversized,
 //! pipelined and garbled frames, checked against `MAX_FRAME_BYTES`.
 //!
 //! Invariants: the decoder returns frames or an error, never a panic; a
@@ -11,10 +12,13 @@
 //! allocator measures one decoder at a time.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
 use uopcache_model::alloc::CountingAllocator;
 use uopcache_model::json::Json;
 use uopcache_model::rng::{Prng, Rng};
-use uopcache_serve::protocol::{encode_frame, frame, FrameDecoder, FrameError, MAX_FRAME_BYTES};
+use uopcache_serve::protocol::{
+    encode_frame, frame, read_frame, FrameDecoder, FrameError, MAX_FRAME_BYTES,
+};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -91,6 +95,16 @@ fn hostile_frame_streams_decode_cleanly_in_bounded_memory() {
     let (frames, err, mid, peak) = decode(&wire, &[wire.len()]);
     assert!(frames.is_empty() && err.is_none() && mid);
     assert!(peak < 1 << 20, "a 64 MB claim held {peak} live bytes");
+    // The blocking reader too: the body ends after 10 bytes, and the claim
+    // is never allocated.
+    let (read, stats) =
+        CountingAllocator::measure(|| read_frame(wire.as_slice(), Duration::from_secs(1)));
+    assert!(matches!(read, Err(FrameError::Malformed(_))), "{read:?}");
+    assert!(
+        stats.peak < 1 << 20,
+        "read_frame held {} live bytes for a 64 MB claim",
+        stats.peak
+    );
 
     // One byte past the cap is refused at the prefix, however it is split.
     for chunks in [[4], [1], [3]] {
@@ -115,6 +129,8 @@ fn hostile_frame_streams_decode_cleanly_in_bounded_memory() {
         assert_eq!(got, frames, "case {case}: split {chunks:?}");
         assert!(!mid, "case {case} ends at a frame boundary");
         assert!(peak <= PEAK_BOUND, "case {case}: peak {peak} bytes");
+        let read = read_frame(wire.as_slice(), Duration::from_secs(1));
+        assert_eq!(read.ok().flatten().as_ref(), frames.first(), "case {case}");
 
         // Truncated: the frames wholly before the cut, mid-frame otherwise.
         let cut = rng.gen_range(0..wire.len());

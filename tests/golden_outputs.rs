@@ -1,7 +1,9 @@
 //! Golden-trace regression tests: seeded sweeps whose canonical JSON —
 //! per-policy hit rates, MPKI, eviction counts, seeds — is pinned under
-//! `tests/golden/`. Any behavioural drift in the trace generator, the
-//! simulator, a policy, or the seeding scheme shows up as a diff here.
+//! `tests/golden/`, and the quick-mode `EXPERIMENTS.md` every table and
+//! figure renders. Any behavioural drift in the trace generator, the
+//! simulator, a policy, the seeding scheme or an experiment shows up as a
+//! diff here.
 //!
 //! To regenerate after an *intentional* change:
 //!
@@ -36,9 +38,15 @@ fn check_golden(name: &str, spec: &SweepSpec) {
         "{name}: canonical JSON must lead with the schema version"
     );
 
+    check_text(name, &actual);
+}
+
+/// Compares `actual` against the committed golden file `name` (or rewrites
+/// it when `UPDATE_GOLDEN=1`).
+fn check_text(name: &str, actual: &str) {
     let path = golden_path(name);
     if std::env::var("UPDATE_GOLDEN").is_ok() {
-        std::fs::write(&path, &actual).expect("write golden file");
+        std::fs::write(&path, actual).expect("write golden file");
         return;
     }
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -49,7 +57,7 @@ fn check_golden(name: &str, spec: &SweepSpec) {
         )
     });
     assert_eq!(
-        actual,
+        actual.trim_end(),
         expected.trim_end(),
         "{name}: output drifted from the golden reference; if the change is \
          intentional, regenerate with `UPDATE_GOLDEN=1 cargo test --test \
@@ -156,4 +164,12 @@ fn golden_sampled_zen3() {
             ..zen3_spec()
         },
     );
+}
+
+#[test]
+fn golden_experiments_quick() {
+    // Every table and figure in quick mode (2 apps, 8 000-access traces).
+    let run = uopcache_bench::experiments::reproduce(true);
+    assert!(run.failures.is_empty(), "{:?}", run.failures);
+    check_text("experiments_quick.md", &run.markdown);
 }
