@@ -14,6 +14,7 @@
 //! non-zero.
 
 use std::process::ExitCode;
+use uopcache_bench::runs::Lab;
 use uopcache_bench::{experiments, sweep};
 
 const USAGE: &str = "usage: reproduce-all [--quick] [--jobs N] [OUT]";
@@ -44,12 +45,14 @@ fn main() -> ExitCode {
     let out_path = out_path.unwrap_or_else(|| "EXPERIMENTS.md".to_string());
 
     eprintln!("[{} jobs]", sweep::current_jobs());
-    let run = experiments::reproduce(quick);
+    let mut lab = Lab::new(quick, sweep::engine());
+    let run = experiments::reproduce(&mut lab);
     if let Err(e) = std::fs::write(&out_path, &run.markdown) {
         eprintln!("cannot write {out_path}: {e}");
         return ExitCode::FAILURE;
     }
     let count = experiments::all().len();
+    eprintln!("{:?}", lab.work());
     eprintln!(
         "wrote {out_path} ({}/{count} experiments ok)",
         count - run.failures.len()

@@ -1,9 +1,10 @@
 //! One function per paper table/figure.
 //!
-//! Every experiment takes a `quick` flag (shorter traces, fewer apps — used
-//! by tests and smoke runs) and returns the tables it produces. The CLI's
-//! `experiment` command prints them; [`reproduce`] collects them into
-//! `EXPERIMENTS.md`.
+//! Every experiment reads the traces, FOO/FLACK solutions and cells it needs
+//! from one [`Lab`] — quick mode (shorter traces, fewer apps, used by tests
+//! and smoke runs) or the full evaluation — and returns the tables it
+//! produces. The CLI's `experiment` command prints them; [`reproduce`]
+//! collects them into `EXPERIMENTS.md`.
 
 pub mod discussion;
 pub mod misses;
@@ -12,6 +13,7 @@ pub mod sensitivity;
 pub mod tables;
 pub mod timing;
 
+use crate::runs::Lab;
 use crate::table::Table;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -23,8 +25,8 @@ pub struct Experiment {
     pub id: &'static str,
     /// What the paper's table/figure shows.
     pub caption: &'static str,
-    /// Runs the experiment.
-    pub run: fn(quick: bool) -> Vec<Table>,
+    /// Runs the experiment on a lab.
+    pub run: fn(&mut Lab) -> Vec<Table>,
 }
 
 /// Every experiment, in paper order.
@@ -168,13 +170,15 @@ pub struct Reproduction {
     pub failures: Vec<(String, String)>,
 }
 
-/// Runs every experiment in paper order and renders `EXPERIMENTS.md`.
+/// Runs every experiment in paper order on `lab` and renders
+/// `EXPERIMENTS.md`.
 ///
 /// Progress and each experiment's runtime go to stderr, so the document is
-/// a pure function of `quick`: byte-identical for every worker count. A
-/// panicking experiment becomes a failure line in the document instead of
-/// aborting the run.
-pub fn reproduce(quick: bool) -> Reproduction {
+/// a pure function of the lab's mode: byte-identical for every worker
+/// count. A panicking experiment becomes a failure line in the document
+/// instead of aborting the run.
+pub fn reproduce(lab: &mut Lab) -> Reproduction {
+    let quick = lab.quick();
     let mut md = String::new();
     let _ = writeln!(md, "# EXPERIMENTS — paper vs. measured\n");
     let _ = writeln!(
@@ -210,7 +214,7 @@ pub fn reproduce(quick: bool) -> Reproduction {
         let t0 = Instant::now();
         eprintln!("running {} — {}", exp.id, exp.caption);
         let _ = writeln!(md, "## {} — {}\n", exp.id, exp.caption);
-        match catch_unwind(AssertUnwindSafe(|| (exp.run)(quick))) {
+        match catch_unwind(AssertUnwindSafe(|| (exp.run)(lab))) {
             Ok(tables) => {
                 for table in tables {
                     md.push_str(&table.render_markdown());
@@ -280,32 +284,6 @@ through the full timed frontend.\n\
 depth 2 best. Its replacement coverage at depth 2 (95.0 %) is close to \
 the paper's 88.68 %, but the synthetic phase structure produces less of \
 the `{A, I}^n` thrash the detector exists to break.\n\n";
-
-/// The apps used in quick mode.
-pub(crate) fn quick_apps() -> Vec<uopcache_trace::AppId> {
-    vec![
-        uopcache_trace::AppId::Kafka,
-        uopcache_trace::AppId::Postgres,
-    ]
-}
-
-/// The app set for a mode.
-pub(crate) fn apps_for(quick: bool) -> Vec<uopcache_trace::AppId> {
-    if quick {
-        quick_apps()
-    } else {
-        crate::apps::standard_apps().to_vec()
-    }
-}
-
-/// The trace length for a mode.
-pub(crate) fn len_for(quick: bool) -> usize {
-    if quick {
-        8_000
-    } else {
-        crate::apps::TRACE_LEN
-    }
-}
 
 #[cfg(test)]
 mod tests {

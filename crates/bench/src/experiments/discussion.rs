@@ -1,16 +1,15 @@
 //! Discussion-section studies: the non-inclusive micro-op cache (§VII) and
 //! the FURBYS hardware overhead arithmetic (§VI).
 
-use crate::experiments::{apps_for, len_for};
 use crate::policies::PolicyId;
-use crate::runs::{mean, Lab};
+use crate::runs::{mean, Arm, Lab};
 use crate::table::Table;
 use uopcache_model::FrontendConfig;
 
 /// §VII: a non-inclusive micro-op cache decouples it from L1i evictions and
 /// effectively grows the instruction-supply capacity; the paper reports
 /// FURBYS's IPC gain rising from ~0.48% (inclusive) to ~2.5% (non-inclusive).
-pub fn sec7_noninclusive(quick: bool) -> Vec<Table> {
+pub fn sec7_noninclusive(lab: &mut Lab) -> Vec<Table> {
     let inclusive_cfg = FrontendConfig::zen3();
     let mut noninclusive_cfg = inclusive_cfg;
     noninclusive_cfg.uop_cache.inclusive_with_l1i = false;
@@ -21,18 +20,14 @@ pub fn sec7_noninclusive(quick: bool) -> Vec<Table> {
     );
     let mut inc_all = Vec::new();
     let mut non_all = Vec::new();
-    let mut lab_inc = Lab::with_len(inclusive_cfg, len_for(quick));
-    let mut lab_non = Lab::with_len(noninclusive_cfg, len_for(quick));
-    let apps = apps_for(quick);
-    lab_inc.prewarm_online(&[PolicyId::Lru, PolicyId::Furbys], &apps);
-    lab_non.prewarm_online(&[PolicyId::Lru, PolicyId::Furbys], &apps);
-    for app in apps {
-        let lru_i = lab_inc.run_online(PolicyId::Lru, app, 0);
-        let fur_i = lab_inc.run_online(PolicyId::Furbys, app, 0);
-        let lru_n = lab_non.run_online(PolicyId::Lru, app, 0);
-        let fur_n = lab_non.run_online(PolicyId::Furbys, app, 0);
-        let inc = fur_i.ipc_speedup_vs(&lru_i);
-        let non = fur_n.ipc_speedup_vs(&lru_n);
+    let apps = lab.apps();
+    let arms = [PolicyId::Lru, PolicyId::Furbys].map(Arm::Online);
+    let inclusive = lab.grid(inclusive_cfg, &arms);
+    let noninclusive = lab.grid(noninclusive_cfg, &arms);
+    for ((app, i), n) in apps.iter().zip(&inclusive).zip(&noninclusive) {
+        let (lru_i, fur_i, lru_n, fur_n) = (&i[0], &i[1], &n[0], &n[1]);
+        let inc = fur_i.ipc_speedup_vs(lru_i);
+        let non = fur_n.ipc_speedup_vs(lru_n);
         inc_all.push(inc);
         non_all.push(non);
         t.row(&[
@@ -57,7 +52,7 @@ pub fn sec7_noninclusive(quick: bool) -> Vec<Table> {
 
 /// §VI "Hardware and runtime overhead": FURBYS's metadata per set vs the set
 /// payload — the paper computes 46 bits over 4608 bits = 1%.
-pub fn sec6_hw_overhead(_quick: bool) -> Vec<Table> {
+pub fn sec6_hw_overhead(_lab: &mut Lab) -> Vec<Table> {
     let cfg = FrontendConfig::zen3().uop_cache;
     let weight_bits = 3u32;
     let srrip_bits = 2u32;
@@ -100,12 +95,7 @@ pub fn sec6_hw_overhead(_quick: bool) -> Vec<Table> {
 /// Extension (§VII future work): phase-aware FURBYS — per-segment weight
 /// tables elected at runtime — versus standard FURBYS, targeting globally
 /// cold but locally hot PWs.
-pub fn ext1_phased_furbys(quick: bool) -> Vec<Table> {
-    use uopcache_core::{FurbysPipeline, PhasedFurbysPolicy, PhasedProfile};
-    use uopcache_sim::Frontend;
-
-    let cfg = FrontendConfig::zen3();
-    let len = len_for(quick);
+pub fn ext1_phased_furbys(lab: &mut Lab) -> Vec<Table> {
     let segments = 4;
     let mut t = Table::new(
         "EXT-1: phase-aware FURBYS vs standard FURBYS (miss reduction over LRU)",
@@ -113,31 +103,19 @@ pub fn ext1_phased_furbys(quick: bool) -> Vec<Table> {
     );
     let mut flat_all = Vec::new();
     let mut phased_all = Vec::new();
-    let apps = apps_for(quick);
-    // One engine task per app: flat and phase-aware FURBYS on that trace.
-    let tasks: Vec<_> = apps
-        .iter()
-        .map(|&app| (crate::sweep::app_key("ext1-phased", app), app))
-        .collect();
-    let per_app = crate::sweep::par_map("ext1 phased", tasks, move |_key, _seed, app| {
-        let trace = crate::apps::trace_for(app, 0, len);
-        let lru = Frontend::builder(cfg)
-            .policy(uopcache_cache::LruPolicy::new())
-            .build()
-            .run(&trace);
-        let pipeline = FurbysPipeline::new(cfg);
-        let profile = pipeline.profile(&trace);
-        let flat = pipeline.deploy_and_run(&profile, &trace);
-        let obs = pipeline.oracle_observations(&trace);
-        let phased_profile =
-            PhasedProfile::from_observations(&obs, &cfg.uop_cache, &pipeline.weight_cfg, segments);
-        let phased = Frontend::builder(cfg)
-            .policy(PhasedFurbysPolicy::new(phased_profile))
-            .build()
-            .run(&trace);
+    let apps = lab.apps();
+    let grid = lab.grid(
+        FrontendConfig::zen3(),
+        &[
+            Arm::Online(PolicyId::Lru),
+            Arm::Online(PolicyId::Furbys),
+            Arm::Phased(segments),
+        ],
+    );
+    let per_app = grid.iter().map(|row| {
         (
-            flat.uopc.miss_reduction_vs(&lru.uopc),
-            phased.uopc.miss_reduction_vs(&lru.uopc),
+            row[1].uopc.miss_reduction_vs(&row[0].uopc),
+            row[2].uopc.miss_reduction_vs(&row[0].uopc),
         )
     });
     for (&app, (f, p)) in apps.iter().zip(per_app) {
@@ -162,16 +140,17 @@ pub fn ext1_phased_furbys(quick: bool) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uopcache_exec::Engine;
 
     #[test]
     fn quick_ext1_produces_both_columns() {
-        let t = &ext1_phased_furbys(true)[0];
+        let t = &ext1_phased_furbys(&mut Lab::new(true, Engine::new(2)))[0];
         assert!(t.render().contains("FURBYS-phased"));
     }
 
     #[test]
     fn overhead_matches_paper_arithmetic() {
-        let t = &sec6_hw_overhead(true)[0];
+        let t = &sec6_hw_overhead(&mut Lab::new(true, Engine::new(1)))[0];
         let s = t.render();
         assert!(s.contains("46"), "{s}");
         assert!(s.contains("4608"), "{s}");

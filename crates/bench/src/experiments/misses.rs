@@ -1,26 +1,45 @@
 //! Miss-rate experiments: §III-B, Figs. 5, 8, 10, 15, 18, 21, 22 and the
 //! §VI-C coverage study.
 
-use crate::apps::trace_for;
-use crate::experiments::{apps_for, len_for};
 use crate::policies::PolicyId;
-use crate::runs::{mean, Lab};
-use crate::sweep::{app_key, par_map};
+use crate::runs::{mean, Arm, Cell, Knobs, Lab, TraceKey};
 use crate::table::Table;
-use uopcache_core::{Flack, FurbysPipeline, OracleKind};
+use uopcache_core::{Flack, OracleKind};
 use uopcache_model::FrontendConfig;
-use uopcache_offline::foo;
-use uopcache_offline::replay::{replay_full, EvictionTiming};
-use uopcache_sim::Frontend;
-use uopcache_trace::AppId;
+use uopcache_sim::SimOptions;
+
+/// The existing online policies the evaluation compares, in figure order.
+const EXISTING: [PolicyId; 5] = [
+    PolicyId::Srrip,
+    PolicyId::ShipPlusPlus,
+    PolicyId::Mockingjay,
+    PolicyId::Ghrp,
+    PolicyId::Thermometer,
+];
 
 /// §III-B: miss classification under LRU and the reduction a near-optimal
 /// policy (FLACK) achieves on capacity and conflict misses.
-pub fn sec3b_miss_classes(quick: bool) -> Vec<Table> {
-    let mut lab = Lab::with_len(FrontendConfig::zen3(), len_for(quick));
-    lab.classify_misses(true);
-    let apps = apps_for(quick);
-    lab.prewarm_online(&[PolicyId::Lru], &apps);
+pub fn sec3b_miss_classes(lab: &mut Lab) -> Vec<Table> {
+    let classify = SimOptions {
+        classify_misses: true,
+    };
+    let apps = lab.apps();
+    // Online LRU, and the near-optimal (FLACK) misses vs the synchronous LRU
+    // baseline, all classified.
+    let arms = [
+        Arm::Online(PolicyId::Lru),
+        Arm::Oracle(Flack::new()),
+        Arm::SyncLru,
+    ];
+    let cells: Vec<Cell> = (apps.iter())
+        .flat_map(|&app| {
+            arms.map(|arm| Cell {
+                opts: classify,
+                ..Cell::new(FrontendConfig::zen3(), app, arm)
+            })
+        })
+        .collect();
+    let results = lab.run(&cells);
     let mut t = Table::new(
         "SIII-B: LRU miss classes (paper: cold 0.89%, capacity 88.31%, conflict 10.8%)",
         &["app", "cold%", "capacity%", "conflict%"],
@@ -28,44 +47,23 @@ pub fn sec3b_miss_classes(quick: bool) -> Vec<Table> {
     let mut cold = Vec::new();
     let mut cap = Vec::new();
     let mut conf = Vec::new();
-
-    // Near-optimal (FLACK) classified misses vs the synchronous LRU baseline
-    // classified the same way — one engine task per app.
-    let cfg = lab.cfg.uop_cache;
-    let offline_tasks: Vec<_> = apps
-        .iter()
-        .map(|&app| (app_key("sec3b-offline", app), lab.trace(app, 0).clone()))
-        .collect();
-    let offline = par_map("sec3b offline", offline_tasks, move |_key, _seed, trace| {
-        let flack = Flack::new();
-        let sol = foo::solve(&trace, &cfg, &flack.foo_config());
-        let (opt, _) = replay_full(&trace, &cfg, &sol, EvictionTiming::Lazy, true);
-        let mut lru_sync =
-            uopcache_cache::UopCache::new(cfg, Box::new(uopcache_cache::LruPolicy::new()));
-        lru_sync.enable_classification();
-        let base = uopcache_policies::run_trace(&mut lru_sync, &trace);
-        let red = |o: u64, b: u64| {
-            if b == 0 {
-                0.0
-            } else {
-                (1.0 - o as f64 / b as f64) * 100.0
-            }
-        };
-        (
-            red(opt.capacity_miss_uops, base.capacity_miss_uops),
-            red(opt.conflict_miss_uops, base.conflict_miss_uops),
-            red(opt.uops_missed, base.uops_missed),
-        )
-    });
+    let red = |o: u64, b: u64| {
+        if b == 0 {
+            0.0
+        } else {
+            (1.0 - o as f64 / b as f64) * 100.0
+        }
+    };
     let (mut cap_red, mut conf_red, mut tot_red) = (Vec::new(), Vec::new(), Vec::new());
-    for (c, f, tot) in offline {
-        cap_red.push(c);
-        conf_red.push(f);
-        tot_red.push(tot);
+    for row in results.chunks(arms.len()) {
+        let (opt, base) = (row[1].uopc, row[2].uopc);
+        cap_red.push(red(opt.capacity_miss_uops, base.capacity_miss_uops));
+        conf_red.push(red(opt.conflict_miss_uops, base.conflict_miss_uops));
+        tot_red.push(red(opt.uops_missed, base.uops_missed));
     }
 
-    for &app in &apps {
-        let lru = lab.run_online(PolicyId::Lru, app, 0).uopc;
+    for (&app, row) in apps.iter().zip(results.chunks(arms.len())) {
+        let lru = row[0].uopc;
         let total = lru.uops_missed.max(1) as f64;
         cold.push(lru.cold_miss_uops as f64 / total * 100.0);
         cap.push(lru.capacity_miss_uops as f64 / total * 100.0);
@@ -105,49 +103,58 @@ pub fn sec3b_miss_classes(quick: bool) -> Vec<Table> {
     vec![t, t2]
 }
 
-/// Per-app offline FLACK miss reduction vs the synchronous LRU baseline,
-/// computed through the engine (one task per app). Exactly
-/// `lab.offline_miss_reduction(Flack::new(), app)`, parallelized.
-fn offline_flack_reductions(stage: &str, lab: &mut Lab, apps: &[AppId]) -> Vec<f64> {
-    let cfg = lab.cfg.uop_cache;
-    let tasks: Vec<_> = apps
-        .iter()
-        .map(|&app| (app_key(stage, app), lab.trace(app, 0).clone()))
+/// Per-app miss reductions over LRU of `policies` (online, vs online LRU)
+/// and of offline FLACK (vs the synchronous LRU baseline), FLACK last: one
+/// row per app.
+fn reductions(lab: &mut Lab, policies: &[PolicyId]) -> Vec<Vec<f64>> {
+    let mut arms = vec![
+        Arm::Online(PolicyId::Lru),
+        Arm::Oracle(Flack::new()),
+        Arm::SyncLru,
+    ];
+    arms.extend(policies.iter().map(|&p| Arm::Online(p)));
+    let grid = lab.grid(FrontendConfig::zen3(), &arms);
+    (grid.iter())
+        .map(|row| {
+            let online = row[3..]
+                .iter()
+                .map(|r| r.uopc.miss_reduction_vs(&row[0].uopc));
+            online
+                .chain([row[1].uopc.miss_reduction_vs(&row[2].uopc)])
+                .collect()
+        })
+        .collect()
+}
+
+/// A table of per-app `rows` (one value per column after `app`) and their
+/// column means.
+fn reduction_table(
+    lab: &Lab,
+    title: &str,
+    header: &[&str],
+    rows: &[Vec<f64>],
+) -> (Table, Vec<f64>) {
+    let mut t = Table::new(title, header);
+    for (app, row) in lab.apps().iter().zip(rows) {
+        let mut cells = vec![app.name().to_string()];
+        cells.extend(row.iter().map(|v| format!("{v:.2}")));
+        t.row(&cells);
+    }
+    let means: Vec<f64> = (0..header.len() - 1)
+        .map(|i| mean(&rows.iter().map(|r| r[i]).collect::<Vec<_>>()))
         .collect();
-    par_map(stage, tasks, move |_key, _seed, trace| {
-        let stats = Flack::new().run(&trace, &cfg).stats;
-        let mut lru =
-            uopcache_cache::UopCache::new(cfg, Box::new(uopcache_cache::LruPolicy::new()));
-        let base = uopcache_policies::run_trace(&mut lru, &trace);
-        stats.miss_reduction_vs(&base)
-    })
+    let mut mean_row = vec!["MEAN".to_string()];
+    mean_row.extend(means.iter().map(|m| format!("{m:.2}")));
+    t.row(&mean_row);
+    (t, means)
 }
 
 /// Fig. 5: existing online policies achieve only a fraction of FLACK's miss
 /// reduction (paper: GHRP, the best, reaches 31.52% of FLACK).
-pub fn fig05_existing_policies(quick: bool) -> Vec<Table> {
-    let mut lab = Lab::with_len(FrontendConfig::zen3(), len_for(quick));
-    let policies = [
-        PolicyId::Srrip,
-        PolicyId::ShipPlusPlus,
-        PolicyId::Mockingjay,
-        PolicyId::Ghrp,
-        PolicyId::Thermometer,
-    ];
-    let apps = apps_for(quick);
-    lab.prewarm_online(
-        &[
-            PolicyId::Lru,
-            PolicyId::Srrip,
-            PolicyId::ShipPlusPlus,
-            PolicyId::Mockingjay,
-            PolicyId::Ghrp,
-            PolicyId::Thermometer,
-        ],
-        &apps,
-    );
-    let flack_reds = offline_flack_reductions("fig05-flack", &mut lab, &apps);
-    let mut t = Table::new(
+pub fn fig05_existing_policies(lab: &mut Lab) -> Vec<Table> {
+    let rows = reductions(lab, &EXISTING);
+    let (t, means) = reduction_table(
+        lab,
         "Fig. 5: miss reduction over LRU (existing policies vs offline FLACK)",
         &[
             "app",
@@ -158,56 +165,29 @@ pub fn fig05_existing_policies(quick: bool) -> Vec<Table> {
             "Thermometer",
             "FLACK",
         ],
+        &rows,
     );
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); policies.len() + 1];
-    for (&app, &flack) in apps.iter().zip(&flack_reds) {
-        let mut row = vec![app.name().to_string()];
-        for (i, &p) in policies.iter().enumerate() {
-            let red = lab.online_miss_reduction(p, app);
-            cols[i].push(red);
-            row.push(format!("{red:.2}"));
-        }
-        cols[policies.len()].push(flack);
-        row.push(format!("{flack:.2}"));
-        t.row(&row);
-    }
-    let mut mean_row = vec!["MEAN".to_string()];
-    for c in &cols {
-        mean_row.push(format!("{:.2}", mean(c)));
-    }
-    t.row(&mean_row);
     let mut t2 = Table::new("Fig. 5 summary", &["metric", "paper", "measured"]);
-    let best = cols[..policies.len()]
+    let best = means[..EXISTING.len()]
         .iter()
-        .map(|c| mean(c))
+        .copied()
         .fold(f64::MIN, f64::max);
     t2.row(&[
         "best existing / FLACK".into(),
         "31.52%".into(),
-        format!(
-            "{:.1}%",
-            best / mean(&cols[policies.len()]).max(1e-9) * 100.0
-        ),
+        format!("{:.1}%", best / means[EXISTING.len()].max(1e-9) * 100.0),
     ]);
     vec![t, t2]
 }
 
 /// Fig. 8: FURBYS miss reduction vs existing policies (paper: 14.34% avg,
 /// GHRP best existing at 7.81%, FURBYS = 57.85% of FLACK).
-pub fn fig08_furbys_miss_reduction(quick: bool) -> Vec<Table> {
-    let mut lab = Lab::with_len(FrontendConfig::zen3(), len_for(quick));
-    let policies = [
-        PolicyId::Srrip,
-        PolicyId::ShipPlusPlus,
-        PolicyId::Mockingjay,
-        PolicyId::Ghrp,
-        PolicyId::Thermometer,
-        PolicyId::Furbys,
-    ];
-    let apps = apps_for(quick);
-    lab.prewarm_online(&PolicyId::ONLINE, &apps);
-    let flack_reds = offline_flack_reductions("fig08-flack", &mut lab, &apps);
-    let mut t = Table::new(
+pub fn fig08_furbys_miss_reduction(lab: &mut Lab) -> Vec<Table> {
+    let mut policies = EXISTING.to_vec();
+    policies.push(PolicyId::Furbys);
+    let rows = reductions(lab, &policies);
+    let (t, means) = reduction_table(
+        lab,
         "Fig. 8: miss reduction over LRU",
         &[
             "app",
@@ -219,28 +199,10 @@ pub fn fig08_furbys_miss_reduction(quick: bool) -> Vec<Table> {
             "FURBYS",
             "FLACK",
         ],
+        &rows,
     );
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); policies.len() + 1];
-    for (&app, &flack) in apps.iter().zip(&flack_reds) {
-        let mut row = vec![app.name().to_string()];
-        for (i, &p) in policies.iter().enumerate() {
-            let red = lab.online_miss_reduction(p, app);
-            cols[i].push(red);
-            row.push(format!("{red:.2}"));
-        }
-        cols[policies.len()].push(flack);
-        row.push(format!("{flack:.2}"));
-        t.row(&row);
-    }
-    let mut mean_row = vec!["MEAN".to_string()];
-    for c in &cols {
-        mean_row.push(format!("{:.2}", mean(c)));
-    }
-    t.row(&mean_row);
-
-    let furbys = mean(&cols[5]);
-    let flack = mean(&cols[6]);
-    let best_existing = cols[..5].iter().map(|c| mean(c)).fold(f64::MIN, f64::max);
+    let (furbys, flack) = (means[5], means[6]);
+    let best_existing = means[..5].iter().copied().fold(f64::MIN, f64::max);
     let mut t2 = Table::new("Fig. 8 summary", &["metric", "paper", "measured"]);
     t2.row(&[
         "FURBYS avg miss reduction".into(),
@@ -266,177 +228,125 @@ pub fn fig08_furbys_miss_reduction(quick: bool) -> Vec<Table> {
 
 /// Fig. 10: FLACK feature ablation vs FOO and Belady (perfect-icache-style
 /// synchronous setting; paper: FLACK beats Belady by 4.46% on average).
-pub fn fig10_flack_ablation(quick: bool) -> Vec<Table> {
-    let lab = Lab::with_len(FrontendConfig::zen3(), len_for(quick));
+pub fn fig10_flack_ablation(lab: &mut Lab) -> Vec<Table> {
     let variants = [
         Flack::ablation(false, false, false),
         Flack::ablation(true, false, false),
         Flack::ablation(true, true, false),
         Flack::new(),
     ];
-    let mut t = Table::new(
+    let mut arms = vec![Arm::SyncLru, Arm::Belady];
+    arms.extend(variants.map(Arm::Oracle));
+    let grid = lab.grid(FrontendConfig::zen3(), &arms);
+    let rows: Vec<Vec<f64>> = (grid.iter())
+        .map(|row| {
+            row[1..]
+                .iter()
+                .map(|r| r.uopc.miss_reduction_vs(&row[0].uopc))
+                .collect()
+        })
+        .collect();
+    let (t, means) = reduction_table(
+        lab,
         "Fig. 10: miss reduction over LRU (offline, perfect-icache setting)",
         &["app", "Belady", "FOO", "A", "A+VC", "A+VC+SB (FLACK)"],
+        &rows,
     );
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 5];
-    let apps = apps_for(quick);
-    // Offline-only study: each app is one engine task computing the sync LRU
-    // baseline, Belady and all four ablation variants on its own trace.
-    let cfg = lab.cfg.uop_cache;
-    let len = lab.len;
-    let tasks: Vec<_> = apps
-        .iter()
-        .map(|&app| (app_key("fig10-ablation", app), app))
-        .collect();
-    let per_app = par_map("fig10 ablation", tasks, move |_key, _seed, app| {
-        let trace = trace_for(app, 0, len);
-        let mut lru_cache =
-            uopcache_cache::UopCache::new(cfg, Box::new(uopcache_cache::LruPolicy::new()));
-        let lru = uopcache_policies::run_trace(&mut lru_cache, &trace);
-        let mut bel_cache = uopcache_cache::UopCache::new(
-            cfg,
-            Box::new(uopcache_offline::BeladyPolicy::from_trace(&trace)),
-        );
-        let bel = uopcache_policies::run_trace(&mut bel_cache, &trace).miss_reduction_vs(&lru);
-        let reds: Vec<f64> = variants
-            .iter()
-            .map(|v| v.run(&trace, &cfg).stats.miss_reduction_vs(&lru))
-            .collect();
-        (bel, reds)
-    });
-    for (&app, (bel, reds)) in apps.iter().zip(per_app) {
-        let mut row = vec![app.name().to_string()];
-        cols[0].push(bel);
-        row.push(format!("{bel:.2}"));
-        for (i, red) in reds.into_iter().enumerate() {
-            cols[i + 1].push(red);
-            row.push(format!("{red:.2}"));
-        }
-        t.row(&row);
-    }
-    let mut mean_row = vec!["MEAN".to_string()];
-    for c in &cols {
-        mean_row.push(format!("{:.2}", mean(c)));
-    }
-    t.row(&mean_row);
     let mut t2 = Table::new("Fig. 10 summary", &["metric", "paper", "measured"]);
     t2.row(&[
         "FLACK avg miss reduction".into(),
         "30.21%".into(),
-        format!("{:.2}%", mean(&cols[4])),
+        format!("{:.2}%", means[4]),
     ]);
     t2.row(&[
         "FLACK - Belady".into(),
         "4.46%".into(),
-        format!("{:.2}%", mean(&cols[4]) - mean(&cols[0])),
+        format!("{:.2}%", means[4] - means[0]),
     ]);
     t2.row(&[
         "FLACK - FOO".into(),
         "17.93%".into(),
-        format!("{:.2}%", mean(&cols[4]) - mean(&cols[1])),
+        format!("{:.2}%", means[4] - means[1]),
     ]);
     vec![t, t2]
 }
 
 /// Fig. 15: FURBYS fed by profiles from Belady, FOO and FLACK (paper: FLACK
 /// profiles give ~3.47% more reduction than Belady's, 4.39% more than FOO's).
-pub fn fig15_profile_sources(quick: bool) -> Vec<Table> {
-    let cfg = FrontendConfig::zen3();
-    let len = len_for(quick);
-    let mut t = Table::new(
+pub fn fig15_profile_sources(lab: &mut Lab) -> Vec<Table> {
+    let mut arms = vec![Arm::Online(PolicyId::Lru)];
+    arms.extend(
+        [OracleKind::Belady, OracleKind::Foo, OracleKind::Flack].map(|oracle| {
+            Arm::Furbys(Knobs {
+                oracle,
+                ..Knobs::paper()
+            })
+        }),
+    );
+    let grid = lab.grid(FrontendConfig::zen3(), &arms);
+    let rows: Vec<Vec<f64>> = (grid.iter())
+        .map(|row| {
+            row[1..]
+                .iter()
+                .map(|r| r.uopc.miss_reduction_vs(&row[0].uopc))
+                .collect()
+        })
+        .collect();
+    let (t, means) = reduction_table(
+        lab,
         "Fig. 15: FURBYS miss reduction by profile source",
         &["app", "Belady-profile", "FOO-profile", "FLACK-profile"],
+        &rows,
     );
-    let oracles = [OracleKind::Belady, OracleKind::Foo, OracleKind::Flack];
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    let apps = apps_for(quick);
-    // One engine task per app: LRU baseline plus FURBYS under all three
-    // profile oracles on that app's trace.
-    let tasks: Vec<_> = apps
-        .iter()
-        .map(|&app| (app_key("fig15-oracles", app), app))
-        .collect();
-    let per_app = par_map("fig15 profile sources", tasks, move |_key, _seed, app| {
-        let trace = trace_for(app, 0, len);
-        let lru = Frontend::builder(cfg)
-            .policy(uopcache_cache::LruPolicy::new())
-            .build()
-            .run(&trace);
-        oracles.map(|oracle| {
-            let mut p = FurbysPipeline::new(cfg);
-            p.oracle = oracle;
-            let profile = p.profile(&trace);
-            let r = p.deploy_and_run(&profile, &trace);
-            r.uopc.miss_reduction_vs(&lru.uopc)
-        })
-    });
-    for (&app, reds) in apps.iter().zip(per_app) {
-        let mut row = vec![app.name().to_string()];
-        for (i, red) in reds.into_iter().enumerate() {
-            cols[i].push(red);
-            row.push(format!("{red:.2}"));
-        }
-        t.row(&row);
-    }
-    t.row(&[
-        "MEAN".into(),
-        format!("{:.2}", mean(&cols[0])),
-        format!("{:.2}", mean(&cols[1])),
-        format!("{:.2}", mean(&cols[2])),
-    ]);
     let mut t2 = Table::new("Fig. 15 summary", &["metric", "paper", "measured"]);
     t2.row(&[
         "FLACK-profile - Belady-profile".into(),
         "3.47%".into(),
-        format!("{:.2}%", mean(&cols[2]) - mean(&cols[0])),
+        format!("{:.2}%", means[2] - means[0]),
     ]);
     t2.row(&[
         "FLACK-profile - FOO-profile".into(),
         "4.39%".into(),
-        format!("{:.2}%", mean(&cols[2]) - mean(&cols[1])),
+        format!("{:.2}%", means[2] - means[1]),
     ]);
     vec![t, t2]
 }
 
 /// Fig. 18: cross-validation — profile on training inputs, deploy on a
 /// held-out input (paper: 94.34% of the same-input benefit, 13.51% vs LRU).
-pub fn fig18_cross_validation(quick: bool) -> Vec<Table> {
-    let cfg = FrontendConfig::zen3();
-    let len = len_for(quick);
-    let pipeline = FurbysPipeline::new(cfg);
+pub fn fig18_cross_validation(lab: &mut Lab) -> Vec<Table> {
     let mut t = Table::new(
         "Fig. 18: cross-validation (train on inputs 0+1, test on input 2)",
         &["app", "same-input", "cross-input", "retained"],
     );
     let mut same_all = Vec::new();
     let mut cross_all = Vec::new();
-    let apps = apps_for(quick);
-    // One engine task per app: the full train-on-0+1, test-on-2 protocol.
-    let tasks: Vec<_> = apps
-        .iter()
-        .map(|&app| (app_key("fig18-crossval", app), app))
+    let apps = lab.apps();
+    // Test on input 2: LRU, FURBYS profiled on input 2 itself, and FURBYS
+    // profiled on inputs 0 and 1.
+    let cross = Knobs {
+        cross_input: true,
+        ..Knobs::paper()
+    };
+    let arms = [
+        Arm::Online(PolicyId::Lru),
+        Arm::Online(PolicyId::Furbys),
+        Arm::Furbys(cross),
+    ];
+    let cells: Vec<Cell> = (apps.iter())
+        .flat_map(|&app| {
+            arms.map(|arm| Cell {
+                variant: 2,
+                ..Cell::new(FrontendConfig::zen3(), app, arm)
+            })
+        })
         .collect();
-    let per_app = par_map("fig18 cross-validation", tasks, move |_key, _seed, app| {
-        let train0 = trace_for(app, 0, len);
-        let train1 = trace_for(app, 1, len);
-        let test = trace_for(app, 2, len);
-        let lru_test = Frontend::builder(cfg)
-            .policy(uopcache_cache::LruPolicy::new())
-            .build()
-            .run(&test);
-        // Same-input: profile the test input itself.
-        let same_profile = pipeline.profile(&test);
-        let same = pipeline
-            .deploy_and_run(&same_profile, &test)
-            .uopc
-            .miss_reduction_vs(&lru_test.uopc);
-        // Cross-input: merged profile of the training inputs.
-        let cross_profile = pipeline.profile_merged(&[train0, train1]);
-        let cross = pipeline
-            .deploy_and_run(&cross_profile, &test)
-            .uopc
-            .miss_reduction_vs(&lru_test.uopc);
-        (same, cross)
+    let results = lab.run(&cells);
+    let per_app = results.chunks(arms.len()).map(|row| {
+        (
+            row[1].uopc.miss_reduction_vs(&row[0].uopc),
+            row[2].uopc.miss_reduction_vs(&row[0].uopc),
+        )
     });
     for (&app, (same, cross)) in apps.iter().zip(per_app) {
         same_all.push(same);
@@ -474,9 +384,7 @@ pub fn fig18_cross_validation(quick: bool) -> Vec<Table> {
 
 /// Fig. 21: the dynamic bypass mechanism on vs off (paper: bypass adds 4.33%
 /// more reduction and skips ~30% of insertions).
-pub fn fig21_bypass(quick: bool) -> Vec<Table> {
-    let cfg = FrontendConfig::zen3();
-    let len = len_for(quick);
+pub fn fig21_bypass(lab: &mut Lab) -> Vec<Table> {
     let mut t = Table::new(
         "Fig. 21: FURBYS with bypass off/on",
         &[
@@ -490,28 +398,24 @@ pub fn fig21_bypass(quick: bool) -> Vec<Table> {
     let mut off_all = Vec::new();
     let mut on_all = Vec::new();
     let mut rate_all = Vec::new();
-    let apps = apps_for(quick);
-    // One engine task per app: LRU baseline, FURBYS with bypass on and off.
-    let tasks: Vec<_> = apps
-        .iter()
-        .map(|&app| (app_key("fig21-bypass", app), app))
-        .collect();
-    let per_app = par_map("fig21 bypass", tasks, move |_key, _seed, app| {
-        let trace = trace_for(app, 0, len);
-        let lru = Frontend::builder(cfg)
-            .policy(uopcache_cache::LruPolicy::new())
-            .build()
-            .run(&trace);
-        let pipeline_on = FurbysPipeline::new(cfg);
-        let profile = pipeline_on.profile(&trace);
-        let on = pipeline_on.deploy_and_run(&profile, &trace);
-        let mut pipeline_off = FurbysPipeline::new(cfg);
-        pipeline_off.bypass_k = u8::MAX; // disables bypassing
-        let off = pipeline_off.deploy_and_run(&profile, &trace);
+    let apps = lab.apps();
+    let off = Knobs {
+        bypass_k: u8::MAX, // disables bypassing
+        ..Knobs::paper()
+    };
+    let grid = lab.grid(
+        FrontendConfig::zen3(),
+        &[
+            Arm::Online(PolicyId::Lru),
+            Arm::Online(PolicyId::Furbys),
+            Arm::Furbys(off),
+        ],
+    );
+    let per_app = grid.iter().map(|row| {
         (
-            off.uopc.miss_reduction_vs(&lru.uopc),
-            on.uopc.miss_reduction_vs(&lru.uopc),
-            on.uopc.bypass_rate() * 100.0,
+            row[2].uopc.miss_reduction_vs(&row[0].uopc),
+            row[1].uopc.miss_reduction_vs(&row[0].uopc),
+            row[1].uopc.bypass_rate() * 100.0,
         )
     });
     for (&app, (off_red, on_red, rate)) in apps.iter().zip(per_app) {
@@ -543,14 +447,17 @@ pub fn fig21_bypass(quick: bool) -> Vec<Table> {
 /// Fig. 22: per-hotness-class hit rates on Kafka (paper: all policies agree
 /// on hot PWs; FURBYS wins on warm PWs; FLACK's remaining edge is in cold
 /// PWs).
-pub fn fig22_hotness(quick: bool) -> Vec<Table> {
+pub fn fig22_hotness(lab: &mut Lab) -> Vec<Table> {
     use uopcache_model::hash::FastHashMap;
     use uopcache_model::Addr;
 
     let cfg = FrontendConfig::zen3();
-    let len = len_for(quick).max(20_000);
-    let app = uopcache_trace::AppId::Kafka;
-    let trace = trace_for(app, 0, len);
+    let key = TraceKey {
+        app: uopcache_trace::AppId::Kafka,
+        variant: 0,
+        len: lab.trace_len().max(20_000),
+    };
+    let trace = lab.trace(key);
 
     // Hotness classes by access count: hot = top 10% of starts, warm = next
     // 40%, cold = the rest.
@@ -595,7 +502,7 @@ pub fn fig22_hotness(quick: bool) -> Vec<Table> {
         &["policy", "hot (top 10%)", "warm (10-50%)", "cold (50-100%)"],
     );
     // Online policies through the synchronous observer for per-PW hit data.
-    let profiles = crate::policies::ProfileInputs::build(&cfg, &trace);
+    let profiles = lab.profile_inputs(cfg, key);
     for id in [
         PolicyId::Lru,
         PolicyId::Srrip,
@@ -603,7 +510,7 @@ pub fn fig22_hotness(quick: bool) -> Vec<Table> {
         PolicyId::Thermometer,
         PolicyId::Furbys,
     ] {
-        let policy = id.build(&cfg, &profiles, 0);
+        let policy = id.build(&cfg, profiles, 0);
         let mut cache = uopcache_cache::UopCache::new(cfg.uop_cache, policy);
         let (_, obs) = uopcache_policies::run_trace_observed(&mut cache, &trace);
         let rates = class_rates(&obs);
@@ -615,11 +522,7 @@ pub fn fig22_hotness(quick: bool) -> Vec<Table> {
         ]);
     }
     // FLACK via replay observations.
-    let flack = Flack::new();
-    let sol = foo::solve(&trace, &cfg.uop_cache, &flack.foo_config());
-    let (_, obs) =
-        uopcache_offline::replay::replay_observed(&trace, &cfg.uop_cache, &sol, flack.timing());
-    let rates = class_rates(&obs);
+    let rates = class_rates(&lab.observations(cfg, key, Flack::new()));
     t.row(&[
         "FLACK".to_string(),
         format!("{:.1}", rates[0]),
@@ -631,18 +534,16 @@ pub fn fig22_hotness(quick: bool) -> Vec<Table> {
 
 /// §VI-C: replacement coverage — the share of victim selections FURBYS makes
 /// itself rather than its SRRIP fallback (paper: 88.68%).
-pub fn sec6c_coverage(quick: bool) -> Vec<Table> {
-    let mut lab = Lab::with_len(FrontendConfig::zen3(), len_for(quick));
-    let apps = apps_for(quick);
-    lab.prewarm_online(&[PolicyId::Furbys], &apps);
+pub fn sec6c_coverage(lab: &mut Lab) -> Vec<Table> {
+    let apps = lab.apps();
+    let grid = lab.grid(FrontendConfig::zen3(), &[Arm::Online(PolicyId::Furbys)]);
     let mut t = Table::new(
         "SVI-C: FURBYS replacement coverage (paper: 88.68% average)",
         &["app", "coverage"],
     );
     let mut all = Vec::new();
-    for app in apps {
-        let r = lab.run_online(PolicyId::Furbys, app, 0);
-        let cov = r.uopc.replacement_coverage() * 100.0;
+    for (app, row) in apps.iter().zip(&grid) {
+        let cov = row[0].uopc.replacement_coverage() * 100.0;
         all.push(cov);
         t.row(&[app.name().to_string(), format!("{cov:.2}%")]);
     }
@@ -653,10 +554,11 @@ pub fn sec6c_coverage(quick: bool) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uopcache_exec::Engine;
 
     #[test]
     fn quick_fig10_preserves_monotone_ablation() {
-        let tables = fig10_flack_ablation(true);
+        let tables = fig10_flack_ablation(&mut Lab::new(true, Engine::new(2)));
         assert_eq!(tables.len(), 2);
         // MEAN row: Belady, FOO, A, A+VC, FLACK.
         let t = &tables[0];
@@ -672,14 +574,14 @@ mod tests {
 
     #[test]
     fn quick_fig21_reports_bypass_rate() {
-        let tables = fig21_bypass(true);
+        let tables = fig21_bypass(&mut Lab::new(true, Engine::new(2)));
         let s = tables[1].render();
         assert!(s.contains("insertions bypassed"));
     }
 
     #[test]
     fn quick_fig22_has_six_policies() {
-        let tables = fig22_hotness(true);
+        let tables = fig22_hotness(&mut Lab::new(true, Engine::new(2)));
         assert_eq!(tables[0].len(), 6);
     }
 }

@@ -1,15 +1,14 @@
 //! Energy / performance-per-watt experiments: Figs. 2, 9, 13, 14, 17.
 
-use crate::experiments::{apps_for, len_for};
 use crate::policies::PolicyId;
-use crate::runs::{mean, Lab};
+use crate::runs::{mean, Arm, Cell, Lab};
 use crate::table::Table;
 use uopcache_model::FrontendConfig;
 use uopcache_power::{ppw_gain_percent, EnergyModel};
 
 /// Fig. 2: per-core PPW gain of making one structure perfect (paper: the
 /// perfect micro-op cache gives the largest gain, 7.41% on average).
-pub fn fig02_perfect_structures(quick: bool) -> Vec<Table> {
+pub fn fig02_perfect_structures(lab: &mut Lab) -> Vec<Table> {
     let base_cfg = FrontendConfig::zen3();
     let model = EnergyModel::zen3_22nm(&base_cfg);
     let mut t = Table::new(
@@ -23,34 +22,35 @@ pub fn fig02_perfect_structures(quick: bool) -> Vec<Table> {
         ],
     );
     let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 4];
-    let mut labs: Vec<Lab> = (0..4)
+    let configs: Vec<FrontendConfig> = (0..5)
         .map(|i| {
             let mut cfg = base_cfg;
             match i {
-                0 => cfg.perfect.uop_cache = true,
-                1 => cfg.perfect.icache = true,
-                2 => cfg.perfect.btb = true,
+                0 => {}
+                1 => cfg.perfect.uop_cache = true,
+                2 => cfg.perfect.icache = true,
+                3 => cfg.perfect.btb = true,
                 _ => cfg.perfect.branch_predictor = true,
             }
-            Lab::with_len(cfg, len_for(quick))
+            cfg
         })
         .collect();
-    let mut base_lab = Lab::with_len(base_cfg, len_for(quick));
-    let apps = apps_for(quick);
-    base_lab.prewarm_online(&[PolicyId::Lru], &apps);
-    for lab in &mut labs {
-        lab.prewarm_online(&[PolicyId::Lru], &apps);
-    }
-    for app in apps {
-        let base = base_lab.run_online(PolicyId::Lru, app, 0);
-        let mut row = vec![app.name().to_string()];
-        for (i, lab) in labs.iter_mut().enumerate() {
-            let perfect = lab.run_online(PolicyId::Lru, app, 0);
-            let gain = ppw_gain_percent(&model, &perfect, &base);
+    let apps = lab.apps();
+    let cells: Vec<Cell> = (apps.iter())
+        .flat_map(|&app| {
+            (configs.iter()).map(move |&cfg| Cell::new(cfg, app, Arm::Online(PolicyId::Lru)))
+        })
+        .collect();
+    let results = lab.run(&cells);
+    for (app, row) in apps.iter().zip(results.chunks(configs.len())) {
+        let base = &row[0];
+        let mut cells = vec![app.name().to_string()];
+        for (i, perfect) in row[1..].iter().enumerate() {
+            let gain = ppw_gain_percent(&model, perfect, base);
             cols[i].push(gain);
-            row.push(format!("{gain:.2}"));
+            cells.push(format!("{gain:.2}"));
         }
-        t.row(&row);
+        t.row(&cells);
     }
     let mut mean_row = vec!["MEAN".to_string()];
     for c in &cols {
@@ -76,36 +76,27 @@ pub fn fig02_perfect_structures(quick: bool) -> Vec<Table> {
 
 /// Fig. 9: PPW gain of FURBYS and the baselines over LRU (paper: FURBYS
 /// 3.10%, surpassing existing policies by 5.1x).
-pub fn fig09_ppw_gain(quick: bool) -> Vec<Table> {
+pub fn fig09_ppw_gain(lab: &mut Lab) -> Vec<Table> {
     ppw_table(
+        lab,
         FrontendConfig::zen3(),
-        quick,
         "Fig. 9: per-core PPW gain over LRU (Zen3)",
         "3.10%",
     )
 }
 
 /// Fig. 17: the same study on the Zen4-like frontend (paper: FURBYS 2.41%).
-pub fn fig17_zen4_ppw(quick: bool) -> Vec<Table> {
+pub fn fig17_zen4_ppw(lab: &mut Lab) -> Vec<Table> {
     ppw_table(
+        lab,
         FrontendConfig::zen4(),
-        quick,
         "Fig. 17: per-core PPW gain over LRU (Zen4-like)",
         "2.41%",
     )
 }
 
-fn ppw_table(cfg: FrontendConfig, quick: bool, title: &str, paper_furbys: &str) -> Vec<Table> {
+fn ppw_table(lab: &mut Lab, cfg: FrontendConfig, title: &str, paper_furbys: &str) -> Vec<Table> {
     let model = EnergyModel::zen3_22nm(&cfg);
-    let mut lab = Lab::with_len(cfg, len_for(quick));
-    let policies = [
-        PolicyId::Srrip,
-        PolicyId::ShipPlusPlus,
-        PolicyId::Mockingjay,
-        PolicyId::Ghrp,
-        PolicyId::Thermometer,
-        PolicyId::Furbys,
-    ];
     let mut t = Table::new(
         title,
         &[
@@ -118,19 +109,17 @@ fn ppw_table(cfg: FrontendConfig, quick: bool, title: &str, paper_furbys: &str) 
             "FURBYS",
         ],
     );
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); policies.len()];
-    let apps = apps_for(quick);
-    lab.prewarm_online(&PolicyId::ONLINE, &apps);
-    for app in apps {
-        let lru = lab.run_online(PolicyId::Lru, app, 0);
-        let mut row = vec![app.name().to_string()];
-        for (i, &p) in policies.iter().enumerate() {
-            let r = lab.run_online(p, app, 0);
-            let gain = ppw_gain_percent(&model, &r, &lru);
+    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); PolicyId::ONLINE.len() - 1];
+    let apps = lab.apps();
+    let grid = lab.grid(cfg, &PolicyId::ONLINE.map(Arm::Online));
+    for (app, row) in apps.iter().zip(&grid) {
+        let mut cells = vec![app.name().to_string()];
+        for (i, r) in row[1..].iter().enumerate() {
+            let gain = ppw_gain_percent(&model, r, &row[0]);
             cols[i].push(gain);
-            row.push(format!("{gain:.2}"));
+            cells.push(format!("{gain:.2}"));
         }
-        t.row(&row);
+        t.row(&cells);
     }
     let mut mean_row = vec!["MEAN".to_string()];
     for c in &cols {
@@ -148,9 +137,8 @@ fn ppw_table(cfg: FrontendConfig, quick: bool, title: &str, paper_furbys: &str) 
 
 /// Fig. 13: per-core energy breakdown on Clang for (a) no micro-op cache,
 /// (b) LRU micro-op cache, (c) FURBYS — normalised to (a).
-pub fn fig13_energy_breakdown(quick: bool) -> Vec<Table> {
+pub fn fig13_energy_breakdown(lab: &mut Lab) -> Vec<Table> {
     let app = uopcache_trace::AppId::Clang;
-    let len = len_for(quick);
     let cfg = FrontendConfig::zen3();
     let model = EnergyModel::zen3_22nm(&cfg);
 
@@ -161,16 +149,12 @@ pub fn fig13_energy_breakdown(quick: bool) -> Vec<Table> {
     no_uopc.uop_cache.ways = 1;
     no_uopc.uop_cache.uops_per_entry = 1;
     no_uopc.uop_cache.max_entries_per_pw = 1;
-    let mut lab_none = Lab::with_len(no_uopc, len);
-    let base = lab_none.run_online(PolicyId::Lru, app, 0);
-    let base_b = model.evaluate(&base);
-
-    let mut lab = Lab::with_len(cfg, len);
-    lab.prewarm_online(&[PolicyId::Lru, PolicyId::Furbys], &[app]);
-    let lru = lab.run_online(PolicyId::Lru, app, 0);
-    let lru_b = model.evaluate(&lru);
-    let furbys = lab.run_online(PolicyId::Furbys, app, 0);
-    let furbys_b = model.evaluate(&furbys);
+    let runs = lab.run(&[
+        Cell::new(no_uopc, app, Arm::Online(PolicyId::Lru)),
+        Cell::new(cfg, app, Arm::Online(PolicyId::Lru)),
+        Cell::new(cfg, app, Arm::Online(PolicyId::Furbys)),
+    ]);
+    let [base_b, lru_b, furbys_b] = [0, 1, 2].map(|i| model.evaluate(&runs[i]));
 
     let mut t = Table::new(
         "Fig. 13: per-core energy on Clang, normalised to no-uop-cache baseline",
@@ -235,10 +219,9 @@ pub fn fig13_energy_breakdown(quick: bool) -> Vec<Table> {
 
 /// Fig. 14: where FURBYS's energy reduction over LRU comes from (paper:
 /// 73.26% fewer micro-op cache insertions, 16.35% decoder, 7.75% icache).
-pub fn fig14_energy_reduction(quick: bool) -> Vec<Table> {
+pub fn fig14_energy_reduction(lab: &mut Lab) -> Vec<Table> {
     let cfg = FrontendConfig::zen3();
     let model = EnergyModel::zen3_22nm(&cfg);
-    let mut lab = Lab::with_len(cfg, len_for(quick));
     let mut decoder = Vec::new();
     let mut icache = Vec::new();
     let mut uopc = Vec::new();
@@ -253,11 +236,11 @@ pub fn fig14_energy_reduction(quick: bool) -> Vec<Table> {
             "others",
         ],
     );
-    let apps = apps_for(quick);
-    lab.prewarm_online(&[PolicyId::Lru, PolicyId::Furbys], &apps);
-    for app in apps {
-        let lru = model.evaluate(&lab.run_online(PolicyId::Lru, app, 0));
-        let fur = model.evaluate(&lab.run_online(PolicyId::Furbys, app, 0));
+    let apps = lab.apps();
+    let grid = lab.grid(cfg, &[PolicyId::Lru, PolicyId::Furbys].map(Arm::Online));
+    for (app, row) in apps.iter().zip(&grid) {
+        let lru = model.evaluate(&row[0]);
+        let fur = model.evaluate(&row[1]);
         let saved = (lru.total() - fur.total()).max(1e-12);
         let d = (lru.decoder - fur.decoder) / saved * 100.0;
         let i = (lru.icache - fur.icache) / saved * 100.0;
@@ -304,17 +287,18 @@ pub fn fig14_energy_reduction(quick: bool) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uopcache_exec::Engine;
 
     #[test]
     fn quick_fig02_runs() {
-        let tables = fig02_perfect_structures(true);
+        let tables = fig02_perfect_structures(&mut Lab::new(true, Engine::new(2)));
         assert_eq!(tables.len(), 2);
         assert_eq!(tables[0].len(), 3); // 2 quick apps + MEAN
     }
 
     #[test]
     fn quick_fig13_normalises_to_baseline() {
-        let tables = fig13_energy_breakdown(true);
+        let tables = fig13_energy_breakdown(&mut Lab::new(true, Engine::new(2)));
         let s = tables[0].render();
         assert!(s.contains("TOTAL") && s.contains("100.0%"));
     }

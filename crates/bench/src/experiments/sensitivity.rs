@@ -1,22 +1,15 @@
 //! Sensitivity studies: Figs. 16, 19 and 20.
 
-use crate::apps::trace_for;
-use crate::experiments::{apps_for, len_for};
 use crate::policies::PolicyId;
-use crate::runs::{mean, Lab};
-use crate::sweep::{app_key, par_map};
+use crate::runs::{mean, Arm, Knobs, Lab};
 use crate::table::Table;
-use std::sync::Arc;
-use uopcache_core::FurbysPipeline;
-use uopcache_exec::TaskKey;
 use uopcache_model::FrontendConfig;
-use uopcache_sim::Frontend;
 
 /// Fig. 16: FURBYS vs the best existing policies across micro-op cache sizes
 /// and associativities (paper: FURBYS wins everywhere; the gap shrinks as
 /// capacity misses vanish).
-pub fn fig16_size_assoc(quick: bool) -> Vec<Table> {
-    let configs: &[(u32, u32)] = if quick {
+pub fn fig16_size_assoc(lab: &mut Lab) -> Vec<Table> {
+    let configs: &[(u32, u32)] = if lab.quick() {
         &[(256, 8), (512, 8)]
     } else {
         &[
@@ -36,24 +29,18 @@ pub fn fig16_size_assoc(quick: bool) -> Vec<Table> {
     for &(entries, ways) in configs {
         let mut cfg = FrontendConfig::zen3();
         cfg.uop_cache = cfg.uop_cache.with_entries(entries).with_ways(ways);
-        let mut lab = Lab::with_len(cfg, len_for(quick));
-        let apps = apps_for(quick);
-        lab.prewarm_online(
-            &[
-                PolicyId::Lru,
-                PolicyId::Ghrp,
-                PolicyId::Thermometer,
-                PolicyId::Furbys,
-            ],
-            &apps,
-        );
+        let arms = [
+            PolicyId::Lru,
+            PolicyId::Ghrp,
+            PolicyId::Thermometer,
+            PolicyId::Furbys,
+        ]
+        .map(Arm::Online);
+        let grid = lab.grid(cfg, &arms);
         let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 3];
-        for app in apps {
-            for (i, &p) in [PolicyId::Ghrp, PolicyId::Thermometer, PolicyId::Furbys]
-                .iter()
-                .enumerate()
-            {
-                cols[i].push(lab.online_miss_reduction(p, app));
+        for row in &grid {
+            for (i, r) in row[1..].iter().enumerate() {
+                cols[i].push(r.uopc.miss_reduction_vs(&row[0].uopc));
             }
         }
         t.row(&[
@@ -69,10 +56,8 @@ pub fn fig16_size_assoc(quick: bool) -> Vec<Table> {
 
 /// Fig. 19: miss reduction as a function of the weight-group hint width
 /// (paper: 3 bits is the sweet spot; more bits add hardware, not benefit).
-pub fn fig19_weight_groups(quick: bool) -> Vec<Table> {
-    let cfg = FrontendConfig::zen3();
-    let len = len_for(quick);
-    let bits: &[u8] = if quick {
+pub fn fig19_weight_groups(lab: &mut Lab) -> Vec<Table> {
+    let bits: &[u8] = if lab.quick() {
         &[1, 3]
     } else {
         &[1, 2, 3, 4, 5, 6, 8]
@@ -81,48 +66,22 @@ pub fn fig19_weight_groups(quick: bool) -> Vec<Table> {
         "Fig. 19: avg miss reduction by weight-group bits (paper picks 3)",
         &["bits", "groups", "miss reduction"],
     );
-    let apps = apps_for(quick);
-    // Stage 1: one engine task per app prepares the trace and LRU baseline;
-    // stage 2 fans out one task per (bits, app) cell.
-    let prep_tasks: Vec<_> = apps
-        .iter()
-        .map(|&a| (app_key("fig19-prepare", a), a))
-        .collect();
-    let prepared = par_map("fig19 prepare", prep_tasks, move |_key, _seed, a| {
-        let tr = trace_for(a, 0, len);
-        let lru = Frontend::builder(cfg)
-            .policy(uopcache_cache::LruPolicy::new())
-            .build()
-            .run(&tr);
-        Arc::new((tr, lru))
-    });
-    let mut tasks = Vec::new();
-    for &b in bits {
-        for (&app, shared) in apps.iter().zip(&prepared) {
-            tasks.push((
-                TaskKey::new(["fig19-sweep", &format!("b{b}"), app.name()]),
-                (b, Arc::clone(shared)),
-            ));
-        }
-    }
-    let reds = par_map(
-        "fig19 weight bits",
-        tasks,
-        move |_key, _seed, (b, shared)| {
-            let (tr, lru) = &*shared;
-            let mut p = FurbysPipeline::new(cfg);
-            p.weight_cfg.bits = b;
-            let profile = p.profile(tr);
-            let r = p.deploy_and_run(&profile, tr);
-            r.uopc.miss_reduction_vs(&lru.uopc)
-        },
-    );
+    let mut arms = vec![Arm::Online(PolicyId::Lru)];
+    arms.extend(bits.iter().map(|&weight_bits| {
+        Arm::Furbys(Knobs {
+            weight_bits,
+            ..Knobs::paper()
+        })
+    }));
+    let grid = lab.grid(FrontendConfig::zen3(), &arms);
     for (bi, &b) in bits.iter().enumerate() {
-        let vals = &reds[bi * apps.len()..(bi + 1) * apps.len()];
+        let vals: Vec<f64> = (grid.iter())
+            .map(|row| row[bi + 1].uopc.miss_reduction_vs(&row[0].uopc))
+            .collect();
         t.row(&[
             format!("{b}"),
             format!("{}", 1u16 << b),
-            format!("{:.2}%", mean(vals)),
+            format!("{:.2}%", mean(&vals)),
         ]);
     }
     vec![t]
@@ -130,57 +89,33 @@ pub fn fig19_weight_groups(quick: bool) -> Vec<Table> {
 
 /// Fig. 20: miss reduction as a function of the local pitfall detector depth
 /// (paper: depth 2 is best).
-pub fn fig20_pitfall_depth(quick: bool) -> Vec<Table> {
-    let cfg = FrontendConfig::zen3();
-    let len = len_for(quick);
-    let depths: &[usize] = if quick { &[0, 2] } else { &[0, 1, 2, 3, 4, 6] };
+pub fn fig20_pitfall_depth(lab: &mut Lab) -> Vec<Table> {
+    let depths: &[usize] = if lab.quick() {
+        &[0, 2]
+    } else {
+        &[0, 1, 2, 3, 4, 6]
+    };
     let mut t = Table::new(
         "Fig. 20: avg miss reduction by pitfall-detector depth (paper picks 2)",
         &["depth", "miss reduction", "coverage"],
     );
-    let apps = apps_for(quick);
-    // Stage 1: per-app trace, LRU baseline and profile (profiles do not
-    // depend on the detector depth); stage 2: one task per (depth, app).
-    let prep_tasks: Vec<_> = apps
-        .iter()
-        .map(|&a| (app_key("fig20-prepare", a), a))
-        .collect();
-    let prepared = par_map("fig20 prepare", prep_tasks, move |_key, _seed, a| {
-        let tr = trace_for(a, 0, len);
-        let lru = Frontend::builder(cfg)
-            .policy(uopcache_cache::LruPolicy::new())
-            .build()
-            .run(&tr);
-        let profile = FurbysPipeline::new(cfg).profile(&tr);
-        Arc::new((tr, lru, profile))
-    });
-    let mut tasks = Vec::new();
-    for &d in depths {
-        for (&app, shared) in apps.iter().zip(&prepared) {
-            tasks.push((
-                TaskKey::new(["fig20-sweep", &format!("d{d}"), app.name()]),
-                (d, Arc::clone(shared)),
-            ));
-        }
-    }
-    let cells = par_map(
-        "fig20 pitfall depth",
-        tasks,
-        move |_key, _seed, (d, shared)| {
-            let (tr, lru, profile) = &*shared;
-            let mut p = FurbysPipeline::new(cfg);
-            p.detector_depth = d;
-            let r = p.deploy_and_run(profile, tr);
-            (
-                r.uopc.miss_reduction_vs(&lru.uopc),
-                r.uopc.replacement_coverage() * 100.0,
-            )
-        },
-    );
+    // Every depth deploys the same profile: it does not depend on the
+    // detector.
+    let mut arms = vec![Arm::Online(PolicyId::Lru)];
+    arms.extend(depths.iter().map(|&detector_depth| {
+        Arm::Furbys(Knobs {
+            detector_depth,
+            ..Knobs::paper()
+        })
+    }));
+    let grid = lab.grid(FrontendConfig::zen3(), &arms);
     for (di, &d) in depths.iter().enumerate() {
-        let chunk = &cells[di * apps.len()..(di + 1) * apps.len()];
-        let vals: Vec<f64> = chunk.iter().map(|&(v, _)| v).collect();
-        let covs: Vec<f64> = chunk.iter().map(|&(_, c)| c).collect();
+        let vals: Vec<f64> = (grid.iter())
+            .map(|row| row[di + 1].uopc.miss_reduction_vs(&row[0].uopc))
+            .collect();
+        let covs: Vec<f64> = (grid.iter())
+            .map(|row| row[di + 1].uopc.replacement_coverage() * 100.0)
+            .collect();
         t.row(&[
             format!("{d}"),
             format!("{:.2}%", mean(&vals)),
@@ -193,16 +128,17 @@ pub fn fig20_pitfall_depth(quick: bool) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uopcache_exec::Engine;
 
     #[test]
     fn quick_fig19_has_requested_bit_rows() {
-        let t = &fig19_weight_groups(true)[0];
+        let t = &fig19_weight_groups(&mut Lab::new(true, Engine::new(2)))[0];
         assert_eq!(t.len(), 2);
     }
 
     #[test]
     fn quick_fig16_rows_match_configs() {
-        let t = &fig16_size_assoc(true)[0];
+        let t = &fig16_size_assoc(&mut Lab::new(true, Engine::new(2)))[0];
         assert_eq!(t.len(), 2);
     }
 }

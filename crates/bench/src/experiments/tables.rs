@@ -1,12 +1,12 @@
 //! Table I (simulation parameters) and Table II (applications).
 
-use crate::experiments::{apps_for, len_for};
+use crate::runs::{Lab, TraceKey};
 use crate::table::Table;
 use uopcache_model::FrontendConfig;
-use uopcache_trace::{build_trace, InputVariant, TraceStats};
+use uopcache_trace::TraceStats;
 
 /// Table I: the Zen3-like simulation parameters, paper vs. configured.
-pub fn tab1_parameters(_quick: bool) -> Vec<Table> {
+pub fn tab1_parameters(_lab: &mut Lab) -> Vec<Table> {
     let cfg = FrontendConfig::zen3();
     let mut t = Table::new(
         "Table I: simulation parameters",
@@ -72,7 +72,7 @@ pub fn tab1_parameters(_quick: bool) -> Vec<Table> {
 
 /// Table II: applications, paper branch MPKI vs. the MPKI implied by the
 /// synthetic traces, plus the static footprint pressure.
-pub fn tab2_applications(quick: bool) -> Vec<Table> {
+pub fn tab2_applications(lab: &mut Lab) -> Vec<Table> {
     let mut t = Table::new(
         "Table II: data center applications",
         &[
@@ -84,9 +84,13 @@ pub fn tab2_applications(quick: bool) -> Vec<Table> {
             "reuse>30",
         ],
     );
-    let len = len_for(quick);
-    for app in apps_for(quick) {
-        let trace = build_trace(app, InputVariant::DEFAULT, len);
+    let len = lab.trace_len();
+    for app in lab.apps() {
+        let trace = lab.trace(TraceKey {
+            app,
+            variant: 0,
+            len,
+        });
         let stats = TraceStats::from_trace(&trace, 8);
         t.row(&[
             app.name().to_string(),
@@ -103,10 +107,11 @@ pub fn tab2_applications(quick: bool) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uopcache_exec::Engine;
 
     #[test]
     fn tab1_has_all_structures() {
-        let t = &tab1_parameters(true)[0];
+        let t = &tab1_parameters(&mut Lab::new(true, Engine::new(1)))[0];
         let s = t.render();
         assert!(s.contains("Micro-op cache") && s.contains("512-entry"));
         assert_eq!(t.len(), 5);
@@ -114,7 +119,7 @@ mod tests {
 
     #[test]
     fn tab2_quick_covers_quick_apps() {
-        let t = &tab2_applications(true)[0];
+        let t = &tab2_applications(&mut Lab::new(true, Engine::new(1)))[0];
         assert_eq!(t.len(), 2);
         assert!(t.render().contains("kafka"));
     }

@@ -1,23 +1,13 @@
 //! IPC experiments: Figs. 11 and 12.
 
-use crate::experiments::{apps_for, len_for};
 use crate::policies::PolicyId;
-use crate::runs::{mean, Lab};
+use crate::runs::{mean, Arm, Lab};
 use crate::table::Table;
 use uopcache_model::FrontendConfig;
 
 /// Fig. 11: IPC speedup over LRU (paper: FURBYS 0.47-0.49% on average —
 /// miss reduction translates only partially into IPC).
-pub fn fig11_ipc_speedup(quick: bool) -> Vec<Table> {
-    let mut lab = Lab::with_len(FrontendConfig::zen3(), len_for(quick));
-    let policies = [
-        PolicyId::Srrip,
-        PolicyId::ShipPlusPlus,
-        PolicyId::Mockingjay,
-        PolicyId::Ghrp,
-        PolicyId::Thermometer,
-        PolicyId::Furbys,
-    ];
+pub fn fig11_ipc_speedup(lab: &mut Lab) -> Vec<Table> {
     let mut t = Table::new(
         "Fig. 11: IPC speedup over LRU (%)",
         &[
@@ -30,19 +20,17 @@ pub fn fig11_ipc_speedup(quick: bool) -> Vec<Table> {
             "FURBYS",
         ],
     );
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); policies.len()];
-    let apps = apps_for(quick);
-    lab.prewarm_online(&PolicyId::ONLINE, &apps);
-    for app in apps {
-        let lru = lab.run_online(PolicyId::Lru, app, 0);
-        let mut row = vec![app.name().to_string()];
-        for (i, &p) in policies.iter().enumerate() {
-            let r = lab.run_online(p, app, 0);
-            let s = r.ipc_speedup_vs(&lru);
+    let apps = lab.apps();
+    let grid = lab.grid(FrontendConfig::zen3(), &PolicyId::ONLINE.map(Arm::Online));
+    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); PolicyId::ONLINE.len() - 1];
+    for (app, row) in apps.iter().zip(&grid) {
+        let mut cells = vec![app.name().to_string()];
+        for (i, r) in row[1..].iter().enumerate() {
+            let s = r.ipc_speedup_vs(&row[0]);
             cols[i].push(s);
-            row.push(format!("{s:.3}"));
+            cells.push(format!("{s:.3}"));
         }
-        t.row(&row);
+        t.row(&cells);
     }
     let mut mean_row = vec!["MEAN".to_string()];
     for c in &cols {
@@ -65,11 +53,9 @@ pub fn fig11_ipc_speedup(quick: bool) -> Vec<Table> {
 
 /// Fig. 12: ISO-performance — how much larger an LRU-managed micro-op cache
 /// must be to match FURBYS at 512 entries (paper: 1.5x on average, up to 2x).
-pub fn fig12_iso_performance(quick: bool) -> Vec<Table> {
+pub fn fig12_iso_performance(lab: &mut Lab) -> Vec<Table> {
     let base_cfg = FrontendConfig::zen3();
-    let len = len_for(quick);
     let sizes: &[u32] = &[512, 640, 768, 1024, 1536, 2048];
-    let mut furbys_lab = Lab::with_len(base_cfg, len);
 
     let mut t = Table::new(
         "Fig. 12: LRU missed uops by capacity vs FURBYS@512 (per-app)",
@@ -84,27 +70,20 @@ pub fn fig12_iso_performance(quick: bool) -> Vec<Table> {
         ],
     );
     let mut ratios = Vec::new();
-    let apps = apps_for(quick);
-    furbys_lab.prewarm_online(&[PolicyId::Furbys], &apps);
-    let mut labs: Vec<(u32, Lab)> = sizes
-        .iter()
+    let apps = lab.apps();
+    let furbys = lab.grid(base_cfg, &[Arm::Online(PolicyId::Furbys)]);
+    let lru: Vec<Vec<_>> = (sizes.iter())
         .map(|&s| {
             let mut cfg = base_cfg;
             cfg.uop_cache = cfg.uop_cache.with_entries(s);
-            let mut lab = Lab::with_len(cfg, len);
-            lab.prewarm_online(&[PolicyId::Lru], &apps);
-            (s, lab)
+            lab.grid(cfg, &[Arm::Online(PolicyId::Lru)])
         })
         .collect();
-    for app in apps {
-        let furbys = furbys_lab
-            .run_online(PolicyId::Furbys, app, 0)
-            .uopc
-            .uops_missed;
-        let mut by_size = Vec::new();
-        for (s, lab) in labs.iter_mut() {
-            by_size.push((*s, lab.run_online(PolicyId::Lru, app, 0).uopc.uops_missed));
-        }
+    for (a, app) in apps.iter().enumerate() {
+        let furbys = furbys[a][0].uopc.uops_missed;
+        let by_size: Vec<(u32, u64)> = (sizes.iter().zip(&lru))
+            .map(|(&s, grid)| (s, grid[a][0].uopc.uops_missed))
+            .collect();
         // First LRU capacity whose misses drop to (or below) FURBYS's.
         let iso = by_size
             .iter()
@@ -144,7 +123,7 @@ mod tests {
 
     #[test]
     fn quick_fig12_reports_ratio() {
-        let tables = fig12_iso_performance(true);
+        let tables = fig12_iso_performance(&mut Lab::new(true, uopcache_exec::Engine::new(2)));
         assert!(tables[1].render().contains("ISO"));
     }
 }

@@ -1,21 +1,22 @@
 //! # uopcache-bench
 //!
 //! The experiment harness that regenerates every table and figure of the
-//! paper's evaluation. One `harness = false` bench target runs them all (so
-//! `cargo bench` reproduces the whole evaluation), or only the ids given
-//! after `--`: `cargo bench -p uopcache-bench --bench experiments -- fig08`.
+//! paper's evaluation: the `reproduce-all` binary renders them all into
+//! `EXPERIMENTS.md`, and the CLI's `uopcache experiment ID` prints one.
 //! Every experiment is built on the shared machinery here:
 //!
-//! * [`apps`] — the standard application set, trace lengths and cached trace
+//! * [`apps`] — the standard application set, trace lengths and trace
 //!   construction;
 //! * [`policies`] — a name-indexed factory over every online policy;
-//! * [`runs`] — memoised per-(app, policy, config) simulation runs;
+//! * [`runs`] — the lab: one content-keyed memo of traces, FOO/FLACK
+//!   solutions and simulated cells per run;
 //! * [`sweep`] — the parallel sweep layer over the `uopcache-exec` engine:
 //!   process-wide `--jobs` knob, canonical task keying, deterministic
-//!   `(app × policy)` sweeps with canonical JSON reports;
+//!   `(app × policy)` sweeps with canonical JSON reports, and the one cell
+//!   simulation path the lab shares;
 //! * [`table`] — paper-vs-measured table rendering;
-//! * [`experiments`] — one function per table/figure, returning structured
-//!   results the `reproduce-all` binary serialises into `EXPERIMENTS.md`.
+//! * [`experiments`] — one function per table/figure, reading a lab and
+//!   returning the tables [`experiments::reproduce`] renders.
 
 pub mod apps;
 pub mod experiments;

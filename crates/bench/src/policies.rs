@@ -250,8 +250,9 @@ impl PolicyRegistry {
     }
 }
 
-/// Profile inputs needed by the profile-guided policies.
-#[derive(Clone)]
+/// Profile inputs needed by the profile-guided policies. The default is
+/// empty: what the other policies, which read none, are built from.
+#[derive(Clone, Default)]
 pub struct ProfileInputs {
     /// Per-start PW-granularity LRU hit rates (Thermometer's profile — a
     /// straight BTB-style port, blind to micro-op costs).

@@ -14,7 +14,9 @@ use crate::apps::trace_for_scaled;
 use crate::policies::{PolicyId, ProfileInputs};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
+use uopcache_cache::PwReplacementPolicy;
 use uopcache_exec::{Engine, TaskFailure, TaskKey, TaskProfile};
 use uopcache_model::json::Json;
 use uopcache_model::{
@@ -71,29 +73,6 @@ pub fn engine() -> Engine {
 /// e.g. `uopc4096x8`.
 pub fn config_label(cfg: &FrontendConfig) -> String {
     format!("uopc{}x{}", cfg.uop_cache.entries, cfg.uop_cache.ways)
-}
-
-/// Runs keyed tasks through the process-wide engine and unwraps every value
-/// in submission order — the drop-in replacement for an experiment driver's
-/// serial `for` loop.
-///
-/// # Panics
-///
-/// Panics with the full list of structured failures if any task panicked
-/// (experiment tables cannot be rendered from partial results).
-pub fn par_map<I, R, F>(context: &str, tasks: Vec<(TaskKey, I)>, f: F) -> Vec<R>
-where
-    I: Send,
-    R: Send,
-    F: Fn(&TaskKey, u64, I) -> R + Sync,
-{
-    engine().run(tasks, f).expect_all(context)
-}
-
-/// A task key for one per-app stage of an experiment, e.g.
-/// `fig10-offline/kafka`.
-pub fn app_key(stage: &str, app: AppId) -> TaskKey {
-    TaskKey::new([stage, app.name()])
 }
 
 /// The most accesses per app (`len × scale`) that [`SweepSpec::from_json`]
@@ -586,12 +565,13 @@ fn round6(x: f64) -> f64 {
 /// Runs an `(app × policy)` sweep through `engine`, in two stages:
 ///
 /// 1. one task per app prepares the trace, the sampling plan of a `--sample`
-///    sweep and the profile inputs (all pure functions of the spec and app);
-/// 2. one task per cell [`Segment`] simulates, seeding any randomized policy
-///    from the **cell** key. A full cell is one whole-trace segment keyed by
-///    the cell key itself; a sampled cell is one segment per sample point and
-///    probe, keyed as children of the cell key (`…/LRU/pt0.1`,
-///    `…/LRU/probe0`).
+///    sweep, the profile inputs and the branch stream of each segment (all
+///    pure functions of the spec and app);
+/// 2. [`simulate`] runs one task per cell [`Segment`], seeding any
+///    randomized policy from the **cell** key. A full cell is one
+///    whole-trace segment keyed by the cell key itself; a sampled cell is
+///    one segment per sample point and probe, keyed as children of the cell
+///    key (`…/LRU/pt0.1`, `…/LRU/probe0`).
 ///
 /// Each cell then merges its segments (see [`merge_cell`]). A panicking
 /// segment becomes one structured [`SweepReport::failures`] entry for its
@@ -602,22 +582,128 @@ fn round6(x: f64) -> f64 {
 /// Panics only if a *preparation* task fails (no cell of that app could be
 /// simulated).
 pub fn run_sweep(spec: &SweepSpec, engine: &Engine) -> SweepReport {
-    sweep_with(spec, engine, SimOptions::default(), |_, _| false).0
+    let cfg = spec.cfg;
+    let prep_tasks = (spec.apps.iter()).map(|&a| (spec.task_key(a, "prepare"), a));
+    let prepared: Vec<(AppId, Prep, ProfileInputs)> = engine
+        .run(prep_tasks.collect(), |_key, seed, app| {
+            let trace = trace_for_scaled(app, spec.variant, spec.len, spec.scale);
+            let plan = (spec.sample)
+                .map(|interval| SamplePlan::build(&trace, &SampleConfig::new(interval, seed)));
+            // Sampled apps train profile-guided policies on the sample points
+            // only, keeping preparation O(k · interval) instead of O(trace).
+            let train = plan.as_ref().map(|plan| plan.representative_trace(&trace));
+            let profiles = ProfileInputs::build(&cfg, train.as_ref().unwrap_or(&trace));
+            (app, Prep::new(&cfg, Arc::new(trace), plan), profiles)
+        })
+        .expect_all("sweep preparation");
+
+    let mut runs = Vec::new();
+    let mut names = Vec::new();
+    for (app, prep, profiles) in &prepared {
+        for policy in &spec.policies {
+            runs.push(CellRun {
+                key: spec.task_key(*app, policy),
+                cfg,
+                opts: SimOptions::default(),
+                prep,
+                policy: Box::new(move |seed| {
+                    let id = policy.parse::<PolicyId>().unwrap_or_else(|e| panic!("{e}"));
+                    id.build(&cfg, profiles, seed)
+                }),
+            });
+            names.push((*app, policy));
+        }
+    }
+    let (merged, mut profiles, elapsed) = simulate(engine, &runs, spec.metrics);
+    let mut cells = Vec::new();
+    let mut failures = Vec::new();
+    for ((run, (app, policy)), cell) in runs.iter().zip(names).zip(merged) {
+        match cell {
+            Ok((result, obs, sampled)) => cells.push(SweepCell {
+                key: run.key.clone(),
+                seed: run.key.seed(),
+                app,
+                policy: policy.clone(),
+                result,
+                trace_uops: run.prep.trace.total_uops(),
+                obs,
+                sampled,
+            }),
+            Err(failure) => failures.push(failure),
+        }
+    }
+    // Merge by key, never by completion or submission order.
+    cells.sort_by(|a, b| a.key.cmp(&b.key));
+    failures.sort_by(|a, b| a.key.cmp(&b.key));
+    profiles.sort_by(|a, b| a.key.cmp(&b.key));
+    let branch_streams = prepared.iter().map(|(_, p, _)| p.segments.len()).sum();
+    SweepReport {
+        spec: spec.clone(),
+        cells,
+        failures,
+        profiles,
+        elapsed,
+        branch_streams,
+    }
 }
 
-/// One prepared app: the (possibly scaled) trace, its sampling plan on a
-/// `--sample` sweep, the profile inputs its policies train on, and the
-/// segments every cell of the app simulates, each with its branch stream.
+/// One prepared trace: the trace, its sampling plan on a `--sample` sweep,
+/// and the segments every cell over it simulates, each with its branch
+/// stream.
 pub(crate) struct Prep {
-    pub(crate) trace: LookupTrace,
+    trace: Arc<LookupTrace>,
     plan: Option<SamplePlan>,
-    pub(crate) profiles: ProfileInputs,
     /// The cell segments in submission order. The branch side of a segment
     /// (BTB, misprediction penalty, backend absorption) does not depend on
     /// the policy, so its stream is simulated once here and shared by
     /// every policy's task.
     segments: Vec<(Segment, BranchStream)>,
 }
+
+impl Prep {
+    /// Cuts `trace` into the segments of `plan` (one whole-trace segment
+    /// without a plan) and simulates each segment's branch stream under
+    /// `cfg`.
+    pub(crate) fn new(
+        cfg: &FrontendConfig,
+        trace: Arc<LookupTrace>,
+        plan: Option<SamplePlan>,
+    ) -> Prep {
+        let segments = Segment::all(plan.as_ref())
+            .into_iter()
+            .map(|s| {
+                let (warmup, measure) = s.ranges(&trace, plan.as_ref());
+                (s, interval_stream(cfg, &trace, warmup, measure))
+            })
+            .collect();
+        Prep {
+            trace,
+            plan,
+            segments,
+        }
+    }
+}
+
+/// Builds a cell's policy from the cell seed.
+pub(crate) type PolicyFactory<'a> = Box<dyn Fn(u64) -> Box<dyn PwReplacementPolicy> + Sync + 'a>;
+
+/// One cell to simulate: its key (which seeds the policy), configuration,
+/// simulation options of a whole-trace segment, prepared trace and policy.
+pub(crate) struct CellRun<'a> {
+    pub(crate) key: TaskKey,
+    pub(crate) cfg: FrontendConfig,
+    pub(crate) opts: SimOptions,
+    pub(crate) prep: &'a Prep,
+    pub(crate) policy: PolicyFactory<'a>,
+}
+
+/// What one cell merges to: its result, its `--metrics` observability and
+/// its sampling metadata.
+pub(crate) type Merged = (SimResult, Option<CellObs>, Option<SampledCell>);
+
+/// What each cell merges to, or the cell's one failure; per-task
+/// profiles; and the wall time of the simulation stage.
+type Simulated = (Vec<Result<Merged, TaskFailure>>, Vec<TaskProfile>, Duration);
 
 /// What one simulation task of a cell runs.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -680,123 +766,53 @@ impl Segment {
 /// is a whole-trace segment.
 type SegmentRun = (Segment, SimResult, Option<CellObs>);
 
-/// [`run_sweep`] with the simulation options of whole-trace segments and a
-/// cell filter: cells for which `skip(app, policy)` holds are neither
-/// simulated nor reported. Also hands back the prepared apps.
-pub(crate) fn sweep_with(
-    spec: &SweepSpec,
-    engine: &Engine,
-    opts: SimOptions,
-    skip: impl Fn(AppId, &str) -> bool,
-) -> (SweepReport, Vec<(AppId, Prep)>) {
-    let cfg = spec.cfg;
-    let prep_tasks = (spec.apps.iter()).map(|&a| (spec.task_key(a, "prepare"), a));
-    let prepared: Vec<(AppId, Prep)> = engine
-        .run(prep_tasks.collect(), |_key, seed, app| {
-            let trace = trace_for_scaled(app, spec.variant, spec.len, spec.scale);
-            let plan = (spec.sample)
-                .map(|interval| SamplePlan::build(&trace, &SampleConfig::new(interval, seed)));
-            // Sampled apps train profile-guided policies on the sample points
-            // only, keeping preparation O(k · interval) instead of O(trace).
-            let train = plan.as_ref().map(|plan| plan.representative_trace(&trace));
-            let profiles = ProfileInputs::build(&cfg, train.as_ref().unwrap_or(&trace));
-            let segments = Segment::all(plan.as_ref())
-                .into_iter()
-                .map(|s| {
-                    let (warmup, measure) = s.ranges(&trace, plan.as_ref());
-                    (s, interval_stream(&cfg, &trace, warmup, measure))
-                })
-                .collect();
-            (
-                app,
-                Prep {
-                    trace,
-                    plan,
-                    profiles,
-                    segments,
-                },
-            )
+/// Simulates every segment of every cell on `engine`, seeding each policy
+/// from its cell key, and merges each cell's segments (see [`merge_cell`]).
+/// Whole-trace segments run `run_stream` on the prepared branch stream with
+/// the cell's options and, when `metrics` is set, a sampling recorder.
+/// Cells come back in submission order; a failing segment fails its cell
+/// alone.
+pub(crate) fn simulate(engine: &Engine, runs: &[CellRun<'_>], metrics: bool) -> Simulated {
+    let tasks = (runs.iter())
+        .flat_map(|run| {
+            (run.prep.segments.iter()).map(move |(s, branch)| (s.key(&run.key), (run, *s, branch)))
         })
-        .expect_all("sweep preparation");
-
-    let mut cells = Vec::new();
-    let mut tasks = Vec::new();
-    for (app, prep) in &prepared {
-        for policy in spec.policies.iter().filter(|p| !skip(*app, p)) {
-            let key = spec.task_key(*app, policy);
-            tasks.extend(
-                (prep.segments.iter())
-                    .map(|(s, branch)| (s.key(&key), (prep, policy, *s, branch, key.seed()))),
-            );
-            cells.push((*app, policy, key, prep, prep.segments.len()));
+        .collect();
+    let outcome = engine.run(tasks, |_key, _seed, (run, segment, branch)| {
+        let (cfg, prep, seed) = (run.cfg, run.prep, run.key.seed());
+        let policy = (run.policy)(seed);
+        let (warmup, measure) = segment.ranges(&prep.trace, prep.plan.as_ref());
+        if segment != Segment::Whole {
+            let result = simulate_interval_with(&cfg, policy, &prep.trace, warmup, measure, branch);
+            return (segment, result, None);
         }
-    }
-    let outcome = engine.run(
-        tasks,
-        |_key, _seed, (prep, policy, segment, branch, seed)| {
-            let id = policy.parse::<PolicyId>().unwrap_or_else(|e| panic!("{e}"));
-            let policy = id.build(&cfg, &prep.profiles, seed);
-            let (warmup, measure) = segment.ranges(&prep.trace, prep.plan.as_ref());
-            if segment != Segment::Whole {
-                let result =
-                    simulate_interval_with(&cfg, policy, &prep.trace, warmup, measure, branch);
-                return (segment, result, None);
-            }
-            let mut builder = Frontend::builder(cfg).policy(policy).options(opts);
-            if spec.metrics {
-                builder = builder.recorder(MetricsRecorder::new(Box::new(SamplingRecorder::new(
-                    seed,
-                    SAMPLE_EVERY,
-                ))));
-            }
-            let mut frontend = builder.build();
-            let result = frontend.run_stream(prep.trace.accesses(), branch.slice(measure));
-            let obs = frontend.take_recorder().map(|r| CellObs {
-                events: r.events(),
-                metrics: r.metrics().cloned().unwrap_or_default(),
-            });
-            (segment, result, obs)
-        },
-    );
+        let mut builder = Frontend::builder(cfg).policy(policy).options(run.opts);
+        if metrics {
+            builder = builder.recorder(MetricsRecorder::new(Box::new(SamplingRecorder::new(
+                seed,
+                SAMPLE_EVERY,
+            ))));
+        }
+        let mut frontend = builder.build();
+        let result = frontend.run_stream(prep.trace.accesses(), branch.slice(measure));
+        let obs = frontend.take_recorder().map(|r| CellObs {
+            events: r.events(),
+            metrics: r.metrics().cloned().unwrap_or_default(),
+        });
+        (segment, result, obs)
+    });
 
     // The engine returns outcomes in submission order, so each cell drains
     // exactly its own segments.
     let mut outcomes = outcome.outcomes.into_iter();
-    let mut merged = Vec::new();
-    let mut failures = Vec::new();
-    for (app, policy, key, prep, segments) in cells {
-        let runs = outcomes.by_ref().take(segments).map(|o| o.result).collect();
-        match merge_cell(prep.plan.as_ref(), &key, runs) {
-            Ok((result, obs, sampled)) => merged.push(SweepCell {
-                seed: key.seed(),
-                key,
-                app,
-                policy: policy.clone(),
-                result,
-                trace_uops: prep.trace.total_uops(),
-                obs,
-                sampled,
-            }),
-            Err(failure) => failures.push(failure),
-        }
-    }
-    // Merge by key, never by completion or submission order.
-    merged.sort_by(|a, b| a.key.cmp(&b.key));
-    failures.sort_by(|a, b| a.key.cmp(&b.key));
-    let mut profiles = outcome.profiles;
-    profiles.sort_by(|a, b| a.key.cmp(&b.key));
-    let (cells, elapsed) = (merged, outcome.elapsed);
-    let spec = spec.clone();
-    let branch_streams = prepared.iter().map(|(_, p)| p.segments.len()).sum();
-    let report = SweepReport {
-        spec,
-        cells,
-        failures,
-        profiles,
-        elapsed,
-        branch_streams,
-    };
-    (report, prepared)
+    let merged = (runs.iter())
+        .map(|run| {
+            let segments = run.prep.segments.len();
+            let segment_runs = outcomes.by_ref().take(segments).map(|o| o.result).collect();
+            merge_cell(run.prep.plan.as_ref(), &run.key, segment_runs)
+        })
+        .collect();
+    (merged, outcome.profiles, outcome.elapsed)
 }
 
 /// Folds one cell's segment outcomes, in submission order, into its result,
@@ -808,7 +824,7 @@ fn merge_cell(
     plan: Option<&SamplePlan>,
     key: &TaskKey,
     runs: Vec<Result<SegmentRun, String>>,
-) -> Result<(SimResult, Option<CellObs>, Option<SampledCell>), TaskFailure> {
+) -> Result<Merged, TaskFailure> {
     let runs = runs
         .into_iter()
         .collect::<Result<Vec<_>, _>>()

@@ -871,7 +871,8 @@ fn cmd_experiment(args: &Args) -> Result<(), Box<dyn Error>> {
     let exp = uopcache_bench::experiments::by_id(id)
         .ok_or_else(|| ArgError(format!("unknown experiment {id:?}")))?;
     println!("{} — {}\n", exp.id, exp.caption);
-    for table in (exp.run)(args.has("quick")) {
+    let mut lab = uopcache_bench::runs::Lab::new(args.has("quick"), sweep::engine());
+    for table in (exp.run)(&mut lab) {
         table.print();
     }
     Ok(())

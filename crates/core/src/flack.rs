@@ -29,7 +29,7 @@ use uopcache_offline::replay::{self, EvictionTiming};
 /// let foo_only = Flack::ablation(false, false, false).run(&trace, &UopCacheConfig::zen3());
 /// assert!(outcome.stats.uops_missed <= foo_only.stats.uops_missed);
 /// ```
-#[derive(Copy, Clone, Eq, PartialEq, Debug)]
+#[derive(Copy, Clone, Eq, PartialEq, Hash, Debug)]
 pub struct Flack {
     /// Lazy (insertion-time) eviction for asynchronous lookup/insertion.
     pub asynchrony: bool,

@@ -43,10 +43,20 @@ impl OracleKind {
             OracleKind::Foo => "FOO",
         }
     }
+
+    /// The FOO/FLACK variant whose solution this oracle replays, or `None`
+    /// for Belady, which needs no flow solve.
+    pub fn flack(self) -> Option<Flack> {
+        match self {
+            OracleKind::Flack => Some(Flack::new()),
+            OracleKind::Foo => Some(Flack::ablation(false, false, false)),
+            OracleKind::Belady => None,
+        }
+    }
 }
 
 /// A computed profile: hit rates and the hints derived from them.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Profile {
     /// Per-start micro-op-weighted hit rates under the oracle's decisions.
     pub hit_rates: FastHashMap<Addr, f64>,
@@ -111,7 +121,14 @@ impl FurbysPipeline {
         for trace in traces {
             all_obs.extend(self.observations(trace));
         }
-        let hit_rates = hit_rates_from_observations(all_obs);
+        self.profile_observed(all_obs)
+    }
+
+    /// Step 6 on observations already collected (steps 3-5, as
+    /// [`oracle_observations`](Self::oracle_observations) collects them):
+    /// groups the hit rates they imply into weight classes.
+    pub fn profile_observed(&self, observations: Vec<(Addr, u32, u32)>) -> Profile {
+        let hit_rates = hit_rates_from_observations(observations);
         let hints = compute_weights(&hit_rates, &self.frontend_cfg.uop_cache, &self.weight_cfg);
         Profile { hit_rates, hints }
     }
@@ -125,18 +142,12 @@ impl FurbysPipeline {
 
     fn observations(&self, trace: &LookupTrace) -> Vec<(Addr, u32, u32)> {
         let cfg = &self.frontend_cfg.uop_cache;
-        match self.oracle {
-            OracleKind::Flack => {
-                let flack = Flack::new();
+        match self.oracle.flack() {
+            Some(flack) => {
                 let sol = uopcache_offline::foo::solve(trace, cfg, &flack.foo_config());
                 uopcache_offline::replay::replay_observed(trace, cfg, &sol, flack.timing()).1
             }
-            OracleKind::Foo => {
-                let raw_foo = Flack::ablation(false, false, false);
-                let sol = uopcache_offline::foo::solve(trace, cfg, &raw_foo.foo_config());
-                uopcache_offline::replay::replay_observed(trace, cfg, &sol, raw_foo.timing()).1
-            }
-            OracleKind::Belady => {
+            None => {
                 let mut cache = UopCache::new(*cfg, Box::new(BeladyPolicy::from_trace(trace)));
                 uopcache_policies::run_trace_observed(&mut cache, trace).1
             }

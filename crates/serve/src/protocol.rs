@@ -283,7 +283,7 @@ pub fn read_frame<R: Read>(mut r: R, stall_limit: Duration) -> Result<Option<Jso
     // The buffer grows with the bytes that arrive, at most `BODY_RESERVE`
     // ahead of them, so a prefix that claims 64 MB and sends 10 bytes holds
     // kilobytes, not the claim.
-    let mut body = Vec::new();
+    let mut body = Vec::with_capacity(len.min(BODY_RESERVE));
     let mut filled = 0usize;
     while filled < len {
         let end = len.min(filled + BODY_RESERVE);

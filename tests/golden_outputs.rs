@@ -17,6 +17,8 @@ use std::path::PathBuf;
 use uopcache::exec::Engine;
 use uopcache::model::FrontendConfig;
 use uopcache::trace::AppId;
+use uopcache_bench::experiments::reproduce;
+use uopcache_bench::runs::Lab;
 use uopcache_bench::sweep::{run_sweep, SweepSpec, SCHEMA_VERSION};
 
 fn golden_path(name: &str) -> PathBuf {
@@ -168,8 +170,29 @@ fn golden_sampled_zen3() {
 
 #[test]
 fn golden_experiments_quick() {
-    // Every table and figure in quick mode (2 apps, 8 000-access traces).
-    let run = uopcache_bench::experiments::reproduce(true);
+    // Every table and figure in quick mode (2 apps, 8 000-access traces),
+    // all read from one lab.
+    let mut lab = Lab::new(true, Engine::new(4));
+    let run = reproduce(&mut lab);
     assert!(run.failures.is_empty(), "{:?}", run.failures);
     check_text("experiments_quick.md", &run.markdown);
+
+    // Each distinct trace and solve is computed once: 2 apps x 3 input
+    // variants, Clang for Fig. 13 and Fig. 22's longer Kafka trace.
+    let work = lab.work();
+    assert_eq!(work.traces, 8, "{work:?}");
+    assert_eq!(work.solves, 18, "{work:?}");
+    assert_eq!(
+        work.solves, work.solve_keys,
+        "a key was solved twice: {work:?}"
+    );
+    // A second pass is answered from the memo.
+    let again = reproduce(&mut lab);
+    assert_eq!(again.markdown, run.markdown);
+    let more = lab.work();
+    assert_eq!(
+        (more.traces, more.solves, more.cells),
+        (work.traces, work.solves, work.cells),
+        "a second pass recomputed work"
+    );
 }
