@@ -13,11 +13,12 @@ pub mod sensitivity;
 pub mod tables;
 pub mod timing;
 
-use crate::runs::Lab;
+use crate::runs::{mean, Lab};
 use crate::table::Table;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
+use uopcache_model::SimResult;
 
 /// An experiment entry: id, paper caption, and the function that runs it.
 pub struct Experiment {
@@ -284,6 +285,48 @@ through the full timed frontend.\n\
 depth 2 best. Its replacement coverage at depth 2 (95.0 %) is close to \
 the paper's 88.68 %, but the synthetic phase structure produces less of \
 the `{A, I}^n` thrash the detector exists to break.\n\n";
+
+/// A table of one row per app of the lab, holding that app's `rows` entry
+/// (one value per column after `app`, printed with `digits` decimals), and a
+/// MEAN row. Returns the column means too.
+fn per_app_table(
+    lab: &Lab,
+    title: &str,
+    header: &[&str],
+    rows: &[Vec<f64>],
+    digits: usize,
+) -> (Table, Vec<f64>) {
+    let mut t = Table::new(title, header);
+    for (app, row) in lab.apps().iter().zip(rows) {
+        let mut cells = vec![app.name().to_string()];
+        cells.extend(row.iter().map(|v| format!("{v:.digits$}")));
+        t.row(&cells);
+    }
+    let means: Vec<f64> = (0..header.len() - 1)
+        .map(|i| mean(&column(rows, i)))
+        .collect();
+    let mut mean_row = vec!["MEAN".to_string()];
+    mean_row.extend(means.iter().map(|m| format!("{m:.digits$}")));
+    t.row(&mean_row);
+    (t, means)
+}
+
+/// Entry `i` of every row.
+fn column(rows: &[Vec<f64>], i: usize) -> Vec<f64> {
+    rows.iter().map(|r| r[i]).collect()
+}
+
+/// Per row of a lab grid: the miss reduction of every result after the
+/// first against the first.
+fn reductions_vs_first(grid: &[Vec<SimResult>]) -> Vec<Vec<f64>> {
+    (grid.iter())
+        .map(|row| {
+            (row[1..].iter())
+                .map(|r| r.uopc.miss_reduction_vs(&row[0].uopc))
+                .collect()
+        })
+        .collect()
+}
 
 #[cfg(test)]
 mod tests {

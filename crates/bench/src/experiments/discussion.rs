@@ -1,6 +1,7 @@
 //! Discussion-section studies: the non-inclusive micro-op cache (§VII) and
 //! the FURBYS hardware overhead arithmetic (§VI).
 
+use super::reductions_vs_first;
 use crate::policies::PolicyId;
 use crate::runs::{mean, Arm, Lab};
 use crate::table::Table;
@@ -112,13 +113,8 @@ pub fn ext1_phased_furbys(lab: &mut Lab) -> Vec<Table> {
             Arm::Phased(segments),
         ],
     );
-    let per_app = grid.iter().map(|row| {
-        (
-            row[1].uopc.miss_reduction_vs(&row[0].uopc),
-            row[2].uopc.miss_reduction_vs(&row[0].uopc),
-        )
-    });
-    for (&app, (f, p)) in apps.iter().zip(per_app) {
+    for (&app, reds) in apps.iter().zip(reductions_vs_first(&grid)) {
+        let (f, p) = (reds[0], reds[1]);
         flat_all.push(f);
         phased_all.push(p);
         t.row(&[
@@ -135,25 +131,4 @@ pub fn ext1_phased_furbys(lab: &mut Lab) -> Vec<Table> {
         format!("{:+.2}", mean(&phased_all) - mean(&flat_all)),
     ]);
     vec![t]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use uopcache_exec::Engine;
-
-    #[test]
-    fn quick_ext1_produces_both_columns() {
-        let t = &ext1_phased_furbys(&mut Lab::new(true, Engine::new(2)))[0];
-        assert!(t.render().contains("FURBYS-phased"));
-    }
-
-    #[test]
-    fn overhead_matches_paper_arithmetic() {
-        let t = &sec6_hw_overhead(&mut Lab::new(true, Engine::new(1)))[0];
-        let s = t.render();
-        assert!(s.contains("46"), "{s}");
-        assert!(s.contains("4608"), "{s}");
-        assert!(s.contains("1.00%"), "{s}");
-    }
 }

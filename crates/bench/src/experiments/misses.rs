@@ -1,6 +1,7 @@
 //! Miss-rate experiments: §III-B, Figs. 5, 8, 10, 15, 18, 21, 22 and the
 //! §VI-C coverage study.
 
+use super::{per_app_table, reductions_vs_first};
 use crate::policies::PolicyId;
 use crate::runs::{mean, Arm, Cell, Knobs, Lab, TraceKey};
 use crate::table::Table;
@@ -44,9 +45,6 @@ pub fn sec3b_miss_classes(lab: &mut Lab) -> Vec<Table> {
         "SIII-B: LRU miss classes (paper: cold 0.89%, capacity 88.31%, conflict 10.8%)",
         &["app", "cold%", "capacity%", "conflict%"],
     );
-    let mut cold = Vec::new();
-    let mut cap = Vec::new();
-    let mut conf = Vec::new();
     let red = |o: u64, b: u64| {
         if b == 0 {
             0.0
@@ -54,16 +52,13 @@ pub fn sec3b_miss_classes(lab: &mut Lab) -> Vec<Table> {
             (1.0 - o as f64 / b as f64) * 100.0
         }
     };
+    let (mut cold, mut cap, mut conf) = (Vec::new(), Vec::new(), Vec::new());
     let (mut cap_red, mut conf_red, mut tot_red) = (Vec::new(), Vec::new(), Vec::new());
-    for row in results.chunks(arms.len()) {
-        let (opt, base) = (row[1].uopc, row[2].uopc);
+    for (&app, row) in apps.iter().zip(results.chunks(arms.len())) {
+        let (lru, opt, base) = (row[0].uopc, row[1].uopc, row[2].uopc);
         cap_red.push(red(opt.capacity_miss_uops, base.capacity_miss_uops));
         conf_red.push(red(opt.conflict_miss_uops, base.conflict_miss_uops));
         tot_red.push(red(opt.uops_missed, base.uops_missed));
-    }
-
-    for (&app, row) in apps.iter().zip(results.chunks(arms.len())) {
-        let lru = row[0].uopc;
         let total = lru.uops_missed.max(1) as f64;
         cold.push(lru.cold_miss_uops as f64 / total * 100.0);
         cap.push(lru.capacity_miss_uops as f64 / total * 100.0);
@@ -126,34 +121,11 @@ fn reductions(lab: &mut Lab, policies: &[PolicyId]) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// A table of per-app `rows` (one value per column after `app`) and their
-/// column means.
-fn reduction_table(
-    lab: &Lab,
-    title: &str,
-    header: &[&str],
-    rows: &[Vec<f64>],
-) -> (Table, Vec<f64>) {
-    let mut t = Table::new(title, header);
-    for (app, row) in lab.apps().iter().zip(rows) {
-        let mut cells = vec![app.name().to_string()];
-        cells.extend(row.iter().map(|v| format!("{v:.2}")));
-        t.row(&cells);
-    }
-    let means: Vec<f64> = (0..header.len() - 1)
-        .map(|i| mean(&rows.iter().map(|r| r[i]).collect::<Vec<_>>()))
-        .collect();
-    let mut mean_row = vec!["MEAN".to_string()];
-    mean_row.extend(means.iter().map(|m| format!("{m:.2}")));
-    t.row(&mean_row);
-    (t, means)
-}
-
 /// Fig. 5: existing online policies achieve only a fraction of FLACK's miss
 /// reduction (paper: GHRP, the best, reaches 31.52% of FLACK).
 pub fn fig05_existing_policies(lab: &mut Lab) -> Vec<Table> {
     let rows = reductions(lab, &EXISTING);
-    let (t, means) = reduction_table(
+    let (t, means) = per_app_table(
         lab,
         "Fig. 5: miss reduction over LRU (existing policies vs offline FLACK)",
         &[
@@ -166,6 +138,7 @@ pub fn fig05_existing_policies(lab: &mut Lab) -> Vec<Table> {
             "FLACK",
         ],
         &rows,
+        2,
     );
     let mut t2 = Table::new("Fig. 5 summary", &["metric", "paper", "measured"]);
     let best = means[..EXISTING.len()]
@@ -186,7 +159,7 @@ pub fn fig08_furbys_miss_reduction(lab: &mut Lab) -> Vec<Table> {
     let mut policies = EXISTING.to_vec();
     policies.push(PolicyId::Furbys);
     let rows = reductions(lab, &policies);
-    let (t, means) = reduction_table(
+    let (t, means) = per_app_table(
         lab,
         "Fig. 8: miss reduction over LRU",
         &[
@@ -200,6 +173,7 @@ pub fn fig08_furbys_miss_reduction(lab: &mut Lab) -> Vec<Table> {
             "FLACK",
         ],
         &rows,
+        2,
     );
     let (furbys, flack) = (means[5], means[6]);
     let best_existing = means[..5].iter().copied().fold(f64::MIN, f64::max);
@@ -238,19 +212,13 @@ pub fn fig10_flack_ablation(lab: &mut Lab) -> Vec<Table> {
     let mut arms = vec![Arm::SyncLru, Arm::Belady];
     arms.extend(variants.map(Arm::Oracle));
     let grid = lab.grid(FrontendConfig::zen3(), &arms);
-    let rows: Vec<Vec<f64>> = (grid.iter())
-        .map(|row| {
-            row[1..]
-                .iter()
-                .map(|r| r.uopc.miss_reduction_vs(&row[0].uopc))
-                .collect()
-        })
-        .collect();
-    let (t, means) = reduction_table(
+    let rows = reductions_vs_first(&grid);
+    let (t, means) = per_app_table(
         lab,
         "Fig. 10: miss reduction over LRU (offline, perfect-icache setting)",
         &["app", "Belady", "FOO", "A", "A+VC", "A+VC+SB (FLACK)"],
         &rows,
+        2,
     );
     let mut t2 = Table::new("Fig. 10 summary", &["metric", "paper", "measured"]);
     t2.row(&[
@@ -284,19 +252,13 @@ pub fn fig15_profile_sources(lab: &mut Lab) -> Vec<Table> {
         }),
     );
     let grid = lab.grid(FrontendConfig::zen3(), &arms);
-    let rows: Vec<Vec<f64>> = (grid.iter())
-        .map(|row| {
-            row[1..]
-                .iter()
-                .map(|r| r.uopc.miss_reduction_vs(&row[0].uopc))
-                .collect()
-        })
-        .collect();
-    let (t, means) = reduction_table(
+    let rows = reductions_vs_first(&grid);
+    let (t, means) = per_app_table(
         lab,
         "Fig. 15: FURBYS miss reduction by profile source",
         &["app", "Belady-profile", "FOO-profile", "FLACK-profile"],
         &rows,
+        2,
     );
     let mut t2 = Table::new("Fig. 15 summary", &["metric", "paper", "measured"]);
     t2.row(&[
@@ -342,13 +304,9 @@ pub fn fig18_cross_validation(lab: &mut Lab) -> Vec<Table> {
         })
         .collect();
     let results = lab.run(&cells);
-    let per_app = results.chunks(arms.len()).map(|row| {
-        (
-            row[1].uopc.miss_reduction_vs(&row[0].uopc),
-            row[2].uopc.miss_reduction_vs(&row[0].uopc),
-        )
-    });
-    for (&app, (same, cross)) in apps.iter().zip(per_app) {
+    let grid: Vec<Vec<_>> = results.chunks(arms.len()).map(<[_]>::to_vec).collect();
+    for (&app, reds) in apps.iter().zip(reductions_vs_first(&grid)) {
+        let (same, cross) = (reds[0], reds[1]);
         same_all.push(same);
         cross_all.push(cross);
         t.row(&[
@@ -411,14 +369,8 @@ pub fn fig21_bypass(lab: &mut Lab) -> Vec<Table> {
             Arm::Furbys(off),
         ],
     );
-    let per_app = grid.iter().map(|row| {
-        (
-            row[2].uopc.miss_reduction_vs(&row[0].uopc),
-            row[1].uopc.miss_reduction_vs(&row[0].uopc),
-            row[1].uopc.bypass_rate() * 100.0,
-        )
-    });
-    for (&app, (off_red, on_red, rate)) in apps.iter().zip(per_app) {
+    for ((&app, row), reds) in apps.iter().zip(&grid).zip(reductions_vs_first(&grid)) {
+        let (on_red, off_red, rate) = (reds[0], reds[1], row[1].uopc.bypass_rate() * 100.0);
         on_all.push(on_red);
         off_all.push(off_red);
         rate_all.push(rate);
@@ -549,39 +501,4 @@ pub fn sec6c_coverage(lab: &mut Lab) -> Vec<Table> {
     }
     t.row(&["MEAN".into(), format!("{:.2}%", mean(&all))]);
     vec![t]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use uopcache_exec::Engine;
-
-    #[test]
-    fn quick_fig10_preserves_monotone_ablation() {
-        let tables = fig10_flack_ablation(&mut Lab::new(true, Engine::new(2)));
-        assert_eq!(tables.len(), 2);
-        // MEAN row: Belady, FOO, A, A+VC, FLACK.
-        let t = &tables[0];
-        let rendered = t.render();
-        let mean_line = rendered.lines().last().unwrap();
-        let nums: Vec<f64> = mean_line
-            .split_whitespace()
-            .skip(1)
-            .map(|s| s.parse().unwrap())
-            .collect();
-        assert!(nums[2] <= nums[4], "A <= FLACK: {nums:?}");
-    }
-
-    #[test]
-    fn quick_fig21_reports_bypass_rate() {
-        let tables = fig21_bypass(&mut Lab::new(true, Engine::new(2)));
-        let s = tables[1].render();
-        assert!(s.contains("insertions bypassed"));
-    }
-
-    #[test]
-    fn quick_fig22_has_six_policies() {
-        let tables = fig22_hotness(&mut Lab::new(true, Engine::new(2)));
-        assert_eq!(tables[0].len(), 6);
-    }
 }

@@ -1,5 +1,6 @@
 //! Energy / performance-per-watt experiments: Figs. 2, 9, 13, 14, 17.
 
+use super::per_app_table;
 use crate::policies::PolicyId;
 use crate::runs::{mean, Arm, Cell, Lab};
 use crate::table::Table;
@@ -11,17 +12,6 @@ use uopcache_power::{ppw_gain_percent, EnergyModel};
 pub fn fig02_perfect_structures(lab: &mut Lab) -> Vec<Table> {
     let base_cfg = FrontendConfig::zen3();
     let model = EnergyModel::zen3_22nm(&base_cfg);
-    let mut t = Table::new(
-        "Fig. 2: PPW gain of perfect structures over the LRU baseline",
-        &[
-            "app",
-            "perfect uop cache",
-            "perfect icache",
-            "perfect BTB",
-            "perfect BP",
-        ],
-    );
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 4];
     let configs: Vec<FrontendConfig> = (0..5)
         .map(|i| {
             let mut cfg = base_cfg;
@@ -42,33 +32,38 @@ pub fn fig02_perfect_structures(lab: &mut Lab) -> Vec<Table> {
         })
         .collect();
     let results = lab.run(&cells);
-    for (app, row) in apps.iter().zip(results.chunks(configs.len())) {
-        let base = &row[0];
-        let mut cells = vec![app.name().to_string()];
-        for (i, perfect) in row[1..].iter().enumerate() {
-            let gain = ppw_gain_percent(&model, perfect, base);
-            cols[i].push(gain);
-            cells.push(format!("{gain:.2}"));
-        }
-        t.row(&cells);
-    }
-    let mut mean_row = vec!["MEAN".to_string()];
-    for c in &cols {
-        mean_row.push(format!("{:.2}", mean(c)));
-    }
-    t.row(&mean_row);
+    let rows: Vec<Vec<f64>> = (results.chunks(configs.len()))
+        .map(|row| {
+            (row[1..].iter())
+                .map(|p| ppw_gain_percent(&model, p, &row[0]))
+                .collect()
+        })
+        .collect();
+    let (t, means) = per_app_table(
+        lab,
+        "Fig. 2: PPW gain of perfect structures over the LRU baseline",
+        &[
+            "app",
+            "perfect uop cache",
+            "perfect icache",
+            "perfect BTB",
+            "perfect BP",
+        ],
+        &rows,
+        2,
+    );
     let mut t2 = Table::new("Fig. 2 summary", &["metric", "paper", "measured"]);
     t2.row(&[
         "perfect uop cache PPW gain".into(),
         "7.41% (largest of all structures)".into(),
-        format!("{:.2}%", mean(&cols[0])),
+        format!("{:.2}%", means[0]),
     ]);
     t2.row(&[
         "uop cache is the largest lever".into(),
         "yes".into(),
         format!(
             "{}",
-            cols.iter().map(|c| mean(c)).fold(f64::MIN, f64::max) <= mean(&cols[0]) + 1e-9
+            means.iter().copied().fold(f64::MIN, f64::max) <= means[0] + 1e-9
         ),
     ]);
     vec![t, t2]
@@ -97,7 +92,16 @@ pub fn fig17_zen4_ppw(lab: &mut Lab) -> Vec<Table> {
 
 fn ppw_table(lab: &mut Lab, cfg: FrontendConfig, title: &str, paper_furbys: &str) -> Vec<Table> {
     let model = EnergyModel::zen3_22nm(&cfg);
-    let mut t = Table::new(
+    let grid = lab.grid(cfg, &PolicyId::ONLINE.map(Arm::Online));
+    let rows: Vec<Vec<f64>> = (grid.iter())
+        .map(|row| {
+            (row[1..].iter())
+                .map(|r| ppw_gain_percent(&model, r, &row[0]))
+                .collect()
+        })
+        .collect();
+    let (t, means) = per_app_table(
+        lab,
         title,
         &[
             "app",
@@ -108,29 +112,14 @@ fn ppw_table(lab: &mut Lab, cfg: FrontendConfig, title: &str, paper_furbys: &str
             "Thermometer",
             "FURBYS",
         ],
+        &rows,
+        2,
     );
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); PolicyId::ONLINE.len() - 1];
-    let apps = lab.apps();
-    let grid = lab.grid(cfg, &PolicyId::ONLINE.map(Arm::Online));
-    for (app, row) in apps.iter().zip(&grid) {
-        let mut cells = vec![app.name().to_string()];
-        for (i, r) in row[1..].iter().enumerate() {
-            let gain = ppw_gain_percent(&model, r, &row[0]);
-            cols[i].push(gain);
-            cells.push(format!("{gain:.2}"));
-        }
-        t.row(&cells);
-    }
-    let mut mean_row = vec!["MEAN".to_string()];
-    for c in &cols {
-        mean_row.push(format!("{:.2}", mean(c)));
-    }
-    t.row(&mean_row);
     let mut t2 = Table::new("summary", &["metric", "paper", "measured"]);
     t2.row(&[
         "FURBYS avg PPW gain".into(),
         paper_furbys.into(),
-        format!("{:.2}%", mean(&cols[5])),
+        format!("{:.2}%", means[5]),
     ]);
     vec![t, t2]
 }
@@ -282,24 +271,4 @@ pub fn fig14_energy_reduction(lab: &mut Lab) -> Vec<Table> {
         format!("{:.1}%", mean(&icache)),
     ]);
     vec![t, t2]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use uopcache_exec::Engine;
-
-    #[test]
-    fn quick_fig02_runs() {
-        let tables = fig02_perfect_structures(&mut Lab::new(true, Engine::new(2)));
-        assert_eq!(tables.len(), 2);
-        assert_eq!(tables[0].len(), 3); // 2 quick apps + MEAN
-    }
-
-    #[test]
-    fn quick_fig13_normalises_to_baseline() {
-        let tables = fig13_energy_breakdown(&mut Lab::new(true, Engine::new(2)));
-        let s = tables[0].render();
-        assert!(s.contains("TOTAL") && s.contains("100.0%"));
-    }
 }

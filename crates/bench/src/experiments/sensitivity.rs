@@ -1,5 +1,6 @@
 //! Sensitivity studies: Figs. 16, 19 and 20.
 
+use super::{column, reductions_vs_first};
 use crate::policies::PolicyId;
 use crate::runs::{mean, Arm, Knobs, Lab};
 use crate::table::Table;
@@ -36,20 +37,10 @@ pub fn fig16_size_assoc(lab: &mut Lab) -> Vec<Table> {
             PolicyId::Furbys,
         ]
         .map(Arm::Online);
-        let grid = lab.grid(cfg, &arms);
-        let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 3];
-        for row in &grid {
-            for (i, r) in row[1..].iter().enumerate() {
-                cols[i].push(r.uopc.miss_reduction_vs(&row[0].uopc));
-            }
-        }
-        t.row(&[
-            format!("{entries}"),
-            format!("{ways}"),
-            format!("{:.2}", mean(&cols[0])),
-            format!("{:.2}", mean(&cols[1])),
-            format!("{:.2}", mean(&cols[2])),
-        ]);
+        let reds = reductions_vs_first(&lab.grid(cfg, &arms));
+        let mut row = vec![format!("{entries}"), format!("{ways}")];
+        row.extend((0..3).map(|i| format!("{:.2}", mean(&column(&reds, i)))));
+        t.row(&row);
     }
     vec![t]
 }
@@ -73,15 +64,12 @@ pub fn fig19_weight_groups(lab: &mut Lab) -> Vec<Table> {
             ..Knobs::paper()
         })
     }));
-    let grid = lab.grid(FrontendConfig::zen3(), &arms);
-    for (bi, &b) in bits.iter().enumerate() {
-        let vals: Vec<f64> = (grid.iter())
-            .map(|row| row[bi + 1].uopc.miss_reduction_vs(&row[0].uopc))
-            .collect();
+    let reds = reductions_vs_first(&lab.grid(FrontendConfig::zen3(), &arms));
+    for (i, &b) in bits.iter().enumerate() {
         t.row(&[
             format!("{b}"),
             format!("{}", 1u16 << b),
-            format!("{:.2}%", mean(&vals)),
+            format!("{:.2}%", mean(&column(&reds, i))),
         ]);
     }
     vec![t]
@@ -109,36 +97,16 @@ pub fn fig20_pitfall_depth(lab: &mut Lab) -> Vec<Table> {
         })
     }));
     let grid = lab.grid(FrontendConfig::zen3(), &arms);
-    for (di, &d) in depths.iter().enumerate() {
-        let vals: Vec<f64> = (grid.iter())
-            .map(|row| row[di + 1].uopc.miss_reduction_vs(&row[0].uopc))
-            .collect();
+    let reds = reductions_vs_first(&grid);
+    for (i, &d) in depths.iter().enumerate() {
         let covs: Vec<f64> = (grid.iter())
-            .map(|row| row[di + 1].uopc.replacement_coverage() * 100.0)
+            .map(|row| row[i + 1].uopc.replacement_coverage() * 100.0)
             .collect();
         t.row(&[
             format!("{d}"),
-            format!("{:.2}%", mean(&vals)),
+            format!("{:.2}%", mean(&column(&reds, i))),
             format!("{:.1}%", mean(&covs)),
         ]);
     }
     vec![t]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use uopcache_exec::Engine;
-
-    #[test]
-    fn quick_fig19_has_requested_bit_rows() {
-        let t = &fig19_weight_groups(&mut Lab::new(true, Engine::new(2)))[0];
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn quick_fig16_rows_match_configs() {
-        let t = &fig16_size_assoc(&mut Lab::new(true, Engine::new(2)))[0];
-        assert_eq!(t.len(), 2);
-    }
 }

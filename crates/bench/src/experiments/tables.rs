@@ -103,24 +103,3 @@ pub fn tab2_applications(lab: &mut Lab) -> Vec<Table> {
     }
     vec![t]
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use uopcache_exec::Engine;
-
-    #[test]
-    fn tab1_has_all_structures() {
-        let t = &tab1_parameters(&mut Lab::new(true, Engine::new(1)))[0];
-        let s = t.render();
-        assert!(s.contains("Micro-op cache") && s.contains("512-entry"));
-        assert_eq!(t.len(), 5);
-    }
-
-    #[test]
-    fn tab2_quick_covers_quick_apps() {
-        let t = &tab2_applications(&mut Lab::new(true, Engine::new(1)))[0];
-        assert_eq!(t.len(), 2);
-        assert!(t.render().contains("kafka"));
-    }
-}

@@ -1,5 +1,6 @@
 //! IPC experiments: Figs. 11 and 12.
 
+use super::per_app_table;
 use crate::policies::PolicyId;
 use crate::runs::{mean, Arm, Lab};
 use crate::table::Table;
@@ -8,7 +9,12 @@ use uopcache_model::FrontendConfig;
 /// Fig. 11: IPC speedup over LRU (paper: FURBYS 0.47-0.49% on average —
 /// miss reduction translates only partially into IPC).
 pub fn fig11_ipc_speedup(lab: &mut Lab) -> Vec<Table> {
-    let mut t = Table::new(
+    let grid = lab.grid(FrontendConfig::zen3(), &PolicyId::ONLINE.map(Arm::Online));
+    let rows: Vec<Vec<f64>> = (grid.iter())
+        .map(|row| row[1..].iter().map(|r| r.ipc_speedup_vs(&row[0])).collect())
+        .collect();
+    let (t, means) = per_app_table(
+        lab,
         "Fig. 11: IPC speedup over LRU (%)",
         &[
             "app",
@@ -19,34 +25,19 @@ pub fn fig11_ipc_speedup(lab: &mut Lab) -> Vec<Table> {
             "Thermometer",
             "FURBYS",
         ],
+        &rows,
+        3,
     );
-    let apps = lab.apps();
-    let grid = lab.grid(FrontendConfig::zen3(), &PolicyId::ONLINE.map(Arm::Online));
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); PolicyId::ONLINE.len() - 1];
-    for (app, row) in apps.iter().zip(&grid) {
-        let mut cells = vec![app.name().to_string()];
-        for (i, r) in row[1..].iter().enumerate() {
-            let s = r.ipc_speedup_vs(&row[0]);
-            cols[i].push(s);
-            cells.push(format!("{s:.3}"));
-        }
-        t.row(&cells);
-    }
-    let mut mean_row = vec!["MEAN".to_string()];
-    for c in &cols {
-        mean_row.push(format!("{:.3}", mean(c)));
-    }
-    t.row(&mean_row);
     let mut t2 = Table::new("Fig. 11 summary", &["metric", "paper", "measured"]);
     t2.row(&[
         "FURBYS IPC speedup".into(),
         "0.47%".into(),
-        format!("{:.3}%", mean(&cols[5])),
+        format!("{:.3}%", means[5]),
     ]);
     t2.row(&[
         "speedup is much smaller than miss reduction".into(),
         "yes (0.47% vs 14.34%)".into(),
-        format!("{}", mean(&cols[5]) < 5.0),
+        format!("{}", means[5] < 5.0),
     ]);
     vec![t, t2]
 }
@@ -115,15 +106,4 @@ pub fn fig12_iso_performance(lab: &mut Lab) -> Vec<Table> {
         format!("{:.2}x", mean(&ratios)),
     ]);
     vec![t, t2]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_fig12_reports_ratio() {
-        let tables = fig12_iso_performance(&mut Lab::new(true, uopcache_exec::Engine::new(2)));
-        assert!(tables[1].render().contains("ISO"));
-    }
 }

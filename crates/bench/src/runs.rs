@@ -193,8 +193,6 @@ pub struct Work {
     pub traces: usize,
     /// FOO/FLACK flow solves run.
     pub solves: usize,
-    /// Distinct (trace, cache geometry, solver configuration) keys solved.
-    pub solve_keys: usize,
     /// Cells simulated or replayed.
     pub cells: usize,
 }
@@ -264,10 +262,7 @@ impl Lab {
 
     /// The work done so far.
     pub fn work(&self) -> Work {
-        Work {
-            solve_keys: self.solutions.len(),
-            ..self.work
-        }
+        self.work
     }
 
     /// The trace of `key`, generated on first use.
@@ -321,8 +316,8 @@ impl Lab {
     ///
     /// # Panics
     ///
-    /// Panics with the structured failures if any task panicked (a table
-    /// cannot render from partial results).
+    /// Panics with a structured failure if a task panicked (a table cannot
+    /// render from partial results).
     pub fn run(&mut self, cells: &[Cell]) -> Vec<SimResult> {
         let keys: Vec<CellKey> = cells.iter().map(|c| self.key(c)).collect();
         let todo = distinct(keys.iter().copied().filter(|k| !self.cells.contains_key(k)));
@@ -439,16 +434,12 @@ impl Lab {
             })
             .collect();
         let (merged, _, _) = sweep::simulate(&self.engine, &runs, false);
-        let failures: Vec<String> = (merged.iter())
-            .filter_map(|m| m.as_ref().err().map(ToString::to_string))
-            .collect();
-        assert!(
-            failures.is_empty(),
-            "lab cells: {} task(s) failed:\n{}",
-            failures.len(),
-            failures.join("\n")
-        );
-        merged.into_iter().flatten().map(|m| m.0).collect()
+        (merged.into_iter())
+            .map(|cell| {
+                cell.unwrap_or_else(|failure| panic!("lab cell: {failure}"))
+                    .0
+            })
+            .collect()
     }
 
     /// The cell's task key: for a registered policy, the key `run_sweep`
@@ -629,7 +620,6 @@ mod tests {
         );
         let work = lab.work();
         assert_eq!((work.traces, work.solves, work.cells), (2, 2, 4));
-        assert_eq!(work.solve_keys, work.solves);
     }
 
     #[test]
