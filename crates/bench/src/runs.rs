@@ -5,7 +5,7 @@
 //! options, a trace and a policy arm); the lab computes each missing input
 //! once, in parallel stages on its engine, and answers repeats from the
 //! memo. Online cells run through the sweep's simulation path
-//! ([`sweep::simulate`]): `run_stream` on a branch stream shared by every
+//! (`sweep::simulate`): `run_stream` on a branch stream shared by every
 //! policy of the same configuration and trace.
 //!
 //! Methodology note: **online** arms run through the timed frontend
@@ -146,7 +146,7 @@ impl Arm {
     }
 
     /// The FOO/FLACK variant the cell (or its profile) replays, if any.
-    fn oracle(self) -> Option<Flack> {
+    fn flack(self) -> Option<Flack> {
         match self {
             Arm::Online(_) if self.reads_inputs() => Some(Flack::new()),
             Arm::Furbys(knobs) => knobs.oracle.flack(),
@@ -330,7 +330,7 @@ impl Lab {
         let solves: Vec<SolveKey> = (todo.iter())
             .flat_map(|&(c, _, t, arm)| {
                 let uop = self.configs[c].uop_cache;
-                (arm.oracle()).into_iter().flat_map(move |flack| {
+                (arm.flack()).into_iter().flat_map(move |flack| {
                     (arm.train(t).into_iter()).map(move |tk| (tk, uop, flack.foo_config()))
                 })
             })

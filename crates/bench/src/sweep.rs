@@ -567,7 +567,7 @@ fn round6(x: f64) -> f64 {
 /// 1. one task per app prepares the trace, the sampling plan of a `--sample`
 ///    sweep, the profile inputs and the branch stream of each segment (all
 ///    pure functions of the spec and app);
-/// 2. [`simulate`] runs one task per cell [`Segment`], seeding any
+/// 2. `simulate` runs one task per cell [`Segment`], seeding any
 ///    randomized policy from the **cell** key. A full cell is one
 ///    whole-trace segment keyed by the cell key itself; a sampled cell is
 ///    one segment per sample point and probe, keyed as children of the cell
