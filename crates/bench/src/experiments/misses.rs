@@ -411,76 +411,58 @@ pub fn fig22_hotness(lab: &mut Lab) -> Vec<Table> {
     };
     let trace = lab.trace(key);
 
-    // Hotness classes by access count: hot = top 10% of starts, warm = next
-    // 40%, cold = the rest.
+    // Hotness classes by access count: hot (0) = top 10% of starts, warm (1)
+    // = next 40%, cold (2) = the rest.
     let counts = trace.access_counts();
     let mut ranked: Vec<(Addr, u64)> = counts.into_iter().collect();
     ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     let n = ranked.len();
-    let class_of = |idx: usize| -> usize {
-        if idx < n / 10 {
-            0 // hot
-        } else if idx < n / 2 {
-            1 // warm
-        } else {
-            2 // cold
-        }
-    };
-    let index_of: FastHashMap<Addr, usize> = ranked
-        .iter()
-        .enumerate()
-        .map(|(i, &(a, _))| (a, i))
+    let class: FastHashMap<Addr, usize> = (ranked.iter().enumerate())
+        .map(|(i, &(a, _))| (a, usize::from(i >= n / 10) + usize::from(i >= n / 2)))
         .collect();
-
-    let class_rates = |obs: &[(Addr, u32, u32)]| -> [f64; 3] {
-        let mut hit = [0u64; 3];
-        let mut tot = [0u64; 3];
-        for &(a, h, t) in obs {
-            let c = class_of(index_of[&a]);
-            hit[c] += u64::from(h);
-            tot[c] += u64::from(t);
-        }
-        std::array::from_fn(|c| {
-            if tot[c] == 0 {
-                0.0
-            } else {
-                hit[c] as f64 / tot[c] as f64 * 100.0
-            }
-        })
-    };
 
     let mut t = Table::new(
         "Fig. 22: hit rate (%) by PW hotness class on Kafka",
         &["policy", "hot (top 10%)", "warm (10-50%)", "cold (50-100%)"],
     );
-    // Online policies through the synchronous observer for per-PW hit data.
+    // Online policies through the synchronous observer for per-PW hit data;
+    // FLACK via its replay observations.
     let profiles = lab.profile_inputs(cfg, key);
-    for id in [
+    let mut observed: Vec<_> = [
         PolicyId::Lru,
         PolicyId::Srrip,
         PolicyId::Ghrp,
         PolicyId::Thermometer,
         PolicyId::Furbys,
-    ] {
+    ]
+    .into_iter()
+    .map(|id| {
         let policy = id.build(&cfg, profiles, 0);
         let mut cache = uopcache_cache::UopCache::new(cfg.uop_cache, policy);
-        let (_, obs) = uopcache_policies::run_trace_observed(&mut cache, &trace);
-        let rates = class_rates(&obs);
-        t.row(&[
+        (
             id.to_string(),
-            format!("{:.1}", rates[0]),
-            format!("{:.1}", rates[1]),
-            format!("{:.1}", rates[2]),
-        ]);
+            uopcache_policies::run_trace_observed(&mut cache, &trace).1,
+        )
+    })
+    .collect();
+    observed.push(("FLACK".to_string(), lab.observations(cfg, key)));
+    for (name, obs) in observed {
+        let (mut hit, mut tot) = ([0u64; 3], [0u64; 3]);
+        for &(a, h, total) in &obs {
+            hit[class[&a]] += u64::from(h);
+            tot[class[&a]] += u64::from(total);
+        }
+        let mut row = vec![name];
+        row.extend((0..3).map(|c| {
+            let rate = if tot[c] == 0 {
+                0.0
+            } else {
+                hit[c] as f64 / tot[c] as f64 * 100.0
+            };
+            format!("{rate:.1}")
+        }));
+        t.row(&row);
     }
-    // FLACK via replay observations.
-    let rates = class_rates(&lab.observations(cfg, key, Flack::new()));
-    t.row(&[
-        "FLACK".to_string(),
-        format!("{:.1}", rates[0]),
-        format!("{:.1}", rates[1]),
-        format!("{:.1}", rates[2]),
-    ]);
     vec![t]
 }
 

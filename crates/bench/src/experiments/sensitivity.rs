@@ -58,11 +58,10 @@ pub fn fig19_weight_groups(lab: &mut Lab) -> Vec<Table> {
         &["bits", "groups", "miss reduction"],
     );
     let mut arms = vec![Arm::Online(PolicyId::Lru)];
-    arms.extend(bits.iter().map(|&weight_bits| {
-        Arm::Furbys(Knobs {
-            weight_bits,
-            ..Knobs::paper()
-        })
+    arms.extend(bits.iter().map(|&bits| {
+        let mut knobs = Knobs::paper();
+        knobs.weight_cfg.bits = bits;
+        Arm::Furbys(knobs)
     }));
     let reds = reductions_vs_first(&lab.grid(FrontendConfig::zen3(), &arms));
     for (i, &b) in bits.iter().enumerate() {

@@ -11,6 +11,7 @@ use uopcache_cache::{LruPolicy, PwReplacementPolicy};
 use uopcache_core::{FurbysPipeline, Profile};
 use uopcache_model::hash::FastHashMap;
 use uopcache_model::{Addr, FrontendConfig, LookupTrace};
+use uopcache_offline::foo::FooSolution;
 use uopcache_policies::{
     profile::lru_pw_hit_rates, ArcPolicy, CarPolicy, ClockPolicy, FifoPolicy, GhrpPolicy,
     LfuPolicy, MockingjayPolicy, MruPolicy, RandomPolicy, SetDuelingPolicy, ShipPlusPlusPolicy,
@@ -264,15 +265,20 @@ pub struct ProfileInputs {
 impl ProfileInputs {
     /// Profiles `train` for all profile-guided policies under `cfg`.
     pub fn build(cfg: &FrontendConfig, train: &LookupTrace) -> Self {
-        Self::build_with_pipeline(&FurbysPipeline::new(*cfg), train)
+        Self::solved(&FurbysPipeline::new(*cfg), train, None)
     }
 
-    /// As [`ProfileInputs::build`] with an explicit (possibly customised)
-    /// pipeline.
-    pub fn build_with_pipeline(pipeline: &FurbysPipeline, train: &LookupTrace) -> Self {
+    /// Profiles `train` for all profile-guided policies under `pipeline`,
+    /// whose oracle replays `solution` of `train` when given one (see
+    /// [`FurbysPipeline::observations`]).
+    pub fn solved(
+        pipeline: &FurbysPipeline,
+        train: &LookupTrace,
+        solution: Option<&FooSolution>,
+    ) -> Self {
         ProfileInputs {
             lru_rates: lru_pw_hit_rates(train, pipeline.frontend_cfg.uop_cache),
-            furbys: pipeline.profile(train),
+            furbys: pipeline.profile_observed(pipeline.observations(train, solution)),
         }
     }
 }

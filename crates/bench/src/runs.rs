@@ -23,14 +23,14 @@ use std::fmt::Debug;
 use std::hash::Hash;
 use std::sync::Arc;
 use uopcache_cache::{LruPolicy, PwReplacementPolicy, UopCache};
-use uopcache_core::{Flack, FurbysPipeline, OracleKind, PhasedFurbysPolicy, PhasedProfile};
+use uopcache_core::{
+    Flack, FurbysPipeline, OracleKind, PhasedFurbysPolicy, PhasedProfile, WeightConfig,
+};
 use uopcache_exec::{Engine, TaskKey};
 use uopcache_model::hash::{FastHashMap, FastHashSet};
 use uopcache_model::{Addr, FrontendConfig, LookupTrace, SimResult, UopCacheConfig};
 use uopcache_offline::foo::{self, FooConfig, FooSolution};
-use uopcache_offline::replay::{replay_full, replay_observed};
 use uopcache_offline::BeladyPolicy;
-use uopcache_policies::profile::lru_pw_hit_rates;
 use uopcache_policies::run_trace;
 use uopcache_sim::SimOptions;
 use uopcache_trace::AppId;
@@ -46,13 +46,15 @@ pub struct TraceKey {
     pub len: usize,
 }
 
-/// FURBYS's knobs, as the sensitivity and ablation figures vary them.
+/// FURBYS's knobs, as the sensitivity and ablation figures vary them:
+/// every [`FurbysPipeline`] field but the frontend configuration, which the
+/// cell gives, plus where the profile comes from.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Knobs {
     /// The offline oracle the profile replays (Fig. 15).
     pub oracle: OracleKind,
-    /// Hint width in bits (Fig. 19).
-    pub weight_bits: u8,
+    /// Weight grouping; Fig. 19 varies the hint width.
+    pub weight_cfg: WeightConfig,
     /// Local pitfall detector depth (Fig. 20).
     pub detector_depth: usize,
     /// Bypass margin K; `u8::MAX` disables bypassing (Fig. 21).
@@ -69,27 +71,37 @@ impl Knobs {
         let p = FurbysPipeline::new(FrontendConfig::zen3());
         Knobs {
             oracle: p.oracle,
-            weight_bits: p.weight_cfg.bits,
+            weight_cfg: p.weight_cfg,
             detector_depth: p.detector_depth,
             bypass_k: p.bypass_k,
             cross_input: false,
         }
     }
 
-    fn pipeline(self, cfg: FrontendConfig) -> FurbysPipeline {
-        let mut p = FurbysPipeline::new(cfg);
-        p.oracle = self.oracle;
-        p.weight_cfg.bits = self.weight_bits;
-        p.detector_depth = self.detector_depth;
-        p.bypass_k = self.bypass_k;
-        p
+    /// The pipeline of these knobs. Built without `..`, so a new pipeline
+    /// field does not compile until it is a knob too.
+    fn pipeline(self, frontend_cfg: FrontendConfig) -> FurbysPipeline {
+        FurbysPipeline {
+            frontend_cfg,
+            weight_cfg: self.weight_cfg,
+            bypass_k: self.bypass_k,
+            detector_depth: self.detector_depth,
+            oracle: self.oracle,
+        }
     }
 
     /// Whether the profile is the paper's, which every cell of the trace
-    /// shares through its [`ProfileInputs`].
+    /// shares through its [`ProfileInputs`]: the knobs differ from the
+    /// paper's at most in the deployed policy's own (detector depth, bypass
+    /// margin), which the profile does not read.
     fn paper_profile(self) -> bool {
         let paper = Knobs::paper();
-        self.oracle == paper.oracle && self.weight_bits == paper.weight_bits && !self.cross_input
+        let deployed = Knobs {
+            detector_depth: paper.detector_depth,
+            bypass_k: paper.bypass_k,
+            ..self
+        };
+        deployed == paper
     }
 }
 
@@ -148,9 +160,9 @@ impl Arm {
     /// The FOO/FLACK variant the cell (or its profile) replays, if any.
     fn flack(self) -> Option<Flack> {
         match self {
-            Arm::Online(_) if self.reads_inputs() => Some(Flack::new()),
+            Arm::Online(_) if self.reads_inputs() => Knobs::paper().oracle.flack(),
             Arm::Furbys(knobs) => knobs.oracle.flack(),
-            Arm::Phased(_) => Some(Flack::new()),
+            Arm::Phased(_) => Knobs::paper().oracle.flack(),
             Arm::Oracle(flack) => Some(flack),
             _ => None,
         }
@@ -275,29 +287,21 @@ impl Lab {
     pub fn profile_inputs(&mut self, cfg: FrontendConfig, trace: TraceKey) -> &ProfileInputs {
         let c = self.intern(cfg);
         self.fill_traces([trace]);
-        self.fill_solutions([(trace, cfg.uop_cache, Flack::new().foo_config())]);
+        self.fill_solutions(paper_solve(cfg, trace));
         self.fill_inputs([(c, trace)]);
         &self.inputs[&(c, trace)]
     }
 
-    /// `flack`'s observations on `trace` under `cfg`'s micro-op cache:
-    /// `(start, hit_uops, total_uops)` per access.
-    pub fn observations(
-        &mut self,
-        cfg: FrontendConfig,
-        trace: TraceKey,
-        flack: Flack,
-    ) -> Vec<(Addr, u32, u32)> {
-        let key = (trace, cfg.uop_cache, flack.foo_config());
+    /// The paper pipeline's oracle observations on `trace` under `cfg`
+    /// (see [`FurbysPipeline::observations`]).
+    pub fn observations(&mut self, cfg: FrontendConfig, trace: TraceKey) -> Vec<(Addr, u32, u32)> {
         self.fill_traces([trace]);
-        self.fill_solutions([key]);
-        replay_observed(
+        self.fill_solutions(paper_solve(cfg, trace));
+        let pipeline = FurbysPipeline::new(cfg);
+        pipeline.observations(
             &self.traces[&trace],
-            &key.1,
-            &self.solutions[&key],
-            flack.timing(),
+            solution(&self.solutions, &pipeline, trace),
         )
-        .1
     }
 
     /// Every app of the mode × `arms` under `cfg`: one row per app, one
@@ -402,11 +406,7 @@ impl Lab {
             keys,
             |&(c, t)| {
                 let pipeline = FurbysPipeline::new(configs[c]);
-                let uop = configs[c].uop_cache;
-                ProfileInputs {
-                    lru_rates: lru_pw_hit_rates(&traces[&t], uop),
-                    furbys: pipeline.profile_observed(observe(traces, solutions, &pipeline, t)),
-                }
+                ProfileInputs::solved(&pipeline, &traces[&t], solution(solutions, &pipeline, t))
             },
         );
     }
@@ -476,7 +476,10 @@ impl Lab {
                     _ => Cow::Owned(
                         pipeline.profile_observed(
                             (arm.train(t).into_iter())
-                                .flat_map(|tk| observe(traces, solutions, &pipeline, tk))
+                                .flat_map(|tk| {
+                                    let solution = solution(solutions, &pipeline, tk);
+                                    pipeline.observations(&traces[&tk], solution)
+                                })
                                 .collect(),
                         ),
                     ),
@@ -485,7 +488,7 @@ impl Lab {
             }),
             Arm::Phased(segments) => Box::new(move |_| -> Box<dyn PwReplacementPolicy> {
                 let pipeline = FurbysPipeline::new(cfg);
-                let obs = observe(traces, solutions, &pipeline, t);
+                let obs = pipeline.observations(&traces[&t], solution(solutions, &pipeline, t));
                 let profile = PhasedProfile::from_observations(
                     &obs,
                     &cfg.uop_cache,
@@ -516,7 +519,7 @@ impl Lab {
             Arm::Belady => sync(Box::new(BeladyPolicy::from_trace(trace))),
             Arm::Oracle(flack) => {
                 let solution = &self.solutions[&(t, uop, flack.foo_config())];
-                replay_full(trace, &uop, solution, flack.timing(), opts.classify_misses).0
+                flack.replay(trace, &uop, solution, opts.classify_misses).0
             }
             Arm::Online(_) | Arm::Furbys(_) | Arm::Phased(_) => {
                 unreachable!("online arms simulate, they do not replay")
@@ -529,22 +532,20 @@ impl Lab {
     }
 }
 
-/// The pipeline oracle's observations on trace `t`: the replay of its
-/// memoised FOO/FLACK solution, or a Belady run.
-fn observe(
-    traces: &FastHashMap<TraceKey, Arc<LookupTrace>>,
-    solutions: &FastHashMap<SolveKey, FooSolution>,
+/// The solve of trace `t` that `pipeline`'s oracle replays, if it has one.
+fn solution<'a>(
+    solutions: &'a FastHashMap<SolveKey, FooSolution>,
     pipeline: &FurbysPipeline,
     t: TraceKey,
-) -> Vec<(Addr, u32, u32)> {
-    let (trace, uop) = (&traces[&t], pipeline.frontend_cfg.uop_cache);
-    match pipeline.oracle.flack() {
-        Some(flack) => {
-            let solution = &solutions[&(t, uop, flack.foo_config())];
-            replay_observed(trace, &uop, solution, flack.timing()).1
-        }
-        None => pipeline.oracle_observations(trace),
-    }
+) -> Option<&'a FooSolution> {
+    let uop = pipeline.frontend_cfg.uop_cache;
+    (pipeline.oracle.flack()).map(|flack| &solutions[&(t, uop, flack.foo_config())])
+}
+
+/// The solve the paper pipeline's oracle needs for `trace` under `cfg`.
+fn paper_solve(cfg: FrontendConfig, trace: TraceKey) -> Option<SolveKey> {
+    let flack = Knobs::paper().oracle.flack();
+    flack.map(|flack| (trace, cfg.uop_cache, flack.foo_config()))
 }
 
 /// `keys` without repeats, in first-seen order.
@@ -638,6 +639,26 @@ mod tests {
             .build()
             .run(&trace);
         assert_eq!(cells[0][0], own);
+    }
+
+    #[test]
+    fn paper_knobs_build_the_paper_pipeline() {
+        let (cfg, paper) = (FrontendConfig::zen4(), Knobs::paper());
+        assert_eq!(paper.pipeline(cfg), FurbysPipeline::new(cfg));
+        let deployed = Knobs {
+            detector_depth: 0,
+            bypass_k: u8::MAX,
+            ..paper
+        };
+        assert!(
+            deployed.paper_profile(),
+            "deployment knobs share the profile"
+        );
+        let mut own = [paper; 3];
+        own[0].oracle = OracleKind::Belady;
+        own[1].weight_cfg.bits = 1;
+        own[2].cross_input = true;
+        assert!(own.iter().all(|k| !k.paper_profile()), "{own:?}");
     }
 
     #[test]

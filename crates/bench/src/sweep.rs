@@ -567,13 +567,13 @@ fn round6(x: f64) -> f64 {
 /// 1. one task per app prepares the trace, the sampling plan of a `--sample`
 ///    sweep, the profile inputs and the branch stream of each segment (all
 ///    pure functions of the spec and app);
-/// 2. `simulate` runs one task per cell [`Segment`], seeding any
+/// 2. `simulate` runs one task per cell `Segment`, seeding any
 ///    randomized policy from the **cell** key. A full cell is one
 ///    whole-trace segment keyed by the cell key itself; a sampled cell is
 ///    one segment per sample point and probe, keyed as children of the cell
 ///    key (`…/LRU/pt0.1`, `…/LRU/probe0`).
 ///
-/// Each cell then merges its segments (see [`merge_cell`]). A panicking
+/// Each cell then merges its segments (see `merge_cell`). A panicking
 /// segment becomes one structured [`SweepReport::failures`] entry for its
 /// cell; sibling cells are unaffected.
 ///

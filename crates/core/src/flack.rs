@@ -97,12 +97,26 @@ impl Flack {
         }
     }
 
+    /// Replays `solution` — a solve of `trace` under `cfg` with
+    /// [`foo_config`](Self::foo_config) — with this variant's timing,
+    /// optionally classifying misses: the statistics and the per-access
+    /// observations `(start, hit_uops, total_uops)` (STEPs 4-5).
+    pub fn replay(
+        &self,
+        trace: &LookupTrace,
+        cfg: &UopCacheConfig,
+        solution: &FooSolution,
+        classify_misses: bool,
+    ) -> (UopCacheStats, Vec<(Addr, u32, u32)>) {
+        replay::replay_full(trace, cfg, solution, self.timing(), classify_misses)
+    }
+
     /// Solves and replays the trace, returning the decisions, the achieved
     /// statistics and the per-start hit-rate profile (STEPs 3-5 of the
     /// FURBYS pipeline).
     pub fn run(&self, trace: &LookupTrace, cfg: &UopCacheConfig) -> FlackOutcome {
         let solution = foo::solve(trace, cfg, &self.foo_config());
-        let (stats, obs) = replay::replay_observed(trace, cfg, &solution, self.timing());
+        let (stats, obs) = self.replay(trace, cfg, &solution, false);
         let hit_rates = uopcache_policies::profile::hit_rates_from_observations(obs);
         FlackOutcome {
             solution,

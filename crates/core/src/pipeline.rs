@@ -18,6 +18,7 @@ use crate::weights::{compute_weights, WeightConfig};
 use uopcache_cache::UopCache;
 use uopcache_model::hash::FastHashMap;
 use uopcache_model::{Addr, FrontendConfig, LookupTrace, SimResult};
+use uopcache_offline::foo::{self, FooSolution};
 use uopcache_offline::BeladyPolicy;
 use uopcache_policies::profile::hit_rates_from_observations;
 use uopcache_sim::Frontend;
@@ -81,7 +82,7 @@ pub struct Profile {
 /// let result = pipeline.deploy_and_run(&profile, &test);
 /// assert!(result.uopc.lookups == 6_000);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct FurbysPipeline {
     /// Frontend configuration for both profiling geometry and deployment.
     pub frontend_cfg: FrontendConfig,
@@ -110,42 +111,53 @@ impl FurbysPipeline {
 
     /// Steps 2-6: profiles a training trace into hit rates and hints.
     pub fn profile(&self, trace: &LookupTrace) -> Profile {
-        self.profile_merged(std::slice::from_ref(trace))
+        self.profile_observed(self.observations(trace, None))
     }
 
     /// As [`FurbysPipeline::profile`] over several training traces, merging
     /// the observations (the cross-validation setup of Fig. 18 profiles a
     /// training set of inputs and deploys on held-out ones).
     pub fn profile_merged(&self, traces: &[LookupTrace]) -> Profile {
-        let mut all_obs: Vec<(Addr, u32, u32)> = Vec::new();
-        for trace in traces {
-            all_obs.extend(self.observations(trace));
-        }
-        self.profile_observed(all_obs)
+        let observations = (traces.iter())
+            .flat_map(|trace| self.observations(trace, None))
+            .collect();
+        self.profile_observed(observations)
     }
 
     /// Step 6 on observations already collected (steps 3-5, as
-    /// [`oracle_observations`](Self::oracle_observations) collects them):
-    /// groups the hit rates they imply into weight classes.
+    /// [`observations`](Self::observations) collects them): groups the hit
+    /// rates they imply into weight classes.
     pub fn profile_observed(&self, observations: Vec<(Addr, u32, u32)>) -> Profile {
         let hit_rates = hit_rates_from_observations(observations);
         let hints = compute_weights(&hit_rates, &self.frontend_cfg.uop_cache, &self.weight_cfg);
         Profile { hit_rates, hints }
     }
 
-    /// The raw per-access oracle observations (`(start, hit_uops,
+    /// Steps 3-5: the oracle's per-access observations (`(start, hit_uops,
     /// total_uops)` in trace order) — the input to both the standard and the
     /// phase-aware ([`crate::PhasedProfile`]) weight computations.
-    pub fn oracle_observations(&self, trace: &LookupTrace) -> Vec<(Addr, u32, u32)> {
-        self.observations(trace)
-    }
-
-    fn observations(&self, trace: &LookupTrace) -> Vec<(Addr, u32, u32)> {
+    ///
+    /// A FOO/FLACK oracle replays `solution`, which must be a solve of
+    /// `trace` under this pipeline's micro-op cache with the oracle's
+    /// [`Flack::foo_config`]; given `None`, it solves `trace` first. Belady
+    /// needs no solve and ignores `solution`.
+    pub fn observations(
+        &self,
+        trace: &LookupTrace,
+        solution: Option<&FooSolution>,
+    ) -> Vec<(Addr, u32, u32)> {
         let cfg = &self.frontend_cfg.uop_cache;
         match self.oracle.flack() {
             Some(flack) => {
-                let sol = uopcache_offline::foo::solve(trace, cfg, &flack.foo_config());
-                uopcache_offline::replay::replay_observed(trace, cfg, &sol, flack.timing()).1
+                let solved;
+                let solution = match solution {
+                    Some(solution) => solution,
+                    None => {
+                        solved = foo::solve(trace, cfg, &flack.foo_config());
+                        &solved
+                    }
+                };
+                flack.replay(trace, cfg, solution, false).1
             }
             None => {
                 let mut cache = UopCache::new(*cfg, Box::new(BeladyPolicy::from_trace(trace)));

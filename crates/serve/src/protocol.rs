@@ -148,7 +148,7 @@ const BODY_RESERVE: usize = 64 << 10;
 /// An incremental frame parser for nonblocking sockets: bytes go in as they
 /// arrive, complete frames come out. Memory is bounded by construction — a
 /// length prefix is validated against [`MAX_FRAME_BYTES`], and the body
-/// buffer reserves at most [`BODY_RESERVE`] up front, so a prefix that
+/// buffer reserves at most 64 KB (`BODY_RESERVE`) up front, so a prefix that
 /// claims 64 MB and sends 10 bytes holds kilobytes, not the claim.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
@@ -282,11 +282,15 @@ pub fn read_frame<R: Read>(mut r: R, stall_limit: Duration) -> Result<Option<Jso
     }
     // The buffer grows with the bytes that arrive, at most `BODY_RESERVE`
     // ahead of them, so a prefix that claims 64 MB and sends 10 bytes holds
-    // kilobytes, not the claim.
+    // kilobytes, not the claim. Its capacity doubles, capped at the claim,
+    // so a frame that arrives whole ends with exactly `len` allocated.
     let mut body = Vec::with_capacity(len.min(BODY_RESERVE));
     let mut filled = 0usize;
     while filled < len {
         let end = len.min(filled + BODY_RESERVE);
+        if end > body.capacity() {
+            body.reserve_exact((len - body.len()).min(body.capacity().max(BODY_RESERVE)));
+        }
         body.resize(end, 0);
         // The header arrived, so the body counts as started: keep reading
         // until the stall deadline trips inside `read_full`.

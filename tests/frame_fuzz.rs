@@ -106,6 +106,24 @@ fn hostile_frame_streams_decode_cleanly_in_bounded_memory() {
         stats.peak
     );
 
+    // A frame just past a power of two (1 MB + 17 bytes, whitespace-padded
+    // so its parse is small) ends with exactly its length allocated, not the
+    // next power of two. A `realloc` holds the old and the new block at
+    // once, so the peak is the last grow: 1 MB plus the frame.
+    let ping = frame("ping", Vec::new());
+    let len = (1 << 20) + 17;
+    let mut wire = header(len).to_vec();
+    wire.extend_from_slice(ping.to_string().as_bytes());
+    wire.resize(4 + len, b' ');
+    let (read, stats) =
+        CountingAllocator::measure(|| read_frame(wire.as_slice(), Duration::from_secs(1)));
+    assert_eq!(read.ok().flatten(), Some(ping));
+    assert!(
+        stats.peak < 2 * len + (64 << 10),
+        "read_frame held {} live bytes for a {len}-byte frame",
+        stats.peak
+    );
+
     // One byte past the cap is refused at the prefix, however it is split.
     for chunks in [[4], [1], [3]] {
         let (_, err, _, peak) = decode(&header(MAX_FRAME_BYTES + 1), &chunks);

@@ -59,7 +59,7 @@ fn check_text(name: &str, actual: &str) {
         )
     });
     assert_eq!(
-        actual.trim_end(),
+        actual,
         expected.trim_end(),
         "{name}: output drifted from the golden reference; if the change is \
          intentional, regenerate with `UPDATE_GOLDEN=1 cargo test --test \
@@ -175,7 +175,8 @@ fn golden_experiments_quick() {
     let mut lab = Lab::new(true, Engine::new(4));
     let run = reproduce(&mut lab);
     assert!(run.failures.is_empty(), "{:?}", run.failures);
-    check_text("experiments_quick.md", &run.markdown);
+    check_claims(&run.markdown);
+    check_text("experiments_quick.md", run.markdown.trim_end());
 
     // Each distinct trace and solve is computed once. The traces: 2 apps x 3
     // input variants, Clang for Fig. 13 and Fig. 22's longer Kafka trace.
@@ -190,4 +191,84 @@ fn golden_experiments_quick() {
     let again = reproduce(&mut lab);
     assert_eq!(again.markdown, run.markdown);
     assert_eq!(lab.work(), work, "a second pass recomputed work");
+}
+
+/// The numbers of the row labelled `label` in the markdown table titled
+/// `title`, after the label; a cell that is not a number (a paper column's
+/// "~30%") reads as NaN.
+fn row(md: &str, title: &str, label: &str) -> Vec<f64> {
+    let heading = format!("### {title}\n\n");
+    let start = md
+        .find(&heading)
+        .unwrap_or_else(|| panic!("no table {title:?}"));
+    let line = (md[start + heading.len()..].lines())
+        .take_while(|l| l.starts_with('|'))
+        .find(|l| l.split('|').nth(1).map(str::trim) == Some(label))
+        .unwrap_or_else(|| panic!("no row {label:?} in {title:?}"));
+    (line
+        .split('|')
+        .map(str::trim)
+        .filter(|c| !c.is_empty())
+        .skip(1))
+    .map(|c| c.trim_end_matches(['%', 'x']).parse().unwrap_or(f64::NAN))
+    .collect()
+}
+
+/// What the figures claim, checked on their numbers, so that regenerating
+/// the golden cannot carry a broken claim through: each runs before the
+/// golden is compared or rewritten.
+fn check_claims(md: &str) {
+    let ppw = row(
+        md,
+        "Fig. 2: PPW gain of perfect structures over the LRU baseline",
+        "MEAN",
+    );
+    assert!(
+        ppw.iter().all(|&g| g <= ppw[0]),
+        "Fig. 2: the uop cache is the largest lever: {ppw:?}"
+    );
+    // Belady, FOO, A, A+VC, FLACK.
+    let ablation = row(
+        md,
+        "Fig. 10: miss reduction over LRU (offline, perfect-icache setting)",
+        "MEAN",
+    );
+    assert!(
+        ablation[1..].windows(2).all(|w| w[0] <= w[1]),
+        "Fig. 10: each FLACK feature helps: {ablation:?}"
+    );
+    let iso = row(md, "Fig. 12 summary", "avg ISO capacity for LRU");
+    assert!(
+        iso[1] > 1.0,
+        "Fig. 12: LRU needs more capacity than FURBYS: {iso:?}"
+    );
+    let energy = row(
+        md,
+        "Fig. 13: per-core energy on Clang, normalised to no-uop-cache baseline",
+        "TOTAL",
+    );
+    assert!(
+        (energy[0] - 100.0).abs() < 1e-9 && energy[2] <= energy[1],
+        "Fig. 13: {energy:?}"
+    );
+    let bypassed = row(md, "Fig. 21 summary", "insertions bypassed");
+    assert!(bypassed[1] > 0.0, "Fig. 21: FURBYS bypasses: {bypassed:?}");
+    let hotness = "Fig. 22: hit rate (%) by PW hotness class on Kafka";
+    let (lru, furbys) = (row(md, hotness, "LRU"), row(md, hotness, "FURBYS"));
+    assert!(
+        furbys[0] > lru[0],
+        "Fig. 22: FURBYS keeps hot PWs: {furbys:?} vs {lru:?}"
+    );
+    let overhead = "SVI: FURBYS hardware overhead per micro-op cache set";
+    let meta = row(md, overhead, "metadata bits per set")[1];
+    let payload = row(md, overhead, "payload bits per set")[1];
+    assert!(
+        (meta - 46.0).abs() < 1e-9 && (payload - 4608.0).abs() < 1e-9,
+        "SVI: {meta} metadata bits over {payload} payload bits"
+    );
+    let share = row(md, overhead, "overhead")[1];
+    assert!(
+        (share - 100.0 * meta / payload).abs() < 0.005,
+        "SVI: overhead {share}%"
+    );
 }
