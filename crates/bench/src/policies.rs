@@ -140,6 +140,13 @@ impl PolicyId {
         matches!(self, PolicyId::Random)
     }
 
+    /// Whether the policy is built from a profile of its trace, i.e. reads
+    /// [`ProfileInputs`]: Thermometer its LRU hit rates, FURBYS its FLACK
+    /// profile.
+    pub fn reads_profile(self) -> bool {
+        matches!(self, PolicyId::Thermometer | PolicyId::Furbys)
+    }
+
     /// Instantiates the policy. `seed` is the task-key-derived seed and is
     /// only consumed by [`is_seeded`](Self::is_seeded) policies, so parallel
     /// sweeps stay reproducible (the seed is a pure function of the task,
@@ -265,20 +272,32 @@ pub struct ProfileInputs {
 impl ProfileInputs {
     /// Profiles `train` for all profile-guided policies under `cfg`.
     pub fn build(cfg: &FrontendConfig, train: &LookupTrace) -> Self {
-        Self::solved(&FurbysPipeline::new(*cfg), train, None)
+        Self::solved(&FurbysPipeline::new(*cfg), train, None, &PolicyId::ALL)
     }
 
-    /// Profiles `train` for all profile-guided policies under `pipeline`,
-    /// whose oracle replays `solution` of `train` when given one (see
-    /// [`FurbysPipeline::observations`]).
+    /// Profiles `train` under `pipeline` for the profile-guided policies
+    /// among `ids` only: Thermometer's LRU hit rates when Thermometer is
+    /// listed, FURBYS's profile when FURBYS is, its oracle replaying
+    /// `solution` of `train` when given one (see
+    /// [`FurbysPipeline::observations`]). The other inputs stay empty, as
+    /// in [`ProfileInputs::default`].
     pub fn solved(
         pipeline: &FurbysPipeline,
         train: &LookupTrace,
         solution: Option<&FooSolution>,
+        ids: &[PolicyId],
     ) -> Self {
         ProfileInputs {
-            lru_rates: lru_pw_hit_rates(train, pipeline.frontend_cfg.uop_cache),
-            furbys: pipeline.profile_observed(pipeline.observations(train, solution)),
+            lru_rates: if ids.contains(&PolicyId::Thermometer) {
+                lru_pw_hit_rates(train, pipeline.frontend_cfg.uop_cache)
+            } else {
+                FastHashMap::default()
+            },
+            furbys: if ids.contains(&PolicyId::Furbys) {
+                pipeline.profile_observed(pipeline.observations(train, solution))
+            } else {
+                Profile::default()
+            },
         }
     }
 }
@@ -298,6 +317,27 @@ mod tests {
             let p = id.build(&cfg, &profiles, 7);
             assert_eq!(p.name(), id.name());
         }
+    }
+
+    #[test]
+    fn only_listed_profile_guided_policies_are_profiled() {
+        let cfg = FrontendConfig::zen3();
+        let train = trace_for(AppId::Postgres, 0, 3_000);
+        let full = ProfileInputs::build(&cfg, &train);
+        let only =
+            |ids: &[PolicyId]| ProfileInputs::solved(&FurbysPipeline::new(cfg), &train, None, ids);
+        let thermometer = only(&[PolicyId::Thermometer]);
+        assert_eq!(thermometer.lru_rates, full.lru_rates);
+        assert!(thermometer.furbys.hints.is_empty());
+        let furbys = only(&[PolicyId::Lru, PolicyId::Furbys]);
+        assert!(furbys.lru_rates.is_empty());
+        assert_eq!(furbys.furbys.hints, full.furbys.hints);
+        assert!(!full.furbys.hints.is_empty());
+        let rest: Vec<PolicyId> = (PolicyId::ALL.into_iter())
+            .filter(|id| !id.reads_profile())
+            .collect();
+        let none = only(&rest);
+        assert!(none.lru_rates.is_empty() && none.furbys.hit_rates.is_empty());
     }
 
     #[test]

@@ -406,7 +406,8 @@ impl Lab {
             keys,
             |&(c, t)| {
                 let pipeline = FurbysPipeline::new(configs[c]);
-                ProfileInputs::solved(&pipeline, &traces[&t], solution(solutions, &pipeline, t))
+                let solution = solution(solutions, &pipeline, t);
+                ProfileInputs::solved(&pipeline, &traces[&t], solution, &PolicyId::ALL)
             },
         );
     }

@@ -17,6 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use uopcache_cache::PwReplacementPolicy;
+use uopcache_core::FurbysPipeline;
 use uopcache_exec::{Engine, TaskFailure, TaskKey, TaskProfile};
 use uopcache_model::json::Json;
 use uopcache_model::{
@@ -78,7 +79,8 @@ pub fn config_label(cfg: &FrontendConfig) -> String {
 /// The most accesses per app (`len × scale`) that [`SweepSpec::from_json`]
 /// accepts: 10^8, ten times the `len 100000 --scale 100` sweep. A served
 /// spec beyond it is refused before any trace is built; building it would
-/// need about 3.2 GB per app and could abort the daemon on allocation.
+/// need about 1.6 GB per app (16-byte lookup records) and could abort the
+/// daemon on allocation.
 pub const MAX_SPEC_ACCESSES: u64 = 100_000_000;
 
 /// The most micro-op cache sets a spec's `entries`/`ways` geometry may
@@ -330,6 +332,23 @@ impl SweepSpec {
             app.name(),
             policy,
         ])
+    }
+
+    /// What the spec's profile-guided policies read of one app's `trace`
+    /// (see [`ProfileInputs::solved`]); empty when no swept policy reads a
+    /// profile, so such a spec runs no FLACK solve. A sampled app trains on
+    /// its sample points only, keeping preparation O(k · interval) instead
+    /// of O(trace).
+    fn profile_inputs(&self, trace: &LookupTrace, plan: Option<&SamplePlan>) -> ProfileInputs {
+        let ids: Vec<PolicyId> = (self.policies.iter())
+            .filter_map(|p| p.parse().ok())
+            .collect();
+        if !ids.iter().any(|id| id.reads_profile()) {
+            return ProfileInputs::default();
+        }
+        let train = plan.map(|plan| plan.representative_trace(trace));
+        let pipeline = FurbysPipeline::new(self.cfg);
+        ProfileInputs::solved(&pipeline, train.as_ref().unwrap_or(trace), None, &ids)
     }
 }
 
@@ -589,10 +608,7 @@ pub fn run_sweep(spec: &SweepSpec, engine: &Engine) -> SweepReport {
             let trace = trace_for_scaled(app, spec.variant, spec.len, spec.scale);
             let plan = (spec.sample)
                 .map(|interval| SamplePlan::build(&trace, &SampleConfig::new(interval, seed)));
-            // Sampled apps train profile-guided policies on the sample points
-            // only, keeping preparation O(k · interval) instead of O(trace).
-            let train = plan.as_ref().map(|plan| plan.representative_trace(&trace));
-            let profiles = ProfileInputs::build(&cfg, train.as_ref().unwrap_or(&trace));
+            let profiles = spec.profile_inputs(&trace, plan.as_ref());
             (app, Prep::new(&cfg, Arc::new(trace), plan), profiles)
         })
         .expect_all("sweep preparation");
@@ -976,6 +992,27 @@ mod tests {
             for jobs in [2, 8] {
                 assert_eq!(serial, run_sweep(&spec, &Engine::new(jobs)).to_json());
             }
+        }
+    }
+
+    #[test]
+    fn specs_without_profiled_policies_prepare_no_profile() {
+        let trace = trace_for_scaled(AppId::Kafka, 0, 1_500, 1);
+        let profiles = tiny_spec().profile_inputs(&trace, None);
+        assert!(profiles.lru_rates.is_empty());
+        assert!(profiles.furbys.hit_rates.is_empty() && profiles.furbys.hints.is_empty());
+        // The reports are the bytes a sweep that profiled every policy
+        // rendered.
+        let fnv = |s: String| {
+            (s.bytes()).fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            })
+        };
+        for (spec, digest) in [
+            (tiny_spec(), 0xe97a_b7b0_542e_37a1),
+            (sampled_spec(), 0xbc44_8856_81c3_2890),
+        ] {
+            assert_eq!(fnv(run_sweep(&spec, &Engine::new(2)).to_json()), digest);
         }
     }
 

@@ -82,6 +82,17 @@ pub trait PwReplacementPolicy {
     fn introspect(&self) -> Option<uopcache_model::json::Json> {
         None
     }
+
+    /// The policy as a trait object, for a cache to own. A policy that is
+    /// already a `Box<dyn PwReplacementPolicy>` passes through as it is,
+    /// so every hook costs one virtual call rather than two (the box's
+    /// forwarding impl, then the policy's own).
+    fn into_boxed(self) -> Box<dyn PwReplacementPolicy>
+    where
+        Self: Sized + 'static,
+    {
+        Box::new(self)
+    }
 }
 
 impl PwReplacementPolicy for Box<dyn PwReplacementPolicy> {
@@ -135,12 +146,25 @@ impl PwReplacementPolicy for Box<dyn PwReplacementPolicy> {
     fn introspect(&self) -> Option<uopcache_model::json::Json> {
         (**self).introspect()
     }
+
+    fn into_boxed(self) -> Box<dyn PwReplacementPolicy> {
+        self
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::PwReplacementPolicy;
     use crate::lru::LruPolicy;
+
+    #[test]
+    fn a_boxed_policy_is_not_boxed_again() {
+        let boxed: Box<dyn PwReplacementPolicy> = Box::new(LruPolicy::new());
+        let before = std::ptr::from_ref(&*boxed).cast::<u8>();
+        let again = boxed.into_boxed();
+        assert_eq!(std::ptr::from_ref(&*again).cast::<u8>(), before);
+        assert_eq!(again.name(), "LRU");
+    }
 
     #[test]
     fn default_hooks_are_benign() {

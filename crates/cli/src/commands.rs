@@ -405,14 +405,25 @@ fn spec_from_args(args: &Args) -> Result<SweepSpec, Box<dyn Error>> {
     })
 }
 
+/// Applies `--jobs N` when given. As for `reproduce-all`, `N` must be a
+/// positive worker count: `0` is refused rather than read as the default.
+fn apply_jobs(args: &Args) -> Result<(), ArgError> {
+    if let Some(jobs) = args.get("jobs") {
+        match jobs.parse::<usize>() {
+            Ok(n) if n > 0 => sweep::set_jobs(n),
+            _ => {
+                return Err(ArgError(format!(
+                    "--jobs needs a positive worker count, got {jobs:?}"
+                )))
+            }
+        }
+    }
+    Ok(())
+}
+
 fn cmd_sweep(args: &Args) -> Result<(), Box<dyn Error>> {
     let spec = spec_from_args(args)?;
-    if let Some(jobs) = args.get("jobs") {
-        sweep::set_jobs(
-            jobs.parse()
-                .map_err(|_| ArgError(format!("--jobs {jobs:?} is not a valid value")))?,
-        );
-    }
+    apply_jobs(args)?;
     let report = run_sweep(&spec, &sweep::engine());
 
     let mut t = Table::new(
@@ -523,12 +534,7 @@ fn cmd_sweep(args: &Args) -> Result<(), Box<dyn Error>> {
 fn cmd_sample(args: &Args) -> Result<(), Box<dyn Error>> {
     let mut spec = spec_from_args(args)?;
     let interval = *spec.sample.get_or_insert(20_000);
-    if let Some(jobs) = args.get("jobs") {
-        sweep::set_jobs(
-            jobs.parse()
-                .map_err(|_| ArgError(format!("--jobs {jobs:?} is not a valid value")))?,
-        );
-    }
+    apply_jobs(args)?;
     let report = run_sweep(&spec, &sweep::engine());
 
     let mut t = Table::new(
@@ -859,12 +865,7 @@ fn cmd_identify(args: &Args) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_experiment(args: &Args) -> Result<(), Box<dyn Error>> {
-    if let Some(jobs) = args.get("jobs") {
-        sweep::set_jobs(
-            jobs.parse()
-                .map_err(|_| ArgError(format!("--jobs {jobs:?} is not a valid value")))?,
-        );
-    }
+    apply_jobs(args)?;
     let id = args
         .positional(1)
         .ok_or_else(|| ArgError("experiment needs an id (see list-experiments)".into()))?;
@@ -1163,6 +1164,18 @@ mod tests {
         assert!(run("sweep --apps nope --len 1000").is_err());
         assert!(run("sweep --apps kafka --policies belady --len 1000").is_err());
         assert!(run("sweep --apps kafka --jobs zero --len 1000").is_err());
+    }
+
+    #[test]
+    fn sweep_and_experiment_refuse_zero_jobs() {
+        for line in [
+            "sweep --apps kafka --policies lru --len 1000 --jobs 0",
+            "sample --apps kafka --policies lru --len 1000 --jobs 0",
+            "experiment tab1 --quick --jobs 0",
+        ] {
+            let err = run(line).expect_err(line).to_string();
+            assert!(err.contains("positive worker count"), "{line}: {err}");
+        }
     }
 
     #[test]

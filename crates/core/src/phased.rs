@@ -270,7 +270,10 @@ mod tests {
             .collect();
         let obs: Vec<_> = trace
             .iter()
-            .map(|a| (a.pw.start, a.pw.uops, a.pw.uops))
+            .map(|a| {
+                let pw = a.pw();
+                (pw.start, pw.uops, pw.uops)
+            })
             .collect();
         let profile = PhasedProfile::from_observations(&obs, &cfg, &WeightConfig::default(), 4);
         let mut cache =

@@ -1,30 +1,123 @@
 //! Prediction-window lookup traces: the input consumed by the simulator and
 //! by the offline (oracle) replacement policies.
 
+use std::fmt;
+
 use crate::hash::FastHashMap;
 use crate::json::{FromJson, Json, JsonError, ToJson};
-use crate::json_struct;
-use crate::pw::PwDesc;
+use crate::pw::{PwDesc, PwTermination};
 use crate::Addr;
 
 /// One micro-op cache lookup: a prediction window requested by the frontend.
-#[derive(Copy, Clone, Eq, PartialEq, Hash, Debug)]
+///
+/// A trace holds one record per lookup, so the record is packed into 16
+/// bytes: the window's start (8 bytes), micro-op count (4), byte span (2)
+/// and a flag byte. Flag bit 0 marks a mispredicted access and bit 1 a
+/// window that ended at a line boundary, the same bits the binary trace
+/// format writes. Read the window back with [`pw`](Self::pw).
+///
+/// # Examples
+///
+/// ```
+/// use uopcache_model::{Addr, PwAccess, PwDesc, PwTermination};
+///
+/// let pw = PwDesc::new(Addr::new(0x40), 8, 20, PwTermination::LineBoundary);
+/// let access = PwAccess::with_mispredict(pw, true);
+/// assert_eq!(access.pw(), pw);
+/// assert!(access.is_mispredicted());
+/// assert!(!PwAccess::new(pw).is_mispredicted());
+/// assert_eq!(std::mem::size_of::<PwAccess>(), 16);
+/// ```
+#[derive(Copy, Clone, Eq, PartialEq, Hash)]
 pub struct PwAccess {
-    /// The requested window.
-    pub pw: PwDesc,
-    /// Whether the branch predictor mispredicted the branch that *produced*
-    /// this window (the simulator charges the flush penalty and the offline
-    /// policies can ignore it).
-    pub mispredicted: bool,
+    start: Addr,
+    uops: u32,
+    bytes: u16,
+    flags: u8,
 }
 
+const _: () = assert!(std::mem::size_of::<PwAccess>() == 16);
+
+/// Flag bit: the branch that produced the window was mispredicted.
+const MISPREDICTED: u8 = 1;
+/// Flag bit: the window ended at an instruction-cache line boundary.
+const LINE_BOUNDARY: u8 = 2;
+
 impl PwAccess {
+    /// The widest window, in bytes, a record holds. A generated window is
+    /// cut at the first instruction that crosses a 64-byte line, so it spans
+    /// fewer than 100 bytes; the trace readers refuse wider ones.
+    pub const MAX_BYTES: u32 = u16::MAX as u32;
+
     /// Creates a correctly-predicted access.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pw.bytes` exceeds [`MAX_BYTES`](Self::MAX_BYTES).
     pub fn new(pw: PwDesc) -> Self {
-        PwAccess {
-            pw,
-            mispredicted: false,
+        Self::with_mispredict(pw, false)
+    }
+
+    /// Creates an access whose producing branch was mispredicted when
+    /// `mispredicted` is set (the simulator charges the flush penalty; the
+    /// offline policies can ignore it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pw.bytes` exceeds [`MAX_BYTES`](Self::MAX_BYTES): a
+    /// record keeps the byte span in 16 bits.
+    pub fn with_mispredict(pw: PwDesc, mispredicted: bool) -> Self {
+        let bytes = u16::try_from(pw.bytes).unwrap_or_else(|_| {
+            panic!(
+                "a window of {} bytes exceeds the {} a lookup record holds",
+                pw.bytes,
+                Self::MAX_BYTES
+            )
+        });
+        let mut flags = 0;
+        if mispredicted {
+            flags |= MISPREDICTED;
         }
+        if pw.term == PwTermination::LineBoundary {
+            flags |= LINE_BOUNDARY;
+        }
+        PwAccess {
+            start: pw.start,
+            uops: pw.uops,
+            bytes,
+            flags,
+        }
+    }
+
+    /// The requested window.
+    #[inline]
+    pub fn pw(&self) -> PwDesc {
+        PwDesc {
+            start: self.start,
+            uops: self.uops,
+            bytes: u32::from(self.bytes),
+            term: if self.flags & LINE_BOUNDARY != 0 {
+                PwTermination::LineBoundary
+            } else {
+                PwTermination::TakenBranch
+            },
+        }
+    }
+
+    /// Whether the branch predictor mispredicted the branch that
+    /// *produced* this window.
+    #[inline]
+    pub fn is_mispredicted(&self) -> bool {
+        self.flags & MISPREDICTED != 0
+    }
+}
+
+impl fmt::Debug for PwAccess {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PwAccess")
+            .field("pw", &self.pw())
+            .field("mispredicted", &self.is_mispredicted())
+            .finish()
     }
 }
 
@@ -93,14 +186,14 @@ impl LookupTrace {
 
     /// Total micro-ops requested across all lookups.
     pub fn total_uops(&self) -> u64 {
-        self.accesses.iter().map(|a| u64::from(a.pw.uops)).sum()
+        self.accesses.iter().map(|a| u64::from(a.pw().uops)).sum()
     }
 
     /// Number of distinct PW start addresses (the static footprint in PWs).
     pub fn unique_starts(&self) -> usize {
         let mut seen: FastHashMap<Addr, ()> = FastHashMap::default();
         for a in &self.accesses {
-            seen.insert(a.pw.start, ());
+            seen.insert(a.pw().start, ());
         }
         seen.len()
     }
@@ -110,8 +203,8 @@ impl LookupTrace {
     pub fn footprint_entries(&self, uops_per_entry: u32) -> u64 {
         let mut max_uops: FastHashMap<Addr, u32> = FastHashMap::default();
         for a in &self.accesses {
-            let e = max_uops.entry(a.pw.start).or_insert(0);
-            *e = (*e).max(a.pw.uops);
+            let e = max_uops.entry(a.pw().start).or_insert(0);
+            *e = (*e).max(a.pw().uops);
         }
         max_uops
             .values()
@@ -123,7 +216,7 @@ impl LookupTrace {
     pub fn access_counts(&self) -> FastHashMap<Addr, u64> {
         let mut counts = FastHashMap::default();
         for a in &self.accesses {
-            *counts.entry(a.pw.start).or_insert(0) += 1;
+            *counts.entry(a.pw().start).or_insert(0) += 1;
         }
         counts
     }
@@ -172,7 +265,39 @@ impl IntoIterator for LookupTrace {
     }
 }
 
-json_struct!(PwAccess { pw, mispredicted });
+impl ToJson for PwAccess {
+    /// Serialises as `{"pw": …, "mispredicted": …}`.
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("pw".to_string(), self.pw().to_json()),
+            ("mispredicted".to_string(), self.is_mispredicted().to_json()),
+        ])
+    }
+}
+
+impl FromJson for PwAccess {
+    fn from_json(j: &Json) -> Result<Self, JsonError> {
+        let pw = PwDesc::from_json(j.field("pw")?)?;
+        let mispredicted = bool::from_json(j.field("mispredicted")?)?;
+        // The binary reader's rules: no empty window, none wider than a
+        // record holds.
+        if pw.uops == 0 || pw.bytes == 0 {
+            return Err(JsonError(format!(
+                "window at {} has uops={}, bytes={}",
+                pw.start, pw.uops, pw.bytes
+            )));
+        }
+        if pw.bytes > PwAccess::MAX_BYTES {
+            return Err(JsonError(format!(
+                "window at {} spans {} bytes, more than {}",
+                pw.start,
+                pw.bytes,
+                PwAccess::MAX_BYTES
+            )));
+        }
+        Ok(PwAccess::with_mispredict(pw, mispredicted))
+    }
+}
 
 impl ToJson for LookupTrace {
     /// Serialises transparently as the array of accesses.
@@ -235,7 +360,57 @@ mod tests {
         let trace: LookupTrace = (0..10).map(|i| acc(i * 64, 1)).collect();
         let sub = trace.slice(3..6);
         assert_eq!(sub.len(), 3);
-        assert_eq!(sub.accesses()[0].pw.start, Addr::new(3 * 64));
+        assert_eq!(sub.accesses()[0].pw().start, Addr::new(3 * 64));
+    }
+
+    #[test]
+    fn records_pack_and_unpack_every_flag_combination() {
+        for term in [PwTermination::TakenBranch, PwTermination::LineBoundary] {
+            for mispredicted in [false, true] {
+                for bytes in [1, 64 + 15, PwAccess::MAX_BYTES] {
+                    let pw = PwDesc::new(Addr::new(u64::MAX - 0xff), u32::MAX, bytes, term);
+                    let a = PwAccess::with_mispredict(pw, mispredicted);
+                    assert_eq!(a.pw(), pw);
+                    assert_eq!(a.is_mispredicted(), mispredicted);
+                    let back: PwAccess = crate::json::from_str(&crate::json::to_string(&a))
+                        .expect("a record round-trips through JSON");
+                    assert_eq!(back, a);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn json_wire_form_is_unchanged() {
+        let pw = PwDesc::new(Addr::new(0x40), 8, 20, PwTermination::LineBoundary);
+        assert_eq!(
+            crate::json::to_string(&PwAccess::with_mispredict(pw, true)),
+            r#"{"pw":{"start":64,"uops":8,"bytes":20,"term":"line-boundary"},"mispredicted":true}"#
+        );
+    }
+
+    #[test]
+    fn json_windows_empty_or_wider_than_a_record_are_errors() {
+        let doc = |uops: u32, bytes: u64| {
+            format!(
+                r#"[{{"pw":{{"start":64,"uops":{uops},"bytes":{bytes},"term":"taken-branch"}},"mispredicted":false}}]"#
+            )
+        };
+        let ok: LookupTrace = crate::json::from_str(&doc(8, 65_535)).expect("widest record");
+        assert_eq!(ok.accesses()[0].pw().bytes, 65_535);
+        let err = crate::json::from_str::<LookupTrace>(&doc(8, 65_536)).expect_err("too wide");
+        assert!(err.0.contains("65536 bytes"), "{err}");
+        for (uops, bytes) in [(0, 4), (8, 0)] {
+            let err = crate::json::from_str::<LookupTrace>(&doc(uops, bytes)).expect_err("empty");
+            assert!(err.0.contains("uops="), "{err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 65535 a lookup record holds")]
+    fn windows_wider_than_a_record_panic() {
+        let pw = PwDesc::new(Addr::new(0), 1, 65_536, PwTermination::TakenBranch);
+        let _ = PwAccess::new(pw);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The workspace's on-disk artifacts (traces, hint maps, results) use JSON as
 //! their interoperable format. To keep the build dependency-free offline,
 //! this module provides a small JSON value model, a parser, a writer, and the
-//! [`ToJson`]/[`FromJson`] traits with a [`json_struct!`] derive macro for
-//! named-field structs.
+//! [`ToJson`]/[`FromJson`] traits with a [`json_struct!`](crate::json_struct)
+//! derive macro for named-field structs.
 //!
 //! # Examples
 //!

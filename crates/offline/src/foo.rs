@@ -145,7 +145,7 @@ pub fn solve(trace: &LookupTrace, cfg: &UopCacheConfig, foo_cfg: &FooConfig) -> 
     let sets = cfg.sets() as usize;
     let mut per_set: Vec<Vec<u32>> = vec![Vec::new(); sets];
     for (i, a) in trace.iter().enumerate() {
-        let s = cfg.set_index_for(a.pw.start, foo_cfg.line_bytes);
+        let s = cfg.set_index_for(a.pw().start, foo_cfg.line_bytes);
         per_set[s].push(u32::try_from(i).expect("trace indices fit in u32"));
     }
 
@@ -231,13 +231,13 @@ fn solve_set(
     let intervals = &mut scratch.intervals;
     intervals.clear();
     for (local, &gi) in indices.iter().enumerate() {
-        let pw = accesses[gi as usize].pw;
+        let pw = accesses[gi as usize].pw();
         let key = match foo_cfg.interval_mode {
             IntervalMode::ExactWindow => (pw.start.get(), pw.uops),
             IntervalMode::Coverage => (pw.start.get(), 0),
         };
         if let Some(&prev) = last_seen.get(&key) {
-            let prev_pw = accesses[indices[prev] as usize].pw;
+            let prev_pw = accesses[indices[prev] as usize].pw();
             let size = i64::from(prev_pw.entries(cfg.uops_per_entry));
             if size <= i64::from(cfg.max_entries_per_pw.min(cfg.ways)) {
                 let served = match foo_cfg.interval_mode {

@@ -64,9 +64,10 @@ pub fn digest_run(
     let mut cache = UopCache::new(cfg, policy);
     cache.set_recorder(Box::new(DigestRecorder::new()));
     for access in trace.iter() {
-        let result = cache.lookup(&access.pw);
+        let pw = access.pw();
+        let result = cache.lookup(&pw);
         if !result.is_full_hit() {
-            cache.insert(&access.pw);
+            cache.insert(&pw);
         }
     }
     let rec = cache.take_recorder().expect("recorder installed above");

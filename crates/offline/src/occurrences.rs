@@ -32,7 +32,7 @@ impl OccurrenceIndex {
         let mut positions: FastHashMap<Addr, (Vec<u32>, usize)> = FastHashMap::default();
         for (i, a) in trace.iter().enumerate() {
             positions
-                .entry(a.pw.start)
+                .entry(a.pw().start)
                 .or_default()
                 .0
                 .push(u32::try_from(i).expect("trace indices fit in u32"));

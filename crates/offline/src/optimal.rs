@@ -58,8 +58,8 @@ pub fn optimal_missed_uops(trace: &LookupTrace, cfg: &UopCacheConfig) -> Optimal
     let mut starts: Vec<Addr> = Vec::new();
     let mut start_idx: FastHashMap<Addr, usize> = FastHashMap::default();
     for a in accesses {
-        start_idx.entry(a.pw.start).or_insert_with(|| {
-            starts.push(a.pw.start);
+        start_idx.entry(a.pw().start).or_insert_with(|| {
+            starts.push(a.pw().start);
             starts.len() - 1
         });
     }
@@ -119,7 +119,7 @@ pub fn optimal_missed_uops(trace: &LookupTrace, cfg: &UopCacheConfig) -> Optimal
             *explored < 4_000_000,
             "exhaustive solver state budget exceeded"
         );
-        let pw = accesses[t].pw;
+        let pw = accesses[t].pw();
         let idx = start_idx[&pw.start];
         let resident = state[idx];
         let miss_now = u64::from(pw.uops.saturating_sub(resident));

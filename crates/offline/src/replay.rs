@@ -212,21 +212,22 @@ pub fn replay_full_into(
     obs.clear();
     obs.reserve(trace.len());
     for (t, access) in trace.iter().enumerate() {
-        let result = cache.lookup(&access.pw);
-        obs.push((access.pw.start, result.hit_uops(), access.pw.uops));
+        let pw = access.pw();
+        let result = cache.lookup(&pw);
+        obs.push((pw.start, result.hit_uops(), pw.uops));
         let keep = solution.keep.get(t).copied().unwrap_or(false);
         match result {
             LookupResult::Hit { .. } => {
                 if !keep && timing == EvictionTiming::Eager {
-                    cache.evict_start(access.pw.start);
+                    cache.evict_start(pw.start);
                 }
             }
             LookupResult::PartialHit { .. } | LookupResult::Miss => {
                 if keep {
-                    cache.insert(&access.pw);
+                    cache.insert(&pw);
                 } else if timing == EvictionTiming::Eager {
                     // Raw FOO evicts/bypasses immediately.
-                    cache.evict_start(access.pw.start);
+                    cache.evict_start(pw.start);
                 }
                 // Lazy: a not-kept window is simply not inserted; if a
                 // shorter version is resident it stays until space is needed.

@@ -25,12 +25,12 @@ pub fn lru_hit_rates(trace: &LookupTrace, cfg: UopCacheConfig) -> FastHashMap<Ad
     let mut hit: FastHashMap<Addr, u64> = FastHashMap::default();
     let mut total: FastHashMap<Addr, u64> = FastHashMap::default();
     for access in trace.iter() {
-        let result = cache.lookup(&access.pw);
-        let uops = u64::from(access.pw.uops);
-        *total.entry(access.pw.start).or_insert(0) += uops;
-        *hit.entry(access.pw.start).or_insert(0) += u64::from(result.hit_uops());
+        let pw = access.pw();
+        let result = cache.lookup(&pw);
+        *total.entry(pw.start).or_insert(0) += u64::from(pw.uops);
+        *hit.entry(pw.start).or_insert(0) += u64::from(result.hit_uops());
         if !result.is_full_hit() {
-            cache.insert(&access.pw);
+            cache.insert(&pw);
         }
     }
     total
@@ -52,12 +52,13 @@ pub fn lru_pw_hit_rates(trace: &LookupTrace, cfg: UopCacheConfig) -> FastHashMap
     let mut hit: FastHashMap<Addr, u64> = FastHashMap::default();
     let mut total: FastHashMap<Addr, u64> = FastHashMap::default();
     for access in trace.iter() {
-        let result = cache.lookup(&access.pw);
-        *total.entry(access.pw.start).or_insert(0) += 1;
+        let pw = access.pw();
+        let result = cache.lookup(&pw);
+        *total.entry(pw.start).or_insert(0) += 1;
         if result.is_full_hit() {
-            *hit.entry(access.pw.start).or_insert(0) += 1;
+            *hit.entry(pw.start).or_insert(0) += 1;
         } else {
-            cache.insert(&access.pw);
+            cache.insert(&pw);
         }
     }
     total

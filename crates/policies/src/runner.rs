@@ -26,9 +26,10 @@ use uopcache_model::{LookupTrace, UopCacheStats};
 pub fn run_trace(cache: &mut UopCache, trace: &LookupTrace) -> UopCacheStats {
     let before = *cache.stats();
     for access in trace.iter() {
-        let result = cache.lookup(&access.pw);
+        let pw = access.pw();
+        let result = cache.lookup(&pw);
         if !result.is_full_hit() {
-            cache.insert(&access.pw);
+            cache.insert(&pw);
         }
     }
     *cache.stats() - before
@@ -43,10 +44,11 @@ pub fn run_trace_observed(
     let before = *cache.stats();
     let mut obs = Vec::with_capacity(trace.len());
     for access in trace.iter() {
-        let result = cache.lookup(&access.pw);
-        obs.push((access.pw.start, result.hit_uops(), access.pw.uops));
+        let pw = access.pw();
+        let result = cache.lookup(&pw);
+        obs.push((pw.start, result.hit_uops(), pw.uops));
         if !result.is_full_hit() {
-            cache.insert(&access.pw);
+            cache.insert(&pw);
         }
     }
     (*cache.stats() - before, obs)

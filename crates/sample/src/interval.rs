@@ -53,7 +53,7 @@ pub fn slice_intervals(trace: &LookupTrace, interval_uops: u64) -> Vec<Interval>
     let mut start = 0usize;
     let mut uops = 0u64;
     for (i, a) in trace.iter().enumerate() {
-        uops += u64::from(a.pw.uops);
+        uops += u64::from(a.pw().uops);
         if uops >= interval_uops {
             out.push(Interval {
                 index: out.len(),
@@ -97,8 +97,8 @@ pub fn fingerprint_intervals(
             kind: EventKind::Miss,
             set: 0,
             slot: None,
-            start: a.pw.start.get(),
-            uops: a.pw.uops,
+            start: a.pw().start.get(),
+            uops: a.pw().uops,
             entries: 1,
             verdict: Verdict::None,
         });

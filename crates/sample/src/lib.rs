@@ -14,7 +14,7 @@
 //!    `uopcache_obs::BbvRecorder`) — fold each interval's accesses into a
 //!    prediction-window basic-block vector, random-projected to a fixed
 //!    dimension with seeded ±1 signs.
-//! 3. **Cluster** ([`kmeans`], [`choose_k`]) — deterministic seeded
+//! 3. **Cluster** ([`kmeans()`], [`choose_k`]) — deterministic seeded
 //!    k-means over the projected vectors; `k` picked by a BIC-style score.
 //! 4. **Select** ([`SamplePlan::build`]) — per cluster, the member closest
 //!    to the centroid becomes the *representative* and the farthest member

@@ -94,7 +94,7 @@ impl BranchState {
             "a stream extends from its own state"
         );
         for access in accesses {
-            let pw = access.pw;
+            let pw = access.pw();
             let mut entry = 0;
             if !self.key.perfect_btb {
                 if let LineOutcome::Miss { evicted } =
@@ -106,7 +106,7 @@ impl BranchState {
                     }
                 }
             }
-            if access.mispredicted && !self.key.perfect_predictor {
+            if access.is_mispredicted() && !self.key.perfect_predictor {
                 entry |= MISPREDICT;
             }
             // The backend absorbs micro-ops at its IPC ceiling; the frontend
@@ -345,11 +345,11 @@ mod tests {
         let stream = BranchStream::build(&cfg, &[trace.accesses()]);
         let mut btb = LineCache::with_entries(cfg.bpu.btb_entries, cfg.bpu.btb_ways, 4);
         for access in &trace.accesses()[..5_000] {
-            btb.access(Addr::new(access.pw.start.get()).line(4));
+            btb.access(Addr::new(access.pw().start.get()).line(4));
         }
         let before = *btb.stats();
         for access in &trace.accesses()[5_000..] {
-            btb.access(Addr::new(access.pw.start.get()).line(4));
+            btb.access(Addr::new(access.pw().start.get()).line(4));
         }
         let (tally, mispredictions) = stream.slice(5_000..trace.len()).tally();
         let after = *btb.stats();
@@ -359,7 +359,7 @@ mod tests {
         assert!(tally.evictions > 0);
         let mispredicted = trace.accesses()[5_000..]
             .iter()
-            .filter(|a| a.mispredicted)
+            .filter(|a| a.is_mispredicted())
             .count();
         assert_eq!(mispredictions, mispredicted as u64);
     }

@@ -71,10 +71,11 @@ impl FrontendBuilder {
     }
 
     /// Sets the micro-op cache replacement policy (default: LRU). Accepts
-    /// both unboxed policies and `Box<dyn PwReplacementPolicy>`.
+    /// both unboxed policies and `Box<dyn PwReplacementPolicy>`; a box is
+    /// kept as it is (see [`PwReplacementPolicy::into_boxed`]).
     #[must_use]
     pub fn policy(mut self, policy: impl PwReplacementPolicy + 'static) -> Self {
-        self.policy = Some(Box::new(policy));
+        self.policy = Some(policy.into_boxed());
         self
     }
 
@@ -285,7 +286,7 @@ impl Frontend {
         result.mispredictions += mispredictions;
         let outcomes = branch.outcomes(u64::from(self.cfg.bpu.mispredict_penalty));
         for (access, (penalty, backend_cycles)) in accesses.iter().zip(outcomes) {
-            let pw = access.pw;
+            let pw = access.pw();
             // Branch prediction for the branch that produced this window.
             let mut add = penalty;
 

@@ -7,7 +7,7 @@ use crate::workload::{AppId, InputVariant, WorkloadSpec};
 use uopcache_model::rng::{Prng, Rng};
 use uopcache_model::LookupTrace;
 
-/// The most accesses a build reserves up front (2^21, 64 MiB of windows).
+/// The most accesses a build reserves up front (2^21, 32 MiB of windows).
 /// A longer trace grows past it as windows arrive, so an absurd length
 /// fails on memory it really uses, never on one giant reservation.
 const RESERVE_CHUNK: usize = 1 << 21;
@@ -138,8 +138,11 @@ mod tests {
         // ...but the bulk of variant-b *accesses* go to addresses variant-a
         // also touched (same binary, shared hot code; the cold Zipf tail may
         // differ by sampling).
-        let sa: FastHashSet<u64> = a.iter().map(|x| x.pw.start.get()).collect();
-        let shared_accesses = b.iter().filter(|x| sa.contains(&x.pw.start.get())).count();
+        let sa: FastHashSet<u64> = a.iter().map(|x| x.pw().start.get()).collect();
+        let shared_accesses = b
+            .iter()
+            .filter(|x| sa.contains(&x.pw().start.get()))
+            .count();
         assert!(
             shared_accesses * 10 > b.len() * 6,
             "{shared_accesses} of {} accesses hit shared code",
@@ -159,11 +162,11 @@ mod tests {
         assert_ne!(scaled.slice(n..2 * n), base);
         assert_ne!(scaled.slice(2 * n..3 * n), scaled.slice(n..2 * n));
         // ...yet they mostly revisit the same (hot) code.
-        let first: FastHashSet<u64> = base.iter().map(|a| a.pw.start.get()).collect();
+        let first: FastHashSet<u64> = base.iter().map(|a| a.pw().start.get()).collect();
         let revisits = scaled
             .slice(n..2 * n)
             .iter()
-            .filter(|a| first.contains(&a.pw.start.get()))
+            .filter(|a| first.contains(&a.pw().start.get()))
             .count();
         assert!(revisits * 10 > n * 5, "{revisits} of {n} accesses shared");
     }

@@ -15,9 +15,11 @@
 //! ```
 //!
 //! The reader accepts exactly what the writer produces: other flag bits,
-//! zero-sized windows and bytes after the last record are errors. It never
-//! trusts the header's count for memory: it reserves at most
-//! `RESERVE_RECORDS` up front and grows as records actually arrive.
+//! zero-sized windows, windows wider than [`PwAccess::MAX_BYTES`] (a
+//! resident record keeps the span in 16 bits) and bytes after the last
+//! record are errors. It never trusts the header's count for memory: it
+//! reserves at most `RESERVE_RECORDS` up front and grows as records
+//! actually arrive.
 
 use std::fmt;
 use std::io::{Read, Write};
@@ -26,7 +28,7 @@ use uopcache_model::{Addr, LookupTrace, PwAccess, PwDesc, PwTermination};
 
 const MAGIC: &[u8; 4] = b"UOPT";
 const VERSION: u32 = 1;
-/// Records reserved before any is read (128 KiB of windows).
+/// Records reserved before any is read (64 KiB of windows).
 const RESERVE_RECORDS: usize = 4096;
 
 /// Errors arising while reading or writing trace files.
@@ -83,14 +85,14 @@ pub fn write_binary<W: Write>(mut w: W, trace: &LookupTrace) -> Result<(), Trace
     w.write_all(&VERSION.to_le_bytes())?;
     w.write_all(&(trace.len() as u64).to_le_bytes())?;
     for a in trace.iter() {
-        w.write_all(&a.pw.start.get().to_le_bytes())?;
-        w.write_all(&a.pw.uops.to_le_bytes())?;
-        w.write_all(&a.pw.bytes.to_le_bytes())?;
+        w.write_all(&a.pw().start.get().to_le_bytes())?;
+        w.write_all(&a.pw().uops.to_le_bytes())?;
+        w.write_all(&a.pw().bytes.to_le_bytes())?;
         let mut flags = 0u8;
-        if a.mispredicted {
+        if a.is_mispredicted() {
             flags |= 1;
         }
-        if a.pw.term == PwTermination::LineBoundary {
+        if a.pw().term == PwTermination::LineBoundary {
             flags |= 2;
         }
         w.write_all(&[flags])?;
@@ -130,6 +132,12 @@ pub fn read_binary<R: Read>(mut r: R) -> Result<LookupTrace, TraceIoError> {
                 "window at {start:#x} has uops={uops}, bytes={bytes}"
             )));
         }
+        if bytes > PwAccess::MAX_BYTES {
+            return Err(TraceIoError::InvalidRecord(format!(
+                "window at {start:#x} spans {bytes} bytes, more than {}",
+                PwAccess::MAX_BYTES
+            )));
+        }
         if flags[0] & !3 != 0 {
             return Err(TraceIoError::InvalidRecord(format!(
                 "window at {start:#x} has unknown flags {:#04x}",
@@ -141,10 +149,10 @@ pub fn read_binary<R: Read>(mut r: R) -> Result<LookupTrace, TraceIoError> {
         } else {
             PwTermination::TakenBranch
         };
-        trace.push(PwAccess {
-            pw: PwDesc::new(Addr::new(start), uops, bytes, term),
-            mispredicted: flags[0] & 1 != 0,
-        });
+        trace.push(PwAccess::with_mispredict(
+            PwDesc::new(Addr::new(start), uops, bytes, term),
+            flags[0] & 1 != 0,
+        ));
     }
     let mut rest = [0u8; 1];
     if r.read(&mut rest)? != 0 {

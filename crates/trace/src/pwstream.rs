@@ -212,7 +212,11 @@ impl<'p> PwBuilder<'p> {
                 // The line-boundary cut coincided with the block's last
                 // instruction; the branch is what really ended the window.
                 if let Some(last) = out.last_mut() {
-                    last.pw.term = PwTermination::TakenBranch;
+                    let pw = PwDesc {
+                        term: PwTermination::TakenBranch,
+                        ..last.pw()
+                    };
+                    *last = PwAccess::with_mispredict(pw, last.is_mispredicted());
                 }
             }
         }
@@ -258,10 +262,7 @@ impl<'p> PwBuilder<'p> {
             // all landed earlier) merge into nothing; skip them.
             if acc.uops > 0 {
                 let pw = PwDesc::new(acc.start, acc.uops, acc.bytes.max(1), term);
-                out.push(PwAccess {
-                    pw,
-                    mispredicted: acc.mispredicted,
-                });
+                out.push(PwAccess::with_mispredict(pw, acc.mispredicted));
             }
         }
     }
@@ -297,8 +298,8 @@ mod tests {
         for a in t.iter() {
             // A PW never spans more than one full line plus the final
             // instruction's overhang (max x86 instruction is 15 bytes).
-            assert!(a.pw.bytes <= 64 + 15, "{:?}", a.pw);
-            assert!(a.pw.uops >= 1);
+            assert!(a.pw().bytes <= 64 + 15, "{:?}", a.pw());
+            assert!(a.pw().uops >= 1);
         }
     }
 
@@ -307,7 +308,9 @@ mod tests {
         let t = trace(AppId::Tomcat, 30_000);
         let mut lens: FastHashMap<u64, FastHashSet<u32>> = FastHashMap::default();
         for a in t.iter() {
-            lens.entry(a.pw.start.get()).or_default().insert(a.pw.uops);
+            lens.entry(a.pw().start.get())
+                .or_default()
+                .insert(a.pw().uops);
         }
         let overlapping = lens.values().filter(|s| s.len() > 1).count();
         assert!(
@@ -322,7 +325,7 @@ mod tests {
         let t = trace(AppId::Clang, 20_000);
         let mut sizes = FastHashSet::default();
         for a in t.iter() {
-            sizes.insert(a.pw.entries(8));
+            sizes.insert(a.pw().entries(8));
         }
         assert!(
             sizes.len() >= 2,
@@ -335,11 +338,11 @@ mod tests {
         let t = trace(AppId::Drupal, 20_000);
         let taken = t
             .iter()
-            .filter(|a| a.pw.term == PwTermination::TakenBranch)
+            .filter(|a| a.pw().term == PwTermination::TakenBranch)
             .count();
         let line = t
             .iter()
-            .filter(|a| a.pw.term == PwTermination::LineBoundary)
+            .filter(|a| a.pw().term == PwTermination::LineBoundary)
             .count();
         assert!(taken > 0 && line > 0, "taken={taken} line={line}");
     }
@@ -353,7 +356,7 @@ mod tests {
     #[test]
     fn mispredicted_flags_present_for_high_mpki_apps() {
         let t = trace(AppId::Wordpress, 50_000);
-        let flagged = t.iter().filter(|a| a.mispredicted).count();
+        let flagged = t.iter().filter(|a| a.is_mispredicted()).count();
         assert!(flagged > 0);
     }
 
@@ -366,10 +369,10 @@ mod tests {
         let walker = Walker::new(&program, &spec, InputVariant(0));
         let t = collect_trace(&program, walker.take(2000), 5000);
         for w in t.accesses().windows(2) {
-            if w[0].pw.term == PwTermination::LineBoundary {
+            if w[0].pw().term == PwTermination::LineBoundary {
                 assert_eq!(
-                    w[0].pw.end(),
-                    w[1].pw.start,
+                    w[0].pw().end(),
+                    w[1].pw().start,
                     "line-boundary cut must fall through contiguously"
                 );
             }
@@ -408,7 +411,11 @@ mod tests {
                     self.finalize(PwTermination::TakenBranch, out);
                 } else if out.len() > before {
                     if let Some(last) = out.last_mut() {
-                        last.pw.term = PwTermination::TakenBranch;
+                        let pw = PwDesc {
+                            term: PwTermination::TakenBranch,
+                            ..last.pw()
+                        };
+                        *last = PwAccess::with_mispredict(pw, last.is_mispredicted());
                     }
                 }
             }
@@ -451,10 +458,7 @@ mod tests {
             if let Some(acc) = self.accum.take() {
                 if acc.uops > 0 {
                     let pw = PwDesc::new(acc.start, acc.uops, acc.bytes.max(1), term);
-                    out.push(PwAccess {
-                        pw,
-                        mispredicted: acc.mispredicted,
-                    });
+                    out.push(PwAccess::with_mispredict(pw, acc.mispredicted));
                 }
             }
         }

@@ -51,7 +51,7 @@ impl TraceStats {
 
         let mut entry_histogram = vec![0u64; 8];
         for a in trace.iter() {
-            let e = a.pw.entries(uops_per_entry) as usize;
+            let e = a.pw().entries(uops_per_entry) as usize;
             let idx = (e - 1).min(entry_histogram.len() - 1);
             entry_histogram[idx] += 1;
         }
@@ -63,7 +63,7 @@ impl TraceStats {
         let mut far = 0u64;
         let mut seen: FastHashMap<Addr, ()> = FastHashMap::default();
         for a in trace.iter() {
-            let start = a.pw.start;
+            let start = a.pw().start;
             if let Some(pos) = stack.iter().position(|&s| s == start) {
                 reaccesses += 1;
                 if pos > 30 {
@@ -80,7 +80,7 @@ impl TraceStats {
             stack.truncate(CAP);
         }
 
-        let mispredicted = trace.iter().filter(|a| a.mispredicted).count();
+        let mispredicted = trace.iter().filter(|a| a.is_mispredicted()).count();
         let instructions = total_uops as f64 / 1.12;
         TraceStats {
             accesses,

@@ -22,9 +22,9 @@ fn read_measured(bytes: &[u8]) -> (Result<uopcache_model::LookupTrace, TraceIoEr
 }
 
 /// Every read here backs at most a few dozen records, so it may hold only
-/// the reader's up-front reservation (4 096 records of 32 bytes) plus
+/// the reader's up-front reservation (4 096 records of 16 bytes) plus
 /// slack.
-const PEAK_BOUND: usize = 4096 * 32 + 4096;
+const PEAK_BOUND: usize = 4096 * 16 + 4096;
 
 /// Byte offset of record `i`'s field at `field` (0 start, 8 uops, 12 bytes,
 /// 16 flags) behind the 16-byte header.
@@ -76,6 +76,17 @@ fn hostile_binary_traces_fail_cleanly_with_bounded_memory() {
                 "record {i} field {field}: {result:?}"
             );
         }
+    }
+    // Windows wider than a record's 16-bit byte span.
+    for i in [0, 23] {
+        let mut wide = valid.clone();
+        let at = offset(i, 12);
+        wide[at..at + 4].copy_from_slice(&65_536u32.to_le_bytes());
+        let (result, _) = read_measured(&wide);
+        assert!(
+            matches!(&result, Err(TraceIoError::InvalidRecord(why)) if why.contains("65536 bytes")),
+            "record {i}: {result:?}"
+        );
     }
     let mut trailing = valid.clone();
     trailing.push(0);

@@ -49,16 +49,16 @@ fn check_feasible(trace: &LookupTrace, cfg: &UopCacheConfig, sol: &foo::FooSolut
     let mut next_same: Vec<Option<usize>> = vec![None; accesses.len()];
     let mut last: FastHashMap<Addr, usize> = FastHashMap::default();
     for (i, a) in accesses.iter().enumerate().rev() {
-        next_same[i] = last.get(&a.pw.start).copied();
-        last.insert(a.pw.start, i);
+        next_same[i] = last.get(&a.pw().start).copied();
+        last.insert(a.pw().start, i);
     }
     // Sweep: per set, track active kept intervals.
     let mut load_delta: FastHashMap<(usize, usize), i64> = FastHashMap::default(); // (set, time) -> delta
     for (i, a) in accesses.iter().enumerate() {
         if sol.keep[i] {
             if let Some(j) = next_same[i] {
-                let set = cfg.set_index_for(a.pw.start, 64);
-                let e = i64::from(a.pw.entries(cfg.uops_per_entry));
+                let set = cfg.set_index_for(a.pw().start, 64);
+                let e = i64::from(a.pw().entries(cfg.uops_per_entry));
                 *load_delta.entry((set, i)).or_insert(0) += e;
                 *load_delta.entry((set, j)).or_insert(0) -= e;
             }
@@ -116,7 +116,7 @@ fn expected_hits_never_precede_a_keep() {
         // The first access of any start address can never be an expected hit.
         let mut seen = uopcache::model::hash::FastHashSet::default();
         for (i, a) in trace.iter().enumerate() {
-            if seen.insert(a.pw.start) {
+            if seen.insert(a.pw().start) {
                 assert!(
                     !sol.expected_hit[i],
                     "round {round}: first touch flagged as hit"

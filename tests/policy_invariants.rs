@@ -135,16 +135,16 @@ fn resident_window_is_always_the_largest_seen_since_eviction() {
         );
         let mut max_seen: uopcache::model::hash::FastHashMap<Addr, u32> = Default::default();
         for access in trace.iter() {
-            let result = cache.lookup(&access.pw);
+            let result = cache.lookup(&access.pw());
             if !result.is_full_hit() {
-                cache.insert(&access.pw);
+                cache.insert(&access.pw());
             }
-            let cacheable = access.pw.entries(cfg.uops_per_entry) <= cfg.max_entries_per_pw;
+            let cacheable = access.pw().entries(cfg.uops_per_entry) <= cfg.max_entries_per_pw;
             if cacheable {
-                let e = max_seen.entry(access.pw.start).or_insert(0);
-                *e = (*e).max(access.pw.uops);
+                let e = max_seen.entry(access.pw().start).or_insert(0);
+                *e = (*e).max(access.pw().uops);
                 assert_eq!(
-                    cache.resident_uops(access.pw.start),
+                    cache.resident_uops(access.pw().start),
                     Some(*e),
                     "round {round}: largest window must be resident"
                 );

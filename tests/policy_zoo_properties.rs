@@ -127,8 +127,8 @@ where
         let handle = Rc::clone(&shared);
         let mut cache = UopCache::new(cfg, Box::new(Shared(shared)));
         for (i, access) in trace.iter().enumerate() {
-            if !cache.lookup(&access.pw).is_full_hit() {
-                cache.insert(&access.pw);
+            if !cache.lookup(&access.pw()).is_full_hit() {
+                cache.insert(&access.pw());
             }
             let p = handle.borrow();
             check(&p, sets);
@@ -257,8 +257,8 @@ fn slru_segments_reconcile_with_resident_population() {
         let mut cache = UopCache::new(cfg, Box::new(Shared(shared)));
         cache.set_recorder(Box::new(RingRecorder::new(1 << 20)));
         for access in trace.iter() {
-            if !cache.lookup(&access.pw).is_full_hit() {
-                cache.insert(&access.pw);
+            if !cache.lookup(&access.pw()).is_full_hit() {
+                cache.insert(&access.pw());
             }
             let p = handle.borrow();
             for set in 0..sets {

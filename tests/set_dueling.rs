@@ -226,8 +226,8 @@ fn crafted_two_phase_workload_flips_the_winner_through_the_real_cache() {
 
     let mut winner_after_a = None;
     for (i, access) in trace.iter().enumerate() {
-        if !cache.lookup(&access.pw).is_full_hit() {
-            cache.insert(&access.pw);
+        if !cache.lookup(&access.pw()).is_full_hit() {
+            cache.insert(&access.pw());
         }
         if i + 1 == phase_lookups {
             winner_after_a = Some(handle.borrow().winner_name());

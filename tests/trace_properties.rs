@@ -100,8 +100,8 @@ fn pw_lengths_stay_within_spec_tolerances() {
         let spec = WorkloadSpec::for_app(app);
         let t = build_trace(app, InputVariant(0), 20_000);
         let n = t.len() as f64;
-        let mean = t.iter().map(|a| f64::from(a.pw.uops)).sum::<f64>() / n;
-        let max = t.iter().map(|a| a.pw.uops).max().expect("non-empty");
+        let mean = t.iter().map(|a| f64::from(a.pw().uops)).sum::<f64>() / n;
+        let max = t.iter().map(|a| a.pw().uops).max().expect("non-empty");
 
         // A PW spans at least one basic block (it ends at a *taken* branch
         // or a line boundary, and not-taken branches run through), so its
@@ -126,7 +126,7 @@ fn pw_lengths_stay_within_spec_tolerances() {
         // dominating (the walker's taken bias plus loop back-edges).
         let taken = t
             .iter()
-            .filter(|a| a.pw.term == PwTermination::TakenBranch)
+            .filter(|a| a.pw().term == PwTermination::TakenBranch)
             .count() as f64
             / n;
         assert!(
@@ -143,7 +143,7 @@ fn pw_lengths_stay_within_spec_tolerances() {
 fn pw_lengths_order_by_calibrated_block_size() {
     let mean_uops = |app: AppId| {
         let t = build_trace(app, InputVariant(0), 20_000);
-        t.iter().map(|a| f64::from(a.pw.uops)).sum::<f64>() / t.len() as f64
+        t.iter().map(|a| f64::from(a.pw().uops)).sum::<f64>() / t.len() as f64
     };
     // Postgres (6.5 insts/bb) vs Python (3.8 insts/bb): a wide calibration
     // gap must survive into the generated streams.
@@ -181,7 +181,7 @@ fn scaled_traces_repeat_phase_structure_without_tiling() {
         assert_eq!(build_trace_scaled(app, InputVariant(0), 3_000, 1), base);
         assert_eq!(scaled.slice(0..base.len()), base, "{}", app.name());
 
-        let starts: FastHashSet<_> = base.iter().map(|a| a.pw.start).collect();
+        let starts: FastHashSet<_> = base.iter().map(|a| a.pw().start).collect();
         for e in 1..4 {
             let epoch = scaled.slice(e * base.len()..(e + 1) * base.len());
             assert_ne!(
@@ -194,7 +194,7 @@ fn scaled_traces_repeat_phase_structure_without_tiling() {
             // synthesized program image...
             assert!(
                 epoch.iter().all(|a| {
-                    let s = a.pw.start.get();
+                    let s = a.pw().start.get();
                     (image_lo..image_hi).contains(&s)
                 }),
                 "{}: epoch {e} fetches outside the program image",
@@ -205,7 +205,7 @@ fn scaled_traces_repeat_phase_structure_without_tiling() {
             // hot blocks persist across epochs).
             let shared_accesses = epoch
                 .iter()
-                .filter(|a| starts.contains(&a.pw.start))
+                .filter(|a| starts.contains(&a.pw().start))
                 .count();
             assert!(
                 shared_accesses * 3 >= epoch.len(),
@@ -227,10 +227,11 @@ fn fnv1a_trace(h: &mut u64, trace: &uopcache::model::LookupTrace) {
         }
     };
     for a in trace.iter() {
-        eat(&a.pw.start.get().to_le_bytes());
-        eat(&a.pw.uops.to_le_bytes());
-        eat(&a.pw.bytes.to_le_bytes());
-        eat(&[u8::from(a.pw.term == PwTermination::LineBoundary) | u8::from(a.mispredicted) << 1]);
+        eat(&a.pw().start.get().to_le_bytes());
+        eat(&a.pw().uops.to_le_bytes());
+        eat(&a.pw().bytes.to_le_bytes());
+        eat(&[u8::from(a.pw().term == PwTermination::LineBoundary)
+            | u8::from(a.is_mispredicted()) << 1]);
     }
 }
 
