@@ -65,6 +65,18 @@ pub trait SampleRange {
     fn sample<R: Rng + ?Sized>(self, rng: &mut R) -> Self::Output;
 }
 
+/// A uniform offset in `[0, span)` for a span of at most 2^64: the draw
+/// reduced modulo the span. Spans that fit in `u64` reduce with a 64-bit
+/// remainder instead of a 128-bit one (the same number, without the
+/// `__umodti3` call); the full 2^64 span takes the draw as it is.
+fn offset_below<R: Rng + ?Sized>(rng: &mut R, span: u128) -> u64 {
+    let draw = rng.next_u64();
+    match u64::try_from(span) {
+        Ok(span) => draw % span,
+        Err(_) => draw,
+    }
+}
+
 macro_rules! int_sample_range {
     ($($t:ty),+) => {$(
         impl SampleRange for std::ops::Range<$t> {
@@ -75,8 +87,7 @@ macro_rules! int_sample_range {
             fn sample<R: Rng + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "cannot sample from empty range");
                 let span = (self.end as i128 - self.start as i128) as u128;
-                let offset = (u128::from(rng.next_u64()) % span) as i128;
-                (self.start as i128 + offset) as $t
+                (self.start as i128 + i128::from(offset_below(rng, span))) as $t
             }
         }
         impl SampleRange for std::ops::RangeInclusive<$t> {
@@ -86,8 +97,7 @@ macro_rules! int_sample_range {
                 let (lo, hi) = (*self.start(), *self.end());
                 assert!(lo <= hi, "cannot sample from empty range");
                 let span = (hi as i128 - lo as i128 + 1) as u128;
-                let offset = (u128::from(rng.next_u64()) % span) as i128;
-                (lo as i128 + offset) as $t
+                (lo as i128 + i128::from(offset_below(rng, span))) as $t
             }
         }
     )+};
@@ -181,6 +191,67 @@ mod tests {
             assert!((-0.25..0.25).contains(&f));
             let u = rng.gen_f64();
             assert!((0.0..1.0).contains(&u));
+        }
+    }
+
+    /// Samples once from `rng` and checks that the value is the draw
+    /// reduced modulo the span in 128-bit arithmetic: `lo + draw mod
+    /// (hi_exclusive - lo)`.
+    fn assert_reduced(
+        rng: &mut Prng,
+        lo: i128,
+        hi_exclusive: i128,
+        sample: impl FnOnce(&mut Prng) -> i128,
+    ) {
+        let draw = rng.clone().next_u64();
+        let span = (hi_exclusive - lo) as u128;
+        let want = lo + (u128::from(draw) % span) as i128;
+        assert_eq!(sample(rng), want, "[{lo}, {hi_exclusive}), draw {draw}");
+    }
+
+    #[test]
+    fn ranges_match_the_128_bit_reduction() {
+        let mut spans = Prng::seed_from_u64(99);
+        for seed in 0..256 {
+            let rng = &mut Prng::seed_from_u64(seed);
+            let wide = spans.next_u64().max(1);
+            let narrow = spans.gen_range(1..=1000u64);
+            for (lo, hi) in [
+                (0, 1),
+                (0, 10),
+                (0, 1 << 63),
+                (0, u64::MAX),
+                (7, u64::MAX),
+                (0, wide),
+                (wide / 2, wide),
+                (wide.saturating_sub(narrow / 2), wide.saturating_add(narrow)),
+            ] {
+                if lo < hi {
+                    assert_reduced(rng, lo.into(), hi.into(), |r| r.gen_range(lo..hi).into());
+                }
+                let hi_exclusive = i128::from(hi) + 1;
+                assert_reduced(rng, lo.into(), hi_exclusive, |r| {
+                    r.gen_range(lo..=hi).into()
+                });
+            }
+            let (min, max) = (i128::from(i64::MIN), i128::from(i64::MAX));
+            assert_reduced(rng, min, max + 1, |r| {
+                r.gen_range(i64::MIN..=i64::MAX).into()
+            });
+            assert_reduced(rng, min, max, |r| r.gen_range(i64::MIN..i64::MAX).into());
+            let signed_lo = -i64::try_from(narrow).expect("narrow fits");
+            assert_reduced(rng, signed_lo.into(), 4, |r| {
+                r.gen_range(signed_lo..=3).into()
+            });
+            let (min, max) = (i128::from(i32::MIN), i128::from(i32::MAX));
+            assert_reduced(rng, min, max, |r| r.gen_range(i32::MIN..i32::MAX).into());
+            assert_reduced(rng, 0, 256, |r| r.gen_range(0..=u8::MAX).into());
+            assert_reduced(rng, 2, 1_000_000, |r| {
+                r.gen_range(2..1_000_000usize) as i128
+            });
+            // The full 2^64 span takes the draw as it is.
+            let draw = rng.clone().next_u64();
+            assert_eq!(rng.gen_range(0..=u64::MAX), draw);
         }
     }
 

@@ -24,8 +24,9 @@ fn default_addr() -> SocketAddr {
 /// Connection-level tuning shared by the daemon and the router event loops.
 #[derive(Clone)]
 pub struct ConnTuning {
-    /// Event-loop poll slice: how long the loop sleeps when no socket made
-    /// progress. Bounds wake-up latency for drains and health flips.
+    /// The longest idle sleep of the event loop: idle passes back off from a
+    /// sixteenth of it up to it, and a job-state change wakes the loop at
+    /// once. Bounds wake-up latency for drains, deadlines and health flips.
     pub(crate) poll_interval: Duration,
     /// Close a connection after this long without a complete frame.
     pub(crate) idle_timeout: Duration,
@@ -162,7 +163,8 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Event-loop poll slice.
+    /// The event loop's longest idle sleep. Idle passes back off up to it
+    /// from a sixteenth of it; job completions wake the loop at once.
     #[must_use]
     pub fn poll_interval(mut self, interval: Duration) -> Self {
         self.cfg.tuning.poll_interval = interval;
@@ -360,7 +362,8 @@ impl RouterConfigBuilder {
         self
     }
 
-    /// Event-loop poll slice.
+    /// The event loop's longest idle sleep. Idle passes back off up to it
+    /// from a sixteenth of it; job completions wake the loop at once.
     #[must_use]
     pub fn poll_interval(mut self, interval: Duration) -> Self {
         self.cfg.tuning.poll_interval = interval;

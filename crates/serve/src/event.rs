@@ -27,6 +27,19 @@
 //! buffered and served after the wait resolves, so replies keep strict
 //! request→reply order.
 //!
+//! A pass that makes no progress does not sleep a fixed slice: it blocks in
+//! [`JobTable::wait_change`], which every job-state change wakes at once, so
+//! a finished job's reply goes out within microseconds. Sockets have no
+//! such wakeup (`std` offers no readiness API), so the idle timeout backs
+//! off instead: it starts at a sixteenth of `poll_interval` after any
+//! progress and doubles per idle pass up to the full `poll_interval`. A
+//! request that arrives just after a reply is read within tens of
+//! microseconds, while an idle loop still wakes at most once per
+//! `poll_interval`, which keeps bounding how late a drain, a deadline or a
+//! health flip is noticed. A fresh loop starts backed off: until it first
+//! progresses it sleeps whole slices, so a router and backends started
+//! together spend no CPU on short waits while they come up.
+//!
 //! ## Bounded by construction
 //!
 //! Per-connection memory is bounded end to end: the decoder allocates only
@@ -841,6 +854,11 @@ fn run_event_loop(
     let mut buf = vec![0u8; 64 << 10];
     let mut last_table_version = core.table.version();
     let mut drain_flush: Option<Deadline> = None;
+    // Idle passes wait on the job table, backing off from a sixteenth of the
+    // poll slice to the whole slice (see "Waiting without blocking"). A loop
+    // that has not progressed yet starts backed off.
+    let min_idle = tuning.poll_interval / 16;
+    let mut idle = tuning.poll_interval;
     loop {
         let mut progressed = false;
         let draining = core.draining();
@@ -902,8 +920,11 @@ fn run_event_loop(
             }
         }
 
-        if !progressed {
-            std::thread::sleep(tuning.poll_interval);
+        if progressed {
+            idle = min_idle;
+        } else {
+            core.table.wait_change(last_table_version, idle);
+            idle = idle.saturating_mul(2).min(tuning.poll_interval);
         }
     }
     core.active_conns.store(0, Ordering::SeqCst);

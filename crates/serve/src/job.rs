@@ -13,7 +13,7 @@
 use crate::event::lock_clean;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use uopcache_bench::sweep::SweepSpec;
 use uopcache_exec::Deadline;
@@ -110,9 +110,13 @@ struct TableInner {
 pub struct JobTable {
     inner: Mutex<TableInner>,
     retention: usize,
-    /// Bumped on every state change/removal; the event loop re-polls parked
-    /// waits only when this moves, instead of locking the table per tick.
+    /// Bumped on every state change/removal, under the `inner` lock; the
+    /// event loop re-polls parked waits only when this moves, instead of
+    /// locking the table per tick.
     version: AtomicU64,
+    /// Notified on every version bump, so [`JobTable::wait_change`] wakes the
+    /// moment a job changes state.
+    changed: Condvar,
 }
 
 impl Default for JobTable {
@@ -138,6 +142,7 @@ impl JobTable {
             }),
             retention,
             version: AtomicU64::new(0),
+            changed: Condvar::new(),
         }
     }
 
@@ -145,6 +150,27 @@ impl JobTable {
     /// without taking the table lock.
     pub fn version(&self) -> u64 {
         self.version.load(Ordering::SeqCst)
+    }
+
+    /// Blocks until the version moves past `seen` or `timeout` passes, and
+    /// returns the version then current. Returns at once if it has already
+    /// moved. The check and the wait happen under the lock every bump takes,
+    /// so a bump between them cannot be missed.
+    pub fn wait_change(&self, seen: u64, timeout: Duration) -> u64 {
+        let inner = lock_clean(&self.inner);
+        let _inner = self
+            .changed
+            .wait_timeout_while(inner, timeout, |_| self.version() == seen)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        self.version()
+    }
+
+    /// Bumps the version while the caller holds the `inner` guard, then
+    /// releases it and wakes every [`wait_change`](Self::wait_change).
+    fn bump(&self, inner: MutexGuard<'_, TableInner>) {
+        self.version.fetch_add(1, Ordering::SeqCst);
+        drop(inner);
+        self.changed.notify_all();
     }
 
     /// Registers a new job as queued.
@@ -205,8 +231,7 @@ impl JobTable {
                 }
             }
         }
-        drop(inner);
-        self.version.fetch_add(1, Ordering::SeqCst);
+        self.bump(inner);
     }
 
     /// Forgets a job entirely — used when a submission is refused *after*
@@ -214,8 +239,9 @@ impl JobTable {
     /// to re-enqueue instead of deduping onto a dead entry. Bumps the
     /// version, so parked waiters then observe the id as unknown.
     pub fn remove(&self, id: &str) {
-        lock_clean(&self.inner).entries.remove(id);
-        self.version.fetch_add(1, Ordering::SeqCst);
+        let mut inner = lock_clean(&self.inner);
+        inner.entries.remove(id);
+        self.bump(inner);
     }
 
     /// The current entry of a job, if known.
@@ -419,6 +445,85 @@ mod tests {
         assert_ne!(v0, v1, "set_state bumps the version");
         t.remove("j1");
         assert_ne!(v1, t.version(), "remove bumps the version");
+    }
+
+    /// Long enough that a missed wakeup fails the test rather than passing
+    /// it by timing out.
+    const WAKE_TIMEOUT: Duration = Duration::from_secs(30);
+
+    #[test]
+    fn wait_change_returns_at_once_when_the_version_already_moved() {
+        let t = JobTable::new();
+        let seen = t.version();
+        t.register("j1", "{spec}").expect("fresh id");
+        t.set_state("j1", JobState::Running);
+        let started = Instant::now();
+        assert_eq!(t.wait_change(seen, WAKE_TIMEOUT), t.version());
+        assert!(started.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn wait_change_times_out_when_nothing_moves() {
+        let t = JobTable::new();
+        let seen = t.version();
+        assert_eq!(t.wait_change(seen, Duration::from_millis(20)), seen);
+    }
+
+    /// Blocks in `wait_change` while another thread runs `bump` on the table,
+    /// and returns how long the wait took. The bump comes 20 ms late so the
+    /// wait is usually already blocked; if it is not, it returns at once and
+    /// the bound still holds.
+    fn wait_across(t: &JobTable, bump: impl FnOnce(&JobTable) + Send) -> Duration {
+        let seen = t.version();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                bump(t);
+            });
+            let started = Instant::now();
+            assert_ne!(t.wait_change(seen, WAKE_TIMEOUT), seen);
+            started.elapsed()
+        })
+    }
+
+    #[test]
+    fn wait_change_wakes_on_set_state_and_on_remove() {
+        let t = JobTable::new();
+        t.register("j1", "{spec}").expect("fresh id");
+        let waited = wait_across(&t, |t| t.set_state("j1", JobState::Running));
+        assert!(waited < Duration::from_secs(1), "set_state: {waited:?}");
+        let waited = wait_across(&t, |t| t.remove("j1"));
+        assert!(waited < Duration::from_secs(1), "remove: {waited:?}");
+    }
+
+    #[test]
+    fn wait_change_misses_no_bump_in_a_tight_loop() {
+        const BUMPS: u64 = 20_000;
+        let t = JobTable::new();
+        t.register("j1", "{spec}").expect("fresh id");
+        let start = t.version();
+        let started = Instant::now();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..BUMPS {
+                    let state = if i % 2 == 0 {
+                        JobState::Running
+                    } else {
+                        JobState::Queued
+                    };
+                    t.set_state("j1", state);
+                }
+            });
+            // Each wait either sees a bump already made or is woken by the
+            // next one; a lost wakeup after the final bump would sit out the
+            // whole timeout.
+            let mut seen = start;
+            while seen != start + BUMPS {
+                seen = t.wait_change(seen, WAKE_TIMEOUT);
+            }
+        });
+        assert_eq!(t.version(), start + BUMPS);
+        assert!(started.elapsed() < Duration::from_secs(10));
     }
 
     #[test]

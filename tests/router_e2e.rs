@@ -477,3 +477,52 @@ fn a_truncated_result_frame_is_retried_on_the_healthy_backend_byte_identically()
 fn a_backend_stalling_mid_frame_is_retried_on_the_healthy_backend_byte_identically() {
     a_botched_forward_is_retried_on_the_healthy_backend(Fault::Stall);
 }
+
+#[test]
+fn a_request_after_a_reply_is_read_well_within_one_poll_interval() {
+    // As in `serve_e2e`, but through the router's event loop, with both
+    // loops sleeping at most a 50 ms slice: a loop that slept the whole
+    // slice once idle would take most of it per round trip.
+    let poll = Duration::from_millis(50);
+    let backend = Server::bind(ServerConfig::builder().poll_interval(poll).build())
+        .expect("backend binds on loopback")
+        .spawn()
+        .expect("backend spawns");
+    let router = Router::bind(
+        RouterConfig::builder()
+            .backends([backend.addr()])
+            .poll_interval(poll)
+            .build(),
+    )
+    .expect("router binds on loopback")
+    .spawn()
+    .expect("router spawns");
+    let mut client = connect(router.addr());
+    let want = spec(AppId::Kafka, 500);
+    client
+        .submit_and_wait(&want, None, Duration::from_secs(120))
+        .expect("job completes");
+    let mut trips: Vec<Duration> = (0..20)
+        .map(|_| {
+            // Think time: the request lands on a loop that has gone idle,
+            // whatever the scheduler does right after the reply.
+            std::thread::sleep(Duration::from_millis(1));
+            let started = Instant::now();
+            let again = client
+                .submit_and_wait(&want, None, Duration::from_secs(30))
+                .expect("resubmit completes");
+            assert!(again.deduped, "identical resubmit must dedupe");
+            started.elapsed()
+        })
+        .collect();
+    trips.sort();
+    let median = trips[trips.len() / 2];
+    assert!(median < poll / 2, "median dedupe round trip {median:?}");
+
+    client.shutdown(Duration::from_secs(5)).expect("drain ack");
+    router
+        .join_within(Duration::from_secs(30))
+        .expect("router exits after drain")
+        .expect("clean exit");
+    drain(backend);
+}

@@ -26,7 +26,7 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use uopcache_bench::policies::PolicyRegistry;
 use uopcache_bench::sweep::{run_sweep, SweepSpec};
 use uopcache_exec::{Clock, Engine, ManualClock};
@@ -826,4 +826,83 @@ fn an_8_mb_string_frame_is_answered_while_other_clients_get_their_bytes() {
         .join_within(Duration::from_secs(30))
         .expect("server exits")
         .expect("clean exit");
+}
+
+#[test]
+fn a_request_after_a_reply_is_read_well_within_one_poll_interval() {
+    // Each resubmit arrives after the loop flushed the previous reply and
+    // found nothing new. A loop that slept a whole 50 ms slice then would
+    // take most of that slice per round trip; backing off from a sixteenth
+    // of the slice answers in a few milliseconds.
+    let poll = Duration::from_millis(50);
+    let server = server_with(ServerConfig::builder().poll_interval(poll).build())
+        .spawn()
+        .expect("spawn");
+    let mut client = connect(&server);
+    let want = spec(&[AppId::Kafka], 500);
+    client
+        .submit_and_wait(&want, None, Duration::from_secs(120))
+        .expect("job completes");
+    let mut trips: Vec<Duration> = (0..20)
+        .map(|_| {
+            // Think time: the request lands on a loop that has gone idle,
+            // whatever the scheduler does right after the reply.
+            std::thread::sleep(Duration::from_millis(1));
+            let started = Instant::now();
+            let again = client
+                .submit_and_wait(&want, None, Duration::from_secs(30))
+                .expect("resubmit completes");
+            assert!(again.deduped, "identical resubmit must dedupe");
+            started.elapsed()
+        })
+        .collect();
+    trips.sort();
+    let median = trips[trips.len() / 2];
+    assert!(median < poll / 2, "median dedupe round trip {median:?}");
+
+    client.shutdown(Duration::from_secs(5)).expect("drain ack");
+    server
+        .join_within(Duration::from_secs(30))
+        .expect("server exits after drain")
+        .expect("clean exit");
+}
+
+#[test]
+fn a_finished_job_wakes_its_parked_waiter_at_once() {
+    // By the time the gated job finishes, the idle loop has backed off to
+    // whole 200 ms slices. A loop that noticed the finish only when a slice
+    // ended would answer a uniformly late 0–200 ms after it, so three
+    // replies all within 40 ms would be a 1-in-125 fluke.
+    let poll = Duration::from_millis(200);
+    for trial in 0..3 {
+        let gate = Arc::new(Gate::default());
+        let server = gated_server(ServerConfig::builder().poll_interval(poll).build(), &gate);
+        let addr = server.addr();
+        let waiter = std::thread::spawn(move || {
+            let mut c = Client::connect(addr, Duration::from_secs(5)).expect("connect");
+            c.submit_and_wait(&spec(&[AppId::Kafka], 100), None, Duration::from_secs(60))
+                .map(|_| Instant::now())
+        });
+        gate.wait_entered(1);
+        std::thread::sleep(3 * poll);
+        let released = Instant::now();
+        gate.release();
+        let answered = waiter
+            .join()
+            .expect("waiter thread exits")
+            .expect("gated job completes");
+        let late = answered - released;
+        assert!(
+            late < poll / 5,
+            "trial {trial}: reply {late:?} after release"
+        );
+
+        connect(&server)
+            .shutdown(Duration::from_secs(5))
+            .expect("drain ack");
+        server
+            .join_within(Duration::from_secs(30))
+            .expect("server exits after drain")
+            .expect("clean exit");
+    }
 }
