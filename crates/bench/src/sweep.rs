@@ -13,7 +13,6 @@
 use crate::apps::trace_for_scaled;
 use crate::policies::{PolicyId, ProfileInputs};
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use uopcache_cache::PwReplacementPolicy;
@@ -39,36 +38,6 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// [`uopcache_obs::SamplingRecorder`]), so the retained subset is a pure
 /// function of the task.
 pub const SAMPLE_EVERY: u64 = 64;
-
-/// The process-wide worker count. `0` means "not set": fall back to the
-/// `UOPCACHE_JOBS` environment variable, then to the machine's available
-/// parallelism.
-static JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide worker count (the `--jobs N` flag). `1` reproduces
-/// the serial path exactly; `0` resets to the default resolution order.
-pub fn set_jobs(jobs: usize) {
-    JOBS.store(jobs, Ordering::SeqCst);
-}
-
-/// The effective worker count: the value of [`set_jobs`] if set, else
-/// `UOPCACHE_JOBS` if set to a positive integer, else the machine's
-/// available parallelism.
-pub fn current_jobs() -> usize {
-    match JOBS.load(Ordering::SeqCst) {
-        0 => std::env::var("UOPCACHE_JOBS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(Engine::default_parallelism),
-        n => n,
-    }
-}
-
-/// An engine sized by [`current_jobs`].
-pub fn engine() -> Engine {
-    Engine::new(current_jobs())
-}
 
 /// A short label identifying a frontend configuration in task keys,
 /// e.g. `uopc4096x8`.
@@ -1123,14 +1092,6 @@ mod tests {
                 "{bad} should be rejected"
             );
         }
-    }
-
-    #[test]
-    fn jobs_knob_resolution_order() {
-        set_jobs(3);
-        assert_eq!(current_jobs(), 3);
-        set_jobs(0);
-        assert!(current_jobs() >= 1);
     }
 
     fn sampled_spec() -> SweepSpec {

@@ -109,6 +109,27 @@ impl Args {
     pub fn has(&self, key: &str) -> bool {
         self.switches.iter().any(|s| s == key)
     }
+
+    /// Checks every flag and switch given against the ones a command
+    /// accepts.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error naming the first (in name order) flag not in
+    /// `known`.
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), ArgError> {
+        let mut given: Vec<&str> = self
+            .flags
+            .keys()
+            .chain(&self.switches)
+            .map(String::as_str)
+            .collect();
+        given.sort_unstable();
+        match given.into_iter().find(|key| !known.contains(key)) {
+            Some(key) => Err(ArgError(format!("unknown flag --{key}"))),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -136,5 +157,16 @@ mod tests {
         assert!(a.require("input").is_err());
         let a = parse("x --len abc");
         assert!(a.get_parse::<usize>("len", 1).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_named() {
+        let a = parse("serve --shard 2 --addr :0 --verbose");
+        assert!(a.reject_unknown(&["addr", "shard", "verbose"]).is_ok());
+        let err = a.reject_unknown(&["addr", "shards"]).unwrap_err();
+        assert_eq!(err.to_string(), "unknown flag --shard");
+        let a = parse("gen -o out.trc");
+        assert!(a.reject_unknown(&["output"]).is_ok());
+        assert!(a.reject_unknown(&["app"]).is_err());
     }
 }

@@ -3,11 +3,12 @@
 use crate::args::{ArgError, Args, CheckFailed};
 use std::error::Error;
 use std::path::Path;
+use uopcache_bench::apps::trace_for_scaled;
 use uopcache_bench::policies::{PolicyId, PolicyRegistry, ProfileInputs};
-use uopcache_bench::sweep::{self, run_sweep, SweepSpec, SAMPLE_EVERY, SCHEMA_VERSION};
+use uopcache_bench::sweep::{run_sweep, SweepReport, SweepSpec, SAMPLE_EVERY, SCHEMA_VERSION};
 use uopcache_bench::Table;
 use uopcache_core::{Flack, FurbysPipeline, OracleKind};
-use uopcache_exec::TaskKey;
+use uopcache_exec::{Engine, TaskKey};
 use uopcache_model::json::Json;
 use uopcache_model::{FrontendConfig, LookupTrace};
 use uopcache_obs::{Event, MetricsRecorder, SamplingRecorder, StreamDigest};
@@ -30,9 +31,11 @@ commands:
   stats      -i FILE                trace statistics
   simulate   -i FILE [--policy P] [--config zen3|zen4] [--entries N] [--ways N]
                                     run one policy through the timed frontend
-  profile    -i FILE [--oracle flack|belady|foo] -o HINTS.json
+  profile    -i FILE [--oracle flack|belady|foo] [--config zen3|zen4]
+             [--entries N] [--ways N] -o HINTS.json
                                     produce FURBYS weight hints (steps 2-6)
-  compare    -i FILE [--config ...] compare every policy (incl. offline bounds)
+  compare    -i FILE [--config zen3|zen4] [--entries N] [--ways N]
+                                    compare every policy (incl. offline bounds)
   sweep      [--apps A,B] [--policies P,Q] [--config zen3|zen4] [--entries N]
              [--ways N] [--variant N] [--len N] [--scale N] [--sample N]
              [--jobs N] [--json FILE] [--metrics]
@@ -93,53 +96,86 @@ commands:
                                     several daemons: same client protocol,
                                     health-checked backends, busy-aware
                                     spillover and drain-aware failover
-  submit     --addr H:P [sweep flags] [--id ID] [--timeout-ms N] [--no-wait]
-             [--json FILE]          submit a sweep job to a daemon; waits and
+  submit     --addr H:P [sweep flags but --jobs] [--id ID] [--timeout-ms N]
+             [--no-wait] [--json FILE]
+                                    submit a sweep job to a daemon; waits and
                                     writes the canonical report by default
   status     --addr H:P --job ID    query one job's state on a daemon
   stats      --addr H:P             fetch a daemon's stats frame (counters,
                                     queue gauges, latency histograms)
   shutdown   --addr H:P             ask a daemon to drain and exit
 
+Every command takes --help (print this text and exit) and refuses any flag
+not listed for it.
+
 policies: lru srrip ship++ mockingjay ghrp thermometer furbys  (online roster)
           fifo mru lfu clock slru 2q arc car set-dueling random (zoo + controls,
                                     sweep/inspect/identify only)";
 
+/// The frontend-configuration flags [`parse_config`] reads.
+const CONFIG_FLAGS: &[&str] = &["config", "entries", "ways"];
+
+/// The sweep flags [`spec_from_args`] reads (with [`CONFIG_FLAGS`]), shared
+/// by `sweep`, `sample` and `submit`.
+const SPEC_FLAGS: &[&str] = &[
+    "apps", "policies", "variant", "len", "scale", "sample", "metrics",
+];
+
+/// A subcommand's body.
+type Run = fn(&Args) -> Result<(), Box<dyn Error>>;
+
+/// The subcommands: each name, the flags it accepts (the ones [`USAGE`]
+/// prints for it) and its body.
+#[rustfmt::skip]
+const COMMANDS: &[(&str, &[&[&str]], Run)] = &[
+    ("apps", &[], cmd_apps),
+    ("gen", &[&["app", "variant", "len", "scale", "output"]], cmd_gen),
+    ("stats", &[&["input", "addr"]], cmd_stats),
+    ("simulate", &[&["input", "policy"], CONFIG_FLAGS], cmd_simulate),
+    ("profile", &[&["input", "oracle", "output"], CONFIG_FLAGS], cmd_profile),
+    ("compare", &[&["input"], CONFIG_FLAGS], cmd_compare),
+    ("sweep", &[SPEC_FLAGS, CONFIG_FLAGS, &["jobs", "json"]], cmd_sweep),
+    ("sample", &[SPEC_FLAGS, CONFIG_FLAGS, &["jobs", "json", "check", "gate"]], cmd_sample),
+    ("inspect", &[&["app", "policy", "variant", "len", "sample", "events", "json"], CONFIG_FLAGS],
+        cmd_inspect),
+    ("identify", &[&["app", "variant", "len", "digest", "json"], CONFIG_FLAGS], cmd_identify),
+    ("experiment", &[&["quick", "jobs"]], cmd_experiment),
+    ("list-experiments", &[], cmd_list_experiments),
+    ("audit", &[&["root", "lint-only", "json", "graph"]], cmd_audit),
+    ("serve", &[&["addr", "queue", "shards", "jobs", "job-timeout-ms", "retention"]], cmd_serve),
+    ("route", &[&["backends", "addr", "queue", "replicas", "health-interval-ms", "retry-rounds",
+        "retention"]], cmd_route),
+    ("submit", &[SPEC_FLAGS, CONFIG_FLAGS, &["addr", "id", "timeout-ms", "no-wait", "json"]],
+        cmd_submit),
+    ("status", &[&["addr", "job"]], cmd_status),
+    ("shutdown", &[&["addr"]], cmd_shutdown),
+];
+
 /// Runs the command line. Returns an error message for the user on failure.
+/// `--help` prints [`USAGE`] and runs nothing.
 ///
 /// # Errors
 ///
-/// Any argument, I/O or lookup failure, formatted for display.
+/// Any argument, I/O or lookup failure, formatted for display; a flag the
+/// command does not accept is an error naming the flag.
 pub fn dispatch(argv: &[String]) -> Result<(), Box<dyn Error>> {
     let args = Args::parse(argv);
-    match args.positional(0) {
-        Some("apps") => cmd_apps(),
-        Some("gen") => cmd_gen(&args),
-        Some("stats") => {
-            if args.get("addr").is_some() {
-                cmd_server_stats(&args)
-            } else {
-                cmd_stats(&args)
-            }
-        }
-        Some("simulate") => cmd_simulate(&args),
-        Some("profile") => cmd_profile(&args),
-        Some("compare") => cmd_compare(&args),
-        Some("sweep") => cmd_sweep(&args),
-        Some("sample") => cmd_sample(&args),
-        Some("inspect") => cmd_inspect(&args),
-        Some("identify") => cmd_identify(&args),
-        Some("experiment") => cmd_experiment(&args),
-        Some("list-experiments") => cmd_list_experiments(),
-        Some("audit") => cmd_audit(&args),
-        Some("serve") => cmd_serve(&args),
-        Some("route") => cmd_route(&args),
-        Some("submit") => cmd_submit(&args),
-        Some("status") => cmd_status(&args),
-        Some("shutdown") => cmd_shutdown(&args),
-        Some(other) => Err(Box::new(ArgError(format!("unknown command {other:?}")))),
-        None => Err(Box::new(ArgError("no command given".into()))),
+    let command = match args.positional(0) {
+        None => None,
+        Some(name) => Some(
+            COMMANDS
+                .iter()
+                .find(|(command, _, _)| *command == name)
+                .ok_or_else(|| ArgError(format!("unknown command {name:?}")))?,
+        ),
+    };
+    if args.has("help") || args.get("help").is_some() {
+        println!("{USAGE}");
+        return Ok(());
     }
+    let (_, flags, run) = command.ok_or_else(|| ArgError("no command given".into()))?;
+    args.reject_unknown(&flags.concat())?;
+    run(&args)
 }
 
 fn parse_app(name: &str) -> Result<AppId, ArgError> {
@@ -167,7 +203,7 @@ fn load_trace(args: &Args) -> Result<LookupTrace, Box<dyn Error>> {
     Ok(trace_io::load(Path::new(path))?)
 }
 
-fn cmd_apps() -> Result<(), Box<dyn Error>> {
+fn cmd_apps(_: &Args) -> Result<(), Box<dyn Error>> {
     let mut t = Table::new(
         "Table II applications",
         &["app", "branch MPKI", "description"],
@@ -202,7 +238,11 @@ fn cmd_gen(args: &Args) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
+/// `stats -i FILE` for a trace, `stats --addr H:P` for a daemon.
 fn cmd_stats(args: &Args) -> Result<(), Box<dyn Error>> {
+    if args.get("addr").is_some() {
+        return cmd_server_stats(args);
+    }
     let trace = load_trace(args)?;
     let s = TraceStats::from_trace(&trace, 8);
     let mut t = Table::new("trace statistics", &["metric", "value"]);
@@ -405,26 +445,25 @@ fn spec_from_args(args: &Args) -> Result<SweepSpec, Box<dyn Error>> {
     })
 }
 
-/// Applies `--jobs N` when given. As for `reproduce-all`, `N` must be a
-/// positive worker count: `0` is refused rather than read as the default.
-fn apply_jobs(args: &Args) -> Result<(), ArgError> {
-    if let Some(jobs) = args.get("jobs") {
-        match jobs.parse::<usize>() {
-            Ok(n) if n > 0 => sweep::set_jobs(n),
-            _ => {
-                return Err(ArgError(format!(
-                    "--jobs needs a positive worker count, got {jobs:?}"
-                )))
-            }
-        }
+/// The engine `--jobs N` asks for, or one worker per available core when
+/// the flag is absent. As for `reproduce-all`, `N` must be a positive
+/// worker count: `0` is refused rather than read as the default.
+fn engine_from_args(args: &Args) -> Result<Engine, ArgError> {
+    match args.get("jobs") {
+        None => Ok(Engine::new(Engine::default_parallelism())),
+        Some(jobs) => match jobs.parse::<usize>() {
+            Ok(n) if n > 0 => Ok(Engine::new(n)),
+            _ => Err(ArgError(format!(
+                "--jobs needs a positive worker count, got {jobs:?}"
+            ))),
+        },
     }
-    Ok(())
 }
 
 fn cmd_sweep(args: &Args) -> Result<(), Box<dyn Error>> {
     let spec = spec_from_args(args)?;
-    apply_jobs(args)?;
-    let report = run_sweep(&spec, &sweep::engine());
+    let engine = engine_from_args(args)?;
+    let report = run_sweep(&spec, &engine);
 
     let mut t = Table::new(
         &format!(
@@ -432,7 +471,7 @@ fn cmd_sweep(args: &Args) -> Result<(), Box<dyn Error>> {
             spec.apps.len(),
             spec.policies.len(),
             spec.config_name,
-            sweep::current_jobs(),
+            engine.jobs(),
             report.elapsed,
         ),
         &["app", "policy", "hit rate", "MPKI", "IPC", "evictions"],
@@ -449,64 +488,12 @@ fn cmd_sweep(args: &Args) -> Result<(), Box<dyn Error>> {
     }
     t.print();
 
-    // When the set-dueling meta-policy is in the roster, summarise where it
-    // lands per app: against the worst and best static policy in this sweep
-    // and against the FLACK offline bound. FLACK replays synchronously
-    // (insert-on-miss), so its bound is indicative rather than cycle-exact
-    // against the timed cells. Plaintext only — the canonical JSON report is
-    // unchanged.
-    let duel_name = PolicyId::SetDueling.name();
-    if spec.policies.iter().any(|p| p == duel_name) {
-        let mut d = Table::new(
-            "set-dueling placement (uop hit rate; FLACK is the offline bound)",
-            &[
-                "app",
-                "set-dueling",
-                "worst static",
-                "best static",
-                "FLACK",
-                "gap to FLACK",
-            ],
-        );
-        for app in &spec.apps {
-            let Some(duel) = report
-                .cells
-                .iter()
-                .find(|c| c.app == *app && c.policy == duel_name)
-            else {
-                continue;
-            };
-            let statics: Vec<f64> = report
-                .cells
-                .iter()
-                .filter(|c| c.app == *app && c.policy != duel_name)
-                .map(|c| c.hit_rate())
-                .collect();
-            let worst = statics.iter().copied().fold(f64::INFINITY, f64::min);
-            let best = statics.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let trace = build_trace(*app, InputVariant::new(spec.variant), spec.len);
-            let flack = Flack::new().run(&trace, &spec.cfg.uop_cache).stats;
-            let flack_hit = 1.0 - flack.uop_miss_rate();
-            let duel_hit = duel.hit_rate();
-            let pct = |r: f64| format!("{:.2}%", r * 100.0);
-            d.row(&[
-                app.name().to_string(),
-                pct(duel_hit),
-                if statics.is_empty() {
-                    "-".into()
-                } else {
-                    pct(worst)
-                },
-                if statics.is_empty() {
-                    "-".into()
-                } else {
-                    pct(best)
-                },
-                pct(flack_hit),
-                format!("{:+.2}pp", (flack_hit - duel_hit) * 100.0),
-            ]);
-        }
-        d.print();
+    if spec
+        .policies
+        .iter()
+        .any(|p| p == PolicyId::SetDueling.name())
+    {
+        duel_placement(&spec, &report).print();
     }
 
     for f in &report.failures {
@@ -526,6 +513,66 @@ fn cmd_sweep(args: &Args) -> Result<(), Box<dyn Error>> {
     }
 }
 
+/// Where the set-dueling meta-policy lands per app: against the worst and
+/// best static policy in the sweep and against the FLACK offline bound on
+/// the same (scaled) trace the cells ran on. FLACK replays synchronously
+/// (insert-on-miss), so its bound is indicative rather than cycle-exact
+/// against the timed cells. Plaintext only — the canonical JSON report is
+/// unchanged.
+fn duel_placement(spec: &SweepSpec, report: &SweepReport) -> Table {
+    let duel_name = PolicyId::SetDueling.name();
+    let mut d = Table::new(
+        "set-dueling placement (uop hit rate; FLACK is the offline bound)",
+        &[
+            "app",
+            "set-dueling",
+            "worst static",
+            "best static",
+            "FLACK",
+            "gap to FLACK",
+        ],
+    );
+    for app in &spec.apps {
+        let Some(duel) = report
+            .cells
+            .iter()
+            .find(|c| c.app == *app && c.policy == duel_name)
+        else {
+            continue;
+        };
+        let statics: Vec<f64> = report
+            .cells
+            .iter()
+            .filter(|c| c.app == *app && c.policy != duel_name)
+            .map(|c| c.hit_rate())
+            .collect();
+        let worst = statics.iter().copied().fold(f64::INFINITY, f64::min);
+        let best = statics.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let trace = trace_for_scaled(*app, spec.variant, spec.len, spec.scale);
+        let flack = Flack::new().run(&trace, &spec.cfg.uop_cache).stats;
+        let flack_hit = 1.0 - flack.uop_miss_rate();
+        let duel_hit = duel.hit_rate();
+        let pct = |r: f64| format!("{:.2}%", r * 100.0);
+        d.row(&[
+            app.name().to_string(),
+            pct(duel_hit),
+            if statics.is_empty() {
+                "-".into()
+            } else {
+                pct(worst)
+            },
+            if statics.is_empty() {
+                "-".into()
+            } else {
+                pct(best)
+            },
+            pct(flack_hit),
+            format!("{:+.2}pp", (flack_hit - duel_hit) * 100.0),
+        ]);
+    }
+    d
+}
+
 /// Runs a representative-interval sampled sweep and renders the plan and
 /// the reconstructed cells. With `--check`, also runs the *full* simulation
 /// of the same spec and gates the true per-cell hit-rate error against both
@@ -534,8 +581,8 @@ fn cmd_sweep(args: &Args) -> Result<(), Box<dyn Error>> {
 fn cmd_sample(args: &Args) -> Result<(), Box<dyn Error>> {
     let mut spec = spec_from_args(args)?;
     let interval = *spec.sample.get_or_insert(20_000);
-    apply_jobs(args)?;
-    let report = run_sweep(&spec, &sweep::engine());
+    let engine = engine_from_args(args)?;
+    let report = run_sweep(&spec, &engine);
 
     let mut t = Table::new(
         &format!(
@@ -580,7 +627,7 @@ fn cmd_sample(args: &Args) -> Result<(), Box<dyn Error>> {
         let gate: f64 = args.get_parse("gate", 0.02f64)?;
         let mut full_spec = spec.clone();
         full_spec.sample = None;
-        let full = run_sweep(&full_spec, &sweep::engine());
+        let full = run_sweep(&full_spec, &engine);
         let mut violations = 0usize;
         let mut t = Table::new(
             "sampled vs full simulation (uop hit rate)",
@@ -865,14 +912,14 @@ fn cmd_identify(args: &Args) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_experiment(args: &Args) -> Result<(), Box<dyn Error>> {
-    apply_jobs(args)?;
+    let engine = engine_from_args(args)?;
     let id = args
         .positional(1)
         .ok_or_else(|| ArgError("experiment needs an id (see list-experiments)".into()))?;
     let exp = uopcache_bench::experiments::by_id(id)
         .ok_or_else(|| ArgError(format!("unknown experiment {id:?}")))?;
     println!("{} — {}\n", exp.id, exp.caption);
-    let mut lab = uopcache_bench::runs::Lab::new(args.has("quick"), sweep::engine());
+    let mut lab = uopcache_bench::runs::Lab::new(args.has("quick"), engine);
     for table in (exp.run)(&mut lab) {
         table.print();
     }
@@ -1082,7 +1129,7 @@ fn cmd_shutdown(args: &Args) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn cmd_list_experiments() -> Result<(), Box<dyn Error>> {
+fn cmd_list_experiments(_: &Args) -> Result<(), Box<dyn Error>> {
     let mut t = Table::new("experiments", &["id", "caption"]);
     for exp in uopcache_bench::experiments::all() {
         t.row(&[exp.id.to_string(), exp.caption.to_string()]);
@@ -1220,6 +1267,87 @@ mod tests {
         .unwrap();
         assert!(run("identify --app kafka --len 1200 --digest nothex").is_err());
         assert!(run("identify --len 1000").is_err(), "--app required");
+    }
+
+    /// The lines of `USAGE` that describe `name`: each line starting with
+    /// it, through its indented continuation lines.
+    fn usage_section(name: &str) -> String {
+        let mut out = String::new();
+        let mut inside = false;
+        for line in USAGE.lines() {
+            if !line.starts_with("   ") {
+                inside = line.starts_with(&format!("  {name} ")) || line == format!("  {name}");
+            }
+            if inside {
+                out.push_str(line);
+                out.push('\n');
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn usage_lists_every_accepted_flag() {
+        for (name, flags, _) in COMMANDS {
+            let mut section = usage_section(name);
+            if section.contains("[sweep flags") {
+                section.push_str(&usage_section("sweep"));
+            }
+            for flag in flags.concat() {
+                let shown = match flag {
+                    "input" => "-i FILE".to_string(),
+                    "output" => "-o ".to_string(),
+                    other => format!("--{other}"),
+                };
+                assert!(
+                    section.contains(&shown),
+                    "{name}: {shown} not in\n{section}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn help_prints_usage_and_runs_nothing() {
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
+        std::thread::spawn(move || {
+            let all = COMMANDS
+                .iter()
+                .all(|(name, _, _)| run(&format!("{name} --help")).is_ok());
+            let _ = tx.send(all && run("--help").is_ok());
+        });
+        // `serve --help` must print usage, not bind a port and serve.
+        assert_eq!(rx.recv_timeout(std::time::Duration::from_secs(5)), Ok(true));
+    }
+
+    #[test]
+    fn unknown_flags_are_refused_by_name() {
+        let err = run("serve --shard 2").expect_err("typo").to_string();
+        assert!(err.contains("--shard"), "{err}");
+        let err = run("sweep --apps kafka --polices lru --len 1000")
+            .expect_err("typo")
+            .to_string();
+        assert!(err.contains("--polices"), "{err}");
+        let err = run("submit --addr 127.0.0.1:9 --jobs 2")
+            .expect_err("the daemon picks its workers")
+            .to_string();
+        assert!(err.contains("--jobs"), "{err}");
+    }
+
+    #[test]
+    fn duel_placement_bounds_the_scaled_trace() {
+        let line = "sweep --apps kafka --policies lru,set-dueling --len 1500 --scale 2";
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let spec = spec_from_args(&Args::parse(&argv)).unwrap();
+        let report = run_sweep(&spec, &Engine::new(2));
+        let rendered = duel_placement(&spec, &report).render();
+        let flack = |scale| {
+            let trace = trace_for_scaled(AppId::Kafka, 0, 1_500, scale);
+            let stats = Flack::new().run(&trace, &spec.cfg.uop_cache).stats;
+            format!("{:.2}%", (1.0 - stats.uop_miss_rate()) * 100.0)
+        };
+        assert_ne!(flack(1), flack(2), "the scale must move the bound");
+        assert!(rendered.contains(&flack(2)), "{rendered}");
     }
 
     #[test]

@@ -58,14 +58,12 @@
 //! assert_eq!(kept[0].cycle, 3);
 //! ```
 
-pub mod bbv;
 pub mod digest;
 pub mod duel;
 pub mod event;
 pub mod metrics;
 pub mod recorder;
 
-pub use bbv::BbvRecorder;
 pub use digest::{DigestRecorder, StreamDigest};
 pub use duel::{CandidateDuel, DuelStats};
 pub use event::{Event, EventKind, Verdict};

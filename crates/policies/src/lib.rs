@@ -27,7 +27,7 @@
 //!
 //! The crate also provides [`run_trace`], a synchronous insert-on-miss driver
 //! used for policy comparisons that do not need frontend timing, and
-//! [`profile::lru_hit_rates`] for building Thermometer profiles.
+//! [`profile::lru_pw_hit_rates`], the LRU profile Thermometer reads.
 //!
 //! # Examples
 //!

@@ -8,23 +8,21 @@
 //!
 //! The pipeline, each stage a pure function of its inputs:
 //!
-//! 1. **Slice** ([`slice_intervals`]) — cut the trace into consecutive
-//!    intervals of a fixed micro-op count.
-//! 2. **Fingerprint** ([`fingerprint_intervals`], backed by
-//!    `uopcache_obs::BbvRecorder`) — fold each interval's accesses into a
-//!    prediction-window basic-block vector, random-projected to a fixed
-//!    dimension with seeded ±1 signs.
-//! 3. **Cluster** ([`kmeans()`], [`choose_k`]) — deterministic seeded
+//! 1. **Fingerprint** ([`fingerprint_intervals`]) — one walk of the trace
+//!    cuts it into consecutive intervals of a fixed micro-op count and folds
+//!    each interval's accesses into a prediction-window basic-block vector,
+//!    random-projected to a fixed dimension with seeded ±1 signs.
+//! 2. **Cluster** ([`kmeans()`], [`choose_k`]) — deterministic seeded
 //!    k-means over the projected vectors; `k` picked by a BIC-style score.
-//! 4. **Select** ([`SamplePlan::build`]) — per cluster, the member closest
+//! 3. **Select** ([`SamplePlan::build`]) — per cluster, the member closest
 //!    to the centroid becomes the *representative* and the farthest member
 //!    the *probe*; cluster weights are micro-op shares.
-//! 5. **Simulate** ([`simulate_interval`]) — run each representative (and
+//! 4. **Simulate** ([`simulate_interval`]) — run each representative (and
 //!    probe) with functional warmup from its preceding interval. The
 //!    interval's branch side does not depend on the policy, so a sweep
 //!    builds its [`interval_stream`] once and every policy shares it
 //!    through [`simulate_interval_with`].
-//! 6. **Reconstruct** (the sweep harness, by [`SamplePlan::weights`]) —
+//! 5. **Reconstruct** (the sweep harness, by [`SamplePlan::weights`]) —
 //!    whole-trace metrics as the weighted average of sample-point metrics,
 //!    with an error bound ([`SamplePlan::error_bound`]) from within-cluster
 //!    dispersion.
@@ -38,7 +36,7 @@ pub mod kmeans;
 pub mod plan;
 pub mod sim;
 
-pub use interval::{fingerprint_intervals, slice_intervals, Interval};
+pub use interval::{fingerprint_intervals, Interval};
 pub use kmeans::{choose_k, kmeans, Clustering};
 pub use plan::{ClusterPlan, SampleConfig, SamplePlan, EST_ERROR_FLOOR, EST_ERROR_MARGIN};
 pub use sim::{interval_stream, simulate_interval, simulate_interval_with};
