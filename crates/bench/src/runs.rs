@@ -419,7 +419,7 @@ impl Lab {
             "branch stream",
             &mut self.preps,
             keys,
-            |&(c, t)| Prep::new(&configs[c], Arc::clone(&traces[&t]), None),
+            |&(c, t)| Prep::new(&configs[c], Arc::clone(&traces[&t])),
         );
     }
 

@@ -12,7 +12,8 @@
 
 use crate::apps::trace_for_scaled;
 use crate::policies::{PolicyId, ProfileInputs};
-use std::ops::Range;
+use std::borrow::Borrow;
+use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
 use std::time::Duration;
 use uopcache_cache::PwReplacementPolicy;
@@ -23,9 +24,11 @@ use uopcache_model::{
     CacheStats, EventCounts, FrontendConfig, LookupTrace, SimResult, UopCacheStats,
 };
 use uopcache_obs::{Event, MetricsRecorder, MetricsRegistry, SamplingRecorder};
-use uopcache_sample::{interval_stream, simulate_interval_with, SampleConfig, SamplePlan};
+use uopcache_sample::{
+    interval_stream, simulate_interval_with, Fingerprinter, SampleConfig, SamplePlan,
+};
 use uopcache_sim::{BranchStream, Frontend, SimOptions};
-use uopcache_trace::AppId;
+use uopcache_trace::{AppId, Checkpoint, Generator, InputVariant};
 
 /// The canonical-JSON schema version stamped on every report this crate
 /// renders ([`SweepReport::to_json`], the CLI's `inspect`). Bump it whenever
@@ -47,10 +50,22 @@ pub fn config_label(cfg: &FrontendConfig) -> String {
 
 /// The most accesses per app (`len × scale`) that [`SweepSpec::from_json`]
 /// accepts: 10^8, ten times the `len 100000 --scale 100` sweep. A served
-/// spec beyond it is refused before any trace is built; building it would
-/// need about 1.6 GB per app (16-byte lookup records) and could abort the
-/// daemon on allocation.
+/// spec beyond it is refused before any trace is built. Building it
+/// unsampled would need about 1.6 GB per app (16-byte lookup records) and
+/// could abort the daemon on allocation; a sampled spec streams the trace
+/// and keeps only its planned segments, and is bounded by
+/// [`MAX_SPEC_INTERVALS`] as well.
 pub const MAX_SPEC_ACCESSES: u64 = 100_000_000;
+
+/// The most intervals a sampled sweep cuts one app's trace into: 65 536,
+/// about eight times the ~8 300 kafka intervals of `--len 12000 --scale 100
+/// --sample 1000`. Each interval keeps a 32-lane fingerprint row, a k-means
+/// point and a walk checkpoint, so a spec whose tiny `sample` would cut up
+/// to [`MAX_SPEC_ACCESSES`] one-access intervals stops in its fingerprint
+/// pass with an explicit message once it passes this count. The count
+/// depends on the trace's micro-ops, so it is checked while the trace
+/// streams, not when the spec is read.
+pub const MAX_SPEC_INTERVALS: usize = 1 << 16;
 
 /// The most micro-op cache sets a spec's `entries`/`ways` geometry may
 /// name in [`SweepSpec::from_json`]: 8 192, sixteen times the 512 sets of
@@ -303,21 +318,22 @@ impl SweepSpec {
         ])
     }
 
-    /// What the spec's profile-guided policies read of one app's `trace`
-    /// (see [`ProfileInputs::solved`]); empty when no swept policy reads a
-    /// profile, so such a spec runs no FLACK solve. A sampled app trains on
-    /// its sample points only, keeping preparation O(k · interval) instead
-    /// of O(trace).
-    fn profile_inputs(&self, trace: &LookupTrace, plan: Option<&SamplePlan>) -> ProfileInputs {
+    /// What the spec's profile-guided policies read of one app's training
+    /// trace, made by `train` (see [`ProfileInputs::solved`]); empty, and
+    /// `train` never called, when no swept policy reads a profile, so such
+    /// a spec runs no FLACK solve. A full app trains on its whole trace; a
+    /// sampled app on its sample points only, re-formed from their walk
+    /// checkpoints, so its preparation holds O(points · interval) accesses
+    /// instead of O(trace).
+    fn profile_inputs<T: Borrow<LookupTrace>>(&self, train: impl FnOnce() -> T) -> ProfileInputs {
         let ids: Vec<PolicyId> = (self.policies.iter())
             .filter_map(|p| p.parse().ok())
             .collect();
         if !ids.iter().any(|id| id.reads_profile()) {
             return ProfileInputs::default();
         }
-        let train = plan.map(|plan| plan.representative_trace(trace));
         let pipeline = FurbysPipeline::new(self.cfg);
-        ProfileInputs::solved(&pipeline, train.as_ref().unwrap_or(trace), None, &ids)
+        ProfileInputs::solved(&pipeline, train().borrow(), None, &ids)
     }
 }
 
@@ -552,9 +568,19 @@ fn round6(x: f64) -> f64 {
 
 /// Runs an `(app × policy)` sweep through `engine`, in two stages:
 ///
-/// 1. one task per app prepares the trace, the sampling plan of a `--sample`
-///    sweep, the profile inputs and the branch stream of each segment (all
-///    pure functions of the spec and app);
+/// 1. preparation, all pure functions of the spec and app. A full sweep
+///    runs one task per app that builds the trace, the profile inputs and
+///    the whole-trace branch stream. A `--sample` sweep never holds a whole
+///    trace, and prepares in two passes:
+///    - *fingerprint*: one task per app streams its trace once through the
+///      fingerprint fold, keeping no access, and plans the sample points;
+///      each interval keeps the walk checkpoint it opened after. The same
+///      task then re-forms the sample points from their checkpoints and
+///      profiles them;
+///    - *rebuild*: one task per planned segment (keyed as a child of the
+///      app's `prepare` key, `…/prepare/pt0.1`) re-forms the segment's
+///      warmup and measured accesses from its first interval's checkpoint
+///      and builds their branch stream;
 /// 2. `simulate` runs one task per cell `Segment`, seeding any
 ///    randomized policy from the **cell** key. A full cell is one
 ///    whole-trace segment keyed by the cell key itself; a sampled cell is
@@ -568,19 +594,14 @@ fn round6(x: f64) -> f64 {
 /// # Panics
 ///
 /// Panics only if a *preparation* task fails (no cell of that app could be
-/// simulated).
+/// simulated), for instance when a sampled app's trace cuts more than
+/// [`MAX_SPEC_INTERVALS`] intervals.
 pub fn run_sweep(spec: &SweepSpec, engine: &Engine) -> SweepReport {
     let cfg = spec.cfg;
-    let prep_tasks = (spec.apps.iter()).map(|&a| (spec.task_key(a, "prepare"), a));
-    let prepared: Vec<(AppId, Prep, ProfileInputs)> = engine
-        .run(prep_tasks.collect(), |_key, seed, app| {
-            let trace = trace_for_scaled(app, spec.variant, spec.len, spec.scale);
-            let plan = (spec.sample)
-                .map(|interval| SamplePlan::build(&trace, &SampleConfig::new(interval, seed)));
-            let profiles = spec.profile_inputs(&trace, plan.as_ref());
-            (app, Prep::new(&cfg, Arc::new(trace), plan), profiles)
-        })
-        .expect_all("sweep preparation");
+    let prepared = match spec.sample {
+        None => prepare_whole(spec, engine),
+        Some(interval) => prepare_sampled(spec, engine, interval),
+    };
 
     let mut runs = Vec::new();
     let mut names = Vec::new();
@@ -610,7 +631,7 @@ pub fn run_sweep(spec: &SweepSpec, engine: &Engine) -> SweepReport {
                 app,
                 policy: policy.clone(),
                 result,
-                trace_uops: run.prep.trace.total_uops(),
+                trace_uops: run.prep.trace_uops,
                 obs,
                 sampled,
             }),
@@ -632,40 +653,196 @@ pub fn run_sweep(spec: &SweepSpec, engine: &Engine) -> SweepReport {
     }
 }
 
-/// One prepared trace: the trace, its sampling plan on a `--sample` sweep,
-/// and the segments every cell over it simulates, each with its branch
-/// stream.
+/// One prepared app: its prep and the profile inputs its policies read.
+type Prepared = (AppId, Prep, ProfileInputs);
+
+/// The preparation of a full sweep: one task per app builds the whole
+/// trace, profiles it and simulates its branch stream.
+fn prepare_whole(spec: &SweepSpec, engine: &Engine) -> Vec<Prepared> {
+    let tasks = (spec.apps.iter()).map(|&a| (spec.task_key(a, "prepare"), a));
+    engine
+        .run(tasks.collect(), |_key, _seed, app| {
+            let trace = trace_for_scaled(app, spec.variant, spec.len, spec.scale);
+            let profiles = spec.profile_inputs(|| &trace);
+            (app, Prep::new(&spec.cfg, Arc::new(trace)), profiles)
+        })
+        .expect_all("sweep preparation")
+}
+
+/// The two-pass preparation of a sampled sweep (see [`run_sweep`]): one
+/// task per app plans it from one streaming walk and profiles its sample
+/// points, then one task per planned segment re-forms that segment.
+fn prepare_sampled(spec: &SweepSpec, engine: &Engine, interval: u64) -> Vec<Prepared> {
+    let tasks = (spec.apps.iter()).map(|&a| (spec.task_key(a, "prepare"), a));
+    let planned: Vec<(Planned, ProfileInputs)> = engine
+        .run(tasks.collect(), |_key, seed, app| {
+            let variant = InputVariant::new(spec.variant);
+            let generator = Generator::new(&app.spec(), variant, spec.len, spec.scale);
+            let (plan, checkpoints) = plan_stream(&generator, &SampleConfig::new(interval, seed));
+            let planned = Planned {
+                app,
+                generator,
+                plan,
+                checkpoints,
+            };
+            let profiles = spec.profile_inputs(|| planned.training_slice());
+            (planned, profiles)
+        })
+        .expect_all("sweep preparation");
+
+    let segments = planned.iter().flat_map(|(p, _)| {
+        let key = spec.task_key(p.app, "prepare");
+        (Segment::all(Some(&p.plan)).into_iter()).map(move |s| (s.key(&key), (p, s)))
+    });
+    let mut rebuilt = engine
+        .run(segments.collect(), |_key, _seed, (p, segment)| {
+            p.segment(&spec.cfg, segment)
+        })
+        .expect_all("sweep segment rebuild")
+        .into_iter();
+    (planned.into_iter())
+        .map(|(p, profiles)| {
+            let count = Segment::all(Some(&p.plan)).len();
+            let prep = Prep {
+                trace_uops: p.plan.total_uops,
+                plan: Some(p.plan),
+                segments: rebuilt.by_ref().take(count).collect(),
+            };
+            (p.app, prep, profiles)
+        })
+        .collect()
+}
+
+/// The fingerprint pass over one sampled app: walks its whole trace once,
+/// folding each access into the fingerprint and keeping none, and returns
+/// the plan with, per interval, the latest walk checkpoint before its first
+/// access.
+///
+/// # Panics
+///
+/// Panics once the trace cuts more than [`MAX_SPEC_INTERVALS`] intervals.
+fn plan_stream(generator: &Generator, cfg: &SampleConfig) -> (SamplePlan, Vec<Checkpoint>) {
+    let mut fingerprinter = Fingerprinter::new(cfg.interval_uops, cfg.dim, cfg.seed);
+    let mut checkpoints = Vec::new();
+    generator.walk(&generator.start(), &mut Vec::new(), |block, latest| {
+        for access in block.iter() {
+            if fingerprinter.push(access) {
+                assert!(
+                    checkpoints.len() < MAX_SPEC_INTERVALS,
+                    "sample {} cuts more than {MAX_SPEC_INTERVALS} intervals per app",
+                    cfg.interval_uops
+                );
+                checkpoints.push(*latest);
+            }
+        }
+        block.clear();
+        ControlFlow::Continue(())
+    });
+    let (intervals, vectors) = fingerprinter.finish();
+    (
+        SamplePlan::from_fingerprints(intervals, vectors, cfg),
+        checkpoints,
+    )
+}
+
+/// One sampled app after its fingerprint pass.
+struct Planned {
+    app: AppId,
+    generator: Generator,
+    plan: SamplePlan,
+    /// Per interval, the walk checkpoint to re-form it from.
+    checkpoints: Vec<Checkpoint>,
+}
+
+impl Planned {
+    /// The accesses in `range`, which starts where an interval starts,
+    /// re-formed from that interval's checkpoint.
+    fn rebuild(&self, range: Range<usize>) -> LookupTrace {
+        let first = (self.plan.intervals).partition_point(|iv| iv.start_access < range.start);
+        self.generator.rebuild(&self.checkpoints[first], range)
+    }
+
+    /// The profiles' training trace: the sample points' measured intervals
+    /// in trace order, the bytes `plan.representative_trace` cuts from the
+    /// built trace.
+    fn training_slice(&self) -> LookupTrace {
+        let points = self.plan.point_intervals();
+        let len = points.iter().map(|&m| self.plan.intervals[m].len()).sum();
+        let mut train = LookupTrace::with_capacity(len);
+        for m in points {
+            train.extend(self.rebuild(self.plan.intervals[m].range()));
+        }
+        train
+    }
+
+    /// `segment`'s warmup and measured accesses, re-formed, with their
+    /// branch stream.
+    fn segment(&self, cfg: &FrontendConfig, segment: Segment) -> SegmentPrep {
+        let member = segment.member(&self.plan);
+        let warmup = self.plan.warmup_range(member);
+        let measure = self.plan.intervals[member].range();
+        let accesses = self.rebuild(warmup.start..measure.end);
+        SegmentPrep::new(cfg, segment, Arc::new(accesses), warmup.len())
+    }
+}
+
+/// One prepared app: its sampling plan on a `--sample` sweep and the
+/// segments every cell over it simulates, each with its accesses and
+/// branch stream. A full app's one segment shares the whole trace; a
+/// sampled app holds only its segments' accesses.
 pub(crate) struct Prep {
-    trace: Arc<LookupTrace>,
     plan: Option<SamplePlan>,
-    /// The cell segments in submission order. The branch side of a segment
-    /// (BTB, misprediction penalty, backend absorption) does not depend on
-    /// the policy, so its stream is simulated once here and shared by
-    /// every policy's task.
-    segments: Vec<(Segment, BranchStream)>,
+    /// Micro-ops in the whole trace (what reconstruction weights divide).
+    trace_uops: u64,
+    /// The cell segments in submission order.
+    segments: Vec<SegmentPrep>,
 }
 
 impl Prep {
-    /// Cuts `trace` into the segments of `plan` (one whole-trace segment
-    /// without a plan) and simulates each segment's branch stream under
-    /// `cfg`.
-    pub(crate) fn new(
-        cfg: &FrontendConfig,
-        trace: Arc<LookupTrace>,
-        plan: Option<SamplePlan>,
-    ) -> Prep {
-        let segments = Segment::all(plan.as_ref())
-            .into_iter()
-            .map(|s| {
-                let (warmup, measure) = s.ranges(&trace, plan.as_ref());
-                (s, interval_stream(cfg, &trace, warmup, measure))
-            })
-            .collect();
+    /// The prep of a full run over `trace`: one whole-trace segment, with
+    /// its branch stream simulated under `cfg`.
+    pub(crate) fn new(cfg: &FrontendConfig, trace: Arc<LookupTrace>) -> Prep {
         Prep {
-            trace,
-            plan,
-            segments,
+            plan: None,
+            trace_uops: trace.total_uops(),
+            segments: vec![SegmentPrep::new(cfg, Segment::Whole, trace, 0)],
         }
+    }
+}
+
+/// One segment ready to simulate. The branch side of a segment (BTB,
+/// misprediction penalty, backend absorption) does not depend on the
+/// policy, so its stream is simulated once here and shared by every
+/// policy's task.
+struct SegmentPrep {
+    segment: Segment,
+    /// The whole trace, or a sampled segment's warmup then measured
+    /// accesses.
+    accesses: Arc<LookupTrace>,
+    /// How many leading accesses are functional warmup.
+    warmup: usize,
+    branch: BranchStream,
+}
+
+impl SegmentPrep {
+    fn new(
+        cfg: &FrontendConfig,
+        segment: Segment,
+        accesses: Arc<LookupTrace>,
+        warmup: usize,
+    ) -> Self {
+        let branch = interval_stream(cfg, &accesses, 0..warmup, warmup..accesses.len());
+        SegmentPrep {
+            segment,
+            accesses,
+            warmup,
+            branch,
+        }
+    }
+
+    /// The warmup range and the measured range of `accesses`.
+    fn ranges(&self) -> (Range<usize>, Range<usize>) {
+        (0..self.warmup, self.warmup..self.accesses.len())
     }
 }
 
@@ -717,24 +894,15 @@ impl Segment {
         segments
     }
 
-    /// The accesses the segment simulates, as a warmup range and a measured
-    /// range.
-    fn ranges(
-        self,
-        trace: &LookupTrace,
-        plan: Option<&SamplePlan>,
-    ) -> (Range<usize>, Range<usize>) {
-        let (plan, member) = match (self, plan) {
-            (Segment::Point(c, j), Some(plan)) => (plan, plan.clusters[c].points[j]),
-            (Segment::Probe(c), Some(plan)) => (
-                plan,
-                plan.clusters[c]
-                    .probe
-                    .expect("probe segments are planned only for clusters with a probe"),
-            ),
-            _ => return (0..0, 0..trace.len()),
-        };
-        (plan.warmup_range(member), plan.intervals[member].range())
+    /// The interval a sampled segment measures.
+    fn member(self, plan: &SamplePlan) -> usize {
+        match self {
+            Segment::Point(c, j) => plan.clusters[c].points[j],
+            Segment::Probe(c) => plan.clusters[c]
+                .probe
+                .expect("probe segments are planned only for clusters with a probe"),
+            Segment::Whole => unreachable!("a whole-trace segment measures no interval"),
+        }
     }
 
     /// The segment's task key: the cell key itself, or a child of it.
@@ -760,15 +928,16 @@ type SegmentRun = (Segment, SimResult, Option<CellObs>);
 pub(crate) fn simulate(engine: &Engine, runs: &[CellRun<'_>], metrics: bool) -> Simulated {
     let tasks = (runs.iter())
         .flat_map(|run| {
-            (run.prep.segments.iter()).map(move |(s, branch)| (s.key(&run.key), (run, *s, branch)))
+            (run.prep.segments.iter()).map(move |seg| (seg.segment.key(&run.key), (run, seg)))
         })
         .collect();
-    let outcome = engine.run(tasks, |_key, _seed, (run, segment, branch)| {
-        let (cfg, prep, seed) = (run.cfg, run.prep, run.key.seed());
+    let outcome = engine.run(tasks, |_key, _seed, (run, seg)| {
+        let (cfg, seed, segment) = (run.cfg, run.key.seed(), seg.segment);
         let policy = (run.policy)(seed);
-        let (warmup, measure) = segment.ranges(&prep.trace, prep.plan.as_ref());
+        let (warmup, measure) = seg.ranges();
         if segment != Segment::Whole {
-            let result = simulate_interval_with(&cfg, policy, &prep.trace, warmup, measure, branch);
+            let (accesses, branch) = (&seg.accesses, &seg.branch);
+            let result = simulate_interval_with(&cfg, policy, accesses, warmup, measure, branch);
             return (segment, result, None);
         }
         let mut builder = Frontend::builder(cfg).policy(policy).options(run.opts);
@@ -779,7 +948,7 @@ pub(crate) fn simulate(engine: &Engine, runs: &[CellRun<'_>], metrics: bool) -> 
             ))));
         }
         let mut frontend = builder.build();
-        let result = frontend.run_stream(prep.trace.accesses(), branch.slice(measure));
+        let result = frontend.run_stream(seg.accesses.accesses(), seg.branch.slice(measure));
         let obs = frontend.take_recorder().map(|r| CellObs {
             events: r.events(),
             metrics: r.metrics().cloned().unwrap_or_default(),
@@ -967,7 +1136,7 @@ mod tests {
     #[test]
     fn specs_without_profiled_policies_prepare_no_profile() {
         let trace = trace_for_scaled(AppId::Kafka, 0, 1_500, 1);
-        let profiles = tiny_spec().profile_inputs(&trace, None);
+        let profiles = tiny_spec().profile_inputs(|| &trace);
         assert!(profiles.lru_rates.is_empty());
         assert!(profiles.furbys.hit_rates.is_empty() && profiles.furbys.hints.is_empty());
         // The reports are the bytes a sweep that profiled every policy
@@ -1334,6 +1503,22 @@ mod tests {
         ] {
             let err = spec(len, scale).expect_err("over the bound");
             assert!(err.contains("exceeds"), "{len} x {scale}: {err}");
+        }
+    }
+
+    #[test]
+    fn empty_epochs_sweep_at_once_at_any_scale() {
+        // Zero accesses pass the access bound at any scale, so the walk
+        // must not visit the epochs one by one.
+        let text = r#"{"config":"zen3","apps":["kafka"],"policies":["lru"],"len":0,"scale":1000000000000}"#;
+        let mut spec = SweepSpec::from_json(&Json::parse(text).expect("valid JSON"))
+            .expect("zero accesses are within the bound");
+        for sample in [None, Some(100)] {
+            spec.sample = sample;
+            let report = run_sweep(&spec, &Engine::new(1));
+            assert!(report.failures.is_empty(), "{:?}", report.failures);
+            assert_eq!(report.cells.len(), 1);
+            assert_eq!(report.cells[0].trace_uops, 0);
         }
     }
 }

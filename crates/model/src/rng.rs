@@ -116,7 +116,7 @@ impl SampleRange for std::ops::Range<f64> {
 
 /// xoshiro256++ seeded via SplitMix64 — the standard small, fast,
 /// well-distributed generator pairing.
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Prng {
     state: [u64; 4],
 }

@@ -1,18 +1,19 @@
 //! Interval fingerprinting.
 //!
-//! The first stage of the sampling pipeline: one walk of a [`LookupTrace`]
+//! The first stage of the sampling pipeline: one walk of an access stream
 //! cuts it into consecutive intervals of (at least) a fixed number of
 //! micro-ops and fingerprints each interval with a projected basic-block
-//! vector. The walk is a pure function of the trace and the seed, so every
-//! worker that fingerprints the same trace sees the same intervals and the
-//! same vectors.
+//! vector. The walk is a pure function of the accesses and the seed, so
+//! every worker that fingerprints the same trace sees the same intervals
+//! and the same vectors, whether the accesses come from a built
+//! [`LookupTrace`] or stream from the generator.
 
 use std::ops::Range;
 
 use uopcache_exec::seed::splitmix64;
 use uopcache_model::hash::FastHashMap;
 use uopcache_model::rng::{Prng, Rng};
-use uopcache_model::LookupTrace;
+use uopcache_model::{LookupTrace, PwAccess};
 
 /// One fixed-uop slice of a trace.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -38,7 +39,7 @@ impl Interval {
         self.end_access - self.start_access
     }
 
-    /// Whether the interval is empty (never produced by [`fingerprint_intervals`]).
+    /// Whether the interval is empty (never produced by a [`Fingerprinter`]).
     pub fn is_empty(&self) -> bool {
         self.end_access == self.start_access
     }
@@ -46,7 +47,25 @@ impl Interval {
 
 /// Cuts `trace` into intervals and fingerprints each one: returns the
 /// interval table and one projected, length-normalized basic-block vector
-/// per interval (same order).
+/// per interval (same order). Folds every access through one
+/// [`Fingerprinter`], which describes the cut and the vectors.
+pub fn fingerprint_intervals(
+    trace: &LookupTrace,
+    interval_uops: u64,
+    dim: usize,
+    seed: u64,
+) -> (Vec<Interval>, Vec<Vec<f64>>) {
+    let mut fingerprinter = Fingerprinter::new(interval_uops, dim, seed);
+    for access in trace.iter() {
+        fingerprinter.push(access);
+    }
+    fingerprinter.finish()
+}
+
+/// The fingerprint pass as an incremental fold: push a trace's accesses in
+/// order, then [`finish`](Self::finish). Nothing of the trace is kept but
+/// the open interval's counts, so the accesses can stream straight from
+/// the generator.
 ///
 /// An interval closes as soon as it has accumulated at least
 /// `interval_uops` micro-ops (minimum 1), so intervals never split an
@@ -62,46 +81,77 @@ impl Interval {
 /// The fingerprint describes what code each interval *executes*, so it is
 /// computed from the access stream alone — no cache simulation, and one
 /// pass serves every policy in a sweep.
-pub fn fingerprint_intervals(
-    trace: &LookupTrace,
+#[derive(Clone, Debug)]
+pub struct Fingerprinter {
     interval_uops: u64,
-    dim: usize,
     seed: u64,
-) -> (Vec<Interval>, Vec<Vec<f64>>) {
-    let interval_uops = interval_uops.max(1);
-    let mut row = vec![0i64; dim.max(1)];
-    let mut counts: FastHashMap<u64, u64> = FastHashMap::default();
-    let mut intervals = Vec::new();
-    let mut vectors = Vec::new();
-    let mut start = 0usize;
-    let mut uops = 0u64;
-    for (i, a) in trace.iter().enumerate() {
-        let pw = a.pw();
-        *counts.entry(pw.start.get()).or_insert(0) += u64::from(pw.uops);
-        uops += u64::from(pw.uops);
-        if uops >= interval_uops {
-            vectors.push(normalized_row(seed, &counts, uops, &mut row));
-            intervals.push(Interval {
-                index: intervals.len(),
-                start_access: start,
-                end_access: i + 1,
-                uops,
-            });
-            counts.clear();
-            start = i + 1;
-            uops = 0;
+    row: Vec<i64>,
+    counts: FastHashMap<u64, u64>,
+    intervals: Vec<Interval>,
+    vectors: Vec<Vec<f64>>,
+    /// First access of the open interval.
+    start: usize,
+    /// Accesses pushed so far.
+    next: usize,
+    /// Micro-ops of the open interval.
+    uops: u64,
+}
+
+impl Fingerprinter {
+    /// An empty fold cutting `interval_uops`-uop intervals into
+    /// `dim`-lane vectors projected under `seed`.
+    pub fn new(interval_uops: u64, dim: usize, seed: u64) -> Self {
+        Fingerprinter {
+            interval_uops: interval_uops.max(1),
+            seed,
+            row: vec![0; dim.max(1)],
+            counts: FastHashMap::default(),
+            intervals: Vec::new(),
+            vectors: Vec::new(),
+            start: 0,
+            next: 0,
+            uops: 0,
         }
     }
-    if start < trace.len() {
-        vectors.push(normalized_row(seed, &counts, uops, &mut row));
-        intervals.push(Interval {
-            index: intervals.len(),
-            start_access: start,
-            end_access: trace.len(),
-            uops,
-        });
+
+    /// Folds the next access in; returns whether it is the first access of
+    /// an interval.
+    #[inline]
+    pub fn push(&mut self, access: &PwAccess) -> bool {
+        let opens = self.next == self.start;
+        let pw = access.pw();
+        *self.counts.entry(pw.start.get()).or_insert(0) += u64::from(pw.uops);
+        self.uops += u64::from(pw.uops);
+        self.next += 1;
+        if self.uops >= self.interval_uops {
+            self.close();
+        }
+        opens
     }
-    (intervals, vectors)
+
+    /// Closes the trailing partial interval, if any, and returns the
+    /// interval table and one vector per interval.
+    pub fn finish(mut self) -> (Vec<Interval>, Vec<Vec<f64>>) {
+        if self.start < self.next {
+            self.close();
+        }
+        (self.intervals, self.vectors)
+    }
+
+    /// Closes the open interval at the last pushed access.
+    fn close(&mut self) {
+        let vector = normalized_row(self.seed, &self.counts, self.uops, &mut self.row);
+        self.vectors.push(vector);
+        self.intervals.push(Interval {
+            index: self.intervals.len(),
+            start_access: self.start,
+            end_access: self.next,
+            uops: self.uops,
+        });
+        self.counts.clear();
+        self.start = self.next;
+        self.uops = 0;
+    }
 }
 
 /// Projects one interval's sparse counts into `row` and divides each lane

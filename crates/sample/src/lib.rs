@@ -8,13 +8,15 @@
 //!
 //! The pipeline, each stage a pure function of its inputs:
 //!
-//! 1. **Fingerprint** ([`fingerprint_intervals`]) — one walk of the trace
-//!    cuts it into consecutive intervals of a fixed micro-op count and folds
-//!    each interval's accesses into a prediction-window basic-block vector,
-//!    random-projected to a fixed dimension with seeded ±1 signs.
+//! 1. **Fingerprint** ([`Fingerprinter`], [`fingerprint_intervals`]) — one
+//!    fold over the accesses, which may stream from the generator, cuts
+//!    the trace into consecutive intervals of a fixed micro-op count and
+//!    folds each interval's accesses into a prediction-window basic-block
+//!    vector, random-projected to a fixed dimension with seeded ±1 signs.
 //! 2. **Cluster** ([`kmeans()`], [`choose_k`]) — deterministic seeded
 //!    k-means over the projected vectors; `k` picked by a BIC-style score.
-//! 3. **Select** ([`SamplePlan::build`]) — per cluster, the member closest
+//! 3. **Select** ([`SamplePlan::from_fingerprints`], or
+//!    [`SamplePlan::build`] from a built trace) — per cluster, the member closest
 //!    to the centroid becomes the *representative* and the farthest member
 //!    the *probe*; cluster weights are micro-op shares.
 //! 4. **Simulate** ([`simulate_interval`]) — run each representative (and
@@ -36,7 +38,7 @@ pub mod kmeans;
 pub mod plan;
 pub mod sim;
 
-pub use interval::{fingerprint_intervals, Interval};
+pub use interval::{fingerprint_intervals, Fingerprinter, Interval};
 pub use kmeans::{choose_k, kmeans, Clustering};
 pub use plan::{ClusterPlan, SampleConfig, SamplePlan, EST_ERROR_FLOOR, EST_ERROR_MARGIN};
 pub use sim::{interval_stream, simulate_interval, simulate_interval_with};

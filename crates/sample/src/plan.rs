@@ -115,6 +115,18 @@ impl SamplePlan {
     pub fn build(trace: &LookupTrace, cfg: &SampleConfig) -> SamplePlan {
         let (intervals, vectors) =
             fingerprint_intervals(trace, cfg.interval_uops, cfg.dim, cfg.seed);
+        SamplePlan::from_fingerprints(intervals, vectors, cfg)
+    }
+
+    /// Clusters fingerprinted intervals and selects the sample points: the
+    /// plan of the trace that `intervals` and `vectors` (one vector per
+    /// interval, from a [`Fingerprinter`](crate::Fingerprinter) configured
+    /// by `cfg`) describe. Pure function of its inputs.
+    pub fn from_fingerprints(
+        intervals: Vec<Interval>,
+        vectors: Vec<Vec<f64>>,
+        cfg: &SampleConfig,
+    ) -> SamplePlan {
         let clustering = choose_k(&vectors, cfg.max_k, cfg.seed, cfg.kmeans_iters);
         let total_uops: u64 = intervals.iter().map(|iv| iv.uops).sum();
 
@@ -278,17 +290,22 @@ impl SamplePlan {
     /// policies faithful: when the points cover all intervals the training
     /// trace degenerates to the full trace.
     pub fn representative_trace(&self, trace: &LookupTrace) -> LookupTrace {
-        let mut members: Vec<usize> = self
-            .clusters
-            .iter()
-            .flat_map(|c| c.points.iter().copied())
-            .collect();
-        members.sort_unstable();
         let mut out = LookupTrace::new();
-        for m in members {
+        for m in self.point_intervals() {
             out.extend(trace.slice(self.intervals[m].range()));
         }
         out
+    }
+
+    /// The interval index of every simulation point, ascending: the
+    /// intervals [`representative_trace`](Self::representative_trace)
+    /// concatenates.
+    pub fn point_intervals(&self) -> Vec<usize> {
+        let mut members: Vec<usize> = (self.clusters.iter())
+            .flat_map(|c| c.points.iter().copied())
+            .collect();
+        members.sort_unstable();
+        members
     }
 }
 

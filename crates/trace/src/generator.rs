@@ -1,11 +1,13 @@
-//! Top-level trace generation entry points.
+//! Top-level trace generation entry points, and the resumable walk they
+//! share.
 
 use crate::program::Program;
-use crate::pwstream::PwBuilder;
-use crate::walker::Walker;
+use crate::pwstream::{PwBuilder, WindowState};
+use crate::walker::{WalkState, Walker};
 use crate::workload::{AppId, InputVariant, WorkloadSpec};
+use std::ops::{ControlFlow, Range};
 use uopcache_model::rng::{Prng, Rng};
-use uopcache_model::LookupTrace;
+use uopcache_model::{LookupTrace, PwAccess};
 
 /// The most accesses a build reserves up front (2^21, 32 MiB of windows).
 /// A longer trace grows past it as windows arrive, so an absurd length
@@ -81,22 +83,225 @@ pub fn build_trace_scaled_with_spec(
     accesses: usize,
     scale: u64,
 ) -> LookupTrace {
-    assert!(scale >= 1, "scale must be at least 1");
-    let program = Program::synthesize(spec);
-    let scale_hint = usize::try_from(scale).unwrap_or(usize::MAX);
+    let generator = Generator::new(spec, variant, accesses, scale);
     // A few windows past the target: the last block may overshoot it.
-    let reserve = accesses.saturating_mul(scale_hint).saturating_add(8);
+    let reserve = generator.accesses().saturating_add(8);
     let mut out = Vec::with_capacity(reserve.min(RESERVE_CHUNK));
-    let mut builder = PwBuilder::new(&program, 64);
-    for epoch in 0..scale {
-        let espec = drifted_spec(spec, epoch);
-        builder.collect(
-            Walker::with_epoch(&program, &espec, variant, epoch),
-            accesses,
-            &mut out,
-        );
-    }
+    generator.walk(&generator.start(), &mut out, |_, _| {
+        ControlFlow::Continue(())
+    });
     out.into_iter().collect()
+}
+
+/// Blocks between two checkpoints of a walk ([`Generator::walk`]). A walk
+/// resumed from the latest checkpoint before an access walks fewer than
+/// this many blocks before it forms that access. A checkpoint is a copy of
+/// under 200 bytes, so taking one this often costs nothing measurable.
+pub const CHECKPOINT_BLOCKS: u64 = 64;
+
+/// The window builder's i-cache line size.
+const LINE_BYTES: u64 = 64;
+
+/// One scaled trace, not yet formed: its static program and the recipe of
+/// its walk (spec, input variant, `len` accesses per epoch, `scale`
+/// epochs).
+///
+/// Epoch `e` owns accesses `e·len .. (e+1)·len` exactly, walked by a fresh
+/// [`Walker::with_epoch`] into fresh window state. So the whole trace is
+/// one [`Generator::walk`] from [`Generator::start`], and any range of it
+/// can be formed again from a [`Checkpoint`] taken on an earlier walk
+/// ([`Generator::rebuild`]), without forming what comes before.
+///
+/// # Examples
+///
+/// ```
+/// use std::ops::ControlFlow;
+/// use uopcache_trace::{build_trace_scaled, AppId, Generator, InputVariant};
+///
+/// let v = InputVariant::default();
+/// let generator = Generator::new(&AppId::Kafka.spec(), v, 1_000, 3);
+/// // Walk until access 1 500 is formed, keeping the checkpoint the walk
+/// // held then.
+/// let mut formed = Vec::new();
+/// let mut checkpoint = generator.start();
+/// generator.walk(&generator.start(), &mut formed, |formed, latest| {
+///     checkpoint = *latest;
+///     if formed.len() > 1_500 {
+///         ControlFlow::Break(())
+///     } else {
+///         ControlFlow::Continue(())
+///     }
+/// });
+/// assert!(checkpoint.position() <= 1_500);
+///
+/// let trace = build_trace_scaled(AppId::Kafka, v, 1_000, 3);
+/// let rebuilt = generator.rebuild(&checkpoint, 1_500..2_600);
+/// assert_eq!(rebuilt, trace.slice(1_500..2_600));
+/// ```
+#[derive(Clone, Debug)]
+pub struct Generator {
+    program: Program,
+    spec: WorkloadSpec,
+    variant: InputVariant,
+    len: usize,
+    scale: u64,
+}
+
+impl Generator {
+    /// Synthesizes the program of `spec` for a trace of `len × scale`
+    /// accesses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scale` is zero.
+    pub fn new(spec: &WorkloadSpec, variant: InputVariant, len: usize, scale: u64) -> Self {
+        assert!(scale >= 1, "scale must be at least 1");
+        Generator {
+            program: Program::synthesize(spec),
+            spec: *spec,
+            variant,
+            len,
+            scale,
+        }
+    }
+
+    /// Accesses in the whole trace, `len × scale` (saturating).
+    pub fn accesses(&self) -> usize {
+        let scale = usize::try_from(self.scale).unwrap_or(usize::MAX);
+        self.len.saturating_mul(scale)
+    }
+
+    /// The checkpoint before the trace's first access.
+    pub fn start(&self) -> Checkpoint {
+        Checkpoint {
+            epoch: 0,
+            base: 0,
+            offset: 0,
+            blocks: 0,
+            walker: self.walker(0).state(),
+            window: WindowState::default(),
+        }
+    }
+
+    /// Walks the trace from `from`, a checkpoint of a walk of this
+    /// generator, exactly as that walk continued. After each block it
+    /// appends the accesses the block formed (perhaps none; each epoch is
+    /// cut at `len`) to `out`, then calls `visit` with `out` and the
+    /// latest checkpoint, taken every [`CHECKPOINT_BLOCKS`] blocks of an
+    /// epoch at or before the block. Resuming from that checkpoint forms
+    /// the block's accesses again. `visit` may drain `out`, and stops the
+    /// walk by returning `Break`; otherwise the walk ends with the trace.
+    pub fn walk<F>(&self, from: &Checkpoint, out: &mut Vec<PwAccess>, mut visit: F)
+    where
+        F: FnMut(&mut Vec<PwAccess>, &Checkpoint) -> ControlFlow<()>,
+    {
+        let len = self.len;
+        let (mut epoch, mut base, mut offset, mut blocks) =
+            (from.epoch, from.base, from.offset, from.blocks);
+        let mut builder = PwBuilder::new(&self.program, LINE_BYTES);
+        builder.restore(from.window);
+        let mut resume = Some(from.walker);
+        let mut latest = *from;
+        loop {
+            let mut walker = self.walker(epoch);
+            if let Some(state) = resume.take() {
+                walker.restore(state);
+            }
+            while offset < len {
+                if blocks.is_multiple_of(CHECKPOINT_BLOCKS) {
+                    latest = Checkpoint {
+                        epoch,
+                        base,
+                        offset,
+                        blocks,
+                        walker: walker.state(),
+                        window: builder.state(),
+                    };
+                }
+                let exec = walker.next().expect("a walk never runs out of blocks");
+                let before = out.len();
+                builder.push(&exec, out);
+                blocks += 1;
+                let room = len - offset;
+                if out.len() - before > room {
+                    out.truncate(before + room);
+                }
+                offset += out.len() - before;
+                if visit(out, &latest).is_break() {
+                    return;
+                }
+            }
+            if len == 0 || epoch + 1 >= self.scale {
+                return;
+            }
+            (epoch, base, offset, blocks) = (epoch + 1, base + len, 0, 0);
+            builder.restore(WindowState::default());
+        }
+    }
+
+    /// The accesses in `range` of the trace, formed by resuming from
+    /// `from` and dropping what precedes the range: equal to
+    /// `build_trace_scaled(..).slice(range)`, at the cost of walking from
+    /// the checkpoint to the end of the range only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` starts before `from` or ends past the trace.
+    pub fn rebuild(&self, from: &Checkpoint, range: Range<usize>) -> LookupTrace {
+        let mut skip = (range.start)
+            .checked_sub(from.position())
+            .expect("the range starts at or after the checkpoint");
+        assert!(
+            range.end <= self.accesses(),
+            "the range ends inside the trace"
+        );
+        let mut out = Vec::with_capacity(range.len());
+        if !range.is_empty() {
+            self.walk(from, &mut Vec::new(), |block, _| {
+                let dropped = skip.min(block.len());
+                skip -= dropped;
+                let kept = (block.len() - dropped).min(range.len() - out.len());
+                out.extend_from_slice(&block[dropped..dropped + kept]);
+                block.clear();
+                if out.len() == range.len() {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+        }
+        out.into_iter().collect()
+    }
+
+    /// A fresh walker of epoch `epoch`.
+    fn walker(&self, epoch: u64) -> Walker<'_> {
+        let spec = drifted_spec(&self.spec, epoch);
+        Walker::with_epoch(&self.program, &spec, self.variant, epoch)
+    }
+}
+
+/// A walk's whole state between two blocks ([`Generator::walk`]): where
+/// the walk stands (epoch, accesses formed) plus the walker's and the
+/// window builder's mutable state. [`Generator::walk`] continues from it.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Checkpoint {
+    epoch: u64,
+    /// Position of the epoch's first access in the trace.
+    base: usize,
+    /// Accesses of the epoch formed before the checkpoint.
+    offset: usize,
+    /// Blocks of the epoch walked before the checkpoint.
+    blocks: u64,
+    walker: WalkState,
+    window: WindowState,
+}
+
+impl Checkpoint {
+    /// Position in the trace of the first access formed after the
+    /// checkpoint.
+    pub fn position(&self) -> usize {
+        self.base + self.offset
+    }
 }
 
 /// The workload spec as observed during execution epoch `epoch`: popularity

@@ -43,6 +43,7 @@ pub mod zipf;
 
 pub use generator::{
     build_trace, build_trace_scaled, build_trace_scaled_with_spec, build_trace_with_spec,
+    Checkpoint, Generator, CHECKPOINT_BLOCKS,
 };
 pub use io::TraceIoError;
 pub use program::{Bb, BbTarget, BranchKind, Program, Region};

@@ -50,7 +50,15 @@ pub struct PwBuilder<'p> {
     pending_mispredict: bool,
 }
 
-#[derive(Copy, Clone, Debug)]
+/// The window a [`PwBuilder`] has open between two blocks: all it carries
+/// from one block to the next besides its segment table.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct WindowState {
+    accum: Option<Accum>,
+    pending_mispredict: bool,
+}
+
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 struct Accum {
     start: Addr,
     next_addr: u64,
@@ -232,28 +240,20 @@ impl<'p> PwBuilder<'p> {
         self.finalize(PwTermination::TakenBranch, out);
     }
 
-    /// Runs a fresh block stream through the builder, appending exactly
-    /// `accesses` windows to `out`: the stream is cut short once enough
-    /// windows exist, and flushed if it ends early. Window state starts
-    /// fresh for each stream; the segment table carries over, so the
-    /// epochs of a scaled trace share it.
-    pub fn collect<I>(&mut self, execs: I, accesses: usize, out: &mut Vec<PwAccess>)
-    where
-        I: IntoIterator<Item = BlockExec>,
-    {
-        self.accum = None;
-        self.pending_mispredict = false;
-        let target = out.len() + accesses;
-        for exec in execs {
-            self.push(&exec, out);
-            if out.len() >= target {
-                break;
-            }
+    /// The open window, to resume from later (see [`PwBuilder::restore`]).
+    pub(crate) fn state(&self) -> WindowState {
+        WindowState {
+            accum: self.accum,
+            pending_mispredict: self.pending_mispredict,
         }
-        if out.len() < target {
-            self.flush(out);
-        }
-        out.truncate(target);
+    }
+
+    /// Continues from `state`: [`WindowState::default`] starts a fresh
+    /// stream, and a state from [`PwBuilder::state`] resumes the stream it
+    /// was taken from. The segment table carries over either way.
+    pub(crate) fn restore(&mut self, state: WindowState) {
+        self.accum = state.accum;
+        self.pending_mispredict = state.pending_mispredict;
     }
 
     fn finalize(&mut self, term: PwTermination, out: &mut Vec<PwAccess>) {
@@ -276,12 +276,21 @@ mod tests {
     use uopcache_model::hash::{FastHashMap, FastHashSet};
     use uopcache_model::LookupTrace;
 
+    /// The first `accesses` windows of `execs`, flushed if it ends early.
     fn collect_trace<I>(program: &Program, execs: I, accesses: usize) -> LookupTrace
     where
         I: IntoIterator<Item = BlockExec>,
     {
+        let mut builder = PwBuilder::new(program, 64);
         let mut out = Vec::new();
-        PwBuilder::new(program, 64).collect(execs, accesses, &mut out);
+        for exec in execs {
+            builder.push(&exec, &mut out);
+            if out.len() >= accesses {
+                break;
+            }
+        }
+        builder.flush(&mut out);
+        out.truncate(accesses);
         out.into_iter().collect()
     }
 

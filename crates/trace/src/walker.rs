@@ -55,14 +55,23 @@ const CHAIN_STRIDE: usize = 2;
 /// ```
 pub struct Walker<'a> {
     program: &'a Program,
-    rng: Prng,
     zipf: Zipf,
     /// Per-phase rank → region index.
     phase_ranking: Vec<Vec<u32>>,
-    phase: usize,
-    phase_remaining: u32,
     phase_len: u32,
     mispredict_prob: f64,
+    state: WalkState,
+}
+
+/// Everything a [`Walker`] changes as it walks. The rankings, the Zipf
+/// table and the program stay fixed for a walk, so a walker rebuilt for
+/// the same epoch and given this state continues exactly where the walker
+/// it came from stood.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) struct WalkState {
+    rng: Prng,
+    phase: usize,
+    phase_remaining: u32,
     /// Current region execution; `None` means advance the chain.
     cursor: Option<(usize, usize)>,
     /// Remaining regions of the active call chain (chain rank, next offset).
@@ -144,43 +153,60 @@ impl<'a> Walker<'a> {
         };
         Walker {
             program,
-            rng,
             zipf: Zipf::new(chains, spec.zipf_alpha),
-            phase: (epoch % u64::from(spec.phases.max(1))) as usize % phase_ranking.len().max(1),
+            state: WalkState {
+                rng,
+                phase: (epoch % u64::from(spec.phases.max(1))) as usize
+                    % phase_ranking.len().max(1),
+                phase_remaining: spec.phase_len,
+                cursor: None,
+                chain: None,
+            },
             phase_ranking,
-            phase_remaining: spec.phase_len,
             phase_len: spec.phase_len,
             mispredict_prob: spec.mispredict_prob(),
-            cursor: None,
-            chain: None,
         }
+    }
+
+    /// The walker's mutable state, to resume from later (see
+    /// [`Walker::restore`]).
+    pub(crate) fn state(&self) -> WalkState {
+        self.state
+    }
+
+    /// Continues from `state`, taken by [`Walker::state`] from a walker of
+    /// the same program, spec, variant and epoch.
+    pub(crate) fn restore(&mut self, state: WalkState) {
+        self.state = state;
     }
 
     /// Advances to the next region: either the next member of the active
     /// call chain, or the head of a freshly sampled chain.
     fn pick_region(&mut self) -> usize {
-        let ranking = &self.phase_ranking[self.phase];
+        let s = &mut self.state;
+        let ranking = &self.phase_ranking[s.phase];
         let n = ranking.len();
-        let (chain_rank, offset) = match self.chain {
+        let (chain_rank, offset) = match s.chain {
             Some((c, o)) if o < CHAIN_LEN => (c, o),
-            _ => (self.zipf.sample(&mut self.rng), 0),
+            _ => (self.zipf.sample(&mut s.rng), 0),
         };
-        self.chain = Some((chain_rank, offset + 1));
+        s.chain = Some((chain_rank, offset + 1));
         let pos = (chain_rank * CHAIN_STRIDE + offset).min(n - 1);
         ranking[pos] as usize
     }
 
     fn advance_phase_clock(&mut self) {
-        self.phase_remaining = self.phase_remaining.saturating_sub(1);
-        if self.phase_remaining == 0 {
-            self.phase = (self.phase + 1) % self.phase_ranking.len();
-            self.phase_remaining = self.phase_len;
+        let s = &mut self.state;
+        s.phase_remaining = s.phase_remaining.saturating_sub(1);
+        if s.phase_remaining == 0 {
+            s.phase = (s.phase + 1) % self.phase_ranking.len();
+            s.phase_remaining = self.phase_len;
         }
     }
 
     /// The current phase index (for tests and diagnostics).
     pub fn phase(&self) -> usize {
-        self.phase
+        self.state.phase
     }
 }
 
@@ -191,8 +217,11 @@ impl Iterator for Walker<'_> {
         clippy::cast_possible_truncation,
         reason = "region and block indices fit in u32 by construction"
     )]
+    // Inlined across crates too: the sampled sweep's fingerprint pass
+    // (`uopcache-bench`) walks every block of the trace.
+    #[inline]
     fn next(&mut self) -> Option<BlockExec> {
-        let (region_idx, bb_idx) = match self.cursor.take() {
+        let (region_idx, bb_idx) = match self.state.cursor.take() {
             Some(c) => c,
             None => (self.pick_region(), 0),
         };
@@ -200,10 +229,10 @@ impl Iterator for Walker<'_> {
         let bb = &region.bbs[bb_idx];
         let taken = match bb.branch {
             BranchKind::Unconditional => true,
-            BranchKind::Conditional => self.rng.gen_bool(bb.taken_prob),
+            BranchKind::Conditional => self.state.rng.gen_bool(bb.taken_prob),
         };
-        let mispredicted =
-            matches!(bb.branch, BranchKind::Conditional) && self.rng.gen_bool(self.mispredict_prob);
+        let mispredicted = matches!(bb.branch, BranchKind::Conditional)
+            && self.state.rng.gen_bool(self.mispredict_prob);
 
         // Compute the next block.
         let next = if taken {
@@ -223,7 +252,7 @@ impl Iterator for Walker<'_> {
         // when the simulated branch fell through past the last block — the
         // next fetch address is discontinuous either way.
         let taken = taken || next.is_none();
-        self.cursor = next;
+        self.state.cursor = next;
         self.advance_phase_clock();
         Some(BlockExec {
             region: region_idx as u32,

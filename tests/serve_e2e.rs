@@ -14,8 +14,11 @@
 //! It also pins the admission path the daemon shares with the router (one
 //! table of cases, identical replies and counters from both), least-loaded
 //! placement in both, the per-job start deadline, timed on an injected
-//! manual clock, and hostile frames (deeply nested, or carrying an 8 MB
-//! string) that must neither take the daemon down nor stall other clients.
+//! manual clock, hostile frames (deeply nested, or carrying an 8 MB
+//! string) that must neither take the daemon down nor stall other clients,
+//! and hostile specs (too many accesses, a hostile cache geometry, too many
+//! sampling intervals) that get an error while other clients get their
+//! bytes.
 
 #![expect(
     clippy::disallowed_methods,
@@ -28,7 +31,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use uopcache_bench::policies::PolicyRegistry;
-use uopcache_bench::sweep::{run_sweep, SweepSpec};
+use uopcache_bench::sweep::{run_sweep, SweepSpec, MAX_SPEC_INTERVALS};
 use uopcache_exec::{Clock, Engine, ManualClock};
 use uopcache_model::json::Json;
 use uopcache_model::FrontendConfig;
@@ -740,6 +743,40 @@ fn an_oversized_spec_gets_an_error_while_other_clients_get_their_bytes() {
             "{err}"
         );
     }
+
+    let report = client.wait(&id, Duration::from_secs(120)).expect("result");
+    assert_eq!(report.to_string(), offline, "the other client's bytes");
+    client.shutdown(Duration::from_secs(5)).expect("drain ack");
+    server
+        .join_within(Duration::from_secs(30))
+        .expect("server exits")
+        .expect("clean exit");
+}
+
+#[test]
+fn a_spec_cutting_too_many_intervals_gets_an_error_while_other_clients_get_their_bytes() {
+    let want = spec(&[AppId::Kafka], 1_000);
+    let offline = run_sweep(&want, &Engine::new(2)).to_json();
+    let server = server_with(ServerConfig::builder().shards(2).build())
+        .spawn()
+        .expect("spawn");
+    let mut client = connect(&server);
+    let (id, _) = client
+        .submit(&want, None, Duration::from_secs(5))
+        .expect("accepted");
+
+    // Every access holds at least one micro-op, so 1-uop intervals cut one
+    // interval per access: one more access than the cap allows. The spec
+    // is well-formed and admitted; its fingerprint pass stops it.
+    let mut hostile = spec(&[AppId::Kafka], MAX_SPEC_INTERVALS + 1);
+    hostile.sample = Some(1);
+    let err = connect(&server)
+        .submit_and_wait(&hostile, None, Duration::from_secs(60))
+        .expect_err("the fingerprint pass stops it");
+    assert!(
+        matches!(&err, ClientError::Server(m) if m.contains(&format!("more than {MAX_SPEC_INTERVALS} intervals"))),
+        "{err}"
+    );
 
     let report = client.wait(&id, Duration::from_secs(120)).expect("result");
     assert_eq!(report.to_string(), offline, "the other client's bytes");

@@ -230,3 +230,39 @@ fn a_sampled_sweep_builds_one_stream_per_segment() {
     }
     assert_eq!(format!("{h:016x}"), "74ac9618ca7348a1");
 }
+
+/// FNV-1a of a sampled sweep's canonical report over kafka and postgres ×
+/// the online policies.
+fn sampled_digest(len: usize, scale: u64, sample: u64) -> String {
+    let spec = SweepSpec {
+        cfg: FrontendConfig::zen3(),
+        config_name: "zen3".to_string(),
+        apps: vec![AppId::Kafka, AppId::Postgres],
+        policies: PolicyId::ONLINE
+            .iter()
+            .map(|p| p.name().to_string())
+            .collect(),
+        variant: 0,
+        len,
+        metrics: false,
+        sample: Some(sample),
+        scale,
+    };
+    let report = run_sweep(&spec, &Engine::new(2));
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in report.to_json().bytes() {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+/// Pins the two sampled shapes the segment rebuild branches on: intervals
+/// that span several epochs (a 1 500-access epoch holds less than one
+/// 20 000-uop interval), and one unscaled epoch cut into many short
+/// intervals.
+#[test]
+fn sampled_sweeps_across_epochs_and_at_scale_one_match_pinned_digests() {
+    assert_eq!(sampled_digest(1_500, 20, 20_000), "760cb35bb7bc398b");
+    assert_eq!(sampled_digest(30_000, 1, 2_000), "86ea63c7616761b5");
+}

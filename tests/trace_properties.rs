@@ -281,3 +281,90 @@ fn generated_traces_match_pinned_digests() {
     ];
     assert_eq!(got, want);
 }
+
+/// Differential wall for re-forming a range of a scaled trace from a walk
+/// checkpoint, as the sampled sweep re-forms its planned segments: over
+/// seeded ranges of three apps at lengths 1, 7 and 1 500 and scales 1 and
+/// 20, `Generator::rebuild` from the checkpoint a walk held when it formed
+/// the range's first access equals the slice of `build_trace_scaled`. The
+/// ranges start at 0, end at the trace's end, sit inside one epoch and
+/// span several. Resuming from that checkpoint forms the range's first
+/// access within `CHECKPOINT_BLOCKS` blocks, so a replay walks at most its
+/// range plus one checkpoint gap.
+#[test]
+fn ranges_rebuilt_from_checkpoints_match_the_built_trace() {
+    use std::ops::ControlFlow;
+    use uopcache::model::rng::Rng;
+    use uopcache::trace::{build_trace_scaled, Generator, CHECKPOINT_BLOCKS};
+    let mut rng = Prng::seed_from_u64(0x2eb0_1d00);
+    // Ranges from 0, to the end, inside one epoch, across several epochs.
+    let mut shapes = [0usize; 4];
+    for app in [AppId::Kafka, AppId::Postgres, AppId::Wordpress] {
+        for len in [1usize, 7, 1_500] {
+            for scale in [1u64, 20] {
+                let variant = InputVariant(rng.gen_range(0..1_000u32));
+                let trace = build_trace_scaled(app, variant, len, scale);
+                let generator = Generator::new(&app.spec(), variant, len, scale);
+                let n = trace.len();
+                assert_eq!(n, generator.accesses());
+                // The checkpoint the walk held when it formed each access,
+                // and at its end.
+                let mut held = Vec::with_capacity(n + 1);
+                generator.walk(&generator.start(), &mut Vec::new(), |block, latest| {
+                    held.extend(block.drain(..).map(|_| *latest));
+                    ControlFlow::Continue(())
+                });
+                held.push(held.last().copied().unwrap_or_else(|| generator.start()));
+                assert_eq!(held.len(), n + 1);
+
+                let epochs = usize::try_from(scale).expect("small scale");
+                let mut ranges = vec![0..n, 0..n / 3, n / 2..n, n..n];
+                let e = rng.gen_range(0..epochs);
+                let start = e * len + rng.gen_range(0..len);
+                ranges.push(start..rng.gen_range(start..=(e + 1) * len));
+                if epochs > 2 {
+                    let e = rng.gen_range(0..epochs - 2);
+                    let start = e * len + rng.gen_range(0..len);
+                    ranges.push(start..rng.gen_range((e + 2) * len + 1..=n));
+                }
+                for _ in 0..8 {
+                    let start = rng.gen_range(0..=n);
+                    ranges.push(start..rng.gen_range(start..=n));
+                    // Starting right at a checkpoint, the first access is
+                    // the window the checkpoint holds open.
+                    let start = held[start].position();
+                    ranges.push(start..rng.gen_range(start..=n));
+                }
+                for range in ranges {
+                    let what = format!("{}/{len}x{scale} {range:?}", app.name());
+                    let from = held[range.start];
+                    assert!(from.position() <= range.start, "{what}");
+                    let rebuilt = generator.rebuild(&from, range.clone());
+                    assert_eq!(rebuilt, trace.slice(range.clone()), "{what}");
+
+                    let (mut blocks, mut formed) = (0, from.position());
+                    generator.walk(&from, &mut Vec::new(), |block, _| {
+                        blocks += 1;
+                        formed += block.len();
+                        block.clear();
+                        if formed > range.start {
+                            ControlFlow::Break(())
+                        } else {
+                            ControlFlow::Continue(())
+                        }
+                    });
+                    assert!(blocks <= CHECKPOINT_BLOCKS, "{what}: {blocks} blocks");
+
+                    if !range.is_empty() {
+                        let (first, last) = (range.start / len, (range.end - 1) / len);
+                        shapes[0] += usize::from(range.start == 0);
+                        shapes[1] += usize::from(range.end == n);
+                        shapes[2] += usize::from(first == last);
+                        shapes[3] += usize::from(last >= first + 2);
+                    }
+                }
+            }
+        }
+    }
+    assert!(shapes.iter().all(|&s| s > 0), "{shapes:?}");
+}
