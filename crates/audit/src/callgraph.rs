@@ -151,7 +151,7 @@ const NO_FALLBACK_METHODS: [&str; 26] = [
 ];
 
 /// One file's parse results, viewed by the graph builder.
-pub struct FileView<'a> {
+pub(crate) struct FileView<'a> {
     /// Workspace-relative path.
     pub path: &'a Path,
     /// The file's code tokens.
@@ -164,7 +164,7 @@ pub struct FileView<'a> {
 
 /// A call-graph node: one parsed function.
 #[derive(Clone, Debug)]
-pub struct Node {
+pub(crate) struct Node {
     /// Index into the builder's file list.
     pub file: usize,
     /// Function name.
@@ -187,7 +187,7 @@ pub struct Node {
 
 impl Node {
     /// `Type::name` or bare `name` — for diagnostics and the JSON dump.
-    pub fn display_name(&self) -> String {
+    pub(crate) fn display_name(&self) -> String {
         match &self.self_type {
             Some(t) => format!("{t}::{}", self.name),
             None => self.name.clone(),
@@ -197,7 +197,7 @@ impl Node {
 
 /// An allocation (or map-iteration) evidence site inside a function body.
 #[derive(Clone, Debug)]
-pub struct Evidence {
+pub(crate) struct Evidence {
     /// 1-indexed line of the construct.
     pub line: u32,
     /// What was found (`` `Vec::with_capacity(..)` `` etc.).
@@ -208,7 +208,7 @@ pub struct Evidence {
 }
 
 /// The workspace call graph plus per-node analysis evidence.
-pub struct CallGraph {
+pub(crate) struct CallGraph {
     /// All nodes, in file order then declaration order (deterministic).
     pub nodes: Vec<Node>,
     /// `edges[n]` — callee node indices, sorted and deduplicated.
@@ -218,12 +218,10 @@ pub struct CallGraph {
     /// Per-node unordered-map-iteration evidence (already suppressed where
     /// a `sort*` call follows later in the same body).
     pub map_iters: Vec<Vec<Evidence>>,
-    /// Names of all declared traits.
-    pub traits: FastHashSet<String>,
 }
 
 /// Builds the call graph over all files.
-pub fn build(files: &[FileView]) -> CallGraph {
+pub(crate) fn build(files: &[FileView]) -> CallGraph {
     // ---- indexes -------------------------------------------------------
     let mut nodes: Vec<Node> = Vec::new();
     let mut fields: FastHashMap<String, FastHashMap<String, String>> = FastHashMap::default();
@@ -462,7 +460,6 @@ pub fn build(files: &[FileView]) -> CallGraph {
         edges,
         allocs,
         map_iters,
-        traits,
     }
 }
 

@@ -9,7 +9,7 @@
 
 /// Kinds of token the audit rules inspect.
 #[derive(Clone, Copy, Eq, PartialEq, Debug)]
-pub enum TokKind {
+pub(crate) enum TokKind {
     /// An identifier or keyword (`unwrap`, `as`, `impl`, ...).
     Ident,
     /// A numeric literal, integer or float, with any suffix.
@@ -26,7 +26,7 @@ pub enum TokKind {
 
 /// One token with its 1-indexed source line.
 #[derive(Clone, Debug)]
-pub struct Tok {
+pub(crate) struct Tok {
     /// What kind of token this is.
     pub kind: TokKind,
     /// The token text (for [`TokKind::Str`], the unescaped-as-written
@@ -38,12 +38,12 @@ pub struct Tok {
 
 impl Tok {
     /// Whether this token is the identifier `s`.
-    pub fn is_ident(&self, s: &str) -> bool {
+    pub(crate) fn is_ident(&self, s: &str) -> bool {
         self.kind == TokKind::Ident && self.text == s
     }
 
     /// Whether this token is the punctuation `s`.
-    pub fn is_punct(&self, s: &str) -> bool {
+    pub(crate) fn is_punct(&self, s: &str) -> bool {
         self.kind == TokKind::Punct && self.text == s
     }
 }
@@ -55,7 +55,7 @@ impl Tok {
 /// markers (`audit:allow(..)`, `audit:hot-path`, ...) can be read from real
 /// comments only — a string literal containing `audit:allow(...)` is a
 /// [`TokKind::Str`] token and can never suppress a rule.
-pub struct Lexed {
+pub(crate) struct Lexed {
     /// The code tokens, comments and whitespace skipped.
     pub toks: Vec<Tok>,
     /// One entry per comment: the text without delimiters (for line and doc
@@ -69,7 +69,7 @@ pub struct Lexed {
 ///
 /// Unterminated strings or comments end the token stream early rather than
 /// erroring: the audit lints best-effort rather than refusing a file.
-pub fn tokenize_full(src: &str) -> Lexed {
+pub(crate) fn tokenize_full(src: &str) -> Lexed {
     let b: Vec<char> = src.chars().collect();
     let mut toks = Vec::new();
     let mut comments: Vec<(u32, String)> = Vec::new();

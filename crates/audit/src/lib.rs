@@ -11,10 +11,10 @@
 //! only *dynamically*, on the inputs the tests happen to run. This crate
 //! guards those boundaries statically:
 //!
-//! * **Lint pass** ([`run_lint`]): a hand-rolled tokenizer ([`lexer`]) and
-//!   item parser ([`parser`]) walk every workspace `.rs` file, build a
-//!   workspace-wide call graph ([`callgraph`]), and run the graph analyses
-//!   ([`reach`]) clippy cannot express: alloc-reachability from the hot-path
+//! * **Lint pass** ([`run_lint`]): a hand-rolled tokenizer (`lexer`) and
+//!   item parser (`parser`) walk every workspace `.rs` file, build a
+//!   workspace-wide call graph (`callgraph`), and run the graph analyses
+//!   (`reach`) clippy cannot express: alloc-reachability from the hot-path
 //!   roots, hash-order-dependence of canonical output, and lock/spawn
 //!   discipline in the concurrent crates. Violations print `file:line`
 //!   diagnostics with call-path traces; an inline `audit:allow(rule)`
@@ -34,12 +34,12 @@
 //! --graph` dumps the call graph ([`callgraph_json`]) for downstream
 //! tooling.
 
-pub mod callgraph;
-pub mod conformance;
-pub mod lexer;
-pub mod parser;
-pub mod reach;
-pub mod rules;
+mod callgraph;
+mod conformance;
+mod lexer;
+mod parser;
+mod reach;
+mod rules;
 
 pub use conformance::{run_conformance, ConformanceResult};
 pub use rules::{

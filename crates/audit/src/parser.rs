@@ -44,7 +44,7 @@ const WRAPPERS: [&str; 12] = [
 
 /// Audit markers attached to a function (possibly inherited from its impl).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Markers {
+pub(crate) struct Markers {
     /// `audit:hot-path` — the fn is an alloc-reachability root.
     pub hot_path: bool,
     /// `audit:alloc-exempt` — construction-time; pruned from the closure.
@@ -72,7 +72,7 @@ impl Markers {
 
 /// A parsed function item.
 #[derive(Clone, Debug)]
-pub struct FnItem {
+pub(crate) struct FnItem {
     /// The function name.
     pub name: String,
     /// The `impl` block's type (`impl PwSet` → `PwSet`), or for a trait's
@@ -96,7 +96,7 @@ pub struct FnItem {
 
 /// A parsed struct with its field-name → base-type pairs.
 #[derive(Clone, Debug)]
-pub struct StructItem {
+pub(crate) struct StructItem {
     /// The struct name.
     pub name: String,
     /// `(field, base_type)` pairs for named-field structs.
@@ -105,7 +105,7 @@ pub struct StructItem {
 
 /// A parsed trait with its method names.
 #[derive(Clone, Debug)]
-pub struct TraitItem {
+pub(crate) struct TraitItem {
     /// The trait name.
     pub name: String,
     /// Names of all methods (defaulted or not) declared by the trait.
@@ -114,7 +114,7 @@ pub struct TraitItem {
 
 /// All items parsed from one file.
 #[derive(Clone, Debug, Default)]
-pub struct FileItems {
+pub(crate) struct FileItems {
     /// Functions (free, inherent, trait-impl, and trait-default).
     pub fns: Vec<FnItem>,
     /// Structs with named fields.
@@ -588,7 +588,7 @@ fn parse_one_param(seg: &[Tok]) -> Option<(String, String)> {
 /// `dyn`, `impl`, lifetimes, wrapper generics and path qualifiers.
 /// `Box<dyn PwReplacementPolicy>` → `PwReplacementPolicy`;
 /// `std::sync::Mutex<Inner>` → `Inner`; `&'a [PwMeta]` → `PwMeta`.
-pub fn extract_base(toks: &[Tok]) -> Option<String> {
+pub(crate) fn extract_base(toks: &[Tok]) -> Option<String> {
     let mut last_wrapper: Option<&str> = None;
     let mut k = 0;
     while k < toks.len() {
@@ -634,7 +634,7 @@ fn path_tail(toks: &[Tok]) -> Option<String> {
 }
 
 /// Parses the items of one tokenized file.
-pub fn parse_items(toks: &[Tok], comments: &[(u32, String)]) -> FileItems {
+pub(crate) fn parse_items(toks: &[Tok], comments: &[(u32, String)]) -> FileItems {
     let mut p = Parser {
         toks,
         markers: comment_markers(comments),

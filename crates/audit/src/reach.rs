@@ -77,7 +77,7 @@ fn name_exempt(name: &str) -> bool {
 /// wins over root status: a policy wrapper that exists to allocate
 /// diagnostics (e.g. the strict-invariants `CheckedPolicy`) opts its hooks
 /// out of the proof entirely, with the justification at the marker.
-pub fn is_hot_root(g: &CallGraph, i: usize) -> bool {
+pub(crate) fn is_hot_root(g: &CallGraph, i: usize) -> bool {
     let n = &g.nodes[i];
     if n.in_test || n.markers.alloc_exempt {
         return false;
@@ -87,14 +87,14 @@ pub fn is_hot_root(g: &CallGraph, i: usize) -> bool {
 }
 
 /// Whether node `i` is exempt from alloc-reachability traversal.
-pub fn is_alloc_exempt(g: &CallGraph, i: usize) -> bool {
+pub(crate) fn is_alloc_exempt(g: &CallGraph, i: usize) -> bool {
     let n = &g.nodes[i];
     n.in_test || n.markers.alloc_exempt || name_exempt(&n.name)
 }
 
 /// Runs all three passes and returns their diagnostics (unsorted,
 /// undeduplicated across passes — the caller owns canonical ordering).
-pub fn analyze(g: &CallGraph, files: &[FileView]) -> Vec<Diagnostic> {
+pub(crate) fn analyze(g: &CallGraph, files: &[FileView]) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     alloc_reachability(g, files, &mut diags);
     unordered_emission(g, files, &mut diags);

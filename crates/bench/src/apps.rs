@@ -1,4 +1,4 @@
-//! The standard application set and trace construction.
+//! Trace construction for the evaluation's applications.
 
 use uopcache_model::LookupTrace;
 use uopcache_trace::{build_trace, build_trace_scaled, AppId, InputVariant};
@@ -6,12 +6,7 @@ use uopcache_trace::{build_trace, build_trace_scaled, AppId, InputVariant};
 /// Default trace length per application. Large enough that the cache warms
 /// up and phase behaviour is exercised (several phase rotations), small
 /// enough that the full 11-app × 10-policy evaluation runs in minutes.
-pub const TRACE_LEN: usize = 120_000;
-
-/// The 11 applications in the paper's presentation order.
-pub fn standard_apps() -> [AppId; 11] {
-    AppId::ALL
-}
+pub(crate) const TRACE_LEN: usize = 120_000;
 
 /// Builds the evaluation trace for an application and input variant.
 /// Deterministic; callers cache as needed.
@@ -29,11 +24,6 @@ pub fn trace_for_scaled(app: AppId, variant: u32, len: usize, scale: u64) -> Loo
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn standard_set_is_table_ii() {
-        assert_eq!(standard_apps().len(), 11);
-    }
 
     #[test]
     fn traces_are_deterministic() {

@@ -6,12 +6,12 @@
 //! produces. The CLI's `experiment` command prints them; [`reproduce`]
 //! collects them into `EXPERIMENTS.md`.
 
-pub mod discussion;
-pub mod misses;
+mod discussion;
+mod misses;
 pub mod power;
-pub mod sensitivity;
-pub mod tables;
-pub mod timing;
+mod sensitivity;
+mod tables;
+mod timing;
 
 use crate::runs::{mean, Lab};
 use crate::table::Table;

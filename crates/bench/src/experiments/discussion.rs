@@ -10,7 +10,7 @@ use uopcache_model::FrontendConfig;
 /// §VII: a non-inclusive micro-op cache decouples it from L1i evictions and
 /// effectively grows the instruction-supply capacity; the paper reports
 /// FURBYS's IPC gain rising from ~0.48% (inclusive) to ~2.5% (non-inclusive).
-pub fn sec7_noninclusive(lab: &mut Lab) -> Vec<Table> {
+pub(crate) fn sec7_noninclusive(lab: &mut Lab) -> Vec<Table> {
     let inclusive_cfg = FrontendConfig::zen3();
     let mut noninclusive_cfg = inclusive_cfg;
     noninclusive_cfg.uop_cache.inclusive_with_l1i = false;
@@ -53,7 +53,7 @@ pub fn sec7_noninclusive(lab: &mut Lab) -> Vec<Table> {
 
 /// §VI "Hardware and runtime overhead": FURBYS's metadata per set vs the set
 /// payload — the paper computes 46 bits over 4608 bits = 1%.
-pub fn sec6_hw_overhead(_lab: &mut Lab) -> Vec<Table> {
+pub(crate) fn sec6_hw_overhead(_lab: &mut Lab) -> Vec<Table> {
     let cfg = FrontendConfig::zen3().uop_cache;
     let weight_bits = 3u32;
     let srrip_bits = 2u32;
@@ -96,7 +96,7 @@ pub fn sec6_hw_overhead(_lab: &mut Lab) -> Vec<Table> {
 /// Extension (§VII future work): phase-aware FURBYS — per-segment weight
 /// tables elected at runtime — versus standard FURBYS, targeting globally
 /// cold but locally hot PWs.
-pub fn ext1_phased_furbys(lab: &mut Lab) -> Vec<Table> {
+pub(crate) fn ext1_phased_furbys(lab: &mut Lab) -> Vec<Table> {
     let segments = 4;
     let mut t = Table::new(
         "EXT-1: phase-aware FURBYS vs standard FURBYS (miss reduction over LRU)",

@@ -20,7 +20,7 @@ const EXISTING: [PolicyId; 5] = [
 
 /// §III-B: miss classification under LRU and the reduction a near-optimal
 /// policy (FLACK) achieves on capacity and conflict misses.
-pub fn sec3b_miss_classes(lab: &mut Lab) -> Vec<Table> {
+pub(crate) fn sec3b_miss_classes(lab: &mut Lab) -> Vec<Table> {
     let classify = SimOptions {
         classify_misses: true,
     };
@@ -123,7 +123,7 @@ fn reductions(lab: &mut Lab, policies: &[PolicyId]) -> Vec<Vec<f64>> {
 
 /// Fig. 5: existing online policies achieve only a fraction of FLACK's miss
 /// reduction (paper: GHRP, the best, reaches 31.52% of FLACK).
-pub fn fig05_existing_policies(lab: &mut Lab) -> Vec<Table> {
+pub(crate) fn fig05_existing_policies(lab: &mut Lab) -> Vec<Table> {
     let rows = reductions(lab, &EXISTING);
     let (t, means) = per_app_table(
         lab,
@@ -155,7 +155,7 @@ pub fn fig05_existing_policies(lab: &mut Lab) -> Vec<Table> {
 
 /// Fig. 8: FURBYS miss reduction vs existing policies (paper: 14.34% avg,
 /// GHRP best existing at 7.81%, FURBYS = 57.85% of FLACK).
-pub fn fig08_furbys_miss_reduction(lab: &mut Lab) -> Vec<Table> {
+pub(crate) fn fig08_furbys_miss_reduction(lab: &mut Lab) -> Vec<Table> {
     let mut policies = EXISTING.to_vec();
     policies.push(PolicyId::Furbys);
     let rows = reductions(lab, &policies);
@@ -202,7 +202,7 @@ pub fn fig08_furbys_miss_reduction(lab: &mut Lab) -> Vec<Table> {
 
 /// Fig. 10: FLACK feature ablation vs FOO and Belady (perfect-icache-style
 /// synchronous setting; paper: FLACK beats Belady by 4.46% on average).
-pub fn fig10_flack_ablation(lab: &mut Lab) -> Vec<Table> {
+pub(crate) fn fig10_flack_ablation(lab: &mut Lab) -> Vec<Table> {
     let variants = [
         Flack::ablation(false, false, false),
         Flack::ablation(true, false, false),
@@ -241,7 +241,7 @@ pub fn fig10_flack_ablation(lab: &mut Lab) -> Vec<Table> {
 
 /// Fig. 15: FURBYS fed by profiles from Belady, FOO and FLACK (paper: FLACK
 /// profiles give ~3.47% more reduction than Belady's, 4.39% more than FOO's).
-pub fn fig15_profile_sources(lab: &mut Lab) -> Vec<Table> {
+pub(crate) fn fig15_profile_sources(lab: &mut Lab) -> Vec<Table> {
     let mut arms = vec![Arm::Online(PolicyId::Lru)];
     arms.extend(
         [OracleKind::Belady, OracleKind::Foo, OracleKind::Flack].map(|oracle| {
@@ -276,7 +276,7 @@ pub fn fig15_profile_sources(lab: &mut Lab) -> Vec<Table> {
 
 /// Fig. 18: cross-validation — profile on training inputs, deploy on a
 /// held-out input (paper: 94.34% of the same-input benefit, 13.51% vs LRU).
-pub fn fig18_cross_validation(lab: &mut Lab) -> Vec<Table> {
+pub(crate) fn fig18_cross_validation(lab: &mut Lab) -> Vec<Table> {
     let mut t = Table::new(
         "Fig. 18: cross-validation (train on inputs 0+1, test on input 2)",
         &["app", "same-input", "cross-input", "retained"],
@@ -342,7 +342,7 @@ pub fn fig18_cross_validation(lab: &mut Lab) -> Vec<Table> {
 
 /// Fig. 21: the dynamic bypass mechanism on vs off (paper: bypass adds 4.33%
 /// more reduction and skips ~30% of insertions).
-pub fn fig21_bypass(lab: &mut Lab) -> Vec<Table> {
+pub(crate) fn fig21_bypass(lab: &mut Lab) -> Vec<Table> {
     let mut t = Table::new(
         "Fig. 21: FURBYS with bypass off/on",
         &[
@@ -399,7 +399,7 @@ pub fn fig21_bypass(lab: &mut Lab) -> Vec<Table> {
 /// Fig. 22: per-hotness-class hit rates on Kafka (paper: all policies agree
 /// on hot PWs; FURBYS wins on warm PWs; FLACK's remaining edge is in cold
 /// PWs).
-pub fn fig22_hotness(lab: &mut Lab) -> Vec<Table> {
+pub(crate) fn fig22_hotness(lab: &mut Lab) -> Vec<Table> {
     use uopcache_model::hash::FastHashMap;
     use uopcache_model::Addr;
 
@@ -468,7 +468,7 @@ pub fn fig22_hotness(lab: &mut Lab) -> Vec<Table> {
 
 /// §VI-C: replacement coverage — the share of victim selections FURBYS makes
 /// itself rather than its SRRIP fallback (paper: 88.68%).
-pub fn sec6c_coverage(lab: &mut Lab) -> Vec<Table> {
+pub(crate) fn sec6c_coverage(lab: &mut Lab) -> Vec<Table> {
     let apps = lab.apps();
     let grid = lab.grid(FrontendConfig::zen3(), &[Arm::Online(PolicyId::Furbys)]);
     let mut t = Table::new(

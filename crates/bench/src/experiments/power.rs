@@ -9,7 +9,7 @@ use uopcache_power::{ppw_gain_percent, EnergyModel};
 
 /// Fig. 2: per-core PPW gain of making one structure perfect (paper: the
 /// perfect micro-op cache gives the largest gain, 7.41% on average).
-pub fn fig02_perfect_structures(lab: &mut Lab) -> Vec<Table> {
+pub(crate) fn fig02_perfect_structures(lab: &mut Lab) -> Vec<Table> {
     let base_cfg = FrontendConfig::zen3();
     let model = EnergyModel::zen3_22nm(&base_cfg);
     let configs: Vec<FrontendConfig> = (0..5)
@@ -71,7 +71,7 @@ pub fn fig02_perfect_structures(lab: &mut Lab) -> Vec<Table> {
 
 /// Fig. 9: PPW gain of FURBYS and the baselines over LRU (paper: FURBYS
 /// 3.10%, surpassing existing policies by 5.1x).
-pub fn fig09_ppw_gain(lab: &mut Lab) -> Vec<Table> {
+pub(crate) fn fig09_ppw_gain(lab: &mut Lab) -> Vec<Table> {
     ppw_table(
         lab,
         FrontendConfig::zen3(),
@@ -81,7 +81,7 @@ pub fn fig09_ppw_gain(lab: &mut Lab) -> Vec<Table> {
 }
 
 /// Fig. 17: the same study on the Zen4-like frontend (paper: FURBYS 2.41%).
-pub fn fig17_zen4_ppw(lab: &mut Lab) -> Vec<Table> {
+pub(crate) fn fig17_zen4_ppw(lab: &mut Lab) -> Vec<Table> {
     ppw_table(
         lab,
         FrontendConfig::zen4(),
@@ -126,7 +126,7 @@ fn ppw_table(lab: &mut Lab, cfg: FrontendConfig, title: &str, paper_furbys: &str
 
 /// Fig. 13: per-core energy breakdown on Clang for (a) no micro-op cache,
 /// (b) LRU micro-op cache, (c) FURBYS — normalised to (a).
-pub fn fig13_energy_breakdown(lab: &mut Lab) -> Vec<Table> {
+pub(crate) fn fig13_energy_breakdown(lab: &mut Lab) -> Vec<Table> {
     let app = uopcache_trace::AppId::Clang;
     let cfg = FrontendConfig::zen3();
     let model = EnergyModel::zen3_22nm(&cfg);
@@ -208,7 +208,7 @@ pub fn fig13_energy_breakdown(lab: &mut Lab) -> Vec<Table> {
 
 /// Fig. 14: where FURBYS's energy reduction over LRU comes from (paper:
 /// 73.26% fewer micro-op cache insertions, 16.35% decoder, 7.75% icache).
-pub fn fig14_energy_reduction(lab: &mut Lab) -> Vec<Table> {
+pub(crate) fn fig14_energy_reduction(lab: &mut Lab) -> Vec<Table> {
     let cfg = FrontendConfig::zen3();
     let model = EnergyModel::zen3_22nm(&cfg);
     let mut decoder = Vec::new();

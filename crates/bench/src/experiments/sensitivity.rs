@@ -9,7 +9,7 @@ use uopcache_model::FrontendConfig;
 /// Fig. 16: FURBYS vs the best existing policies across micro-op cache sizes
 /// and associativities (paper: FURBYS wins everywhere; the gap shrinks as
 /// capacity misses vanish).
-pub fn fig16_size_assoc(lab: &mut Lab) -> Vec<Table> {
+pub(crate) fn fig16_size_assoc(lab: &mut Lab) -> Vec<Table> {
     let configs: &[(u32, u32)] = if lab.quick() {
         &[(256, 8), (512, 8)]
     } else {
@@ -47,7 +47,7 @@ pub fn fig16_size_assoc(lab: &mut Lab) -> Vec<Table> {
 
 /// Fig. 19: miss reduction as a function of the weight-group hint width
 /// (paper: 3 bits is the sweet spot; more bits add hardware, not benefit).
-pub fn fig19_weight_groups(lab: &mut Lab) -> Vec<Table> {
+pub(crate) fn fig19_weight_groups(lab: &mut Lab) -> Vec<Table> {
     let bits: &[u8] = if lab.quick() {
         &[1, 3]
     } else {
@@ -76,7 +76,7 @@ pub fn fig19_weight_groups(lab: &mut Lab) -> Vec<Table> {
 
 /// Fig. 20: miss reduction as a function of the local pitfall detector depth
 /// (paper: depth 2 is best).
-pub fn fig20_pitfall_depth(lab: &mut Lab) -> Vec<Table> {
+pub(crate) fn fig20_pitfall_depth(lab: &mut Lab) -> Vec<Table> {
     let depths: &[usize] = if lab.quick() {
         &[0, 2]
     } else {

@@ -6,7 +6,7 @@ use uopcache_model::FrontendConfig;
 use uopcache_trace::TraceStats;
 
 /// Table I: the Zen3-like simulation parameters, paper vs. configured.
-pub fn tab1_parameters(_lab: &mut Lab) -> Vec<Table> {
+pub(crate) fn tab1_parameters(_lab: &mut Lab) -> Vec<Table> {
     let cfg = FrontendConfig::zen3();
     let mut t = Table::new(
         "Table I: simulation parameters",
@@ -72,7 +72,7 @@ pub fn tab1_parameters(_lab: &mut Lab) -> Vec<Table> {
 
 /// Table II: applications, paper branch MPKI vs. the MPKI implied by the
 /// synthetic traces, plus the static footprint pressure.
-pub fn tab2_applications(lab: &mut Lab) -> Vec<Table> {
+pub(crate) fn tab2_applications(lab: &mut Lab) -> Vec<Table> {
     let mut t = Table::new(
         "Table II: data center applications",
         &[

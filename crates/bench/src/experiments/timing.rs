@@ -8,7 +8,7 @@ use uopcache_model::FrontendConfig;
 
 /// Fig. 11: IPC speedup over LRU (paper: FURBYS 0.47-0.49% on average —
 /// miss reduction translates only partially into IPC).
-pub fn fig11_ipc_speedup(lab: &mut Lab) -> Vec<Table> {
+pub(crate) fn fig11_ipc_speedup(lab: &mut Lab) -> Vec<Table> {
     let grid = lab.grid(FrontendConfig::zen3(), &PolicyId::ONLINE.map(Arm::Online));
     let rows: Vec<Vec<f64>> = (grid.iter())
         .map(|row| row[1..].iter().map(|r| r.ipc_speedup_vs(&row[0])).collect())
@@ -44,7 +44,7 @@ pub fn fig11_ipc_speedup(lab: &mut Lab) -> Vec<Table> {
 
 /// Fig. 12: ISO-performance — how much larger an LRU-managed micro-op cache
 /// must be to match FURBYS at 512 entries (paper: 1.5x on average, up to 2x).
-pub fn fig12_iso_performance(lab: &mut Lab) -> Vec<Table> {
+pub(crate) fn fig12_iso_performance(lab: &mut Lab) -> Vec<Table> {
     let base_cfg = FrontendConfig::zen3();
     let sizes: &[u32] = &[512, 640, 768, 1024, 1536, 2048];
 

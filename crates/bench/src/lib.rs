@@ -5,16 +5,15 @@
 //! `EXPERIMENTS.md`, and the CLI's `uopcache experiment ID` prints one.
 //! Every experiment is built on the shared machinery here:
 //!
-//! * [`apps`] — the standard application set, trace lengths and trace
-//!   construction;
+//! * [`apps`] — trace lengths and trace construction;
 //! * [`policies`] — a name-indexed factory over every online policy;
 //! * [`runs`] — the lab: one content-keyed memo of traces, FOO/FLACK
 //!   solutions and simulated cells per run;
-//! * [`sweep`] — the parallel sweep layer over the `uopcache-exec` engine:
-//!   process-wide `--jobs` knob, canonical task keying, deterministic
-//!   `(app × policy)` sweeps with canonical JSON reports, and the one cell
-//!   simulation path the lab shares;
-//! * [`table`] — paper-vs-measured table rendering;
+//! * [`sweep`] — the parallel sweep layer over a caller-built
+//!   `uopcache-exec` engine: canonical task keying, spec validation,
+//!   deterministic `(app × policy)` sweeps with canonical JSON reports, and
+//!   the one cell simulation path the lab shares;
+//! * `table` — paper-vs-measured table rendering;
 //! * [`experiments`] — one function per table/figure, reading a lab and
 //!   returning the tables [`experiments::reproduce`] renders.
 
@@ -23,7 +22,7 @@ pub mod experiments;
 pub mod policies;
 pub mod runs;
 pub mod sweep;
-pub mod table;
+mod table;
 
-pub use apps::{standard_apps, trace_for, TRACE_LEN};
+pub use apps::trace_for;
 pub use table::Table;

@@ -76,7 +76,8 @@ impl PolicyId {
 
     /// The classic zoo the set-dueling work selects over, plus the dueling
     /// meta-policy itself (listed last).
-    pub const ZOO: [PolicyId; 9] = [
+    #[cfg(test)]
+    pub(crate) const ZOO: [PolicyId; 9] = [
         PolicyId::Fifo,
         PolicyId::Mru,
         PolicyId::Lfu,
@@ -89,7 +90,7 @@ impl PolicyId {
     ];
 
     /// Every constructible policy: [`ONLINE`](Self::ONLINE), the seeded
-    /// `Random` control, then the [`ZOO`](Self::ZOO).
+    /// `Random` control, then the `ZOO`.
     pub const ALL: [PolicyId; 17] = [
         PolicyId::Lru,
         PolicyId::Srrip,
@@ -136,19 +137,20 @@ impl PolicyId {
 
     /// Whether the policy consumes the per-task seed (only `Random` does;
     /// every other listed policy is deterministic by construction).
-    pub fn is_seeded(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_seeded(self) -> bool {
         matches!(self, PolicyId::Random)
     }
 
     /// Whether the policy is built from a profile of its trace, i.e. reads
     /// [`ProfileInputs`]: Thermometer its LRU hit rates, FURBYS its FLACK
     /// profile.
-    pub fn reads_profile(self) -> bool {
+    pub(crate) fn reads_profile(self) -> bool {
         matches!(self, PolicyId::Thermometer | PolicyId::Furbys)
     }
 
     /// Instantiates the policy. `seed` is the task-key-derived seed and is
-    /// only consumed by [`is_seeded`](Self::is_seeded) policies, so parallel
+    /// only consumed by `is_seeded` policies, so parallel
     /// sweeps stay reproducible (the seed is a pure function of the task,
     /// never of scheduling).
     pub fn build(
@@ -281,7 +283,7 @@ impl ProfileInputs {
     /// `solution` of `train` when given one (see
     /// [`FurbysPipeline::observations`]). The other inputs stay empty, as
     /// in [`ProfileInputs::default`].
-    pub fn solved(
+    pub(crate) fn solved(
         pipeline: &FurbysPipeline,
         train: &LookupTrace,
         solution: Option<&FooSolution>,

@@ -15,7 +15,7 @@
 //! micro-op cache — mirroring the paper's use of perfect setups for the
 //! offline bound studies.
 
-use crate::apps::{standard_apps, trace_for, TRACE_LEN};
+use crate::apps::{trace_for, TRACE_LEN};
 use crate::policies::{PolicyId, ProfileInputs};
 use crate::sweep::{self, config_label, CellRun, Prep};
 use std::borrow::Cow;
@@ -37,7 +37,7 @@ use uopcache_trace::AppId;
 
 /// A generated trace, by content.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub struct TraceKey {
+pub(crate) struct TraceKey {
     /// The application.
     pub app: AppId,
     /// The input variant.
@@ -50,7 +50,7 @@ pub struct TraceKey {
 /// every [`FurbysPipeline`] field but the frontend configuration, which the
 /// cell gives, plus where the profile comes from.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub struct Knobs {
+pub(crate) struct Knobs {
     /// The offline oracle the profile replays (Fig. 15).
     pub oracle: OracleKind,
     /// Weight grouping; Fig. 19 varies the hint width.
@@ -67,7 +67,7 @@ pub struct Knobs {
 impl Knobs {
     /// The paper's configuration ([`FurbysPipeline::new`]), profiled on the
     /// cell's own trace.
-    pub fn paper() -> Knobs {
+    pub(crate) fn paper() -> Knobs {
         let p = FurbysPipeline::new(FrontendConfig::zen3());
         Knobs {
             oracle: p.oracle,
@@ -107,7 +107,7 @@ impl Knobs {
 
 /// What a cell runs.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub enum Arm {
+pub(crate) enum Arm {
     /// A registered policy in the timed frontend; profile-guided ones
     /// train on the cell's own trace.
     Online(PolicyId),
@@ -172,7 +172,7 @@ impl Arm {
 /// One cell: an arm on the lab-length trace of `app`'s input `variant`,
 /// under `cfg` with `opts`.
 #[derive(Copy, Clone, Debug)]
-pub struct Cell {
+pub(crate) struct Cell {
     /// The frontend configuration (offline arms read its micro-op cache).
     pub cfg: FrontendConfig,
     /// Simulation switches (offline arms read `classify_misses`).
@@ -187,7 +187,7 @@ pub struct Cell {
 
 impl Cell {
     /// `arm` on input variant 0 of `app` under `cfg`, default options.
-    pub fn new(cfg: FrontendConfig, app: AppId, arm: Arm) -> Cell {
+    pub(crate) fn new(cfg: FrontendConfig, app: AppId, arm: Arm) -> Cell {
         Cell {
             cfg,
             opts: SimOptions::default(),
@@ -250,7 +250,7 @@ impl Lab {
     }
 
     /// Whether this is a quick-mode lab.
-    pub fn quick(&self) -> bool {
+    pub(crate) fn quick(&self) -> bool {
         self.quick
     }
 
@@ -259,12 +259,12 @@ impl Lab {
         if self.quick {
             vec![AppId::Kafka, AppId::Postgres]
         } else {
-            standard_apps().to_vec()
+            AppId::ALL.to_vec()
         }
     }
 
     /// The trace length of the mode.
-    pub fn trace_len(&self) -> usize {
+    pub(crate) fn trace_len(&self) -> usize {
         if self.quick {
             8_000
         } else {
@@ -278,13 +278,17 @@ impl Lab {
     }
 
     /// The trace of `key`, generated on first use.
-    pub fn trace(&mut self, key: TraceKey) -> Arc<LookupTrace> {
+    pub(crate) fn trace(&mut self, key: TraceKey) -> Arc<LookupTrace> {
         self.fill_traces([key]);
         Arc::clone(&self.traces[&key])
     }
 
     /// The profile-guided policies' inputs for `trace` under `cfg`.
-    pub fn profile_inputs(&mut self, cfg: FrontendConfig, trace: TraceKey) -> &ProfileInputs {
+    pub(crate) fn profile_inputs(
+        &mut self,
+        cfg: FrontendConfig,
+        trace: TraceKey,
+    ) -> &ProfileInputs {
         let c = self.intern(cfg);
         self.fill_traces([trace]);
         self.fill_solutions(paper_solve(cfg, trace));
@@ -294,7 +298,11 @@ impl Lab {
 
     /// The paper pipeline's oracle observations on `trace` under `cfg`
     /// (see [`FurbysPipeline::observations`]).
-    pub fn observations(&mut self, cfg: FrontendConfig, trace: TraceKey) -> Vec<(Addr, u32, u32)> {
+    pub(crate) fn observations(
+        &mut self,
+        cfg: FrontendConfig,
+        trace: TraceKey,
+    ) -> Vec<(Addr, u32, u32)> {
         self.fill_traces([trace]);
         self.fill_solutions(paper_solve(cfg, trace));
         let pipeline = FurbysPipeline::new(cfg);
@@ -306,7 +314,7 @@ impl Lab {
 
     /// Every app of the mode × `arms` under `cfg`: one row per app, one
     /// result per arm.
-    pub fn grid(&mut self, cfg: FrontendConfig, arms: &[Arm]) -> Vec<Vec<SimResult>> {
+    pub(crate) fn grid(&mut self, cfg: FrontendConfig, arms: &[Arm]) -> Vec<Vec<SimResult>> {
         let cells: Vec<Cell> = (self.apps().into_iter())
             .flat_map(|app| arms.iter().map(move |&arm| Cell::new(cfg, app, arm)))
             .collect();
@@ -322,7 +330,7 @@ impl Lab {
     ///
     /// Panics with a structured failure if a task panicked (a table cannot
     /// render from partial results).
-    pub fn run(&mut self, cells: &[Cell]) -> Vec<SimResult> {
+    pub(crate) fn run(&mut self, cells: &[Cell]) -> Vec<SimResult> {
         let keys: Vec<CellKey> = cells.iter().map(|c| self.key(c)).collect();
         let todo = distinct(keys.iter().copied().filter(|k| !self.cells.contains_key(k)));
 
@@ -592,7 +600,7 @@ where
 }
 
 /// Arithmetic mean helper for per-app series.
-pub fn mean(values: &[f64]) -> f64 {
+pub(crate) fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
         0.0
     } else {

@@ -1,6 +1,7 @@
-//! The parallel sweep layer: a process-wide worker-count knob, canonical
-//! task keying, and a deterministic `(app × policy)` sweep whose merged
-//! report renders to canonical JSON.
+//! The parallel sweep layer: canonical task keying, the one spec validator
+//! ([`SweepSpec::from_json`]), and a deterministic `(app × policy)` sweep
+//! over a caller-built [`Engine`] whose merged report renders to canonical
+//! JSON.
 //!
 //! Determinism contract (inherited from `uopcache-exec` and extended here):
 //! every task is a pure function of its [`TaskKey`] — config label, input
@@ -44,7 +45,7 @@ pub const SAMPLE_EVERY: u64 = 64;
 
 /// A short label identifying a frontend configuration in task keys,
 /// e.g. `uopc4096x8`.
-pub fn config_label(cfg: &FrontendConfig) -> String {
+pub(crate) fn config_label(cfg: &FrontendConfig) -> String {
     format!("uopc{}x{}", cfg.uop_cache.entries, cfg.uop_cache.ways)
 }
 
@@ -67,13 +68,61 @@ pub const MAX_SPEC_ACCESSES: u64 = 100_000_000;
 /// streams, not when the spec is read.
 pub const MAX_SPEC_INTERVALS: usize = 1 << 16;
 
-/// The most micro-op cache sets a spec's `entries`/`ways` geometry may
-/// name in [`SweepSpec::from_json`]: 8 192, sixteen times the 512 sets of
+/// The most micro-op cache sets an `entries`/`ways` geometry may name in
+/// [`frontend_config`]: 8 192, sixteen times the 512 sets of
 /// the largest geometry the experiments use (4 096 entries, 8 ways) and
 /// twice that geometry direct-mapped. With at most 64 ways a cache then
 /// holds at most 2^19 entries, so a hostile geometry cannot ask the daemon
 /// for an allocation it would abort on.
 pub const MAX_SPEC_SETS: u32 = 8_192;
+
+/// The fewest accesses [`SweepSpec::from_json`] charges one epoch of a
+/// scaled trace against [`MAX_SPEC_ACCESSES`]. Each epoch starts a fresh
+/// walker (a region shuffle and new phase tables, about 20 µs), so a spec
+/// of `len 1` at a huge `scale` costs its epochs, not its accesses. An
+/// empty epoch builds no walker and is charged nothing.
+const MIN_EPOCH_ACCESSES: u64 = 1_000;
+
+/// The frontend configuration named `config` (`zen3` or `zen4`), its
+/// micro-op cache resized to `entries` and `ways` where they are given.
+/// This is the one geometry check: [`SweepSpec::from_json`] and every CLI
+/// command that reads `--config/--entries/--ways` build their
+/// configuration here, so no geometry reaches the cache constructors'
+/// asserts or an allocation sized by it.
+///
+/// # Errors
+///
+/// Returns a message naming an unknown `config`, or the geometry when
+/// `ways` is outside 1..=64, `entries` is not a positive multiple of
+/// `ways`, or the set count exceeds [`MAX_SPEC_SETS`].
+pub fn frontend_config(
+    config: &str,
+    entries: Option<u32>,
+    ways: Option<u32>,
+) -> Result<FrontendConfig, String> {
+    let mut cfg = match config {
+        "zen3" => FrontendConfig::zen3(),
+        "zen4" => FrontendConfig::zen4(),
+        other => return Err(format!("unknown config {other:?} (zen3 or zen4)")),
+    };
+    let entries = entries.unwrap_or(cfg.uop_cache.entries);
+    let ways = ways.unwrap_or(cfg.uop_cache.ways);
+    if !(1..=64).contains(&ways) {
+        return Err(format!("ways {ways} outside 1..=64"));
+    }
+    if entries == 0 || !entries.is_multiple_of(ways) {
+        return Err(format!(
+            "entries {entries} is not a positive multiple of ways {ways}"
+        ));
+    }
+    if entries / ways > MAX_SPEC_SETS {
+        return Err(format!(
+            "entries {entries} / ways {ways} exceeds {MAX_SPEC_SETS} sets"
+        ));
+    }
+    cfg.uop_cache = cfg.uop_cache.with_entries(entries).with_ways(ways);
+    Ok(cfg)
+}
 
 /// One `(app × policy)` sweep request.
 #[derive(Clone, Debug)]
@@ -153,18 +202,20 @@ impl SweepSpec {
 
     /// Reconstructs a spec from the wire form produced by
     /// [`to_json`](Self::to_json) — the job → sweep-cell mapping the serving
-    /// layer uses. `config` must name a known base configuration (`zen3` or
-    /// `zen4`); `entries`/`ways` default to that base when absent; `apps`
-    /// must name Table II applications; `policies` are resolved against the
-    /// full roster (case-insensitively) to their canonical names, so a
-    /// served job keys its tasks exactly like the offline `sweep` CLI.
+    /// layer uses, and the one spec validator: the `sweep`, `sample` and
+    /// `submit` commands build this wire form from their flags and read it
+    /// back here. `config`, `entries` and `ways` go through
+    /// [`frontend_config`]; `apps` must name Table II applications;
+    /// `policies` are resolved against the full roster (case-insensitively)
+    /// to their canonical names, so a served job keys its tasks exactly like
+    /// the offline `sweep` CLI.
     ///
     /// # Errors
     ///
     /// Returns a message naming the first missing or unresolvable field, the
-    /// sizes when `len × scale` exceeds [`MAX_SPEC_ACCESSES`], or the
-    /// geometry when `ways` is outside 1..=64, `entries` is not a positive
-    /// multiple of `ways`, or the set count exceeds [`MAX_SPEC_SETS`].
+    /// geometry [`frontend_config`] refuses, or the sizes when `len × scale`
+    /// exceeds [`MAX_SPEC_ACCESSES`], each epoch that holds any access
+    /// charged at least 1 000.
     pub fn from_json(j: &Json) -> Result<SweepSpec, String> {
         let text = |field: &str| -> Result<String, String> {
             j.field(field)
@@ -174,39 +225,18 @@ impl SweepSpec {
                 .ok_or_else(|| format!("field {field:?} must be a string"))
         };
         let config_name = text("config")?;
-        let mut cfg = match config_name.as_str() {
-            "zen3" => FrontendConfig::zen3(),
-            "zen4" => FrontendConfig::zen4(),
-            other => return Err(format!("unknown config {other:?} (zen3 or zen4)")),
-        };
-        let geometry = |field: &str, default: u32| -> Result<u32, String> {
+        let geometry = |field: &str| -> Result<Option<u32>, String> {
             match j.field(field) {
-                Err(_) => Ok(default),
+                Err(_) => Ok(None),
                 Ok(v) => u32::try_from(
                     v.as_u64()
                         .ok_or_else(|| format!("field {field:?} must be an unsigned integer"))?,
                 )
+                .map(Some)
                 .map_err(|_| format!("field {field:?} out of range")),
             }
         };
-        let (entries, ways) = (
-            geometry("entries", cfg.uop_cache.entries)?,
-            geometry("ways", cfg.uop_cache.ways)?,
-        );
-        if !(1..=64).contains(&ways) {
-            return Err(format!("ways {ways} outside 1..=64"));
-        }
-        if entries == 0 || !entries.is_multiple_of(ways) {
-            return Err(format!(
-                "entries {entries} is not a positive multiple of ways {ways}"
-            ));
-        }
-        if entries / ways > MAX_SPEC_SETS {
-            return Err(format!(
-                "entries {entries} / ways {ways} exceeds {MAX_SPEC_SETS} sets"
-            ));
-        }
-        cfg.uop_cache = cfg.uop_cache.with_entries(entries).with_ways(ways);
+        let cfg = frontend_config(&config_name, geometry("entries")?, geometry("ways")?)?;
         let names = |field: &str| -> Result<Vec<String>, String> {
             j.field(field)
                 .map_err(|e| e.to_string())?
@@ -262,12 +292,23 @@ impl SweepSpec {
         if scale == 0 {
             return Err("field \"scale\" must be at least 1".to_string());
         }
-        match (len as u64).checked_mul(scale) {
+        // An empty epoch builds no walker and costs nothing.
+        let per_epoch = if len == 0 {
+            0
+        } else {
+            (len as u64).max(MIN_EPOCH_ACCESSES)
+        };
+        match per_epoch.checked_mul(scale) {
             Some(accesses) if accesses <= MAX_SPEC_ACCESSES => {}
             _ => {
+                let charged = if per_epoch > len as u64 {
+                    format!(" (each epoch counts as {MIN_EPOCH_ACCESSES})")
+                } else {
+                    String::new()
+                };
                 return Err(format!(
-                    "len {len} x scale {scale} exceeds {MAX_SPEC_ACCESSES} accesses per app"
-                ))
+                    "len {len} x scale {scale} exceeds {MAX_SPEC_ACCESSES} accesses per app{charged}"
+                ));
             }
         }
         let sample = match j.field("sample") {
@@ -340,7 +381,7 @@ impl SweepSpec {
 /// Sampled observability captured for one cell when [`SweepSpec::metrics`]
 /// is on.
 #[derive(Clone, Debug)]
-pub struct CellObs {
+pub(crate) struct CellObs {
     /// The retained (1-in-[`SAMPLE_EVERY`]) event subset, oldest first.
     pub events: Vec<Event>,
     /// The metrics the cell's [`MetricsRecorder`] derived from the *full*
@@ -381,7 +422,7 @@ pub struct SweepCell {
     /// weights are validated against).
     pub trace_uops: u64,
     /// Sampled events and metrics, present only on `--metrics` sweeps.
-    pub obs: Option<CellObs>,
+    pub(crate) obs: Option<CellObs>,
     /// Reconstruction metadata, present only on `--sample` sweeps.
     pub sampled: Option<SampledCell>,
 }
@@ -593,14 +634,28 @@ fn round6(x: f64) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics only if a *preparation* task fails (no cell of that app could be
-/// simulated), for instance when a sampled app's trace cuts more than
-/// [`MAX_SPEC_INTERVALS`] intervals.
+/// Panics where [`try_run_sweep`] returns an error, or if a preparation
+/// task panics (no cell of that app could be simulated).
 pub fn run_sweep(spec: &SweepSpec, engine: &Engine) -> SweepReport {
+    try_run_sweep(spec, engine).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`run_sweep`], with a spec that its trace refuses reported as an error
+/// rather than a panic.
+///
+/// # Errors
+///
+/// Returns a message naming the limit when a sampled app's trace cuts more
+/// than [`MAX_SPEC_INTERVALS`] intervals.
+///
+/// # Panics
+///
+/// Panics if a preparation task panics.
+pub fn try_run_sweep(spec: &SweepSpec, engine: &Engine) -> Result<SweepReport, String> {
     let cfg = spec.cfg;
     let prepared = match spec.sample {
         None => prepare_whole(spec, engine),
-        Some(interval) => prepare_sampled(spec, engine, interval),
+        Some(interval) => prepare_sampled(spec, engine, interval)?,
     };
 
     let mut runs = Vec::new();
@@ -643,14 +698,14 @@ pub fn run_sweep(spec: &SweepSpec, engine: &Engine) -> SweepReport {
     failures.sort_by(|a, b| a.key.cmp(&b.key));
     profiles.sort_by(|a, b| a.key.cmp(&b.key));
     let branch_streams = prepared.iter().map(|(_, p, _)| p.segments.len()).sum();
-    SweepReport {
+    Ok(SweepReport {
         spec: spec.clone(),
         cells,
         failures,
         profiles,
         elapsed,
         branch_streams,
-    }
+    })
 }
 
 /// One prepared app: its prep and the profile inputs its policies read.
@@ -672,13 +727,17 @@ fn prepare_whole(spec: &SweepSpec, engine: &Engine) -> Vec<Prepared> {
 /// The two-pass preparation of a sampled sweep (see [`run_sweep`]): one
 /// task per app plans it from one streaming walk and profiles its sample
 /// points, then one task per planned segment re-forms that segment.
-fn prepare_sampled(spec: &SweepSpec, engine: &Engine, interval: u64) -> Vec<Prepared> {
+fn prepare_sampled(
+    spec: &SweepSpec,
+    engine: &Engine,
+    interval: u64,
+) -> Result<Vec<Prepared>, String> {
     let tasks = (spec.apps.iter()).map(|&a| (spec.task_key(a, "prepare"), a));
     let planned: Vec<(Planned, ProfileInputs)> = engine
         .run(tasks.collect(), |_key, seed, app| {
             let variant = InputVariant::new(spec.variant);
             let generator = Generator::new(&app.spec(), variant, spec.len, spec.scale);
-            let (plan, checkpoints) = plan_stream(&generator, &SampleConfig::new(interval, seed));
+            let (plan, checkpoints) = plan_stream(&generator, &SampleConfig::new(interval, seed))?;
             let planned = Planned {
                 app,
                 generator,
@@ -686,9 +745,11 @@ fn prepare_sampled(spec: &SweepSpec, engine: &Engine, interval: u64) -> Vec<Prep
                 checkpoints,
             };
             let profiles = spec.profile_inputs(|| planned.training_slice());
-            (planned, profiles)
+            Ok((planned, profiles))
         })
-        .expect_all("sweep preparation");
+        .expect_all("sweep preparation")
+        .into_iter()
+        .collect::<Result<_, String>>()?;
 
     let segments = planned.iter().flat_map(|(p, _)| {
         let key = spec.task_key(p.app, "prepare");
@@ -700,7 +761,7 @@ fn prepare_sampled(spec: &SweepSpec, engine: &Engine, interval: u64) -> Vec<Prep
         })
         .expect_all("sweep segment rebuild")
         .into_iter();
-    (planned.into_iter())
+    Ok((planned.into_iter())
         .map(|(p, profiles)| {
             let count = Segment::all(Some(&p.plan)).len();
             let prep = Prep {
@@ -710,7 +771,7 @@ fn prepare_sampled(spec: &SweepSpec, engine: &Engine, interval: u64) -> Vec<Prep
             };
             (p.app, prep, profiles)
         })
-        .collect()
+        .collect())
 }
 
 /// The fingerprint pass over one sampled app: walks its whole trace once,
@@ -718,31 +779,41 @@ fn prepare_sampled(spec: &SweepSpec, engine: &Engine, interval: u64) -> Vec<Prep
 /// the plan with, per interval, the latest walk checkpoint before its first
 /// access.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics once the trace cuts more than [`MAX_SPEC_INTERVALS`] intervals.
-fn plan_stream(generator: &Generator, cfg: &SampleConfig) -> (SamplePlan, Vec<Checkpoint>) {
+/// Stops the walk and returns a message once the trace cuts more than
+/// [`MAX_SPEC_INTERVALS`] intervals.
+fn plan_stream(
+    generator: &Generator,
+    cfg: &SampleConfig,
+) -> Result<(SamplePlan, Vec<Checkpoint>), String> {
     let mut fingerprinter = Fingerprinter::new(cfg.interval_uops, cfg.dim, cfg.seed);
     let mut checkpoints = Vec::new();
+    let mut too_many = false;
     generator.walk(&generator.start(), &mut Vec::new(), |block, latest| {
         for access in block.iter() {
             if fingerprinter.push(access) {
-                assert!(
-                    checkpoints.len() < MAX_SPEC_INTERVALS,
-                    "sample {} cuts more than {MAX_SPEC_INTERVALS} intervals per app",
-                    cfg.interval_uops
-                );
+                too_many = checkpoints.len() == MAX_SPEC_INTERVALS;
+                if too_many {
+                    return ControlFlow::Break(());
+                }
                 checkpoints.push(*latest);
             }
         }
         block.clear();
         ControlFlow::Continue(())
     });
+    if too_many {
+        return Err(format!(
+            "sample {} cuts more than {MAX_SPEC_INTERVALS} intervals per app",
+            cfg.interval_uops
+        ));
+    }
     let (intervals, vectors) = fingerprinter.finish();
-    (
+    Ok((
         SamplePlan::from_fingerprints(intervals, vectors, cfg),
         checkpoints,
-    )
+    ))
 }
 
 /// One sampled app after its fingerprint pass.
@@ -1254,6 +1325,8 @@ mod tests {
             r#"{"config":"zen3","apps":[],"policies":["lru"]}"#,
             r#"{"config":"zen3","apps":["kafka"],"policies":[]}"#,
             r#"{"config":"zen3","apps":["kafka"],"policies":["lru"],"len":"x"}"#,
+            // 10^8 epochs of one access each: every epoch counts as 1 000.
+            r#"{"config":"zen3","apps":["kafka"],"policies":["lru"],"len":1,"scale":100000000}"#,
         ] {
             let j = Json::parse(bad).expect("valid JSON");
             assert!(
@@ -1491,8 +1564,12 @@ mod tests {
         let ok = spec(100_000, 100).expect("the largest documented sweep");
         assert_eq!((ok.len, ok.scale), (100_000, 100));
         assert!(spec(MAX_SPEC_ACCESSES, 1).is_ok());
-        assert!(spec(1, MAX_SPEC_ACCESSES).is_ok());
+        // Every epoch counts as at least 1 000 accesses.
+        assert!(spec(1, MAX_SPEC_ACCESSES / MIN_EPOCH_ACCESSES).is_ok());
+        let err = spec(1, MAX_SPEC_ACCESSES / MIN_EPOCH_ACCESSES + 1).expect_err("one epoch over");
+        assert!(err.contains("each epoch counts as 1000"), "{err}");
         for (len, scale) in [
+            (1, MAX_SPEC_ACCESSES),
             (1_000_000_000_000, 1),
             (1, 1_000_000_000_000),
             (MAX_SPEC_ACCESSES + 1, 1),

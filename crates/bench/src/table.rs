@@ -43,12 +43,14 @@ impl Table {
     }
 
     /// The number of data rows.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.rows.len()
     }
 
     /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
 
@@ -90,7 +92,7 @@ impl Table {
     }
 
     /// Renders as a Markdown table (for `EXPERIMENTS.md`).
-    pub fn render_markdown(&self) -> String {
+    pub(crate) fn render_markdown(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "### {}", self.title);
         out.push('\n');

@@ -76,13 +76,9 @@ impl<P: PwReplacementPolicy> CheckedPolicy<P> {
     }
 
     /// Hooks observed so far.
-    pub fn ops(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn ops(&self) -> u64 {
         self.ops
-    }
-
-    /// Consumes the wrapper, returning the inner policy.
-    pub fn into_inner(self) -> P {
-        self.inner
     }
 
     /// Raises a conformance violation with the replay coordinate attached.

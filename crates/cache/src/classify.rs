@@ -6,7 +6,7 @@ use uopcache_model::{Addr, PwDesc};
 
 /// The classic 3C class of a miss.
 #[derive(Copy, Clone, Eq, PartialEq, Hash, Debug)]
-pub enum MissClass {
+pub(crate) enum MissClass {
     /// First touch of this start address.
     Cold,
     /// Would also miss in a fully-associative cache of equal capacity.
@@ -33,14 +33,14 @@ impl std::fmt::Display for MissClass {
 /// shadow via [`MissClassifier::record_access`], for every lookup (hit or
 /// miss) so the shadow tracks the reference stream faithfully.
 #[derive(Clone, Debug)]
-pub struct MissClassifier {
+pub(crate) struct MissClassifier {
     shadow: ShadowFaCache,
     touched: FastHashSet<Addr>,
 }
 
 impl MissClassifier {
     /// Creates a classifier for a cache with the given total entry capacity.
-    pub fn new(capacity_entries: u32, uops_per_entry: u32) -> Self {
+    pub(crate) fn new(capacity_entries: u32, uops_per_entry: u32) -> Self {
         MissClassifier {
             shadow: ShadowFaCache::new(capacity_entries, uops_per_entry),
             touched: FastHashSet::default(),
@@ -48,7 +48,7 @@ impl MissClassifier {
     }
 
     /// Classifies a miss on `pw` (do not call for hits).
-    pub fn classify(&self, pw: &PwDesc) -> MissClass {
+    pub(crate) fn classify(&self, pw: &PwDesc) -> MissClass {
         if !self.touched.contains(&pw.start) {
             MissClass::Cold
         } else if self.shadow.covers(pw) {
@@ -61,7 +61,7 @@ impl MissClassifier {
     }
 
     /// Records the access in the shadow structures (call for every lookup).
-    pub fn record_access(&mut self, pw: &PwDesc) {
+    pub(crate) fn record_access(&mut self, pw: &PwDesc) {
         self.touched.insert(pw.start);
         self.shadow.access(pw);
     }

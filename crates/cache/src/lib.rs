@@ -32,22 +32,20 @@
 
 #[cfg(feature = "strict-invariants")]
 pub mod checked;
-pub mod classify;
-pub mod linecache;
-pub mod lru;
-pub mod meta;
-pub mod policy;
-pub mod pwset;
-pub mod shadow;
+mod classify;
+mod linecache;
+mod lru;
+mod meta;
+mod policy;
+mod pwset;
+mod shadow;
 pub mod uopcache;
 
 #[cfg(feature = "strict-invariants")]
 pub use checked::CheckedPolicy;
-pub use classify::{MissClass, MissClassifier};
 pub use linecache::{LineCache, LineOutcome};
 pub use lru::LruPolicy;
 pub use meta::PwMeta;
 pub use policy::PwReplacementPolicy;
-pub use pwset::PwSet;
 pub use shadow::ShadowFaCache;
 pub use uopcache::{InsertOutcome, LookupResult, UopCache};

@@ -48,7 +48,6 @@ pub struct LineCache {
     /// Allocated once at construction.
     ways: Box<[Way]>,
     assoc: usize,
-    line_bytes: u64,
     /// `log2(line_bytes)` — set indexing is a shift and a mask, not a
     /// division.
     set_shift: u32,
@@ -81,7 +80,6 @@ impl LineCache {
         LineCache {
             ways: vec![Way::default(); lines as usize].into_boxed_slice(),
             assoc: ways as usize,
-            line_bytes: u64::from(line_bytes),
             set_shift: line_bytes.trailing_zeros(),
             set_mask: u64::from(sets - 1),
             stats: CacheStats::default(),
@@ -157,18 +155,14 @@ impl LineCache {
     }
 
     /// Whether `line` is present (does not update recency).
-    pub fn contains(&self, line: LineAddr) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, line: LineAddr) -> bool {
         self.ways[self.set_of(line)].iter().any(|w| w.holds(line))
     }
 
     /// Accumulated statistics.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
-    }
-
-    /// Line size in bytes.
-    pub fn line_bytes(&self) -> u64 {
-        self.line_bytes
     }
 }
 

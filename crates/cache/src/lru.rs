@@ -14,7 +14,7 @@ use uopcache_model::PwDesc;
 /// use uopcache_model::UopCacheConfig;
 ///
 /// let cache = UopCache::new(UopCacheConfig::zen3(), Box::new(LruPolicy::new()));
-/// assert_eq!(cache.policy_name(), "LRU");
+/// assert_eq!(cache.policy().name(), "LRU");
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct LruPolicy {

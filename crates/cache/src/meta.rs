@@ -22,10 +22,3 @@ pub struct PwMeta {
     /// Hits the PW has received since insertion.
     pub hits: u32,
 }
-
-impl PwMeta {
-    /// The PW's cost: micro-ops supplied on a hit.
-    pub fn cost(&self) -> u32 {
-        self.desc.uops
-    }
-}

@@ -20,7 +20,7 @@ use uopcache_model::{Addr, LineAddr, PwDesc, PwTermination};
 /// which a multi-entry PW's entries live in one set and are fetched/evicted
 /// as a whole (§II-C).
 #[derive(Clone, Debug)]
-pub struct PwSet {
+pub(crate) struct PwSet {
     ways: u8,
     /// Entry slots currently in use.
     used_entries: u8,
@@ -59,7 +59,7 @@ impl PwSet {
     /// # Panics
     ///
     /// Panics if `ways` is zero or greater than 64.
-    pub fn new(ways: u32) -> Self {
+    pub(crate) fn new(ways: u32) -> Self {
         assert!((1..=64).contains(&ways), "ways must be in 1..=64");
         let ways = u8::try_from(ways).expect("ways checked to be in 1..=64");
         PwSet {
@@ -74,22 +74,24 @@ impl PwSet {
     }
 
     /// Entry slots in use.
-    pub fn used_entries(&self) -> u32 {
+    pub(crate) fn used_entries(&self) -> u32 {
         u32::from(self.used_entries)
     }
 
     /// Entry slots free.
-    pub fn free_entries(&self) -> u32 {
+    pub(crate) fn free_entries(&self) -> u32 {
         u32::from(self.ways - self.used_entries)
     }
 
     /// Number of resident PWs.
-    pub fn resident_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn resident_count(&self) -> usize {
         self.live.count_ones() as usize
     }
 
     /// The resident PWs, ordered by slot.
-    pub fn residents(&self) -> impl Iterator<Item = &PwMeta> {
+    #[cfg(test)]
+    pub(crate) fn residents(&self) -> impl Iterator<Item = &PwMeta> {
         let live = self.live;
         self.metas
             .iter()
@@ -100,7 +102,8 @@ impl PwSet {
 
     /// Collects the residents into a vector (slot order) — the slice handed
     /// to replacement policies.
-    pub fn resident_metas(&self) -> Vec<PwMeta> {
+    #[cfg(test)]
+    pub(crate) fn resident_metas(&self) -> Vec<PwMeta> {
         self.residents().copied().collect()
     }
 
@@ -108,7 +111,7 @@ impl PwSet {
     /// long as `out` has capacity for `ways` elements — the cache keeps one
     /// such scratch buffer for its policy calls.
     // audit:hot-path — per-victim-choice resident snapshot
-    pub fn fill_residents(&self, out: &mut Vec<PwMeta>) {
+    pub(crate) fn fill_residents(&self, out: &mut Vec<PwMeta>) {
         out.clear();
         let mut live = self.live;
         while live != 0 {
@@ -122,7 +125,7 @@ impl PwSet {
     /// start address is resident (the cache keeps the larger of two
     /// overlapping windows).
     // audit:hot-path — per-lookup probe
-    pub fn find(&self, start: Addr) -> Option<&PwMeta> {
+    pub(crate) fn find(&self, start: Addr) -> Option<&PwMeta> {
         let mut live = self.live;
         while live != 0 {
             let i = live.trailing_zeros() as usize;
@@ -139,7 +142,7 @@ impl PwSet {
     /// line). `line` must be aligned to `line_bytes`, as every [`LineAddr`]
     /// made with that line size is.
     // audit:hot-path — per-L1i-eviction inclusion probe
-    pub fn slots_touching(&self, line: LineAddr, line_bytes: u64) -> u64 {
+    pub(crate) fn slots_touching(&self, line: LineAddr, line_bytes: u64) -> u64 {
         let mask = !(line_bytes - 1);
         let target = line.base().get();
         // Every slot is tested without branching, dead ones (whose end may
@@ -153,20 +156,6 @@ impl PwSet {
         touching & self.live
     }
 
-    /// Mutable variant of [`PwSet::find`].
-    // audit:hot-path — per-hit recency update
-    pub fn find_mut(&mut self, start: Addr) -> Option<&mut PwMeta> {
-        let mut live = self.live;
-        while live != 0 {
-            let i = live.trailing_zeros() as usize;
-            if self.starts[i] == start {
-                return Some(&mut self.metas[i]);
-            }
-            live &= live - 1;
-        }
-        None
-    }
-
     /// Inserts a PW occupying `entries` slots, returning its metadata.
     /// The PW takes the lowest free slot id.
     ///
@@ -175,7 +164,7 @@ impl PwSet {
     /// Panics if there is not enough free space (the caller must evict first)
     /// or if a PW with the same start address is already resident.
     // audit:hot-path — per-fill slot claim
-    pub fn insert(&mut self, desc: PwDesc, entries: u32, now: u64) -> PwMeta {
+    pub(crate) fn insert(&mut self, desc: PwDesc, entries: u32, now: u64) -> PwMeta {
         assert!(
             entries >= 1 && entries <= u32::from(self.ways),
             "PW entries out of range"
@@ -212,7 +201,7 @@ impl PwSet {
     ///
     /// Panics if the slot is empty or out of range.
     // audit:hot-path — per-eviction slot release
-    pub fn remove_slot(&mut self, slot: u8) -> PwMeta {
+    pub(crate) fn remove_slot(&mut self, slot: u8) -> PwMeta {
         let bit = 1u64 << slot;
         assert!(self.live & bit != 0, "slot occupied");
         self.live &= !bit;
@@ -223,7 +212,7 @@ impl PwSet {
 
     /// Removes the resident PW starting at `start`, if present.
     // audit:hot-path — per-invalidate removal
-    pub fn remove_start(&mut self, start: Addr) -> Option<PwMeta> {
+    pub(crate) fn remove_start(&mut self, start: Addr) -> Option<PwMeta> {
         let slot = self.find(start)?.slot;
         Some(self.remove_slot(slot))
     }
@@ -234,7 +223,7 @@ impl PwSet {
     ///
     /// Panics if the slot is empty.
     // audit:hot-path — per-hit timestamp bump
-    pub fn touch(&mut self, slot: u8, now: u64) -> PwMeta {
+    pub(crate) fn touch(&mut self, slot: u8, now: u64) -> PwMeta {
         assert!(self.live & (1 << slot) != 0, "slot occupied");
         let meta = &mut self.metas[usize::from(slot)];
         meta.last_access = now;

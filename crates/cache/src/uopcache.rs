@@ -54,15 +54,13 @@ impl LookupResult {
 
 /// Outcome of a micro-op cache insertion attempt.
 ///
-/// Kept `Copy` so the hot insertion path allocates nothing; the descriptors
-/// of the windows an insertion displaced are readable until the next
-/// insertion via [`UopCache::last_evicted`].
+/// Kept `Copy` so the hot insertion path allocates nothing.
 #[derive(Copy, Clone, Eq, PartialEq, Debug)]
 pub enum InsertOutcome {
     /// The PW was written into the cache.
     Inserted {
         /// Number of whole PWs evicted by the replacement policy to make
-        /// room (their descriptors are in [`UopCache::last_evicted`]).
+        /// room.
         evicted: u32,
     },
     /// The policy chose to bypass the insertion.
@@ -118,9 +116,6 @@ pub struct UopCache {
     /// Scratch buffer for the slot-ordered resident slice handed to the
     /// policy (capacity `ways`, reused across insertions — never grows).
     resident_scratch: Vec<PwMeta>,
-    /// Descriptors evicted by the most recent insertion (capacity `ways`,
-    /// reused across insertions — never grows).
-    evicted_scratch: Vec<PwDesc>,
     /// Optional event sink (`None` — the default — skips all emission work).
     #[cfg(feature = "obs")]
     recorder: Option<Box<dyn Recorder>>,
@@ -169,7 +164,6 @@ impl UopCache {
                 .then(|| u64::from(set_count) - 1),
             max_bytes: 0,
             resident_scratch: Vec::with_capacity(cfg.ways as usize),
-            evicted_scratch: Vec::with_capacity(cfg.ways as usize),
             #[cfg(feature = "obs")]
             recorder: None,
             #[cfg(feature = "obs")]
@@ -238,16 +232,6 @@ impl UopCache {
             self.cfg.entries,
             self.cfg.uops_per_entry,
         ));
-    }
-
-    /// The configuration this cache was built with.
-    pub fn config(&self) -> &UopCacheConfig {
-        &self.cfg
-    }
-
-    /// The replacement policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// The installed replacement policy (for post-run introspection —
@@ -360,7 +344,6 @@ impl UopCache {
     /// is a no-op.
     // audit:hot-path — per-miss fill path; must stay allocation-free warmed
     pub fn insert(&mut self, pw: &PwDesc) -> InsertOutcome {
-        self.evicted_scratch.clear();
         let entries = pw.entries(self.cfg.uops_per_entry);
         let set_idx = self.set_index(pw.start);
         if entries > self.cfg.max_entries_per_pw || entries > self.cfg.ways {
@@ -422,6 +405,7 @@ impl UopCache {
         // The snapshot stays in step with the set: each victim's element is
         // removed from it, which keeps the rest in slot order, exactly as a
         // refill would.
+        let mut evicted = 0;
         while self.sets[set_idx].free_entries() < entries {
             debug_assert!(
                 !self.resident_scratch.is_empty(),
@@ -455,7 +439,7 @@ impl UopCache {
                     Verdict::Primary
                 },
             );
-            self.evicted_scratch.push(removed.desc); // audit:allow(hot-path-alloc) — scratch is cleared, never shrunk: warmed capacity absorbs every push
+            evicted += 1;
         }
         let meta = self.sets[set_idx].insert(*pw, entries, self.now);
         self.max_bytes = self.max_bytes.max(pw.bytes);
@@ -472,19 +456,7 @@ impl UopCache {
             entries,
             Verdict::None,
         );
-        #[allow(clippy::cast_possible_truncation)]
-        InsertOutcome::Inserted {
-            evicted: self.evicted_scratch.len() as u32,
-        }
-    }
-
-    /// Descriptors of the PWs displaced by the most recent [`insert`]
-    /// call (replacement evictions only — upgrades and invalidations are
-    /// not listed; an insertion that evicted nothing leaves this empty).
-    ///
-    /// [`insert`]: UopCache::insert
-    pub fn last_evicted(&self) -> &[PwDesc] {
-        &self.evicted_scratch
+        InsertOutcome::Inserted { evicted }
     }
 
     /// Invalidates every resident PW that touches the given i-cache line
@@ -582,7 +554,8 @@ impl UopCache {
     }
 
     /// Free entries in the set that `start` maps to.
-    pub fn free_entries_for(&self, start: Addr) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn free_entries_for(&self, start: Addr) -> u32 {
         self.sets[self.set_index(start)].free_entries()
     }
 
@@ -715,7 +688,6 @@ mod tests {
             InsertOutcome::Inserted { evicted } => assert_eq!(evicted, 3),
             other => panic!("expected insertion, got {other:?}"),
         }
-        assert_eq!(c.last_evicted().len(), 3);
         // 4 ways: one surviving 1-entry PW + the new 3-entry PW.
         assert_eq!(c.free_entries_for(Addr::new(0x40)), 0);
     }
@@ -963,7 +935,10 @@ mod tests {
             InsertOutcome::Inserted { evicted } => assert_eq!(evicted, 1),
             other => panic!("{other:?}"),
         }
-        assert_eq!(c.last_evicted(), &[b]);
+        assert_eq!(c.resident_uops(b.start), None, "the LRU window went");
+        for w in [&a, &d, &e] {
+            assert!(c.resident_uops(w.start).is_some());
+        }
     }
 
     #[cfg(feature = "obs")]

@@ -5,7 +5,7 @@ use uopcache_model::hash::FastHashMap;
 
 /// A parsed command line.
 #[derive(Clone, Debug, Default)]
-pub struct Args {
+pub(crate) struct Args {
     positionals: Vec<String>,
     flags: FastHashMap<String, String>,
     switches: Vec<String>,
@@ -13,7 +13,7 @@ pub struct Args {
 
 /// A missing or malformed argument.
 #[derive(Debug)]
-pub struct ArgError(pub String);
+pub(crate) struct ArgError(pub String);
 
 impl fmt::Display for ArgError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -26,7 +26,7 @@ impl std::error::Error for ArgError {}
 /// A command that found problems and already reported them: the caller
 /// should exit nonzero with the message but skip the usage text.
 #[derive(Debug)]
-pub struct CheckFailed(pub String);
+pub(crate) struct CheckFailed(pub String);
 
 impl fmt::Display for CheckFailed {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -40,7 +40,7 @@ impl Args {
     /// Parses `argv`. `--key value` becomes a flag, a bare `--key` followed
     /// by another flag (or nothing) becomes a switch, everything else a
     /// positional. `-i`/`-o` are aliases for `--input`/`--output`.
-    pub fn parse(argv: &[String]) -> Args {
+    pub(crate) fn parse(argv: &[String]) -> Args {
         let mut args = Args::default();
         let mut i = 0;
         while i < argv.len() {
@@ -72,12 +72,12 @@ impl Args {
     }
 
     /// The n-th positional argument.
-    pub fn positional(&self, n: usize) -> Option<&str> {
+    pub(crate) fn positional(&self, n: usize) -> Option<&str> {
         self.positionals.get(n).map(String::as_str)
     }
 
     /// A string flag.
-    pub fn get(&self, key: &str) -> Option<&str> {
+    pub(crate) fn get(&self, key: &str) -> Option<&str> {
         self.flags.get(key).map(String::as_str)
     }
 
@@ -86,7 +86,7 @@ impl Args {
     /// # Errors
     ///
     /// Returns an error naming the missing flag.
-    pub fn require(&self, key: &str) -> Result<&str, ArgError> {
+    pub(crate) fn require(&self, key: &str) -> Result<&str, ArgError> {
         self.get(key)
             .ok_or_else(|| ArgError(format!("missing --{key}")))
     }
@@ -96,7 +96,11 @@ impl Args {
     /// # Errors
     ///
     /// Returns an error if the value does not parse.
-    pub fn get_parse<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
+    pub(crate) fn get_parse<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        default: T,
+    ) -> Result<T, ArgError> {
         match self.get(key) {
             None => Ok(default),
             Some(v) => v
@@ -106,7 +110,7 @@ impl Args {
     }
 
     /// Whether a bare `--switch` was given.
-    pub fn has(&self, key: &str) -> bool {
+    pub(crate) fn has(&self, key: &str) -> bool {
         self.switches.iter().any(|s| s == key)
     }
 
@@ -117,7 +121,7 @@ impl Args {
     ///
     /// Returns an error naming the first (in name order) flag not in
     /// `known`.
-    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), ArgError> {
+    pub(crate) fn reject_unknown(&self, known: &[&str]) -> Result<(), ArgError> {
         let mut given: Vec<&str> = self
             .flags
             .keys()

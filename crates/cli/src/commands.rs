@@ -5,7 +5,9 @@ use std::error::Error;
 use std::path::Path;
 use uopcache_bench::apps::trace_for_scaled;
 use uopcache_bench::policies::{PolicyId, PolicyRegistry, ProfileInputs};
-use uopcache_bench::sweep::{run_sweep, SweepReport, SweepSpec, SAMPLE_EVERY, SCHEMA_VERSION};
+use uopcache_bench::sweep::{
+    frontend_config, try_run_sweep, SweepReport, SweepSpec, SAMPLE_EVERY, SCHEMA_VERSION,
+};
 use uopcache_bench::Table;
 use uopcache_core::{Flack, FurbysPipeline, OracleKind};
 use uopcache_exec::{Engine, TaskKey};
@@ -20,7 +22,7 @@ use uopcache_trace::{
 };
 
 /// Top-level usage text.
-pub const USAGE: &str = "\
+pub(crate) const USAGE: &str = "\
 usage: uopcache <command> [options]
 
 commands:
@@ -158,7 +160,7 @@ const COMMANDS: &[(&str, &[&[&str]], Run)] = &[
 ///
 /// Any argument, I/O or lookup failure, formatted for display; a flag the
 /// command does not accept is an error naming the flag.
-pub fn dispatch(argv: &[String]) -> Result<(), Box<dyn Error>> {
+pub(crate) fn dispatch(argv: &[String]) -> Result<(), Box<dyn Error>> {
     let args = Args::parse(argv);
     let command = match args.positional(0) {
         None => None,
@@ -186,16 +188,13 @@ fn parse_app(name: &str) -> Result<AppId, ArgError> {
 }
 
 fn parse_config(args: &Args) -> Result<FrontendConfig, ArgError> {
-    let mut cfg = match args.get("config").unwrap_or("zen3") {
-        "zen3" => FrontendConfig::zen3(),
-        "zen4" => FrontendConfig::zen4(),
-        other => return Err(ArgError(format!("unknown config {other:?}"))),
+    let geometry = |flag| {
+        args.get(flag)
+            .map(|_| args.get_parse(flag, 0u32))
+            .transpose()
     };
-    cfg.uop_cache = cfg
-        .uop_cache
-        .with_entries(args.get_parse("entries", cfg.uop_cache.entries)?)
-        .with_ways(args.get_parse("ways", cfg.uop_cache.ways)?);
-    Ok(cfg)
+    let config = args.get("config").unwrap_or("zen3");
+    frontend_config(config, geometry("entries")?, geometry("ways")?).map_err(ArgError)
 }
 
 fn load_trace(args: &Args) -> Result<LookupTrace, Box<dyn Error>> {
@@ -390,59 +389,36 @@ fn cmd_compare(args: &Args) -> Result<(), Box<dyn Error>> {
 /// `--policies`, `--config`, `--entries`, `--ways`, `--variant`, `--len`,
 /// `--metrics`) — the same parsing for `sweep` (offline) and `submit`
 /// (served), so both paths describe identical work.
-fn spec_from_args(args: &Args) -> Result<SweepSpec, Box<dyn Error>> {
-    let cfg = parse_config(args)?;
-    let config_name = args.get("config").unwrap_or("zen3").to_string();
-    let apps = match args.get("apps") {
-        None => AppId::ALL.to_vec(),
-        Some(list) => list
-            .split(',')
-            .map(parse_app)
-            .collect::<Result<Vec<_>, _>>()?,
+/// The sweep spec the flags name. The flags become the spec's wire form
+/// and [`SweepSpec::from_json`] reads it back, so `sweep`, `sample` and
+/// `submit` accept exactly the specs a daemon accepts.
+fn spec_from_args(args: &Args) -> Result<SweepSpec, ArgError> {
+    let names = |flag: &str, all: Vec<String>| {
+        let names = args
+            .get(flag)
+            .map_or(all, |list| list.split(',').map(str::to_string).collect());
+        Json::Arr(names.into_iter().map(Json::Str).collect())
     };
-    let registry = PolicyRegistry::all();
-    let policies = match args.get("policies") {
-        None => PolicyId::ONLINE
-            .iter()
-            .map(|p| p.name().to_string())
-            .collect(),
-        Some(list) => list
-            .split(',')
-            .map(|p| {
-                registry
-                    .resolve(p)
-                    .map(|id| id.name().to_string())
-                    .map_err(ArgError)
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    };
-    let sample = match args.get("sample") {
-        None => None,
-        Some(_) => {
-            let v = args.get_parse("sample", 0u64)?;
-            if v == 0 {
-                return Err(Box::new(ArgError(
-                    "--sample must be at least 1 micro-op".into(),
-                )));
-            }
-            Some(v)
+    let apps = AppId::ALL.iter().map(|a| a.name().to_string()).collect();
+    let policies = PolicyId::ONLINE
+        .iter()
+        .map(|p| p.name().to_string())
+        .collect();
+    let mut wire = vec![
+        (
+            "config".to_string(),
+            Json::Str(args.get("config").unwrap_or("zen3").into()),
+        ),
+        ("apps".to_string(), names("apps", apps)),
+        ("policies".to_string(), names("policies", policies)),
+        ("metrics".to_string(), Json::Bool(args.has("metrics"))),
+    ];
+    for flag in ["entries", "ways", "variant", "len", "scale", "sample"] {
+        if args.get(flag).is_some() {
+            wire.push((flag.to_string(), Json::U64(args.get_parse(flag, 0u64)?)));
         }
-    };
-    let scale = args.get_parse("scale", 1u64)?;
-    if scale == 0 {
-        return Err(Box::new(ArgError("--scale must be at least 1".into())));
     }
-    Ok(SweepSpec {
-        cfg,
-        config_name,
-        apps,
-        policies,
-        variant: args.get_parse("variant", 0u32)?,
-        len: args.get_parse("len", 100_000usize)?,
-        metrics: args.has("metrics"),
-        sample,
-        scale,
-    })
+    SweepSpec::from_json(&Json::Obj(wire)).map_err(ArgError)
 }
 
 /// The engine `--jobs N` asks for, or one worker per available core when
@@ -463,7 +439,7 @@ fn engine_from_args(args: &Args) -> Result<Engine, ArgError> {
 fn cmd_sweep(args: &Args) -> Result<(), Box<dyn Error>> {
     let spec = spec_from_args(args)?;
     let engine = engine_from_args(args)?;
-    let report = run_sweep(&spec, &engine);
+    let report = try_run_sweep(&spec, &engine).map_err(ArgError)?;
 
     let mut t = Table::new(
         &format!(
@@ -582,7 +558,7 @@ fn cmd_sample(args: &Args) -> Result<(), Box<dyn Error>> {
     let mut spec = spec_from_args(args)?;
     let interval = *spec.sample.get_or_insert(20_000);
     let engine = engine_from_args(args)?;
-    let report = run_sweep(&spec, &engine);
+    let report = try_run_sweep(&spec, &engine).map_err(ArgError)?;
 
     let mut t = Table::new(
         &format!(
@@ -627,7 +603,7 @@ fn cmd_sample(args: &Args) -> Result<(), Box<dyn Error>> {
         let gate: f64 = args.get_parse("gate", 0.02f64)?;
         let mut full_spec = spec.clone();
         full_spec.sample = None;
-        let full = run_sweep(&full_spec, &engine);
+        let full = try_run_sweep(&full_spec, &engine).map_err(ArgError)?;
         let mut violations = 0usize;
         let mut t = Table::new(
             "sampled vs full simulation (uop hit rate)",
@@ -1141,6 +1117,7 @@ fn cmd_list_experiments(_: &Args) -> Result<(), Box<dyn Error>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uopcache_bench::sweep::MAX_SPEC_INTERVALS;
 
     fn run(line: &str) -> Result<(), Box<dyn Error>> {
         dispatch(
@@ -1335,11 +1312,61 @@ mod tests {
     }
 
     #[test]
+    fn geometries_the_cache_cannot_hold_are_refused() {
+        for (flags, want) in [
+            ("--ways 0", "outside 1..=64"),
+            ("--entries 7 --ways 8", "not a positive multiple"),
+            ("--ways 128 --entries 1024", "outside 1..=64"),
+            ("--entries 1000000000 --ways 1", "sets"),
+        ] {
+            let err = run(&format!(
+                "sweep --apps kafka --policies lru --len 2000 {flags}"
+            ))
+            .expect_err(flags)
+            .to_string();
+            assert!(err.contains(want), "{flags}: {err}");
+            // The commands that read only the configuration flags share the
+            // same check.
+            let err = run(&format!("inspect --app kafka --len 1000 {flags}"))
+                .expect_err(flags)
+                .to_string();
+            assert!(err.contains(want), "inspect {flags}: {err}");
+        }
+    }
+
+    #[test]
+    fn specs_the_daemon_refuses_are_refused_before_any_work() {
+        let err = run("sweep --apps kafka --policies lru --len 1 --scale 100000000")
+            .expect_err("10^8 epochs")
+            .to_string();
+        assert!(err.contains("exceeds"), "{err}");
+        let err = run("sample --apps kafka --policies lru --len 1000 --sample 0")
+            .expect_err("empty intervals")
+            .to_string();
+        assert!(err.contains("sample"), "{err}");
+        let err = run("submit --addr 127.0.0.1:9 --apps kafka --policies lru --scale 0")
+            .expect_err("no epochs")
+            .to_string();
+        assert!(err.contains("scale"), "{err}");
+    }
+
+    #[test]
+    fn a_trace_cutting_too_many_intervals_is_an_error_not_a_panic() {
+        let err = run("sweep --apps kafka --policies lru --len 70000 --sample 1")
+            .expect_err("70 000 one-uop intervals")
+            .to_string();
+        assert!(
+            err.contains(&format!("more than {MAX_SPEC_INTERVALS} intervals")),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn duel_placement_bounds_the_scaled_trace() {
         let line = "sweep --apps kafka --policies lru,set-dueling --len 1500 --scale 2";
         let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
         let spec = spec_from_args(&Args::parse(&argv)).unwrap();
-        let report = run_sweep(&spec, &Engine::new(2));
+        let report = try_run_sweep(&spec, &Engine::new(2)).unwrap();
         let rendered = duel_placement(&spec, &report).render();
         let flack = |scale| {
             let trace = trace_for_scaled(AppId::Kafka, 0, 1_500, scale);

@@ -89,7 +89,7 @@ impl Flack {
     }
 
     /// The replay timing this variant uses.
-    pub fn timing(&self) -> EvictionTiming {
+    pub(crate) fn timing(&self) -> EvictionTiming {
         if self.asynchrony {
             EvictionTiming::Lazy
         } else {

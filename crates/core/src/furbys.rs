@@ -37,7 +37,7 @@ const RRPV_INSERT: u8 = 2;
 ///     UopCacheConfig::zen3(),
 ///     Box::new(FurbysPolicy::new(hints)),
 /// );
-/// assert_eq!(cache.policy_name(), "FURBYS");
+/// assert_eq!(cache.policy().name(), "FURBYS");
 /// ```
 #[derive(Clone, Debug)]
 pub struct FurbysPolicy {
@@ -66,7 +66,7 @@ impl FurbysPolicy {
     /// Creates the policy with explicit hyper-parameters (for the Fig. 20/21
     /// sensitivity studies). `detector_depth == 0` disables the pitfall
     /// detector; `k == u8::MAX` disables bypassing.
-    pub fn with_params(hints: HintMap, k: u8, detector_depth: usize) -> Self {
+    pub(crate) fn with_params(hints: HintMap, k: u8, detector_depth: usize) -> Self {
         FurbysPolicy {
             hints,
             k,
@@ -78,13 +78,13 @@ impl FurbysPolicy {
     }
 
     /// The profiled weight of a start address (unprofiled PWs weigh 0).
-    pub fn weight_of(&self, start: Addr) -> u8 {
+    pub(crate) fn weight_of(&self, start: Addr) -> u8 {
         self.hints.get(start)
     }
 
     /// Swaps the weight table, preserving all replacement metadata (SRRIP
     /// bits, pitfall detector). Used by the phase-aware extension.
-    pub fn replace_hints(&mut self, hints: HintMap) {
+    pub(crate) fn replace_hints(&mut self, hints: HintMap) {
         self.hints = hints;
     }
 

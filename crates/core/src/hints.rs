@@ -60,7 +60,8 @@ impl HintMap {
     }
 
     /// The hint width in bits.
-    pub fn bits(&self) -> u8 {
+    #[cfg(test)]
+    pub(crate) fn bits(&self) -> u8 {
         self.bits
     }
 
@@ -94,7 +95,8 @@ impl HintMap {
     }
 
     /// Iterates over `(start, weight)` pairs in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Addr, &u8)> {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&Addr, &u8)> {
         self.weights.iter()
     }
 

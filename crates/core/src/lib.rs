@@ -52,12 +52,12 @@
 //! ```
 
 pub mod flack;
-pub mod furbys;
-pub mod hints;
+mod furbys;
+mod hints;
 pub mod jenks;
 pub mod phased;
-pub mod pipeline;
-pub mod weights;
+mod pipeline;
+mod weights;
 
 pub use flack::{Flack, FlackOutcome};
 pub use furbys::FurbysPolicy;

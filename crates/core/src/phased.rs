@@ -81,7 +81,7 @@ impl PhasedProfile {
 /// let obs = vec![(Addr::new(0x1000), 4, 4), (Addr::new(0x2000), 0, 4)];
 /// let profile = PhasedProfile::from_observations(&obs, &cfg, &WeightConfig::default(), 2);
 /// let cache = UopCache::new(cfg, Box::new(PhasedFurbysPolicy::new(profile)));
-/// assert_eq!(cache.policy_name(), "FURBYS-phased");
+/// assert_eq!(cache.policy().name(), "FURBYS-phased");
 /// ```
 pub struct PhasedFurbysPolicy {
     tables: Vec<HintMap>,
@@ -115,7 +115,8 @@ impl PhasedFurbysPolicy {
     }
 
     /// The index of the currently active table (0 = whole-execution).
-    pub fn active_table(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn active_table(&self) -> usize {
         self.active
     }
 

@@ -3,11 +3,11 @@
 //! The engine stamps every task's lifecycle (submitted / started / finished)
 //! through a [`Clock`], so what "time" means is the caller's choice:
 //!
-//! * [`NullClock`] — always 0. The default: profiles exist but every
+//! * `NullClock` — always 0. The default: profiles exist but every
 //!   duration is zero, which keeps canonical JSON byte-identical across
 //!   worker counts and runs.
 //! * [`WallClock`] — nanoseconds since construction, for real profiling.
-//! * [`CountingClock`] — a monotonically increasing counter, for tests that
+//! * `CountingClock` — a monotonically increasing counter, for tests that
 //!   need non-zero but reproducible orderings.
 //! * [`ManualClock`] — a clock the test advances by hand, for timeout logic
 //!   (the serving layer's idle/stall deadlines run on this seam).
@@ -50,7 +50,8 @@ impl Deadline {
     }
 
     /// A deadline that never expires.
-    pub fn never() -> Deadline {
+    #[cfg(test)]
+    pub(crate) fn never() -> Deadline {
         Deadline { at: u64::MAX }
     }
 
@@ -63,7 +64,7 @@ impl Deadline {
 /// The deterministic default: every reading is 0, so every derived duration
 /// is 0 and profiles carry no run-to-run noise.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct NullClock;
+pub(crate) struct NullClock;
 
 impl Clock for NullClock {
     fn now(&self) -> u64 {
@@ -108,18 +109,21 @@ impl Clock for WallClock {
 /// A deterministic test clock: each reading returns the next integer,
 /// starting from 0. Readings taken from multiple threads are still unique
 /// and monotone, though their interleaving follows the scheduler.
+#[cfg(test)]
 #[derive(Debug, Default)]
-pub struct CountingClock {
+pub(crate) struct CountingClock {
     next: AtomicU64,
 }
 
+#[cfg(test)]
 impl CountingClock {
     /// A counting clock starting at 0.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
 
+#[cfg(test)]
 impl Clock for CountingClock {
     fn now(&self) -> u64 {
         self.next.fetch_add(1, Ordering::Relaxed)

@@ -35,9 +35,9 @@
 //! ```
 
 pub mod clock;
-pub mod pool;
+mod pool;
 pub mod seed;
 
-pub use clock::{Clock, CountingClock, Deadline, ManualClock, NullClock, WallClock};
-pub use pool::{Engine, ProgressEvent, SweepOutcome, TaskFailure, TaskOutcome, TaskProfile};
+pub use clock::{Clock, Deadline, ManualClock, WallClock};
+pub use pool::{Engine, SweepOutcome, TaskFailure, TaskOutcome, TaskProfile};
 pub use seed::TaskKey;

@@ -13,7 +13,6 @@ use crate::clock::{Clock, NullClock};
 use crate::seed::TaskKey;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -54,7 +53,7 @@ pub struct TaskOutcome<R> {
 
 impl<R> TaskOutcome<R> {
     /// The structured failure, if the task panicked.
-    pub fn failure(&self) -> Option<TaskFailure> {
+    pub(crate) fn failure(&self) -> Option<TaskFailure> {
         self.result.as_ref().err().map(|message| TaskFailure {
             key: self.key.clone(),
             seed: self.seed,
@@ -66,7 +65,7 @@ impl<R> TaskOutcome<R> {
 /// The lifecycle profile of one task, stamped through the engine's
 /// [`Clock`].
 ///
-/// With the default [`NullClock`] every tick is 0, so profiles are inert and
+/// With the default `NullClock` every tick is 0, so profiles are inert and
 /// deterministic; inject a [`WallClock`](crate::clock::WallClock) via
 /// [`Engine::with_clock`] to measure real queue waits and run times.
 ///
@@ -153,54 +152,13 @@ impl<R> SweepOutcome<R> {
             })
             .collect()
     }
-
-    /// Tasks completed per second, by wall clock.
-    pub fn throughput(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.outcomes.len() as f64 / secs
-        } else {
-            0.0
-        }
-    }
 }
-
-/// A progress snapshot, delivered to the engine's progress sink after each
-/// task completes.
-#[derive(Clone, Debug)]
-pub struct ProgressEvent {
-    /// Tasks completed so far (including the one just finished).
-    pub done: usize,
-    /// Tasks in the batch.
-    pub total: usize,
-    /// The key of the task that just completed.
-    pub key: TaskKey,
-    /// Whether that task failed.
-    pub failed: bool,
-    /// Time since the batch started.
-    pub elapsed: Duration,
-}
-
-impl ProgressEvent {
-    /// Completed tasks per second so far.
-    pub fn throughput(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.done as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
-
-type ProgressSink = Box<dyn Fn(&ProgressEvent) + Send + Sync>;
 
 /// The parallel experiment engine.
 ///
 /// See the [crate docs](crate) for the determinism contract and an example.
 pub struct Engine {
     jobs: usize,
-    progress: Option<ProgressSink>,
     clock: Arc<dyn Clock>,
 }
 
@@ -210,7 +168,6 @@ impl Engine {
     pub fn new(jobs: usize) -> Self {
         Engine {
             jobs: jobs.max(1),
-            progress: None,
             clock: Arc::new(NullClock),
         }
     }
@@ -226,38 +183,12 @@ impl Engine {
     }
 
     /// Installs the clock that stamps [`TaskProfile`]s. The default
-    /// [`NullClock`] reads 0 forever, keeping profiles deterministic; inject
+    /// `NullClock` reads 0 forever, keeping profiles deterministic; inject
     /// a [`WallClock`](crate::clock::WallClock) for real measurements.
     #[must_use]
     pub fn with_clock(mut self, clock: impl Clock + 'static) -> Self {
         self.clock = Arc::new(clock);
         self
-    }
-
-    /// Installs a progress sink, called after every task completion (from
-    /// whichever thread completed it).
-    #[must_use]
-    pub fn with_progress(mut self, sink: impl Fn(&ProgressEvent) + Send + Sync + 'static) -> Self {
-        self.progress = Some(Box::new(sink));
-        self
-    }
-
-    /// Installs a progress sink that prints a `[tag] done/total key (rate/s)`
-    /// line to stderr after each completion — the observability hook for
-    /// long reproductions.
-    #[must_use]
-    pub fn with_stderr_progress(self, tag: &str) -> Self {
-        let tag = tag.to_string();
-        self.with_progress(move |ev| {
-            eprintln!(
-                "[{tag}] {}/{} {}{} ({:.1} tasks/s)",
-                ev.done,
-                ev.total,
-                ev.key,
-                if ev.failed { " FAILED" } else { "" },
-                ev.throughput()
-            );
-        })
     }
 
     /// Runs every task and returns the outcomes **in submission order**.
@@ -274,11 +205,10 @@ impl Engine {
     {
         #[expect(
             clippy::disallowed_methods,
-            reason = "elapsed feeds the human throughput display only; wall-clock noise is excluded from Eq"
+            reason = "elapsed feeds the run times printed for people only; wall-clock noise is excluded from Eq"
         )]
         let started = Instant::now();
         let total = tasks.len();
-        let done = AtomicUsize::new(0);
         let clock = &self.clock;
 
         // (worker, stolen, submitted-tick) → outcome + lifecycle profile.
@@ -303,15 +233,6 @@ impl Engine {
                 worker,
                 stolen,
             };
-            if let Some(sink) = &self.progress {
-                sink(&ProgressEvent {
-                    done: done.fetch_add(1, Ordering::Relaxed) + 1,
-                    total,
-                    key: outcome.key.clone(),
-                    failed: outcome.result.is_err(),
-                    elapsed: started.elapsed(),
-                });
-            }
             (outcome, profile)
         };
 
@@ -397,10 +318,7 @@ impl Engine {
 
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Engine")
-            .field("jobs", &self.jobs)
-            .field("progress", &self.progress.is_some())
-            .finish()
+        f.debug_struct("Engine").field("jobs", &self.jobs).finish()
     }
 }
 
@@ -427,7 +345,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     fn keys(n: usize) -> Vec<(TaskKey, usize)> {
         (0..n)
@@ -468,22 +385,6 @@ mod tests {
         assert!(failures[0].message.contains("boom"), "{failures:?}");
         let ok = out.outcomes.iter().filter(|o| o.result.is_ok()).count();
         assert_eq!(ok, 31, "siblings must complete");
-    }
-
-    #[test]
-    fn progress_sink_sees_every_completion() {
-        let seen = std::sync::Arc::new(AtomicU64::new(0));
-        let max_done = std::sync::Arc::new(AtomicU64::new(0));
-        let (seen_sink, max_sink) = (seen.clone(), max_done.clone());
-        Engine::new(3)
-            .with_progress(move |ev| {
-                seen_sink.fetch_add(1, Ordering::Relaxed);
-                max_sink.fetch_max(ev.done as u64, Ordering::Relaxed);
-                assert_eq!(ev.total, 20);
-            })
-            .run(keys(20), |_k, _s, i| i);
-        assert_eq!(seen.load(Ordering::Relaxed), 20);
-        assert_eq!(max_done.load(Ordering::Relaxed), 20);
     }
 
     #[test]

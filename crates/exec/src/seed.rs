@@ -63,11 +63,6 @@ impl TaskKey {
         }
     }
 
-    /// The key's components, in order.
-    pub fn parts(&self) -> &[String] {
-        &self.parts
-    }
-
     /// A new key with `part` appended — the child task's name. Used to key
     /// sub-tasks of a logical cell (e.g. per-representative segment runs of
     /// one sampled sweep cell) so their seeds derive from the same scheme.

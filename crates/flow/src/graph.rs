@@ -78,7 +78,8 @@ impl FlowGraph {
     }
 
     /// Number of nodes.
-    pub fn node_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn node_count(&self) -> usize {
         self.adj.len()
     }
 
@@ -96,7 +97,8 @@ impl FlowGraph {
     }
 
     /// Number of (forward) edges.
-    pub fn edge_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn edge_count(&self) -> usize {
         self.edges.len() / 2
     }
 
@@ -144,7 +146,8 @@ impl FlowGraph {
     }
 
     /// Remaining capacity of the edge.
-    pub fn residual_on(&self, id: EdgeId) -> i64 {
+    #[cfg(test)]
+    pub(crate) fn residual_on(&self, id: EdgeId) -> i64 {
         self.edges[id.0].cap
     }
 

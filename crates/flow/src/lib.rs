@@ -34,6 +34,6 @@
 //! assert_eq!(g.flow_on(pricey), 2);
 //! ```
 
-pub mod graph;
+mod graph;
 
 pub use graph::{EdgeId, FlowGraph, McmfResult};

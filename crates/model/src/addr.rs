@@ -59,7 +59,7 @@ impl Addr {
     }
 
     /// Returns the address advanced by `bytes`.
-    pub const fn offset(self, bytes: u64) -> Self {
+    pub(crate) const fn offset(self, bytes: u64) -> Self {
         Addr(self.0 + bytes)
     }
 }
@@ -114,7 +114,7 @@ impl LineAddr {
     /// # Panics
     ///
     /// Panics if `sets` or `line_bytes` is not a power of two.
-    pub fn set_index(self, sets: u64, line_bytes: u64) -> usize {
+    pub(crate) fn set_index(self, sets: u64, line_bytes: u64) -> usize {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         assert!(
             line_bytes.is_power_of_two(),

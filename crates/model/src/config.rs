@@ -132,7 +132,7 @@ pub struct IcacheConfig {
 
 impl IcacheConfig {
     /// Table I preset: 32 KiB, 8-way, 64 B lines, 1-cycle.
-    pub const fn zen3() -> Self {
+    pub(crate) const fn zen3() -> Self {
         IcacheConfig {
             size_bytes: 32 * 1024,
             ways: 8,
@@ -146,7 +146,8 @@ impl IcacheConfig {
     /// # Panics
     ///
     /// Panics if the geometry does not divide evenly.
-    pub fn sets(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn sets(&self) -> u32 {
         let lines = self.size_bytes / self.line_bytes;
         assert!(
             self.ways > 0 && lines.is_multiple_of(self.ways),
@@ -174,7 +175,7 @@ pub struct DecoderConfig {
 
 impl DecoderConfig {
     /// Table I preset: 4-wide, 5-cycle.
-    pub const fn zen3() -> Self {
+    pub(crate) const fn zen3() -> Self {
         DecoderConfig {
             width: 4,
             latency: 5,
@@ -209,7 +210,7 @@ pub struct BpuConfig {
 
 impl BpuConfig {
     /// Table I preset.
-    pub const fn zen3() -> Self {
+    pub(crate) const fn zen3() -> Self {
         BpuConfig {
             btb_entries: 8192,
             btb_ways: 4,
@@ -245,7 +246,7 @@ pub struct BackendConfig {
 
 impl BackendConfig {
     /// Table I preset.
-    pub const fn zen3() -> Self {
+    pub(crate) const fn zen3() -> Self {
         BackendConfig {
             freq_ghz: 3.2,
             width: 6,
@@ -278,7 +279,7 @@ pub struct PerfectStructures {
 
 impl PerfectStructures {
     /// Nothing perfect: the realistic baseline.
-    pub const fn none() -> Self {
+    pub(crate) const fn none() -> Self {
         PerfectStructures {
             uop_cache: false,
             icache: false,

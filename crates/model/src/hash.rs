@@ -79,7 +79,7 @@ impl Hasher for FastHasher {
 }
 
 /// Hasher state for [`FastHasher`]-backed maps.
-pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
+pub(crate) type FastBuildHasher = BuildHasherDefault<FastHasher>;
 
 /// A `HashMap` keyed with [`FastHasher`].
 ///

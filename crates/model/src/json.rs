@@ -120,7 +120,7 @@ impl Json {
     }
 
     /// The value as an `i64` (accepts any in-range integer).
-    pub fn as_i64(&self) -> Option<i64> {
+    pub(crate) fn as_i64(&self) -> Option<i64> {
         match *self {
             Json::U64(v) => i64::try_from(v).ok(),
             Json::I64(v) => Some(v),

@@ -21,13 +21,13 @@
 //! assert_eq!(pw.entries(8), 2);         // spans two 8-uop entries
 //! ```
 
-pub mod access;
+mod access;
 pub mod addr;
 pub mod alloc;
 pub mod config;
 pub mod hash;
 pub mod json;
-pub mod pw;
+mod pw;
 pub mod rng;
 pub mod stats;
 

@@ -21,13 +21,9 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Miss ratio in `[0, 1]`; zero when there were no accesses.
-    pub fn miss_rate(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn miss_rate(&self) -> f64 {
         ratio(self.misses, self.accesses)
-    }
-
-    /// Hit ratio in `[0, 1]`; zero when there were no accesses.
-    pub fn hit_rate(&self) -> f64 {
-        ratio(self.hits, self.accesses)
     }
 }
 
@@ -108,12 +104,6 @@ impl UopCacheStats {
     /// Micro-op-granularity hit rate in `[0, 1]`.
     pub fn uop_hit_rate(&self) -> f64 {
         ratio(self.uops_hit, self.uops_requested)
-    }
-
-    /// PW-granularity miss rate (partial hits count as half a miss is *not*
-    /// assumed; a partial hit is not a full miss, so only full misses count).
-    pub fn pw_miss_rate(&self) -> f64 {
-        ratio(self.pw_misses, self.lookups)
     }
 
     /// Fraction of insertions avoided by bypassing.
@@ -264,14 +254,6 @@ impl SimResult {
             return 0.0;
         }
         self.events.retired_instructions as f64 / self.events.cycles as f64
-    }
-
-    /// Micro-ops per cycle.
-    pub fn upc(&self) -> f64 {
-        if self.events.cycles == 0 {
-            return 0.0;
-        }
-        self.events.retired_uops as f64 / self.events.cycles as f64
     }
 
     /// IPC speedup of `self` over `baseline`, in percent.

@@ -28,7 +28,7 @@ pub struct CandidateDuel {
 
 impl CandidateDuel {
     /// Canonical JSON rendering (fixed field order).
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("name".to_string(), Json::Str(self.name.clone())),
             (

@@ -59,10 +59,10 @@
 //! ```
 
 pub mod digest;
-pub mod duel;
+mod duel;
 pub mod event;
-pub mod metrics;
-pub mod recorder;
+mod metrics;
+mod recorder;
 
 pub use digest::{DigestRecorder, StreamDigest};
 pub use duel::{CandidateDuel, DuelStats};

@@ -27,7 +27,7 @@ pub struct Histogram {
 impl Histogram {
     /// A histogram with explicit inclusive upper bucket edges (must be
     /// strictly increasing; an overflow bucket is added automatically).
-    pub fn with_edges(edges: Vec<u64>) -> Self {
+    pub(crate) fn with_edges(edges: Vec<u64>) -> Self {
         debug_assert!(edges.windows(2).all(|w| w[0] < w[1]), "edges must ascend");
         let buckets = edges.len() + 1;
         Histogram {
@@ -56,12 +56,14 @@ impl Histogram {
     }
 
     /// The inclusive upper bucket edges.
-    pub fn edges(&self) -> &[u64] {
+    #[cfg(test)]
+    pub(crate) fn edges(&self) -> &[u64] {
         &self.edges
     }
 
     /// Per-bucket counts (one more than `edges`: the last is overflow).
-    pub fn counts(&self) -> &[u64] {
+    #[cfg(test)]
+    pub(crate) fn counts(&self) -> &[u64] {
         &self.counts
     }
 
@@ -90,7 +92,7 @@ impl Histogram {
     ///
     /// Panics if the bucket edges differ — merging histograms of different
     /// metrics is a programming error, not a data condition.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         assert_eq!(
             self.edges, other.edges,
             "cannot merge histograms with different bucket edges"
@@ -103,7 +105,7 @@ impl Histogram {
     }
 
     /// Canonical JSON: `{"edges":[...],"counts":[...],"total":N,"sum":N}`.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::Obj(vec![
             (
                 "edges".to_string(),
@@ -137,7 +139,7 @@ impl MetricsRegistry {
     }
 
     /// Adds `by` to a named counter (creating it at zero).
-    pub fn add(&mut self, name: &str, by: u64) {
+    pub(crate) fn add(&mut self, name: &str, by: u64) {
         *self.counters.entry(name.to_string()).or_insert(0) += by; // audit:allow(hot-path-alloc) — interns the counter name on first touch; warmed counters hit the map
     }
 
@@ -158,13 +160,9 @@ impl MetricsRegistry {
     }
 
     /// The level of a gauge (0 if never set).
-    pub fn gauge(&self, name: &str) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn gauge(&self, name: &str) -> u64 {
         self.gauges.get(name).copied().unwrap_or(0)
-    }
-
-    /// All gauges, in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
     /// Registers a histogram under `name` if absent, then returns it for
@@ -183,7 +181,7 @@ impl MetricsRegistry {
     /// # Panics
     ///
     /// Panics if no histogram of that name was registered.
-    pub fn observe(&mut self, name: &str, value: u64) {
+    pub(crate) fn observe(&mut self, name: &str, value: u64) {
         self.histograms
             .get_mut(name)
             .unwrap_or_else(|| panic!("histogram {name:?} was never registered"))
@@ -191,7 +189,8 @@ impl MetricsRegistry {
     }
 
     /// A registered histogram, if present.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
+    #[cfg(test)]
+    pub(crate) fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
     }
 

@@ -143,11 +143,6 @@ impl SamplingRecorder {
             offered: 0,
         }
     }
-
-    /// The sampling period (1 keeps everything).
-    pub fn every(&self) -> u64 {
-        self.every
-    }
 }
 
 impl Recorder for SamplingRecorder {
@@ -224,13 +219,9 @@ impl MetricsRecorder {
     }
 
     /// The derived registry.
-    pub fn registry(&self) -> &MetricsRegistry {
+    #[cfg(test)]
+    pub(crate) fn registry(&self) -> &MetricsRegistry {
         &self.registry
-    }
-
-    /// Consumes the recorder, returning the registry and the inner sink.
-    pub fn into_parts(self) -> (MetricsRegistry, Box<dyn Recorder>) {
-        (self.registry, self.inner)
     }
 
     fn on_lookup(&mut self, ev: &Event) {

@@ -52,7 +52,7 @@ impl BeladyPolicy {
     /// cursors. Together with [`BeladyPolicy::into_index`] this lets repeated
     /// passes over the same trace share one index instead of re-scanning the
     /// trace per pass.
-    pub fn from_index(mut occ: OccurrenceIndex) -> Self {
+    pub(crate) fn from_index(mut occ: OccurrenceIndex) -> Self {
         occ.reset_cursors();
         BeladyPolicy {
             occ,
@@ -62,13 +62,9 @@ impl BeladyPolicy {
     }
 
     /// Recovers the occurrence index for reuse in a later pass.
-    pub fn into_index(self) -> OccurrenceIndex {
+    #[cfg(test)]
+    pub(crate) fn into_index(self) -> OccurrenceIndex {
         self.occ
-    }
-
-    /// The current position in the trace (for diagnostics).
-    pub fn position(&self) -> u32 {
-        self.clock
     }
 }
 

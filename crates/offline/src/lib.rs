@@ -34,7 +34,7 @@
 //! assert_eq!(stats.lookups, 3_000);
 //! ```
 
-pub mod belady;
+mod belady;
 pub mod foo;
 pub mod identify;
 pub mod occurrences;

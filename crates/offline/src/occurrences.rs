@@ -58,14 +58,15 @@ impl OccurrenceIndex {
     }
 
     /// Total occurrences of `start` in the trace.
-    pub fn count(&self, start: Addr) -> usize {
+    #[cfg(test)]
+    pub(crate) fn count(&self, start: Addr) -> usize {
         self.positions.get(&start).map_or(0, |(l, _)| l.len())
     }
 
     /// Rewinds every per-address cursor to the start of the trace, so the
     /// index can serve another in-order replay of the same trace without
     /// being rebuilt (the position lists are immutable; only cursors move).
-    pub fn reset_cursors(&mut self) {
+    pub(crate) fn reset_cursors(&mut self) {
         for (_, cursor) in self.positions.values_mut() {
             *cursor = 0;
         }

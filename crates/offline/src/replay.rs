@@ -168,7 +168,7 @@ pub fn replay(
 /// As [`replay`], additionally returning per-access observations
 /// `(start, hit_uops, total_uops)` — FURBYS builds its hit-rate profile from
 /// these (STEP 5 of the pipeline).
-pub fn replay_observed(
+pub(crate) fn replay_observed(
     trace: &LookupTrace,
     cfg: &UopCacheConfig,
     solution: &FooSolution,
@@ -177,7 +177,7 @@ pub fn replay_observed(
     replay_full(trace, cfg, solution, timing, false)
 }
 
-/// As [`replay_observed`] with optional cold/capacity/conflict miss
+/// As `replay_observed` with optional cold/capacity/conflict miss
 /// classification (used by the §III-B study to show how a near-optimal
 /// policy shrinks capacity and conflict misses).
 pub fn replay_full(
@@ -196,7 +196,7 @@ pub fn replay_full(
 /// caller-provided buffer (cleared first), so callers replaying many
 /// solutions over the same trace reuse one observation allocation across
 /// passes instead of paying a trace-sized `Vec` per replay.
-pub fn replay_full_into(
+pub(crate) fn replay_full_into(
     trace: &LookupTrace,
     cfg: &UopCacheConfig,
     solution: &FooSolution,

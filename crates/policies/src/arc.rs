@@ -26,7 +26,7 @@ const T2: u8 = 2;
 /// use uopcache_policies::ArcPolicy;
 ///
 /// let cache = UopCache::new(UopCacheConfig::zen3(), Box::new(ArcPolicy::new()));
-/// assert_eq!(cache.policy_name(), "ARC");
+/// assert_eq!(cache.policy().name(), "ARC");
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ArcPolicy {

@@ -26,7 +26,7 @@ const T2: u8 = 2;
 /// use uopcache_policies::CarPolicy;
 ///
 /// let cache = UopCache::new(UopCacheConfig::zen3(), Box::new(CarPolicy::new()));
-/// assert_eq!(cache.policy_name(), "CAR");
+/// assert_eq!(cache.policy().name(), "CAR");
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct CarPolicy {

@@ -19,7 +19,7 @@ use uopcache_model::PwDesc;
 /// use uopcache_policies::ClockPolicy;
 ///
 /// let cache = UopCache::new(UopCacheConfig::zen3(), Box::new(ClockPolicy::new()));
-/// assert_eq!(cache.policy_name(), "CLOCK");
+/// assert_eq!(cache.policy().name(), "CLOCK");
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ClockPolicy {

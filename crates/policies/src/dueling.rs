@@ -11,13 +11,13 @@ use crate::slru::SlruPolicy;
 use crate::srrip::SrripPolicy;
 
 /// PSEL saturation ceiling (10-bit counters, the classic DIP width).
-pub const PSEL_MAX: u16 = 1023;
+pub(crate) const PSEL_MAX: u16 = 1023;
 
 /// Default leader sets sampled per candidate.
-pub const DEFAULT_K: usize = 2;
+pub(crate) const DEFAULT_K: usize = 2;
 
 /// Default lookups per duel phase.
-pub const DEFAULT_PHASE_LEN: u64 = 1024;
+pub(crate) const DEFAULT_PHASE_LEN: u64 = 1024;
 
 /// The leader/follower partition: a pure function of `(sets, k, candidates)`
 /// and nothing else, so the same geometry always duels the same sets.
@@ -54,9 +54,9 @@ pub fn leader_map(sets: usize, k: usize, candidates: usize) -> Vec<Option<usize>
 
 /// A set-dueling meta-policy: `k` leader sets per candidate run that
 /// candidate's replacement decisions and feed a saturating PSEL counter
-/// (misses up, hits down, capped at [`PSEL_MAX`]); every other set follows
+/// (misses up, hits down, capped at `PSEL_MAX`); every other set follows
 /// the candidate whose leaders showed the least miss pressure in the last
-/// phase. Winners are re-evaluated every [`phase_len`] lookups; counters
+/// phase. Winners are re-evaluated every `DEFAULT_PHASE_LEN` lookups; counters
 /// reset at the boundary so the duel tracks phase behaviour instead of
 /// accumulated history.
 ///
@@ -65,8 +65,6 @@ pub fn leader_map(sets: usize, k: usize, candidates: usize) -> Vec<Option<usize>
 /// and bypass — are routed to the set's active candidate. The policy is
 /// fully deterministic: the partition is [`leader_map`], the counters are
 /// integers, and ties at a phase boundary keep the incumbent.
-///
-/// [`phase_len`]: DEFAULT_PHASE_LEN
 ///
 /// # Examples
 ///
@@ -79,7 +77,7 @@ pub fn leader_map(sets: usize, k: usize, candidates: usize) -> Vec<Option<usize>
 ///     UopCacheConfig::zen3(),
 ///     Box::new(SetDuelingPolicy::default_zoo()),
 /// );
-/// assert_eq!(cache.policy_name(), "set-dueling");
+/// assert_eq!(cache.policy().name(), "set-dueling");
 /// ```
 pub struct SetDuelingPolicy {
     candidates: Vec<Box<dyn PwReplacementPolicy>>,
@@ -134,8 +132,8 @@ impl SetDuelingPolicy {
 
     /// The default duel: LRU (recency), SRRIP (re-reference interval), SLRU
     /// (segmented) and ARC (adaptive) — four static-free candidates covering
-    /// the zoo's main design axes, [`DEFAULT_K`] leaders each,
-    /// [`DEFAULT_PHASE_LEN`]-lookup phases.
+    /// the zoo's main design axes, `DEFAULT_K` leaders each,
+    /// `DEFAULT_PHASE_LEN`-lookup phases.
     pub fn default_zoo() -> Self {
         SetDuelingPolicy::new(
             vec![
@@ -150,7 +148,7 @@ impl SetDuelingPolicy {
     }
 
     /// The candidate names, in duel order.
-    pub fn candidate_names(&self) -> Vec<&'static str> {
+    pub(crate) fn candidate_names(&self) -> Vec<&'static str> {
         self.candidates.iter().map(|c| c.name()).collect()
     }
 
@@ -171,7 +169,7 @@ impl SetDuelingPolicy {
     }
 
     /// The full duel snapshot.
-    pub fn duel_stats(&self) -> DuelStats {
+    pub(crate) fn duel_stats(&self) -> DuelStats {
         DuelStats {
             k: u32::try_from(self.k).expect("k is small"),
             phase_len: self.phase_len,

@@ -13,7 +13,7 @@ use uopcache_model::PwDesc;
 /// use uopcache_policies::FifoPolicy;
 ///
 /// let cache = UopCache::new(UopCacheConfig::zen3(), Box::new(FifoPolicy::new()));
-/// assert_eq!(cache.policy_name(), "FIFO");
+/// assert_eq!(cache.policy().name(), "FIFO");
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct FifoPolicy {

@@ -17,7 +17,7 @@ const TOMBSTONE: u64 = u64::MAX;
 ///
 /// [`reserve`]: GhostRing::reserve
 #[derive(Clone, Debug, Default)]
-pub struct GhostRing {
+pub(crate) struct GhostRing {
     addrs: SlotTable<u64>,
     head: SetTable<u8>,
     len: SetTable<u8>,
@@ -29,12 +29,13 @@ impl GhostRing {
     /// pushes are dropped while unconfigured).
     ///
     /// [`reserve`]: GhostRing::reserve
-    pub fn new() -> Self {
+    #[cfg(test)]
+    pub(crate) fn new() -> Self {
         GhostRing::default()
     }
 
     /// Sizes every ring: `sets` rings of `ways` ghosts each.
-    pub fn reserve(&mut self, sets: usize, ways: u32) {
+    pub(crate) fn reserve(&mut self, sets: usize, ways: u32) {
         let cap = ways.min(255);
         self.addrs.reserve(sets, cap);
         self.head.reserve(sets);
@@ -43,24 +44,19 @@ impl GhostRing {
     }
 
     /// The ring capacity (0 before [`reserve`](GhostRing::reserve)).
-    pub fn capacity(&self) -> u32 {
+    pub(crate) fn capacity(&self) -> u32 {
         self.cap
     }
 
     /// The number of ghosts currently held for `set` (tombstones included;
     /// never exceeds [`capacity`](GhostRing::capacity)).
-    pub fn len(&self, set: usize) -> u32 {
+    pub(crate) fn len(&self, set: usize) -> u32 {
         u32::from(*self.len.get(set))
-    }
-
-    /// Whether `set`'s ring holds no ghosts.
-    pub fn is_empty(&self, set: usize) -> bool {
-        self.len(set) == 0
     }
 
     /// Records `addr` as evicted from `set`, displacing the oldest ghost
     /// once the ring is full.
-    pub fn push(&mut self, set: usize, addr: Addr) {
+    pub(crate) fn push(&mut self, set: usize, addr: Addr) {
         if self.cap == 0 {
             return;
         }
@@ -77,12 +73,12 @@ impl GhostRing {
     }
 
     /// Whether `addr` is a live (non-tombstoned) ghost of `set`.
-    pub fn contains(&self, set: usize, addr: Addr) -> bool {
+    pub(crate) fn contains(&self, set: usize, addr: Addr) -> bool {
         self.position(set, addr).is_some()
     }
 
     /// Tombstones `addr` in `set`'s ring; returns whether it was present.
-    pub fn remove(&mut self, set: usize, addr: Addr) -> bool {
+    pub(crate) fn remove(&mut self, set: usize, addr: Addr) -> bool {
         match self.position(set, addr) {
             Some(cell) => {
                 *self.addrs.get_mut(set, cell) = TOMBSTONE;

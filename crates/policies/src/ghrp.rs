@@ -35,7 +35,7 @@ const RRPV_INSERT: u8 = 2;
 /// use uopcache_policies::GhrpPolicy;
 ///
 /// let cache = UopCache::new(UopCacheConfig::zen3(), Box::new(GhrpPolicy::new()));
-/// assert_eq!(cache.policy_name(), "GHRP");
+/// assert_eq!(cache.policy().name(), "GHRP");
 /// ```
 #[derive(Clone, Debug)]
 pub struct GhrpPolicy {

@@ -20,7 +20,7 @@ use uopcache_model::PwDesc;
 /// use uopcache_policies::LfuPolicy;
 ///
 /// let cache = UopCache::new(UopCacheConfig::zen3(), Box::new(LfuPolicy::new()));
-/// assert_eq!(cache.policy_name(), "LFU");
+/// assert_eq!(cache.policy().name(), "LFU");
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct LfuPolicy {

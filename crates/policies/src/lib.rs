@@ -43,32 +43,31 @@
 //! assert!(stats.uops_hit > 0);
 //! ```
 
-pub mod arc;
-pub mod car;
+mod arc;
+mod car;
 pub mod clock;
 pub mod dueling;
-pub mod fifo;
-pub mod ghost;
-pub mod ghrp;
-pub mod lfu;
-pub mod mockingjay;
-pub mod mru;
+mod fifo;
+mod ghost;
+mod ghrp;
+mod lfu;
+mod mockingjay;
+mod mru;
 pub mod profile;
-pub mod random;
-pub mod runner;
-pub mod ship;
-pub mod slots;
-pub mod slru;
-pub mod srrip;
-pub mod thermometer;
-pub mod twoq;
+mod random;
+mod runner;
+mod ship;
+mod slots;
+mod slru;
+mod srrip;
+mod thermometer;
+mod twoq;
 
 pub use arc::ArcPolicy;
 pub use car::CarPolicy;
 pub use clock::ClockPolicy;
 pub use dueling::SetDuelingPolicy;
 pub use fifo::FifoPolicy;
-pub use ghost::GhostRing;
 pub use ghrp::GhrpPolicy;
 pub use lfu::LfuPolicy;
 pub use mockingjay::MockingjayPolicy;

@@ -36,7 +36,7 @@ const RDP_CAP: usize = 1 << 14;
 /// use uopcache_policies::MockingjayPolicy;
 ///
 /// let cache = UopCache::new(UopCacheConfig::zen3(), Box::new(MockingjayPolicy::new()));
-/// assert_eq!(cache.policy_name(), "Mockingjay");
+/// assert_eq!(cache.policy().name(), "Mockingjay");
 /// ```
 #[derive(Clone, Debug)]
 pub struct MockingjayPolicy {

@@ -16,7 +16,7 @@ use uopcache_model::PwDesc;
 /// use uopcache_policies::MruPolicy;
 ///
 /// let cache = UopCache::new(UopCacheConfig::zen3(), Box::new(MruPolicy::new()));
-/// assert_eq!(cache.policy_name(), "MRU");
+/// assert_eq!(cache.policy().name(), "MRU");
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct MruPolicy {

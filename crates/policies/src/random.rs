@@ -14,7 +14,7 @@ use uopcache_model::PwDesc;
 /// use uopcache_policies::RandomPolicy;
 ///
 /// let cache = UopCache::new(UopCacheConfig::zen3(), Box::new(RandomPolicy::new(7)));
-/// assert_eq!(cache.policy_name(), "Random");
+/// assert_eq!(cache.policy().name(), "Random");
 /// ```
 #[derive(Clone, Debug)]
 pub struct RandomPolicy {

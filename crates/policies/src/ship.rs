@@ -25,7 +25,7 @@ const SHCT_INIT: u8 = 1;
 /// use uopcache_policies::ShipPlusPlusPolicy;
 ///
 /// let cache = UopCache::new(UopCacheConfig::zen3(), Box::new(ShipPlusPlusPolicy::new()));
-/// assert_eq!(cache.policy_name(), "SHiP++");
+/// assert_eq!(cache.policy().name(), "SHiP++");
 /// ```
 #[derive(Clone, Debug)]
 pub struct ShipPlusPlusPolicy {

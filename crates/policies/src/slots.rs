@@ -101,7 +101,7 @@ impl<T: Default + Clone> SetTable<T> {
     /// this from [`prepare`] with the cache geometry.
     ///
     /// [`prepare`]: uopcache_cache::PwReplacementPolicy::prepare
-    pub fn reserve(&mut self, sets: usize) {
+    pub(crate) fn reserve(&mut self, sets: usize) {
         if self.cells.len() < sets {
             self.cells.resize_with(sets, T::default);
         }

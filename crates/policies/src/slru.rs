@@ -24,7 +24,7 @@ const PROTECTED: u8 = 2;
 /// use uopcache_policies::SlruPolicy;
 ///
 /// let cache = UopCache::new(UopCacheConfig::zen3(), Box::new(SlruPolicy::new()));
-/// assert_eq!(cache.policy_name(), "SLRU");
+/// assert_eq!(cache.policy().name(), "SLRU");
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SlruPolicy {

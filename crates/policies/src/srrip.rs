@@ -21,7 +21,7 @@ pub(crate) const RRPV_INSERT: u8 = 2;
 /// use uopcache_policies::SrripPolicy;
 ///
 /// let cache = UopCache::new(UopCacheConfig::zen3(), Box::new(SrripPolicy::new()));
-/// assert_eq!(cache.policy_name(), "SRRIP");
+/// assert_eq!(cache.policy().name(), "SRRIP");
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SrripPolicy {

@@ -41,15 +41,13 @@ pub struct ThermometerPolicy {
     /// Profiled classes, in a fast simulator-internal map: `class_of` runs
     /// per resident on every victim/bypass decision.
     classes: FastHashMap<Addr, HotClass>,
-    hot_threshold: f64,
-    warm_threshold: f64,
 }
 
 impl ThermometerPolicy {
     /// Default hot threshold on profiled hit rate.
-    pub const HOT_THRESHOLD: f64 = 0.7;
+    pub(crate) const HOT_THRESHOLD: f64 = 0.7;
     /// Default warm threshold on profiled hit rate.
-    pub const WARM_THRESHOLD: f64 = 0.3;
+    pub(crate) const WARM_THRESHOLD: f64 = 0.3;
 
     /// Builds the policy from profiled per-start hit rates with the default
     /// thresholds.
@@ -62,7 +60,7 @@ impl ThermometerPolicy {
     /// # Panics
     ///
     /// Panics if `hot < warm` or either is outside `[0, 1]`.
-    pub fn with_thresholds(rates: &FastHashMap<Addr, f64>, hot: f64, warm: f64) -> Self {
+    pub(crate) fn with_thresholds(rates: &FastHashMap<Addr, f64>, hot: f64, warm: f64) -> Self {
         assert!((0.0..=1.0).contains(&hot) && (0.0..=1.0).contains(&warm) && hot >= warm);
         let classes = rates
             .iter()
@@ -77,21 +75,12 @@ impl ThermometerPolicy {
                 (a, class)
             })
             .collect();
-        ThermometerPolicy {
-            classes,
-            hot_threshold: hot,
-            warm_threshold: warm,
-        }
+        ThermometerPolicy { classes }
     }
 
     /// The class assigned to a start address (unprofiled addresses are cold).
     pub fn class_of(&self, start: Addr) -> HotClass {
         self.classes.get(&start).copied().unwrap_or(HotClass::Cold)
-    }
-
-    /// The (hot, warm) thresholds in use.
-    pub fn thresholds(&self) -> (f64, f64) {
-        (self.hot_threshold, self.warm_threshold)
     }
 }
 

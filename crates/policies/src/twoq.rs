@@ -25,7 +25,7 @@ const AM: u8 = 2;
 /// use uopcache_policies::TwoQPolicy;
 ///
 /// let cache = UopCache::new(UopCacheConfig::zen3(), Box::new(TwoQPolicy::new()));
-/// assert_eq!(cache.policy_name(), "2Q");
+/// assert_eq!(cache.policy().name(), "2Q");
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct TwoQPolicy {

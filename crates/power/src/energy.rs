@@ -123,7 +123,8 @@ impl EnergyBreakdown {
     }
 
     /// The fraction of total energy a component consumes, in percent.
-    pub fn fraction_percent(&self, component: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn fraction_percent(&self, component: f64) -> f64 {
         if self.total() <= 0.0 {
             0.0
         } else {

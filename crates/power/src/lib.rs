@@ -32,6 +32,6 @@
 //! assert!(breakdown.ppw() > 0.0);
 //! ```
 
-pub mod energy;
+mod energy;
 
 pub use energy::{ppw_gain_percent, EnergyBreakdown, EnergyModel};

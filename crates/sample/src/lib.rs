@@ -33,9 +33,9 @@
 //! iteration order of an unordered container; a sampled sweep is therefore
 //! byte-identical at any `--jobs`/`--shards` count.
 
-pub mod interval;
+mod interval;
 pub mod kmeans;
-pub mod plan;
+mod plan;
 pub mod sim;
 
 pub use interval::{fingerprint_intervals, Fingerprinter, Interval};

@@ -23,7 +23,7 @@ fn default_addr() -> SocketAddr {
 
 /// Connection-level tuning shared by the daemon and the router event loops.
 #[derive(Clone)]
-pub struct ConnTuning {
+pub(crate) struct ConnTuning {
     /// The longest idle sleep of the event loop: idle passes back off from a
     /// sixteenth of it up to it, and a job-state change wakes the loop at
     /// once. Bounds wake-up latency for drains, deadlines and health flips.
@@ -171,34 +171,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Idle-connection timeout.
-    #[must_use]
-    pub fn idle_timeout(mut self, timeout: Duration) -> Self {
-        self.cfg.tuning.idle_timeout = timeout;
-        self
-    }
-
-    /// Mid-frame stall limit.
-    #[must_use]
-    pub fn frame_stall_limit(mut self, limit: Duration) -> Self {
-        self.cfg.tuning.frame_stall_limit = limit;
-        self
-    }
-
-    /// Concurrent-connection cap.
-    #[must_use]
-    pub fn max_connections(mut self, max: usize) -> Self {
-        self.cfg.tuning.max_connections = max.max(1);
-        self
-    }
-
-    /// Post-drain flush grace.
-    #[must_use]
-    pub fn drain_grace(mut self, grace: Duration) -> Self {
-        self.cfg.tuning.drain_grace = grace;
-        self
-    }
-
     /// Tick source for connection deadlines (default: a wall clock).
     #[must_use]
     pub fn clock(mut self, clock: Arc<dyn Clock>) -> Self {
@@ -228,18 +200,12 @@ pub struct RouterConfig {
     pub(crate) replicas: usize,
     /// How often the health thread probes every backend.
     pub(crate) health_interval: Duration,
-    /// Per-probe (and per-forward connect) timeout.
-    pub(crate) probe_timeout: Duration,
-    /// Budget for one forwarded `submit_and_wait` against a backend.
-    pub(crate) forward_timeout: Duration,
     /// Pending-forward bound per backend; pushes beyond it get `busy`.
     pub(crate) queue_capacity: usize,
     /// Full passes over the backend set before a job fails over to an error.
     pub(crate) retry_rounds: usize,
     /// Delay between failover passes.
     pub(crate) retry_backoff: Duration,
-    /// Default per-job start deadline (None = no deadline).
-    pub(crate) job_timeout: Option<Duration>,
     /// Terminal jobs retained for late `status`/`result` fetches.
     pub(crate) job_retention: usize,
     /// Shared connection tuning.
@@ -256,12 +222,9 @@ impl RouterConfig {
                 backends: Vec::with_capacity(4),
                 replicas: 64,
                 health_interval: Duration::from_secs(2),
-                probe_timeout: Duration::from_secs(2),
-                forward_timeout: Duration::from_secs(600),
                 queue_capacity: 16,
                 retry_rounds: 3,
                 retry_backoff: Duration::from_millis(50),
-                job_timeout: None,
                 job_retention: DEFAULT_JOB_RETENTION,
                 tuning: ConnTuning::default(),
             },
@@ -313,20 +276,6 @@ impl RouterConfigBuilder {
         self
     }
 
-    /// Per-probe (and per-forward connect) timeout.
-    #[must_use]
-    pub fn probe_timeout(mut self, timeout: Duration) -> Self {
-        self.cfg.probe_timeout = timeout;
-        self
-    }
-
-    /// Budget for one forwarded job against a backend.
-    #[must_use]
-    pub fn forward_timeout(mut self, timeout: Duration) -> Self {
-        self.cfg.forward_timeout = timeout;
-        self
-    }
-
     /// Pending-forward bound per backend (clamped to ≥ 1).
     #[must_use]
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
@@ -348,13 +297,6 @@ impl RouterConfigBuilder {
         self
     }
 
-    /// Default per-job start deadline (None = no deadline).
-    #[must_use]
-    pub fn job_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.cfg.job_timeout = timeout;
-        self
-    }
-
     /// Retained terminal jobs (clamped to ≥ 1).
     #[must_use]
     pub fn job_retention(mut self, retention: usize) -> Self {
@@ -367,41 +309,6 @@ impl RouterConfigBuilder {
     #[must_use]
     pub fn poll_interval(mut self, interval: Duration) -> Self {
         self.cfg.tuning.poll_interval = interval;
-        self
-    }
-
-    /// Idle-connection timeout.
-    #[must_use]
-    pub fn idle_timeout(mut self, timeout: Duration) -> Self {
-        self.cfg.tuning.idle_timeout = timeout;
-        self
-    }
-
-    /// Mid-frame stall limit.
-    #[must_use]
-    pub fn frame_stall_limit(mut self, limit: Duration) -> Self {
-        self.cfg.tuning.frame_stall_limit = limit;
-        self
-    }
-
-    /// Concurrent-connection cap.
-    #[must_use]
-    pub fn max_connections(mut self, max: usize) -> Self {
-        self.cfg.tuning.max_connections = max.max(1);
-        self
-    }
-
-    /// Post-drain flush grace.
-    #[must_use]
-    pub fn drain_grace(mut self, grace: Duration) -> Self {
-        self.cfg.tuning.drain_grace = grace;
-        self
-    }
-
-    /// Tick source for connection deadlines (default: a wall clock).
-    #[must_use]
-    pub fn clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.cfg.tuning.clock = clock;
         self
     }
 

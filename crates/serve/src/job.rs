@@ -33,7 +33,7 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Derives the default job id: an FNV-1a 64 hash of the spec's canonical
 /// JSON, rendered as 16 hex digits. Content-derived ids make blind client
 /// retries idempotent — resubmitting the same work maps to the same job.
-pub fn job_id_for(spec: &SweepSpec) -> String {
+pub(crate) fn job_id_for(spec: &SweepSpec) -> String {
     let h = fnv1a64(spec.to_json().to_string().as_bytes());
     format!("{h:016x}")
 }
@@ -50,7 +50,7 @@ pub fn shard_for(id: &str, shards: usize) -> usize {
 
 /// The lifecycle state of one job.
 #[derive(Clone, Debug)]
-pub enum JobState {
+pub(crate) enum JobState {
     /// Accepted and waiting in the bounded queue.
     Queued,
     /// Currently executing on the engine.
@@ -63,7 +63,7 @@ pub enum JobState {
 
 impl JobState {
     /// The state's wire label.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             JobState::Queued => "queued",
             JobState::Running => "running",
@@ -73,21 +73,21 @@ impl JobState {
     }
 
     /// Whether the job has reached a terminal state.
-    pub fn is_terminal(&self) -> bool {
+    pub(crate) fn is_terminal(&self) -> bool {
         matches!(self, JobState::Done(_) | JobState::Failed(_))
     }
 }
 
 /// One entry of the job table.
 #[derive(Clone, Debug)]
-pub struct JobEntry {
+pub(crate) struct JobEntry {
     /// The spec's canonical JSON — the job's identity, checked on id reuse.
     pub spec_json: String,
     /// Current lifecycle state.
     pub state: JobState,
 }
 
-/// Default cap on retained terminal jobs; see [`JobTable::with_retention`].
+/// Default cap on retained terminal jobs; see `JobTable::with_retention`.
 pub const DEFAULT_JOB_RETENTION: usize = 1024;
 
 #[derive(Debug)]
@@ -107,7 +107,7 @@ struct TableInner {
 /// finished entry. An evicted id simply becomes unknown; resubmitting it
 /// re-runs the work.
 #[derive(Debug)]
-pub struct JobTable {
+pub(crate) struct JobTable {
     inner: Mutex<TableInner>,
     retention: usize,
     /// Bumped on every state change/removal, under the `inner` lock; the
@@ -127,13 +127,14 @@ impl Default for JobTable {
 
 impl JobTable {
     /// A table retaining [`DEFAULT_JOB_RETENTION`] terminal jobs.
-    pub fn new() -> Self {
+    #[cfg(test)]
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// A table that keeps at most `retention` terminal jobs (clamped to at
     /// least 1).
-    pub fn with_retention(retention: usize) -> Self {
+    pub(crate) fn with_retention(retention: usize) -> Self {
         let retention = retention.max(1);
         JobTable {
             inner: Mutex::new(TableInner {
@@ -148,7 +149,7 @@ impl JobTable {
 
     /// A counter that moves on every state change or removal — cheap to poll
     /// without taking the table lock.
-    pub fn version(&self) -> u64 {
+    pub(crate) fn version(&self) -> u64 {
         self.version.load(Ordering::SeqCst)
     }
 
@@ -156,7 +157,7 @@ impl JobTable {
     /// returns the version then current. Returns at once if it has already
     /// moved. The check and the wait happen under the lock every bump takes,
     /// so a bump between them cannot be missed.
-    pub fn wait_change(&self, seen: u64, timeout: Duration) -> u64 {
+    pub(crate) fn wait_change(&self, seen: u64, timeout: Duration) -> u64 {
         let inner = lock_clean(&self.inner);
         let _inner = self
             .changed
@@ -180,7 +181,11 @@ impl JobTable {
     /// If the id is already present: returns its current entry when the spec
     /// matches (the idempotent-retry path) and an explanatory message when it
     /// does not (id collision with different work).
-    pub fn register(&self, id: &str, spec_json: &str) -> Result<(), Result<JobEntry, String>> {
+    pub(crate) fn register(
+        &self,
+        id: &str,
+        spec_json: &str,
+    ) -> Result<(), Result<JobEntry, String>> {
         let mut inner = lock_clean(&self.inner);
         match inner.entries.get(id) {
             Some(existing) if existing.spec_json == spec_json => Err(Ok(existing.clone())),
@@ -203,7 +208,7 @@ impl JobTable {
     /// Transitions a job to a new state and bumps the version. A transition
     /// *into* a terminal state enrols the id in the eviction queue; once more
     /// than `retention` finished jobs accumulate, the oldest is dropped.
-    pub fn set_state(&self, id: &str, state: JobState) {
+    pub(crate) fn set_state(&self, id: &str, state: JobState) {
         let mut inner = lock_clean(&self.inner);
         let became_terminal = match inner.entries.get_mut(id) {
             None => false,
@@ -238,31 +243,27 @@ impl JobTable {
     /// registration (queue full, draining), so the id stays free for a retry
     /// to re-enqueue instead of deduping onto a dead entry. Bumps the
     /// version, so parked waiters then observe the id as unknown.
-    pub fn remove(&self, id: &str) {
+    pub(crate) fn remove(&self, id: &str) {
         let mut inner = lock_clean(&self.inner);
         inner.entries.remove(id);
         self.bump(inner);
     }
 
     /// The current entry of a job, if known.
-    pub fn get(&self, id: &str) -> Option<JobEntry> {
+    pub(crate) fn get(&self, id: &str) -> Option<JobEntry> {
         lock_clean(&self.inner).entries.get(id).cloned()
     }
 
     /// Jobs currently in the table (live plus retained terminal).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         lock_clean(&self.inner).entries.len()
-    }
-
-    /// Whether the table holds no jobs at all.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
 /// Why a push was refused.
 #[derive(Clone, Copy, Debug, Eq, PartialEq)]
-pub enum QueueError {
+pub(crate) enum QueueError {
     /// The queue is at capacity — backpressure; retry later.
     Full,
     /// The server is draining — no new work is accepted.
@@ -271,7 +272,7 @@ pub enum QueueError {
 
 /// One accepted job awaiting execution.
 #[derive(Debug)]
-pub struct QueuedJob {
+pub(crate) struct QueuedJob {
     /// The job id (table key).
     pub id: String,
     /// The parsed spec to execute.
@@ -292,7 +293,7 @@ struct QueueInner {
 
 /// The bounded, closable job queue.
 #[derive(Debug)]
-pub struct BoundedQueue {
+pub(crate) struct BoundedQueue {
     inner: Mutex<QueueInner>,
     nonempty: Condvar,
     capacity: usize,
@@ -300,7 +301,7 @@ pub struct BoundedQueue {
 
 impl BoundedQueue {
     /// A queue that holds at most `capacity` jobs (clamped to at least 1).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         BoundedQueue {
             inner: Mutex::new(QueueInner {
@@ -313,12 +314,12 @@ impl BoundedQueue {
     }
 
     /// The configured capacity.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Jobs currently queued (excluding the one executing).
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         lock_clean(&self.inner).items.len()
     }
 
@@ -330,7 +331,7 @@ impl BoundedQueue {
     ///
     /// [`QueueError::Full`] at capacity, [`QueueError::Closed`] after
     /// [`close`](Self::close), each with the refused job attached.
-    pub fn try_push(&self, job: QueuedJob) -> Result<usize, (QueueError, Box<QueuedJob>)> {
+    pub(crate) fn try_push(&self, job: QueuedJob) -> Result<usize, (QueueError, Box<QueuedJob>)> {
         let mut inner = lock_clean(&self.inner);
         if inner.closed {
             return Err((QueueError::Closed, Box::new(job)));
@@ -347,7 +348,7 @@ impl BoundedQueue {
 
     /// Dequeues the oldest job, blocking up to `timeout`. Returns `None` on
     /// timeout or when the queue is closed *and* empty (drain complete).
-    pub fn pop(&self, timeout: Duration) -> Option<QueuedJob> {
+    pub(crate) fn pop(&self, timeout: Duration) -> Option<QueuedJob> {
         let deadline = Instant::now() + timeout;
         let mut inner = lock_clean(&self.inner);
         loop {
@@ -370,13 +371,13 @@ impl BoundedQueue {
     }
 
     /// Closes the queue: future pushes fail, queued jobs remain poppable.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         lock_clean(&self.inner).closed = true;
         self.nonempty.notify_all();
     }
 
     /// Whether [`close`](Self::close) was called.
-    pub fn is_closed(&self) -> bool {
+    pub(crate) fn is_closed(&self) -> bool {
         lock_clean(&self.inner).closed
     }
 }

@@ -3,14 +3,14 @@
 //! `uopcache-serve` turns the offline sweep pipeline into a TCP service
 //! without changing a single result byte. Clients speak a length-prefixed,
 //! schema-versioned JSON protocol ([`protocol`]); jobs are [`SweepSpec`]s
-//! that flow through a bounded queue ([`job`]) into the same deterministic
+//! that flow through a bounded queue (`job`) into the same deterministic
 //! exec engine the CLI uses, so a served report is byte-identical to
 //! `uopcache sweep` for the same spec at any worker count.
 //!
 //! The daemon multiplexes every connection on a single nonblocking event
 //! loop (`event`) and places each job on its least-loaded shard, ties going
 //! in order from the home shard of its content-derived FNV-1a id
-//! ([`job::shard_for`]); the [`router`] places jobs the same way across
+//! ([`job::shard_for`]); the `router` places jobs the same way across
 //! several such daemons, ties following a consistent-hash ring. Both are configured through
 //! typed builders ([`ServerConfig::builder`], [`RouterConfig::builder`]) and
 //! spoken to through the typed [`Client`].
@@ -35,22 +35,18 @@
               its idle, stall and start deadlines are real wall-clock time"
 )]
 
-pub mod client;
+mod client;
 pub mod config;
 mod event;
-pub mod job;
+mod job;
 pub mod protocol;
-pub mod router;
+mod router;
 pub mod server;
 
 pub use client::{Client, ClientError, JobResult};
 pub use config::{RouterConfig, RouterConfigBuilder, ServerConfig, ServerConfigBuilder};
 pub use event::ServiceHandle;
-pub use job::{
-    job_id_for, shard_for, BoundedQueue, JobState, JobTable, QueueError, DEFAULT_JOB_RETENTION,
-};
-pub use protocol::{
-    frame, read_frame, write_frame, FrameDecoder, FrameError, MAX_FRAME_BYTES, SCHEMA_VERSION,
-};
+pub use job::{shard_for, DEFAULT_JOB_RETENTION};
+pub use protocol::{frame, read_frame, write_frame, FrameDecoder, FrameError, MAX_FRAME_BYTES};
 pub use router::{Router, RouterHandle};
 pub use server::{Runner, Server, ServerHandle};

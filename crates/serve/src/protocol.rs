@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use uopcache_model::json::Json;
 
 /// The protocol schema version stamped on (and required of) every frame.
-pub const SCHEMA_VERSION: u64 = 1;
+pub(crate) const SCHEMA_VERSION: u64 = 1;
 
 /// Hard cap on the byte length of one frame, applied before allocating the
 /// receive buffer. Metrics sweeps of full-length traces stay well under this.
@@ -85,7 +85,7 @@ pub fn frame(ty: &str, fields: Vec<(String, Json)>) -> Json {
 /// # Errors
 ///
 /// Returns [`FrameError::Malformed`] if the field is absent or not a string.
-pub fn frame_type(j: &Json) -> Result<&str, FrameError> {
+pub(crate) fn frame_type(j: &Json) -> Result<&str, FrameError> {
     j.field("type")
         .map_err(|e| FrameError::Malformed(e.to_string()))?
         .as_str()

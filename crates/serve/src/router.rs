@@ -47,6 +47,12 @@ use std::sync::Arc;
 use std::time::Duration;
 use uopcache_model::json::Json;
 
+/// Per-probe (and per-forward connect) timeout.
+const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Budget for one forwarded `submit_and_wait` against a backend.
+const FORWARD_TIMEOUT: Duration = Duration::from_secs(600);
+
 /// A running in-process router (see [`Router::spawn`]).
 pub type RouterHandle = ServiceHandle;
 
@@ -213,7 +219,9 @@ impl Router {
             cfg.backends.len(),
             cfg.queue_capacity,
             cfg.job_retention,
-            cfg.job_timeout,
+            // No default start deadline; a submit's own
+            // `queue_timeout_ms` still applies.
+            None,
             &cfg.tuning,
             "forward_ms",
         );
@@ -362,9 +370,9 @@ fn forward_once(
     job: &QueuedJob,
 ) -> Result<String, ForwardError> {
     let backend = &shared.backends[idx];
-    let mut client = Client::connect(backend.addr, shared.cfg.probe_timeout)
+    let mut client = Client::connect(backend.addr, PROBE_TIMEOUT)
         .map_err(|e| ForwardError::Transport(e.to_string()))?;
-    match client.submit_and_wait(&job.spec, Some(&job.id), shared.cfg.forward_timeout) {
+    match client.submit_and_wait(&job.spec, Some(&job.id), FORWARD_TIMEOUT) {
         Ok(result) => Ok(result.report.to_string()),
         Err(ClientError::Busy { reason }) => Err(ForwardError::Busy {
             draining: reason.contains("draining"),
@@ -382,7 +390,7 @@ fn health_loop(shared: &RouterShared) {
             break;
         }
         for backend in &shared.backends {
-            match probe(backend.addr, shared.cfg.probe_timeout) {
+            match probe(backend.addr, PROBE_TIMEOUT) {
                 Ok(draining) => {
                     backend.healthy.store(true, Ordering::SeqCst);
                     backend.draining.store(draining, Ordering::SeqCst);

@@ -18,7 +18,7 @@
 //! ## Robustness model
 //!
 //! * **Backpressure** — jobs land in per-shard
-//!   [`BoundedQueue`](crate::job::BoundedQueue)s; a full shard spills to
+//!   `BoundedQueue`s; a full shard spills to
 //!   the next, and when every shard is full the daemon answers with a
 //!   `busy` frame (`"code": 429`) instead of buffering.
 //!   A rejected submission leaves no job-table entry, so the retry the busy

@@ -233,13 +233,8 @@ pub struct BranchSlice<'a> {
 
 impl<'a> BranchSlice<'a> {
     /// Number of accesses in the slice.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether the slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Whether the slice was built for `cfg`'s branch and backend

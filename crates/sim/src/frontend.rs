@@ -49,7 +49,7 @@ pub struct SimOptions {
 ///     .policy(LruPolicy::new())
 ///     .classify_misses(true)
 ///     .build();
-/// assert_eq!(fe.uop_cache().policy_name(), "LRU");
+/// assert_eq!(fe.uop_cache().policy().name(), "LRU");
 /// ```
 pub struct FrontendBuilder {
     cfg: FrontendConfig,
@@ -182,20 +182,9 @@ impl Frontend {
         FrontendBuilder::new(cfg)
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &FrontendConfig {
-        &self.cfg
-    }
-
     /// The micro-op cache (for inspection in tests and experiments).
     pub fn uop_cache(&self) -> &UopCache {
         &self.uopc
-    }
-
-    /// The event sink installed via [`FrontendBuilder::recorder`], if any.
-    #[cfg(feature = "obs")]
-    pub fn recorder(&self) -> Option<&dyn Recorder> {
-        self.uopc.recorder()
     }
 
     /// Removes and returns the installed event sink (to read out events and

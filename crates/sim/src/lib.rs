@@ -42,8 +42,8 @@
 //! assert!(result.uopc.uops_hit > 0);
 //! ```
 
-pub mod branch;
-pub mod frontend;
+mod branch;
+mod frontend;
 
 pub use branch::{BranchSlice, BranchStream};
 pub use frontend::{Frontend, FrontendBuilder, SimOptions};

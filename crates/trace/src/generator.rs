@@ -77,7 +77,7 @@ pub fn build_trace_scaled(
 /// # Panics
 ///
 /// Panics if `scale` is zero.
-pub fn build_trace_scaled_with_spec(
+pub(crate) fn build_trace_scaled_with_spec(
     spec: &WorkloadSpec,
     variant: InputVariant,
     accesses: usize,
@@ -107,7 +107,7 @@ const LINE_BYTES: u64 = 64;
 /// epochs).
 ///
 /// Epoch `e` owns accesses `e·len .. (e+1)·len` exactly, walked by a fresh
-/// [`Walker::with_epoch`] into fresh window state. So the whole trace is
+/// `Walker::with_epoch` into fresh window state. So the whole trace is
 /// one [`Generator::walk`] from [`Generator::start`], and any range of it
 /// can be formed again from a [`Checkpoint`] taken on an earlier walk
 /// ([`Generator::rebuild`]), without forming what comes before.

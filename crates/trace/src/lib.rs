@@ -32,18 +32,18 @@
 //! assert!(trace.footprint_entries(8) > 512);
 //! ```
 
-pub mod generator;
+mod generator;
 pub mod io;
-pub mod program;
-pub mod pwstream;
+mod program;
+mod pwstream;
 pub mod stats;
-pub mod walker;
-pub mod workload;
-pub mod zipf;
+mod walker;
+mod workload;
+mod zipf;
 
 pub use generator::{
-    build_trace, build_trace_scaled, build_trace_scaled_with_spec, build_trace_with_spec,
-    Checkpoint, Generator, CHECKPOINT_BLOCKS,
+    build_trace, build_trace_scaled, build_trace_with_spec, Checkpoint, Generator,
+    CHECKPOINT_BLOCKS,
 };
 pub use io::TraceIoError;
 pub use program::{Bb, BbTarget, BranchKind, Program, Region};

@@ -56,12 +56,14 @@ pub struct Region {
 
 impl Region {
     /// Address of the region entry point.
-    pub fn entry(&self) -> Addr {
+    #[cfg(test)]
+    pub(crate) fn entry(&self) -> Addr {
         self.bbs[0].addr
     }
 
     /// Total bytes of the region.
-    pub fn bytes(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn bytes(&self) -> u32 {
         self.bbs.iter().map(|b| b.bytes).sum()
     }
 }
@@ -87,7 +89,7 @@ pub struct Program {
 
 impl Program {
     /// Synthesizes the static program for a workload. Deterministic in the
-    /// spec's application (see [`WorkloadSpec::program_seed`]).
+    /// spec's application (see `WorkloadSpec::program_seed`).
     #[expect(
         clippy::cast_possible_truncation,
         reason = "instruction and uop counts are clamped far below u32::MAX"
@@ -153,17 +155,13 @@ impl Program {
     }
 
     /// Total static micro-ops in the program.
-    pub fn total_uops(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total_uops(&self) -> u64 {
         self.regions
             .iter()
             .flat_map(|r| &r.bbs)
             .map(|b| u64::from(b.uops))
             .sum()
-    }
-
-    /// Total static code bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.regions.iter().map(|r| u64::from(r.bytes())).sum()
     }
 }
 

@@ -101,7 +101,7 @@ impl<'a> Walker<'a> {
         clippy::cast_possible_truncation,
         reason = "region counts fit in u32, float-to-int casts saturate, and the phase index is below `phases`"
     )]
-    pub fn with_epoch(
+    pub(crate) fn with_epoch(
         program: &'a Program,
         spec: &WorkloadSpec,
         variant: InputVariant,
@@ -202,11 +202,6 @@ impl<'a> Walker<'a> {
             s.phase = (s.phase + 1) % self.phase_ranking.len();
             s.phase_remaining = self.phase_len;
         }
-    }
-
-    /// The current phase index (for tests and diagnostics).
-    pub fn phase(&self) -> usize {
-        self.state.phase
     }
 }
 

@@ -259,18 +259,18 @@ impl WorkloadSpec {
 
     /// Deterministic seed for static program synthesis: depends only on the
     /// application so all input variants share one binary.
-    pub fn program_seed(&self) -> u64 {
+    pub(crate) fn program_seed(&self) -> u64 {
         0x5eed_0000 + self.app as u64
     }
 
     /// Deterministic seed for the dynamic walk of a given input variant.
-    pub fn walk_seed(&self, variant: InputVariant) -> u64 {
+    pub(crate) fn walk_seed(&self, variant: InputVariant) -> u64 {
         0x3a11_0000 + (self.app as u64) * 1_000 + u64::from(variant.0)
     }
 
     /// Probability that a conditional branch is mispredicted, derived from
     /// the Table II MPKI and the branch density of this workload.
-    pub fn mispredict_prob(&self) -> f64 {
+    pub(crate) fn mispredict_prob(&self) -> f64 {
         // branches per kilo-instruction = 1000 / insts_per_bb;
         // MPKI = bpki * p  =>  p = MPKI * insts_per_bb / 1000.
         (self.branch_mpki * self.insts_per_bb / 1000.0).clamp(0.0, 0.5)
