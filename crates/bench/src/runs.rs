@@ -17,7 +17,7 @@
 
 use crate::apps::{trace_for, TRACE_LEN};
 use crate::policies::{PolicyId, ProfileInputs};
-use crate::sweep::{self, config_label, CellRun, Prep};
+use crate::sweep::{self, config_label, SegmentPrep};
 use std::borrow::Cow;
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -227,7 +227,7 @@ pub struct Lab {
     traces: FastHashMap<TraceKey, Arc<LookupTrace>>,
     solutions: FastHashMap<SolveKey, FooSolution>,
     inputs: FastHashMap<(usize, TraceKey), ProfileInputs>,
-    preps: FastHashMap<(usize, TraceKey), Prep>,
+    preps: FastHashMap<(usize, TraceKey), SegmentPrep>,
     cells: FastHashMap<CellKey, SimResult>,
     work: Work,
 }
@@ -357,7 +357,10 @@ impl Lab {
 
         let (online, offline): (Vec<CellKey>, Vec<CellKey>) =
             todo.into_iter().partition(|k| k.3.online());
-        let simulated = self.simulate(&online);
+        let lab = &*self;
+        let simulated = run_all(&self.engine, "online cells", &online, |&key| {
+            lab.simulate(key)
+        });
         self.work.cells += online.len() + offline.len();
         self.cells.extend(online.into_iter().zip(simulated));
         let lab = &*self;
@@ -427,28 +430,17 @@ impl Lab {
             "branch stream",
             &mut self.preps,
             keys,
-            |&(c, t)| Prep::new(&configs[c], Arc::clone(&traces[&t])),
+            |&(c, t)| SegmentPrep::whole(&configs[c], Arc::clone(&traces[&t])),
         );
     }
 
-    /// Simulates online cells through the sweep path.
-    fn simulate(&self, keys: &[CellKey]) -> Vec<SimResult> {
-        let runs: Vec<CellRun<'_>> = (keys.iter())
-            .map(|&(c, opts, t, arm)| CellRun {
-                key: self.task_key(c, t, arm),
-                cfg: self.configs[c],
-                opts,
-                prep: &self.preps[&(c, t)],
-                policy: self.policy(c, t, arm),
-            })
-            .collect();
-        let (merged, _, _) = sweep::simulate(&self.engine, &runs, false);
-        (merged.into_iter())
-            .map(|cell| {
-                cell.unwrap_or_else(|failure| panic!("lab cell: {failure}"))
-                    .0
-            })
-            .collect()
+    /// Simulates an online cell through the sweep's simulation body, its
+    /// policy seeded from the cell's task key.
+    fn simulate(&self, (c, opts, t, arm): CellKey) -> SimResult {
+        let seed = self.task_key(c, t, arm).seed();
+        let policy = self.policy(c, t, arm, seed);
+        let prep = &self.preps[&(c, t)];
+        sweep::simulate(&self.configs[c], opts, policy, seed, prep, false).0
     }
 
     /// The cell's task key: for a registered policy, the key `run_sweep`
@@ -468,17 +460,17 @@ impl Lab {
         ])
     }
 
-    /// Builds an online cell's policy; a profile other than the shared one
-    /// is trained inside the cell's task.
-    fn policy(&self, c: usize, t: TraceKey, arm: Arm) -> sweep::PolicyFactory<'_> {
+    /// Builds an online cell's policy from the cell seed; a profile other
+    /// than the shared one is trained here, inside the cell's task.
+    fn policy(&self, c: usize, t: TraceKey, arm: Arm, seed: u64) -> Box<dyn PwReplacementPolicy> {
         let (cfg, traces, solutions) = (self.configs[c], &self.traces, &self.solutions);
         let inputs = self.inputs.get(&(c, t));
         match arm {
-            Arm::Online(id) => Box::new(move |seed| match inputs {
+            Arm::Online(id) => match inputs {
                 Some(inputs) => id.build(&cfg, inputs, seed),
                 None => id.build(&cfg, &ProfileInputs::default(), seed),
-            }),
-            Arm::Furbys(knobs) => Box::new(move |_| -> Box<dyn PwReplacementPolicy> {
+            },
+            Arm::Furbys(knobs) => {
                 let pipeline = knobs.pipeline(cfg);
                 let profile = match inputs {
                     Some(inputs) if knobs.paper_profile() => Cow::Borrowed(&inputs.furbys),
@@ -494,8 +486,8 @@ impl Lab {
                     ),
                 };
                 Box::new(pipeline.policy(&profile))
-            }),
-            Arm::Phased(segments) => Box::new(move |_| -> Box<dyn PwReplacementPolicy> {
+            }
+            Arm::Phased(segments) => {
                 let pipeline = FurbysPipeline::new(cfg);
                 let obs = pipeline.observations(&traces[&t], solution(solutions, &pipeline, t));
                 let profile = PhasedProfile::from_observations(
@@ -505,7 +497,7 @@ impl Lab {
                     segments,
                 );
                 Box::new(PhasedFurbysPolicy::new(profile))
-            }),
+            }
             Arm::SyncLru | Arm::Belady | Arm::Oracle(_) => {
                 unreachable!("offline arms replay, they do not simulate")
             }

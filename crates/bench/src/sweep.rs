@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use uopcache_cache::PwReplacementPolicy;
 use uopcache_core::FurbysPipeline;
-use uopcache_exec::{Engine, TaskFailure, TaskKey, TaskProfile};
+use uopcache_exec::{Engine, TaskFailure, TaskKey, TaskOutcome, TaskProfile};
 use uopcache_model::json::Json;
 use uopcache_model::{
     CacheStats, EventCounts, FrontendConfig, LookupTrace, SimResult, UopCacheStats,
@@ -122,6 +122,36 @@ pub fn frontend_config(
     }
     cfg.uop_cache = cfg.uop_cache.with_entries(entries).with_ways(ways);
     Ok(cfg)
+}
+
+/// The one trace-size check, which [`SweepSpec::from_json`] and the CLI's
+/// `gen` share: `scale` epochs of `len` accesses must fit in
+/// [`MAX_SPEC_ACCESSES`], each epoch that holds any access charged at least
+/// 1 000 (it starts a fresh walker). An empty epoch builds no walker and is
+/// charged nothing.
+///
+/// # Errors
+///
+/// Returns a message naming the sizes when they do not fit.
+pub fn check_trace_size(len: usize, scale: u64) -> Result<(), String> {
+    let per_epoch = if len == 0 {
+        0
+    } else {
+        (len as u64).max(MIN_EPOCH_ACCESSES)
+    };
+    match per_epoch.checked_mul(scale) {
+        Some(accesses) if accesses <= MAX_SPEC_ACCESSES => Ok(()),
+        _ => {
+            let charged = if per_epoch > len as u64 {
+                format!(" (each epoch counts as {MIN_EPOCH_ACCESSES})")
+            } else {
+                String::new()
+            };
+            Err(format!(
+                "len {len} x scale {scale} exceeds {MAX_SPEC_ACCESSES} accesses per app{charged}"
+            ))
+        }
+    }
 }
 
 /// One `(app × policy)` sweep request.
@@ -292,25 +322,7 @@ impl SweepSpec {
         if scale == 0 {
             return Err("field \"scale\" must be at least 1".to_string());
         }
-        // An empty epoch builds no walker and costs nothing.
-        let per_epoch = if len == 0 {
-            0
-        } else {
-            (len as u64).max(MIN_EPOCH_ACCESSES)
-        };
-        match per_epoch.checked_mul(scale) {
-            Some(accesses) if accesses <= MAX_SPEC_ACCESSES => {}
-            _ => {
-                let charged = if per_epoch > len as u64 {
-                    format!(" (each epoch counts as {MIN_EPOCH_ACCESSES})")
-                } else {
-                    String::new()
-                };
-                return Err(format!(
-                    "len {len} x scale {scale} exceeds {MAX_SPEC_ACCESSES} accesses per app{charged}"
-                ));
-            }
-        }
+        check_trace_size(len, scale)?;
         let sample = match j.field("sample") {
             Err(_) => None,
             Ok(v) => {
@@ -445,7 +457,7 @@ impl SweepCell {
 }
 
 /// The merged outcome of [`run_sweep`]: cells sorted by task key, failures
-/// sorted by task key, and the batch wall-clock time.
+/// sorted by task key, and the run's wall-clock time.
 #[derive(Debug)]
 pub struct SweepReport {
     /// The sweep request.
@@ -454,12 +466,13 @@ pub struct SweepReport {
     pub cells: Vec<SweepCell>,
     /// Structured failures of panicked tasks, in key order.
     pub failures: Vec<TaskFailure>,
-    /// Per-task execution profiles of the simulation stage, in key order.
+    /// Per-task execution profiles of the `simulate` tasks, in key order.
     /// Rendered to JSON only on `--metrics` sweeps, and only through the
     /// scheduling-independent fields (queue wait and run ticks — all zero
     /// under the engine's default null clock).
     pub profiles: Vec<TaskProfile>,
-    /// Wall-clock time of the simulation stage.
+    /// Wall-clock time of the whole run, preparation included: what a
+    /// caller of [`run_sweep`] waits. Not rendered to JSON.
     pub elapsed: Duration,
     /// Branch streams simulated: one per segment of each app (one per app
     /// on a full sweep), each shared by every policy's cell. Not rendered
@@ -607,35 +620,43 @@ fn round6(x: f64) -> f64 {
     (x * 1e6).round() / 1e6
 }
 
-/// Runs an `(app × policy)` sweep through `engine`, in two stages:
+/// Runs an `(app × policy)` sweep through `engine`, as one task tree per
+/// app (see [`Engine::run_tree`]), every task a pure function of the spec
+/// and its key:
 ///
-/// 1. preparation, all pure functions of the spec and app. A full sweep
-///    runs one task per app that builds the trace, the profile inputs and
-///    the whole-trace branch stream. A `--sample` sweep never holds a whole
-///    trace, and prepares in two passes:
-///    - *fingerprint*: one task per app streams its trace once through the
-///      fingerprint fold, keeping no access, and plans the sample points;
-///      each interval keeps the walk checkpoint it opened after. The same
-///      task then re-forms the sample points from their checkpoints and
-///      profiles them;
-///    - *rebuild*: one task per planned segment (keyed as a child of the
-///      app's `prepare` key, `…/prepare/pt0.1`) re-forms the segment's
-///      warmup and measured accesses from its first interval's checkpoint
-///      and builds their branch stream;
-/// 2. `simulate` runs one task per cell `Segment`, seeding any
-///    randomized policy from the **cell** key. A full cell is one
-///    whole-trace segment keyed by the cell key itself; a sampled cell is
-///    one segment per sample point and probe, keyed as children of the cell
-///    key (`…/LRU/pt0.1`, `…/LRU/probe0`).
+/// 1. `prepare` (keyed as the app's cell of policy `prepare`):
+///    - on a full sweep, builds the app's trace, trains the profile inputs
+///      on it and simulates its branch stream; its children are one
+///      `simulate` per policy over that whole-trace segment;
+///    - on a `--sample` sweep, never holds a whole trace: it streams the
+///      trace once through the fingerprint fold, keeping no access, plans
+///      the sample points (each interval keeping the walk checkpoint it
+///      opened after), and trains the profile inputs on the sample points
+///      re-formed from their checkpoints; its children are one `rebuild`
+///      per planned segment;
+/// 2. `rebuild` (sampled only; keyed as a child of the `prepare` key,
+///    `…/prepare/pt0.1`) re-forms its segment's warmup and measured
+///    accesses from the segment's first checkpoint and builds their branch
+///    stream; its children are one `simulate` per policy over that segment;
+/// 3. `simulate` runs one segment of one cell, seeding any randomized
+///    policy from the **cell** key. A full cell's one whole-trace segment
+///    is keyed by the cell key itself; a sampled cell's segments are keyed
+///    as children of it (`…/LRU/pt0.1`, `…/LRU/probe0`).
 ///
-/// Each cell then merges its segments (see `merge_cell`). A panicking
-/// segment becomes one structured [`SweepReport::failures`] entry for its
-/// cell; sibling cells are unaffected.
+/// The children hold the trace or segment accesses, branch stream and
+/// profile inputs through `Arc`s, so the last of them to finish frees
+/// them. The engine starts an app's `prepare` only when no child task is
+/// ready, so an app is resident from the start of its `prepare` to the end
+/// of its last cell, and at most the engine's worker count of apps is
+/// resident at once. Each cell then merges its segments (see
+/// `merge_cell`) from the app's trace micro-ops and sampling plan alone. A
+/// panicking segment becomes one structured [`SweepReport::failures`]
+/// entry for its cell; sibling cells are unaffected.
 ///
 /// # Panics
 ///
-/// Panics where [`try_run_sweep`] returns an error, or if a preparation
-/// task panics (no cell of that app could be simulated).
+/// Panics where [`try_run_sweep`] returns an error, or if a `prepare` or
+/// `rebuild` task panics (no cell of that app could be simulated).
 pub fn run_sweep(spec: &SweepSpec, engine: &Engine) -> SweepReport {
     try_run_sweep(spec, engine).unwrap_or_else(|e| panic!("{e}"))
 }
@@ -650,128 +671,218 @@ pub fn run_sweep(spec: &SweepSpec, engine: &Engine) -> SweepReport {
 ///
 /// # Panics
 ///
-/// Panics if a preparation task panics.
+/// Panics if a `prepare` or `rebuild` task panics.
 pub fn try_run_sweep(spec: &SweepSpec, engine: &Engine) -> Result<SweepReport, String> {
-    let cfg = spec.cfg;
-    let prepared = match spec.sample {
-        None => prepare_whole(spec, engine),
-        Some(interval) => prepare_sampled(spec, engine, interval)?,
-    };
+    let roots = (spec.apps.iter()).map(|&app| (spec.task_key(app, "prepare"), Task::Prepare(app)));
+    let tree = engine.run_tree(roots.collect(), |key, seed, task| task.run(spec, key, seed));
 
-    let mut runs = Vec::new();
-    let mut names = Vec::new();
-    for (app, prep, profiles) in &prepared {
-        for policy in &spec.policies {
-            runs.push(CellRun {
-                key: spec.task_key(*app, policy),
-                cfg,
-                opts: SimOptions::default(),
-                prep,
-                policy: Box::new(move |seed| {
-                    let id = policy.parse::<PolicyId>().unwrap_or_else(|e| panic!("{e}"));
-                    id.build(&cfg, profiles, seed)
-                }),
-            });
-            names.push((*app, policy));
+    // The engine returns outcomes in tree order: each app's `prepare`, then
+    // per segment its `rebuild` (when sampled) and one `simulate` per
+    // policy, in the order the tasks returned them.
+    let mut done = tree.outcomes.into_iter().zip(tree.profiles);
+    let mut next = || done.next().expect("the tree holds every planned task");
+    let (mut cells, mut failures, mut profiles) = (Vec::new(), Vec::new(), Vec::new());
+    let mut branch_streams = 0;
+    for &app in &spec.apps {
+        let Done::Prepared(prepared) = expect_ok(next().0, "sweep preparation") else {
+            unreachable!("an app's first task is its prepare");
+        };
+        let (trace_uops, plan) = prepared?;
+        let segments = Segment::all(plan.as_deref());
+        branch_streams += segments.len();
+        let mut runs = vec![Vec::with_capacity(segments.len()); spec.policies.len()];
+        for _ in &segments {
+            if plan.is_some() {
+                expect_ok(next().0, "sweep segment rebuild");
+            }
+            for runs in &mut runs {
+                let (outcome, profile) = next();
+                profiles.push(profile);
+                runs.push(outcome.result.map(|done| match done {
+                    Done::Simulated(run) => *run,
+                    _ => unreachable!("a segment's children simulate it"),
+                }));
+            }
         }
-    }
-    let (merged, mut profiles, elapsed) = simulate(engine, &runs, spec.metrics);
-    let mut cells = Vec::new();
-    let mut failures = Vec::new();
-    for ((run, (app, policy)), cell) in runs.iter().zip(names).zip(merged) {
-        match cell {
-            Ok((result, obs, sampled)) => cells.push(SweepCell {
-                key: run.key.clone(),
-                seed: run.key.seed(),
-                app,
-                policy: policy.clone(),
-                result,
-                trace_uops: run.prep.trace_uops,
-                obs,
-                sampled,
-            }),
-            Err(failure) => failures.push(failure),
+        for (policy, runs) in spec.policies.iter().zip(runs) {
+            let key = spec.task_key(app, policy);
+            match merge_cell(plan.as_deref(), &key, runs) {
+                Ok((result, obs, sampled)) => cells.push(SweepCell {
+                    seed: key.seed(),
+                    key,
+                    app,
+                    policy: policy.clone(),
+                    result,
+                    trace_uops,
+                    obs,
+                    sampled,
+                }),
+                Err(failure) => failures.push(failure),
+            }
         }
     }
     // Merge by key, never by completion or submission order.
     cells.sort_by(|a, b| a.key.cmp(&b.key));
     failures.sort_by(|a, b| a.key.cmp(&b.key));
     profiles.sort_by(|a, b| a.key.cmp(&b.key));
-    let branch_streams = prepared.iter().map(|(_, p, _)| p.segments.len()).sum();
     Ok(SweepReport {
         spec: spec.clone(),
         cells,
         failures,
         profiles,
-        elapsed,
+        elapsed: tree.elapsed,
         branch_streams,
     })
 }
 
-/// One prepared app: its prep and the profile inputs its policies read.
-type Prepared = (AppId, Prep, ProfileInputs);
-
-/// The preparation of a full sweep: one task per app builds the whole
-/// trace, profiles it and simulates its branch stream.
-fn prepare_whole(spec: &SweepSpec, engine: &Engine) -> Vec<Prepared> {
-    let tasks = (spec.apps.iter()).map(|&a| (spec.task_key(a, "prepare"), a));
-    engine
-        .run(tasks.collect(), |_key, _seed, app| {
-            let trace = trace_for_scaled(app, spec.variant, spec.len, spec.scale);
-            let profiles = spec.profile_inputs(|| &trace);
-            (app, Prep::new(&spec.cfg, Arc::new(trace)), profiles)
-        })
-        .expect_all("sweep preparation")
+/// The value of a `prepare` or `rebuild` task.
+///
+/// # Panics
+///
+/// Panics with the task's structured failure, naming `stage`, if it
+/// panicked.
+fn expect_ok(outcome: TaskOutcome<Done>, stage: &str) -> Done {
+    if let Some(failure) = outcome.failure() {
+        panic!("{stage}: {failure}");
+    }
+    outcome
+        .result
+        .unwrap_or_else(|_| unreachable!("failures checked above"))
 }
 
-/// The two-pass preparation of a sampled sweep (see [`run_sweep`]): one
-/// task per app plans it from one streaming walk and profiles its sample
-/// points, then one task per planned segment re-forms that segment.
-fn prepare_sampled(
-    spec: &SweepSpec,
-    engine: &Engine,
-    interval: u64,
-) -> Result<Vec<Prepared>, String> {
-    let tasks = (spec.apps.iter()).map(|&a| (spec.task_key(a, "prepare"), a));
-    let planned: Vec<(Planned, ProfileInputs)> = engine
-        .run(tasks.collect(), |_key, seed, app| {
-            let variant = InputVariant::new(spec.variant);
-            let generator = Generator::new(&app.spec(), variant, spec.len, spec.scale);
-            let (plan, checkpoints) = plan_stream(&generator, &SampleConfig::new(interval, seed))?;
-            let planned = Planned {
-                app,
-                generator,
-                plan,
-                checkpoints,
-            };
-            let profiles = spec.profile_inputs(|| planned.training_slice());
-            Ok((planned, profiles))
-        })
-        .expect_all("sweep preparation")
-        .into_iter()
-        .collect::<Result<_, String>>()?;
+/// One task of a sweep's tree (see [`run_sweep`]).
+enum Task<'s> {
+    /// Prepares one app.
+    Prepare(AppId),
+    /// Re-forms one planned segment of a sampled app.
+    Rebuild {
+        planned: Arc<Planned>,
+        segment: Segment,
+        profiles: Arc<ProfileInputs>,
+    },
+    /// Simulates one segment of one cell.
+    Simulate {
+        /// The cell key, which seeds the policy.
+        cell: TaskKey,
+        policy: &'s str,
+        profiles: Arc<ProfileInputs>,
+        segment: Arc<SegmentPrep>,
+    },
+}
 
-    let segments = planned.iter().flat_map(|(p, _)| {
-        let key = spec.task_key(p.app, "prepare");
-        (Segment::all(Some(&p.plan)).into_iter()).map(move |s| (s.key(&key), (p, s)))
-    });
-    let mut rebuilt = engine
-        .run(segments.collect(), |_key, _seed, (p, segment)| {
-            p.segment(&spec.cfg, segment)
-        })
-        .expect_all("sweep segment rebuild")
-        .into_iter();
-    Ok((planned.into_iter())
-        .map(|(p, profiles)| {
-            let count = Segment::all(Some(&p.plan)).len();
-            let prep = Prep {
-                trace_uops: p.plan.total_uops,
-                plan: Some(p.plan),
-                segments: rebuilt.by_ref().take(count).collect(),
+/// What a sweep task returns.
+enum Done {
+    /// An app is prepared: the micro-ops of its whole trace and, when
+    /// sampled, its plan; or the message its fingerprint pass stopped with.
+    Prepared(Result<(u64, Option<Arc<SamplePlan>>), String>),
+    /// A sampled segment is re-formed.
+    Rebuilt,
+    /// A cell segment is simulated.
+    Simulated(Box<SegmentRun>),
+}
+
+/// A task's children.
+type Children<'s> = Vec<(TaskKey, Task<'s>)>;
+
+impl<'s> Task<'s> {
+    /// Runs the task (keyed `key`, seeded `seed`) of `spec`'s tree.
+    fn run(self, spec: &'s SweepSpec, key: &TaskKey, seed: u64) -> (Done, Children<'s>) {
+        let cfg = spec.cfg;
+        match self {
+            Task::Prepare(app) => match spec.sample {
+                None => {
+                    let trace = trace_for_scaled(app, spec.variant, spec.len, spec.scale);
+                    let profiles = Arc::new(spec.profile_inputs(|| &trace));
+                    let trace_uops = trace.total_uops();
+                    let segment = SegmentPrep::whole(&cfg, Arc::new(trace));
+                    let cells = simulate_tasks(spec, app, &Arc::new(segment), &profiles);
+                    (Done::Prepared(Ok((trace_uops, None))), cells)
+                }
+                Some(interval) => {
+                    let variant = InputVariant::new(spec.variant);
+                    let generator = Generator::new(&app.spec(), variant, spec.len, spec.scale);
+                    let config = SampleConfig::new(interval, seed);
+                    let (plan, checkpoints) = match plan_stream(&generator, &config) {
+                        Ok(planned) => planned,
+                        Err(e) => return (Done::Prepared(Err(e)), Vec::new()),
+                    };
+                    let planned = Arc::new(Planned {
+                        app,
+                        generator,
+                        plan: Arc::new(plan),
+                        checkpoints,
+                    });
+                    let profiles = Arc::new(spec.profile_inputs(|| planned.training_slice()));
+                    let rebuilds = (Segment::all(Some(&planned.plan)).into_iter())
+                        .map(|segment| {
+                            let task = Task::Rebuild {
+                                planned: Arc::clone(&planned),
+                                segment,
+                                profiles: Arc::clone(&profiles),
+                            };
+                            (segment.key(key), task)
+                        })
+                        .collect();
+                    let plan = Arc::clone(&planned.plan);
+                    (Done::Prepared(Ok((plan.total_uops, Some(plan)))), rebuilds)
+                }
+            },
+            Task::Rebuild {
+                planned,
+                segment,
+                profiles,
+            } => {
+                let segment = Arc::new(planned.segment(&cfg, segment));
+                let cells = simulate_tasks(spec, planned.app, &segment, &profiles);
+                (Done::Rebuilt, cells)
+            }
+            Task::Simulate {
+                cell,
+                policy,
+                profiles,
+                segment,
+            } => {
+                let id = policy.parse::<PolicyId>().unwrap_or_else(|e| panic!("{e}"));
+                let seed = cell.seed();
+                let policy = id.build(&cfg, &profiles, seed);
+                let (result, obs) = simulate(
+                    &cfg,
+                    SimOptions::default(),
+                    policy,
+                    seed,
+                    &segment,
+                    spec.metrics,
+                );
+                (
+                    Done::Simulated(Box::new((segment.segment, result, obs))),
+                    Vec::new(),
+                )
+            }
+        }
+    }
+}
+
+/// One `simulate` task per policy of `spec` over `segment` of `app`, in
+/// policy order.
+fn simulate_tasks<'s>(
+    spec: &'s SweepSpec,
+    app: AppId,
+    segment: &Arc<SegmentPrep>,
+    profiles: &Arc<ProfileInputs>,
+) -> Children<'s> {
+    (spec.policies.iter())
+        .map(|policy| {
+            let cell = spec.task_key(app, policy);
+            let key = segment.segment.key(&cell);
+            let task = Task::Simulate {
+                cell,
+                policy,
+                profiles: Arc::clone(profiles),
+                segment: Arc::clone(segment),
             };
-            (p.app, prep, profiles)
+            (key, task)
         })
-        .collect())
+        .collect()
 }
 
 /// The fingerprint pass over one sampled app: walks its whole trace once,
@@ -816,11 +927,12 @@ fn plan_stream(
     ))
 }
 
-/// One sampled app after its fingerprint pass.
+/// One sampled app after its fingerprint pass, shared by its `rebuild`
+/// tasks and freed when the last of them finishes.
 struct Planned {
     app: AppId,
     generator: Generator,
-    plan: SamplePlan,
+    plan: Arc<SamplePlan>,
     /// Per interval, the walk checkpoint to re-form it from.
     checkpoints: Vec<Checkpoint>,
 }
@@ -857,35 +969,14 @@ impl Planned {
     }
 }
 
-/// One prepared app: its sampling plan on a `--sample` sweep and the
-/// segments every cell over it simulates, each with its accesses and
-/// branch stream. A full app's one segment shares the whole trace; a
-/// sampled app holds only its segments' accesses.
-pub(crate) struct Prep {
-    plan: Option<SamplePlan>,
-    /// Micro-ops in the whole trace (what reconstruction weights divide).
-    trace_uops: u64,
-    /// The cell segments in submission order.
-    segments: Vec<SegmentPrep>,
-}
-
-impl Prep {
-    /// The prep of a full run over `trace`: one whole-trace segment, with
-    /// its branch stream simulated under `cfg`.
-    pub(crate) fn new(cfg: &FrontendConfig, trace: Arc<LookupTrace>) -> Prep {
-        Prep {
-            plan: None,
-            trace_uops: trace.total_uops(),
-            segments: vec![SegmentPrep::new(cfg, Segment::Whole, trace, 0)],
-        }
-    }
-}
-
-/// One segment ready to simulate. The branch side of a segment (BTB,
+/// One segment ready to simulate: a full app's whole trace, or a sampled
+/// segment's re-formed accesses. The branch side of a segment (BTB,
 /// misprediction penalty, backend absorption) does not depend on the
 /// policy, so its stream is simulated once here and shared by every
-/// policy's task.
-struct SegmentPrep {
+/// policy's task. A sweep's `simulate` tasks share it through an `Arc`,
+/// and the last of them frees it; the lab keeps one per configuration and
+/// trace in its memo.
+pub(crate) struct SegmentPrep {
     segment: Segment,
     /// The whole trace, or a sampled segment's warmup then measured
     /// accesses.
@@ -911,32 +1002,21 @@ impl SegmentPrep {
         }
     }
 
+    /// The whole-trace segment of a full run over `trace`, with its branch
+    /// stream simulated under `cfg`.
+    pub(crate) fn whole(cfg: &FrontendConfig, trace: Arc<LookupTrace>) -> Self {
+        SegmentPrep::new(cfg, Segment::Whole, trace, 0)
+    }
+
     /// The warmup range and the measured range of `accesses`.
     fn ranges(&self) -> (Range<usize>, Range<usize>) {
         (0..self.warmup, self.warmup..self.accesses.len())
     }
 }
 
-/// Builds a cell's policy from the cell seed.
-pub(crate) type PolicyFactory<'a> = Box<dyn Fn(u64) -> Box<dyn PwReplacementPolicy> + Sync + 'a>;
-
-/// One cell to simulate: its key (which seeds the policy), configuration,
-/// simulation options of a whole-trace segment, prepared trace and policy.
-pub(crate) struct CellRun<'a> {
-    pub(crate) key: TaskKey,
-    pub(crate) cfg: FrontendConfig,
-    pub(crate) opts: SimOptions,
-    pub(crate) prep: &'a Prep,
-    pub(crate) policy: PolicyFactory<'a>,
-}
-
 /// What one cell merges to: its result, its `--metrics` observability and
 /// its sampling metadata.
-pub(crate) type Merged = (SimResult, Option<CellObs>, Option<SampledCell>);
-
-/// What each cell merges to, or the cell's one failure; per-task
-/// profiles; and the wall time of the simulation stage.
-type Simulated = (Vec<Result<Merged, TaskFailure>>, Vec<TaskProfile>, Duration);
+type Merged = (SimResult, Option<CellObs>, Option<SampledCell>);
 
 /// What one simulation task of a cell runs.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -990,54 +1070,40 @@ impl Segment {
 /// is a whole-trace segment.
 type SegmentRun = (Segment, SimResult, Option<CellObs>);
 
-/// Simulates every segment of every cell on `engine`, seeding each policy
-/// from its cell key, and merges each cell's segments (see [`merge_cell`]).
-/// Whole-trace segments run `run_stream` on the prepared branch stream with
-/// the cell's options and, when `metrics` is set, a sampling recorder.
-/// Cells come back in submission order; a failing segment fails its cell
-/// alone.
-pub(crate) fn simulate(engine: &Engine, runs: &[CellRun<'_>], metrics: bool) -> Simulated {
-    let tasks = (runs.iter())
-        .flat_map(|run| {
-            (run.prep.segments.iter()).map(move |seg| (seg.segment.key(&run.key), (run, seg)))
-        })
-        .collect();
-    let outcome = engine.run(tasks, |_key, _seed, (run, seg)| {
-        let (cfg, seed, segment) = (run.cfg, run.key.seed(), seg.segment);
-        let policy = (run.policy)(seed);
-        let (warmup, measure) = seg.ranges();
-        if segment != Segment::Whole {
-            let (accesses, branch) = (&seg.accesses, &seg.branch);
-            let result = simulate_interval_with(&cfg, policy, accesses, warmup, measure, branch);
-            return (segment, result, None);
-        }
-        let mut builder = Frontend::builder(cfg).policy(policy).options(run.opts);
-        if metrics {
-            builder = builder.recorder(MetricsRecorder::new(Box::new(SamplingRecorder::new(
-                seed,
-                SAMPLE_EVERY,
-            ))));
-        }
-        let mut frontend = builder.build();
-        let result = frontend.run_stream(seg.accesses.accesses(), seg.branch.slice(measure));
-        let obs = frontend.take_recorder().map(|r| CellObs {
-            events: r.events(),
-            metrics: r.metrics().cloned().unwrap_or_default(),
-        });
-        (segment, result, obs)
+/// Simulates one segment under `policy`, built from the cell seed `seed`:
+/// the one simulation body, which the sweep's `simulate` tasks and the
+/// lab's online cells run. A whole-trace segment runs `run_stream` on the
+/// segment's branch stream with `opts` and, when `metrics` is set, a
+/// sampling recorder seeded by `seed`; a sampled segment warms up on its
+/// warmup accesses and measures the rest.
+pub(crate) fn simulate(
+    cfg: &FrontendConfig,
+    opts: SimOptions,
+    policy: Box<dyn PwReplacementPolicy>,
+    seed: u64,
+    seg: &SegmentPrep,
+    metrics: bool,
+) -> (SimResult, Option<CellObs>) {
+    let (warmup, measure) = seg.ranges();
+    if seg.segment != Segment::Whole {
+        let (accesses, branch) = (&seg.accesses, &seg.branch);
+        let result = simulate_interval_with(cfg, policy, accesses, warmup, measure, branch);
+        return (result, None);
+    }
+    let mut builder = Frontend::builder(*cfg).policy(policy).options(opts);
+    if metrics {
+        builder = builder.recorder(MetricsRecorder::new(Box::new(SamplingRecorder::new(
+            seed,
+            SAMPLE_EVERY,
+        ))));
+    }
+    let mut frontend = builder.build();
+    let result = frontend.run_stream(seg.accesses.accesses(), seg.branch.slice(measure));
+    let obs = frontend.take_recorder().map(|r| CellObs {
+        events: r.events(),
+        metrics: r.metrics().cloned().unwrap_or_default(),
     });
-
-    // The engine returns outcomes in submission order, so each cell drains
-    // exactly its own segments.
-    let mut outcomes = outcome.outcomes.into_iter();
-    let merged = (runs.iter())
-        .map(|run| {
-            let segments = run.prep.segments.len();
-            let segment_runs = outcomes.by_ref().take(segments).map(|o| o.result).collect();
-            merge_cell(run.prep.plan.as_ref(), &run.key, segment_runs)
-        })
-        .collect();
-    (merged, outcome.profiles, outcome.elapsed)
+    (result, obs)
 }
 
 /// Folds one cell's segment outcomes, in submission order, into its result,

@@ -6,7 +6,8 @@ use std::path::Path;
 use uopcache_bench::apps::trace_for_scaled;
 use uopcache_bench::policies::{PolicyId, PolicyRegistry, ProfileInputs};
 use uopcache_bench::sweep::{
-    frontend_config, try_run_sweep, SweepReport, SweepSpec, SAMPLE_EVERY, SCHEMA_VERSION,
+    check_trace_size, frontend_config, try_run_sweep, SweepReport, SweepSpec, SAMPLE_EVERY,
+    SCHEMA_VERSION,
 };
 use uopcache_bench::Table;
 use uopcache_core::{Flack, FurbysPipeline, OracleKind};
@@ -226,6 +227,7 @@ fn cmd_gen(args: &Args) -> Result<(), Box<dyn Error>> {
     if scale == 0 {
         return Err(Box::new(ArgError("--scale must be at least 1".into())));
     }
+    check_trace_size(len, scale).map_err(ArgError)?;
     let out = args.require("output")?;
     let trace = build_trace_scaled(app, variant, len, scale);
     trace_io::save(Path::new(out), &trace)?;
@@ -443,7 +445,7 @@ fn cmd_sweep(args: &Args) -> Result<(), Box<dyn Error>> {
 
     let mut t = Table::new(
         &format!(
-            "sweep: {} apps x {} policies on {} ({} jobs, {:.1?})",
+            "sweep: {} apps x {} policies on {} ({} jobs, {:.1?} end to end)",
             spec.apps.len(),
             spec.policies.len(),
             spec.config_name,
@@ -562,7 +564,7 @@ fn cmd_sample(args: &Args) -> Result<(), Box<dyn Error>> {
 
     let mut t = Table::new(
         &format!(
-            "sampled sweep: {} apps x {} policies, {interval}-uop intervals ({:.1?})",
+            "sampled sweep: {} apps x {} policies, {interval}-uop intervals ({:.1?} end to end)",
             spec.apps.len(),
             spec.policies.len(),
             report.elapsed,
@@ -637,7 +639,7 @@ fn cmd_sample(args: &Args) -> Result<(), Box<dyn Error>> {
         t.print();
         let speedup = full.elapsed.as_secs_f64() / report.elapsed.as_secs_f64().max(1e-9);
         println!(
-            "full {:.1?} vs sampled {:.1?}: {speedup:.1}x speedup",
+            "full {:.1?} vs sampled {:.1?} end to end: {speedup:.1}x speedup",
             full.elapsed, report.elapsed
         );
         if violations > 0 {
@@ -1348,6 +1350,31 @@ mod tests {
             .expect_err("no epochs")
             .to_string();
         assert!(err.contains("scale"), "{err}");
+    }
+
+    #[test]
+    fn gen_refuses_the_trace_sizes_a_sweep_refuses_before_any_walk() {
+        for (flags, charged) in [
+            ("--len 1 --scale 100000000", true),
+            ("--len 100000 --scale 100000", false),
+        ] {
+            let err = run(&format!("gen --app kafka {flags} -o unwritten.trc"))
+                .expect_err("over the access bound")
+                .to_string();
+            assert!(err.contains("exceeds"), "gen {flags}: {err}");
+            assert_eq!(
+                err.contains("each epoch counts"),
+                charged,
+                "gen {flags}: {err}"
+            );
+            assert_eq!(err.lines().count(), 1, "gen {flags}: {err}");
+        }
+        // 10^5 one-access epochs pass the size check (and, without an
+        // output path, stop before the walk).
+        let err = run("gen --app kafka --len 1 --scale 100000")
+            .expect_err("no output path")
+            .to_string();
+        assert_eq!(err, "missing --output");
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! # uopcache-exec
 //!
 //! The parallel experiment engine: a zero-dependency (std-only) scoped-thread
-//! work-stealing pool that executes simulation tasks in parallel while
-//! guaranteeing **bit-identical results regardless of worker count or
-//! scheduling order**.
+//! work-stealing pool that executes trees of simulation tasks in parallel
+//! while guaranteeing **bit-identical results regardless of worker count or
+//! scheduling order**. A task may return child tasks, which run after it
+//! returns; [`Engine::run_tree`] starts a new root only when no child is
+//! ready anywhere, so a subtree's inputs are freed before the next roots
+//! build theirs.
 //!
 //! The determinism contract rests on three rules:
 //!
@@ -12,13 +15,17 @@
 //! 2. any randomness a task needs comes from [`TaskKey::seed`], a SplitMix64
 //!    finalisation of an FNV-1a hash of the key — a pure function of the key,
 //!    never of submission order, worker id or wall clock;
-//! 3. [`Engine::run`] returns outcomes in **submission order** (and callers
-//!    merge by key), so completion order never leaks into results.
+//! 3. [`Engine::run_tree`] returns outcomes in **tree order** — each root
+//!    in submission order, followed by its children's subtrees in the order
+//!    it returned them — and [`Engine::run`], its childless case, in
+//!    submission order (callers merge by key), so completion order never
+//!    leaks into results.
 //!
 //! A panicking task is caught on its worker and surfaced as a structured
 //! [`TaskFailure`] (key + seed + panic message) instead of aborting the
-//! sweep; sibling tasks keep running. `Engine::new(1)` runs tasks inline on
-//! the caller thread, reproducing the serial path exactly.
+//! sweep; it runs none of its children, and every other task keeps
+//! running. `Engine::new(1)` runs tasks inline on the caller thread,
+//! reproducing the serial path exactly.
 //!
 //! # Examples
 //!

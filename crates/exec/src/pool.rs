@@ -1,19 +1,24 @@
 //! The scoped-thread work-stealing pool.
 //!
-//! [`Engine::run`] executes a batch of keyed tasks. With `jobs == 1` the
-//! tasks run inline on the caller thread in submission order — exactly the
-//! serial path. With `jobs > 1` the batch is distributed round-robin over
-//! per-worker deques; each worker drains its own deque front-first and steals
-//! from the back of its siblings' deques when it runs dry. Because every
-//! task is a pure function of its [`TaskKey`] and derived seed, and outcomes
-//! are written to the slot of their submission index, the returned vector is
-//! bit-identical for every worker count and every interleaving.
+//! [`Engine::run_tree`] executes a tree of keyed tasks: a batch of roots,
+//! and every child a finished task returns. A finished task's children go
+//! on its worker's own deque; a worker takes the newest task on its own
+//! deque, else steals the oldest from a sibling's, and starts the next root
+//! (in submission order) only when no child is ready anywhere. A subtree
+//! therefore finishes before fresh roots pile up beside it: at most `jobs`
+//! roots have unfinished descendants at once. [`Engine::run`] is the
+//! childless case. With `jobs == 1` the one worker loop runs inline on the
+//! caller thread, so roots run in submission order and each subtree depth
+//! first — exactly the serial path. Because every task is a pure function
+//! of its [`TaskKey`] and derived seed, and outcomes are returned in tree
+//! order rather than completion order, the result is bit-identical for
+//! every worker count and every interleaving.
 
 use crate::clock::{Clock, NullClock};
 use crate::seed::TaskKey;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A structured task failure: the panic of one task, surfaced without
@@ -40,7 +45,7 @@ impl std::fmt::Display for TaskFailure {
     }
 }
 
-/// The outcome of one task, in submission order within a [`SweepOutcome`].
+/// The outcome of one task, in tree order within a [`SweepOutcome`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TaskOutcome<R> {
     /// The task's key.
@@ -53,7 +58,7 @@ pub struct TaskOutcome<R> {
 
 impl<R> TaskOutcome<R> {
     /// The structured failure, if the task panicked.
-    pub(crate) fn failure(&self) -> Option<TaskFailure> {
+    pub fn failure(&self) -> Option<TaskFailure> {
         self.result.as_ref().err().map(|message| TaskFailure {
             key: self.key.clone(),
             seed: self.seed,
@@ -78,7 +83,8 @@ pub struct TaskProfile {
     pub key: TaskKey,
     /// The seed derived from the key.
     pub seed: u64,
-    /// Clock tick when the task was enqueued.
+    /// Clock tick when the task was enqueued: when the batch started for a
+    /// root, when its parent finished for a child.
     pub submitted: u64,
     /// Clock tick when a worker began executing the task.
     pub started: u64,
@@ -102,22 +108,23 @@ impl TaskProfile {
     }
 }
 
-/// All outcomes of one [`Engine::run`] batch, in submission order.
+/// All outcomes of one [`Engine::run_tree`] (or [`Engine::run`]) batch, in
+/// tree order (for a childless batch, submission order).
 ///
 /// Deliberately not `PartialEq`: `elapsed` is wall-clock noise. Compare
 /// [`outcomes`](Self::outcomes) — those are the deterministic part.
 #[derive(Clone, Debug)]
 pub struct SweepOutcome<R> {
-    /// One outcome per submitted task, in submission order.
+    /// One outcome per task, in tree order.
     pub outcomes: Vec<TaskOutcome<R>>,
-    /// One lifecycle profile per submitted task, in submission order.
+    /// One lifecycle profile per task, in tree order.
     pub profiles: Vec<TaskProfile>,
     /// Wall-clock time of the batch.
     pub elapsed: Duration,
 }
 
 impl<R> SweepOutcome<R> {
-    /// Every structured failure, in submission order.
+    /// Every structured failure, in tree order.
     pub fn failures(&self) -> Vec<TaskFailure> {
         self.outcomes
             .iter()
@@ -125,7 +132,7 @@ impl<R> SweepOutcome<R> {
             .collect()
     }
 
-    /// Unwraps every task value, in submission order.
+    /// Unwraps every task value, in tree order.
     ///
     /// # Panics
     ///
@@ -191,37 +198,63 @@ impl Engine {
         self
     }
 
-    /// Runs every task and returns the outcomes **in submission order**.
+    /// Runs every task and returns the outcomes **in submission order**:
+    /// [`run_tree`](Self::run_tree) with tasks that return no children.
     ///
     /// Each task is `f(&key, seed, input)` where `seed == key.seed()`. A
     /// panicking task yields `Err(message)` in its slot; siblings are
     /// unaffected.
-    // audit:spawn-site — scoped workers: std::thread::scope joins every worker before return
     pub fn run<I, R, F>(&self, tasks: Vec<(TaskKey, I)>, f: F) -> SweepOutcome<R>
     where
         I: Send,
         R: Send,
         F: Fn(&TaskKey, u64, I) -> R + Sync,
     {
+        self.run_tree(tasks, |key, seed, input| (f(key, seed, input), Vec::new()))
+    }
+
+    /// Runs a tree of tasks: every root, and every child a task returns.
+    ///
+    /// Each task is `f(&key, seed, input)` where `seed == key.seed()`, and
+    /// returns its value and its children. The children are queued when
+    /// the task returns, on its worker's own deque. A worker takes the
+    /// newest task on its own deque, else steals the oldest from a
+    /// sibling's, and starts the next root (in submission order) only when
+    /// no child is ready anywhere, so at most `jobs` roots have unfinished
+    /// descendants at once. A panicking task yields `Err(message)` in its
+    /// slot and runs none of its children; every other task is unaffected.
+    ///
+    /// Outcomes come back in **tree order**: each root in submission order,
+    /// followed by the subtrees of its children in the order it returned
+    /// them. For a childless batch that is submission order.
+    // audit:spawn-site — scoped workers: std::thread::scope joins every worker before return
+    pub fn run_tree<I, R, F>(&self, roots: Vec<(TaskKey, I)>, f: F) -> SweepOutcome<R>
+    where
+        I: Send,
+        R: Send,
+        F: Fn(&TaskKey, u64, I) -> (R, Vec<(TaskKey, I)>) + Sync,
+    {
         #[expect(
             clippy::disallowed_methods,
             reason = "elapsed feeds the run times printed for people only; wall-clock noise is excluded from Eq"
         )]
         let started = Instant::now();
-        let total = tasks.len();
         let clock = &self.clock;
 
-        // (worker, stolen, submitted-tick) → outcome + lifecycle profile.
-        let run_one = |key: TaskKey,
-                       input: I,
-                       worker: usize,
-                       stolen: bool,
-                       submitted: u64|
-         -> (TaskOutcome<R>, TaskProfile) {
+        // A task runs to its outcome, lifecycle profile and children.
+        let run_one = |task: Pending<I>, worker: usize, stolen: bool| -> Ran<I, R> {
+            let Pending {
+                slot,
+                key,
+                input,
+                submitted,
+            } = task;
             let seed = key.seed();
             let started_tick = clock.now();
-            let result = catch_unwind(AssertUnwindSafe(|| f(&key, seed, input)))
-                .map_err(|payload| panic_message(payload.as_ref()));
+            let (result, children) = match catch_unwind(AssertUnwindSafe(|| f(&key, seed, input))) {
+                Ok((value, children)) => (Ok(value), children),
+                Err(payload) => (Err(panic_message(payload.as_ref())), Vec::new()),
+            };
             let finished_tick = clock.now();
             let outcome = TaskOutcome { key, seed, result };
             let profile = TaskProfile {
@@ -233,85 +266,172 @@ impl Engine {
                 worker,
                 stolen,
             };
-            (outcome, profile)
+            Ran {
+                slot,
+                done: (outcome, profile),
+                children,
+            }
         };
 
-        let workers = self.jobs.min(total.max(1));
-        if workers <= 1 {
-            // The serial path: inline, submission order, no threads.
-            let mut outcomes = Vec::with_capacity(total);
-            let mut profiles = Vec::with_capacity(total);
-            for (key, input) in tasks {
-                let submitted = clock.now();
-                let (outcome, profile) = run_one(key, input, 0, false, submitted);
-                outcomes.push(outcome);
-                profiles.push(profile);
-            }
-            return SweepOutcome {
-                outcomes,
-                profiles,
-                elapsed: started.elapsed(),
-            };
+        let tree = Mutex::new(Tree::new(roots, self.jobs, clock.as_ref()));
+        let ready = Condvar::new();
+        if self.jobs == 1 {
+            // The serial path: the one worker loop, inline, no threads.
+            work(&tree, &ready, 0, &run_one);
+        } else {
+            std::thread::scope(|scope| {
+                for w in 0..self.jobs {
+                    let (tree, ready, run_one) = (&tree, &ready, &run_one);
+                    scope.spawn(move || work(tree, ready, w, run_one));
+                }
+            });
         }
-
-        // Per-worker deques, filled round-robin by submission index. Each
-        // entry carries its owner's index so a popper can tell a steal from
-        // a local dequeue.
-        // One enqueued job: submission index, key, input, submission tick.
-        type QueuedJob<I> = (usize, TaskKey, I, u64);
-        let queues: Vec<Mutex<VecDeque<QueuedJob<I>>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (idx, (key, input)) in tasks.into_iter().enumerate() {
-            let submitted = clock.now();
-            lock_clean(&queues[idx % workers]).push_back((idx, key, input, submitted));
-        }
-        type Finished<R> = (TaskOutcome<R>, TaskProfile);
-        let slots: Vec<Mutex<Option<Finished<R>>>> = (0..total).map(|_| Mutex::new(None)).collect();
-
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let queues = &queues;
-                let slots = &slots;
-                let run_one = &run_one;
-                scope.spawn(move || {
-                    loop {
-                        // Own deque first (front = submission order). Bind the
-                        // popped value so the guard drops here — holding our
-                        // own lock while probing siblings would let two
-                        // draining workers deadlock on each other's queues.
-                        let local = lock_clean(&queues[w]).pop_front();
-                        let job = local.map(|j| (j, false)).or_else(|| {
-                            // ...then steal from the back of a sibling's.
-                            (1..workers).find_map(|d| {
-                                lock_clean(&queues[(w + d) % workers])
-                                    .pop_back()
-                                    .map(|j| (j, true))
-                            })
-                        });
-                        let Some(((idx, key, input, submitted), stolen)) = job else {
-                            // No task regeneration: empty everywhere = done.
-                            break;
-                        };
-                        let pair = run_one(key, input, w, stolen, submitted);
-                        *lock_clean(&slots[idx]) = Some(pair);
-                    }
-                });
-            }
-        });
-
-        let mut outcomes = Vec::with_capacity(total);
-        let mut profiles = Vec::with_capacity(total);
-        for slot in slots {
-            let (outcome, profile) = lock_clean(&slot)
-                .take()
-                .expect("every submitted task writes its slot");
-            outcomes.push(outcome);
-            profiles.push(profile);
-        }
+        let (outcomes, profiles) = tree
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .into_outcomes();
         SweepOutcome {
             outcomes,
             profiles,
             elapsed: started.elapsed(),
+        }
+    }
+}
+
+/// A finished task's outcome and lifecycle profile.
+type Finished<R> = (TaskOutcome<R>, TaskProfile);
+
+/// A queued task: its slot in the tree, key, input and submission tick.
+struct Pending<I> {
+    slot: usize,
+    key: TaskKey,
+    input: I,
+    submitted: u64,
+}
+
+/// What running one task yields: its slot, what it finished with, and the
+/// children it returned.
+struct Ran<I, R> {
+    slot: usize,
+    done: Finished<R>,
+    children: Vec<(TaskKey, I)>,
+}
+
+/// The scheduler's state, under one lock. Tasks run for milliseconds, so
+/// one lock costs nothing measurable, and it makes "no child is ready
+/// anywhere" an exact test rather than a race between deques.
+struct Tree<I, R> {
+    /// Roots not yet started, in submission order.
+    roots: VecDeque<Pending<I>>,
+    /// Per worker, the children its finished tasks returned: the owner
+    /// pops the back (the newest subtree, depth first), a thief the front.
+    deques: Vec<VecDeque<Pending<I>>>,
+    /// Tasks started and not yet finished.
+    running: usize,
+    /// How many slots, the first, are roots.
+    root_slots: usize,
+    /// Per slot, in creation order (roots first): the slots of the task's
+    /// children, and what it finished with.
+    slots: Vec<(Vec<usize>, Option<Finished<R>>)>,
+}
+
+impl<I, R> Tree<I, R> {
+    fn new(roots: Vec<(TaskKey, I)>, workers: usize, clock: &dyn Clock) -> Self {
+        let roots: VecDeque<Pending<I>> = (roots.into_iter().enumerate())
+            .map(|(slot, (key, input))| Pending {
+                slot,
+                key,
+                input,
+                submitted: clock.now(),
+            })
+            .collect();
+        Tree {
+            slots: (0..roots.len()).map(|_| (Vec::new(), None)).collect(),
+            root_slots: roots.len(),
+            roots,
+            deques: (0..workers).map(|_| VecDeque::new()).collect(),
+            running: 0,
+        }
+    }
+
+    /// The task worker `w` runs next, and whether it is stolen: the newest
+    /// child on its own deque, else the oldest on a sibling's, else — no
+    /// child being ready anywhere — the next root.
+    fn next(&mut self, w: usize) -> Option<(Pending<I>, bool)> {
+        if let Some(task) = self.deques[w].pop_back() {
+            return Some((task, false));
+        }
+        let n = self.deques.len();
+        (1..n)
+            .find_map(|d| self.deques[(w + d) % n].pop_front())
+            .map(|task| (task, true))
+            .or_else(|| self.roots.pop_front().map(|task| (task, false)))
+    }
+
+    /// Records a task worker `w` ran, and queues its children on `w`'s
+    /// deque, the first child on top, submitted when their parent finished.
+    fn finish(&mut self, w: usize, ran: Ran<I, R>) {
+        let Ran {
+            slot,
+            done,
+            children,
+        } = ran;
+        let submitted = done.1.finished;
+        let first = self.slots.len();
+        self.slots[slot] = ((first..first + children.len()).collect(), Some(done));
+        self.slots
+            .extend(children.iter().map(|_| (Vec::new(), None)));
+        let pending = (children.into_iter().enumerate().rev()).map(|(i, (key, input))| Pending {
+            slot: first + i,
+            key,
+            input,
+            submitted,
+        });
+        self.deques[w].extend(pending);
+    }
+
+    /// Every outcome and profile, in tree order.
+    fn into_outcomes(mut self) -> (Vec<TaskOutcome<R>>, Vec<TaskProfile>) {
+        let mut outcomes = Vec::with_capacity(self.slots.len());
+        let mut profiles = Vec::with_capacity(self.slots.len());
+        let mut stack: Vec<usize> = (0..self.root_slots).rev().collect();
+        while let Some(slot) = stack.pop() {
+            let (children, done) = std::mem::take(&mut self.slots[slot]);
+            let (outcome, profile) = done.expect("every queued task finishes");
+            outcomes.push(outcome);
+            profiles.push(profile);
+            stack.extend(children.into_iter().rev());
+        }
+        (outcomes, profiles)
+    }
+}
+
+/// One worker's loop: runs tasks until none is queued or running. A worker
+/// with nothing to take while others run waits for them to return children
+/// (or for the last of them to finish).
+fn work<I, R>(
+    tree: &Mutex<Tree<I, R>>,
+    ready: &Condvar,
+    w: usize,
+    run_one: &(impl Fn(Pending<I>, usize, bool) -> Ran<I, R> + Sync),
+) {
+    let mut state = lock_clean(tree);
+    loop {
+        if let Some((task, stolen)) = state.next(w) {
+            state.running += 1;
+            drop(state);
+            let ran = run_one(task, w, stolen);
+            let spawned = !ran.children.is_empty();
+            state = lock_clean(tree);
+            state.finish(w, ran);
+            state.running -= 1;
+            if spawned || state.running == 0 {
+                ready.notify_all();
+            }
+        } else if state.running == 0 {
+            return;
+        } else {
+            state = ready.wait(state).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -428,8 +548,8 @@ mod tests {
             assert!(!p.stolen, "serial path never steals");
             assert_eq!(p.worker, 0);
         }
-        // Serial ticks are strictly increasing across tasks.
-        assert!(out.profiles[0].finished < out.profiles[1].submitted);
+        // The serial path runs the roots one after another, in order.
+        assert!(out.profiles[0].finished < out.profiles[1].started);
     }
 
     #[test]
